@@ -84,6 +84,7 @@ def _result_json(res, cut_value=None):
         "max_edge_congestion": res.max_edge_congestion,
         "per_group_congestion_max": res.per_group_congestion_max,
         "timings": res.stats.timings,
+        "counters": res.stats.counters(),
         "seed": res.seed,
     }
     if cut_value is not None:
@@ -112,6 +113,9 @@ def cmd_maxflow(args):
                 },
                 "seed": args.seed,
             }
+            if inst.stats is not None:
+                payload["timings"] = inst.stats.timings
+                payload["counters"] = inst.stats.counters()
             _emit_json(payload, args.json)
             if args.emit_cut and cert.cut_side is not None:
                 with open(args.emit_cut, "w") as fh:

@@ -73,10 +73,21 @@ class WeightedGraph:
         if self.resistance is not None:
             self.resistance.setflags(write=False)
 
-        self._adj = None
-        self._component = None
-        self._bfs = None
-        self._lap_builder = None
+        # structure-only caches (adjacency, components, BFS tree, Laplacian
+        # pattern); graphs made by ``reweighted`` share this dict
+        self._structure = {}
+
+    def reweighted(self, weight):
+        """Same vertices, edges and capacities with a new weight vector.
+
+        The copy shares this graph's structure caches, so its components, BFS
+        tree and Laplacian pattern are computed at most once between them.
+        """
+        clone = object.__new__(WeightedGraph)
+        clone.__dict__.update(self.__dict__)
+        clone.weight = _as_float_vector(weight, self.m, "weight")
+        clone.weight.setflags(write=False)
+        return clone
 
     # -- structure ---------------------------------------------------------
 
@@ -87,15 +98,14 @@ class WeightedGraph:
 
     def adjacency(self):
         """CSR adjacency with edge ids as data (lazily built)."""
-        if self._adj is None:
+        if "adj" not in self._structure:
             rows = np.concatenate([self.tails, self.heads])
             cols = np.concatenate([self.heads, self.tails])
             eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
-            adj = sp.csr_matrix((eids + 1, (rows, cols)), shape=(self.n, self.n))
-            # parallel edges collapse in CSR; keep a separate per-vertex edge list
-            order = np.argsort(rows, kind="stable")
-            self._adj = (adj, rows[order], cols[order], eids[order])
-        return self._adj[0]
+            # parallel edges collapse in CSR; incident_edges lists them apart
+            self._structure["adj"] = sp.csr_matrix((eids + 1, (rows, cols)),
+                                                   shape=(self.n, self.n))
+        return self._structure["adj"]
 
     def incident_edges(self):
         """Arrays (indptr, neighbor, edge_id) listing incidences per vertex."""
@@ -109,10 +119,10 @@ class WeightedGraph:
 
     def components(self):
         """Vertex component labels (cached)."""
-        if self._component is None:
-            nc, labels = sp.csgraph.connected_components(self.adjacency(), directed=False)
-            self._component = (nc, labels)
-        return self._component
+        if "components" not in self._structure:
+            self._structure["components"] = sp.csgraph.connected_components(
+                self.adjacency(), directed=False)
+        return self._structure["components"]
 
     @property
     def is_connected(self):
@@ -131,7 +141,7 @@ class WeightedGraph:
         Roots are the smallest vertex id of each component; neighbors are
         visited in ascending (vertex, edge-id) order.
         """
-        if self._bfs is None:
+        if "bfs" not in self._structure:
             indptr, nbr, eid = self.incident_edges()
             parent = np.full(self.n, -1, dtype=np.int64)
             parent_edge = np.full(self.n, -1, dtype=np.int64)
@@ -158,8 +168,8 @@ class WeightedGraph:
                                 order.append(u)
                                 nxt.append(u)
                     queue = nxt
-            self._bfs = (parent, parent_edge, np.asarray(order), depth)
-        return self._bfs
+            self._structure["bfs"] = (parent, parent_edge, np.asarray(order), depth)
+        return self._structure["bfs"]
 
     def route_on_tree(self, q):
         """Flow vector whose residual equals ``q`` exactly, supported on the BFS tree.
@@ -167,26 +177,36 @@ class WeightedGraph:
         ``q`` must sum to zero on every component (up to rounding); the
         leftover at each root is dropped.
         """
-        parent, parent_edge, _, depth = self.bfs_tree()
         carry = np.array(q, dtype=float)
         f = np.zeros(self.m)
-        maxd = int(depth.max()) if self.n else 0
-        by_depth = [np.flatnonzero(depth == d) for d in range(maxd + 1)]
-        for d in range(maxd, 0, -1):
-            idx = by_depth[d]
-            e = parent_edge[idx]
+        for idx, e, sign, up in self._tree_levels():
             amount = carry[idx]
-            # edge oriented tail->head; pushing from v toward parent
-            sign = np.where(self.tails[e] == idx, 1.0, -1.0)
-            np.add.at(f, e, sign * amount)
-            np.add.at(carry, parent[idx], amount)
+            f[e] = sign * amount  # each tree edge is the parent edge of one vertex
+            np.add.at(carry, up, amount)
         return f
+
+    def _tree_levels(self):
+        """BFS tree by depth, deepest first: (vertices, parent edges, sign, parents).
+
+        The sign is +1 where pushing from the vertex toward its parent runs
+        along the edge's tail -> head orientation.
+        """
+        if "tree_levels" not in self._structure:
+            parent, parent_edge, _, depth = self.bfs_tree()
+            maxd = int(depth.max()) if self.n else 0
+            levels = []
+            for d in range(maxd, 0, -1):
+                idx = np.flatnonzero(depth == d)
+                e = parent_edge[idx]
+                levels.append((idx, e, np.where(self.tails[e] == idx, 1.0, -1.0), parent[idx]))
+            self._structure["tree_levels"] = levels
+        return self._structure["tree_levels"]
 
     # -- Laplacian ---------------------------------------------------------
 
     def laplacian_pattern(self):
         """Cached (indptr, indices, map) with ``data = map @ conductance``."""
-        if self._lap_builder is None:
+        if "laplacian" not in self._structure:
             n, m = self.n, self.m
             a, b = self.tails, self.heads
             rows = np.concatenate([a, b, a, b])
@@ -198,8 +218,8 @@ class WeightedGraph:
             mapper = sp.csr_matrix((sign, (slot, eids)), shape=(uniq.size, m))
             indices = (uniq % n).astype(np.int32)
             indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
-            self._lap_builder = (indptr, indices, mapper)
-        return self._lap_builder
+            self._structure["laplacian"] = (indptr, indices, mapper)
+        return self._structure["laplacian"]
 
     def laplacian_csr(self, conductance):
         """CSR Laplacian for the given per-edge conductances."""
@@ -275,13 +295,20 @@ def group_congestion(f: FlowState, g: WeightedGraph, group):
     return float(np.sqrt(np.sum(g.weight[idx] * fe * fe)))
 
 
+def group_ids(groups):
+    """(ids, group of each id) of a list of id arrays, concatenated in order."""
+    sizes = np.fromiter((len(grp) for grp in groups), dtype=np.int64, count=len(groups))
+    ids = (np.concatenate([np.asarray(grp, dtype=np.int64) for grp in groups])
+           if len(groups) else np.zeros(0, dtype=np.int64))
+    return ids, np.repeat(np.arange(len(groups)), sizes)
+
+
 def group_congestions(flow, weight, groups):
     """Per-group sqrt(sum w f^2) for a list of edge-id arrays."""
-    out = np.empty(len(groups))
-    for i, idx in enumerate(groups):
-        fe = flow[idx]
-        out[i] = np.sqrt(np.sum(weight[idx] * fe * fe))
-    return out
+    flow = np.asarray(flow, dtype=float)
+    edges, owner = group_ids(groups)
+    fe = flow[edges]
+    return np.sqrt(np.bincount(owner, weights=weight[edges] * fe * fe, minlength=len(groups)))
 
 
 def residual(f: FlowState, g: WeightedGraph):

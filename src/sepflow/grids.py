@@ -47,18 +47,16 @@ class GridSpec:
 
     def edges(self):
         """(tail, head) pairs in canonical scan order."""
-        out = []
-        for layer in range(self.layers):
-            for row in range(self.rows):
-                for col in range(self.cols):
-                    v = self.vertex(layer, row, col)
-                    if col + 1 < self.cols:
-                        out.append((v, self.vertex(layer, row, col + 1)))
-                    if row + 1 < self.rows:
-                        out.append((v, self.vertex(layer, row + 1, col)))
-                    if layer + 1 < self.layers:
-                        out.append((v, self.vertex(layer + 1, row, col)))
-        return np.asarray(out, dtype=np.int64)
+        shape = (self.layers, self.rows, self.cols)
+        v = np.arange(self.n, dtype=np.int64).reshape(shape)
+        layer, row, col = np.indices(shape)
+        # per vertex, in scan order: east, south, up-layer; boolean indexing
+        # of the (layers, rows, cols, 3) stack keeps that order
+        heads = np.stack([v + 1, v + self.cols, v + self.rows * self.cols], axis=-1)
+        valid = np.stack([col + 1 < self.cols, row + 1 < self.rows, layer + 1 < self.layers],
+                         axis=-1)
+        tails = np.broadcast_to(v[..., None], heads.shape)
+        return np.column_stack([tails[valid], heads[valid]])
 
     @property
     def m(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphError, ValidationError
-from .graphs import WeightedGraph, zero_sum_demand
+from .graphs import WeightedGraph, group_ids, zero_sum_demand
 from .solver import DENSE_CUTOFF, SolverHandle, electrical_flow
 
 DEFAULT_EARLY_EXIT_CAP = 40
@@ -48,15 +48,17 @@ class GroupedFlowProblem:
     def __post_init__(self):
         g = self.graph
         self.groups = [np.asarray(grp, dtype=np.int64) for grp in self.groups]
-        gid = np.full(g.m, -1, dtype=np.int64)
-        for i, grp in enumerate(self.groups):
-            if grp.size == 0:
-                raise GraphError(f"group {i} is empty")
-            if np.any(gid[grp] >= 0):
-                raise GraphError("groups overlap")
-            gid[grp] = i
-        if np.any(gid < 0):
+        edges, owner = group_ids(self.groups)
+        empty = np.flatnonzero(np.bincount(owner, minlength=len(self.groups)) == 0)
+        if empty.size:
+            raise GraphError(f"group {int(empty[0])} is empty")
+        listed = np.bincount(edges, minlength=g.m)
+        if np.any(listed > 1):
+            raise GraphError("groups overlap")
+        if np.any(listed == 0):
             raise GraphError("groups do not cover all edges")
+        gid = np.empty(g.m, dtype=np.int64)
+        gid[edges] = owner
         self.group_of_edge = gid
         self.demand = zero_sum_demand(self.demand, g.n)
         if not (0 < self.eps < 0.5):

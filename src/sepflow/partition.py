@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphError, ParseError, ValidationError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, group_ids
 from .grids import GridSpec
 
 DEFAULT_C_DIV = 4.0
@@ -42,10 +42,22 @@ class Partition:
     c_div: float = DEFAULT_C_DIV
     c_bdry: float = DEFAULT_C_BDRY
     blocks: list = field(default_factory=list, repr=False)
+    _topology: object = field(default=None, repr=False, compare=False)
 
     @property
     def k(self):
         return len(self.groups)
+
+    def topology(self, g: WeightedGraph):
+        """The groups' ``GroupTopology`` on ``g``, built on first use and cached here.
+
+        Partition constructors never build it, so set-up does no elimination work.
+        """
+        from .schur import GroupTopology
+
+        if self._topology is None or not self._topology.matches(g):
+            self._topology = GroupTopology(g, self.groups, self.boundaries)
+        return self._topology
 
     def group_of_edges(self):
         gid = np.full(self.m, -1, dtype=np.int64)
@@ -58,32 +70,42 @@ class Partition:
         return np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))
 
 
+def _edge_group_ids(m, groups):
+    """Group id of every edge; raises ValidationError on an overlap or an uncovered edge."""
+    edges, owner = group_ids(groups)
+    _, first, inverse = np.unique(edges, return_index=True, return_inverse=True)
+    # an edge listed again in a later group; the first such listing is reported
+    cross = np.flatnonzero(owner[first[inverse]] != owner)
+    if cross.size:
+        p = cross[0]
+        raise ValidationError(
+            f"edge {int(edges[p])} in groups {int(owner[first[inverse[p]]])} and {int(owner[p])}")
+    gid = np.full(m, -1, dtype=np.int64)
+    gid[edges] = owner
+    if np.any(gid < 0):
+        raise ValidationError(f"edge {int(np.flatnonzero(gid < 0)[0])} belongs to no group")
+    return gid
+
+
 def _boundary_sets(g: WeightedGraph, groups, terminals):
     """Per-group boundary/interior per the definition: a vertex is boundary of a
     group iff it touches the group and also touches another group (or is a
     designated terminal)."""
-    gid = np.full(g.m, -1, dtype=np.int64)
-    for i, grp in enumerate(groups):
-        grp = np.asarray(grp, dtype=np.int64)
-        if np.any(gid[grp] >= 0):
-            dup = grp[gid[grp] >= 0][0]
-            raise ValidationError(f"edge {int(dup)} in groups {int(gid[dup])} and {i}")
-        gid[grp] = i
-    if np.any(gid < 0):
-        raise ValidationError(f"edge {int(np.flatnonzero(gid < 0)[0])} belongs to no group")
-
+    gid = _edge_group_ids(g.m, groups)
     k = len(groups)
-    touch = [set() for _ in range(g.n)]
-    for e in range(g.m):
-        touch[g.tails[e]].add(int(gid[e]))
-        touch[g.heads[e]].add(int(gid[e]))
-    term = set(int(t) for t in terminals)
+    # distinct (group, vertex) incidences, sorted by group then vertex
+    keys = np.unique(np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads]))
+    owner, verts = np.divmod(keys, g.n)
+    is_bdry = np.bincount(verts, minlength=g.n) > 1
+    term = np.asarray(terminals, dtype=np.int64)
+    is_bdry[term[(term >= 0) & (term < g.n)]] = True
+    on_bdry = is_bdry[verts]
+    cuts = np.searchsorted(owner, np.arange(k + 1))
     boundaries, interiors = [], []
-    for i, grp in enumerate(groups):
-        verts = np.unique(np.concatenate([g.tails[grp], g.heads[grp]])) if len(grp) else np.array([], dtype=np.int64)
-        is_bdry = np.array([len(touch[v]) > 1 or int(v) in term for v in verts], dtype=bool)
-        boundaries.append(verts[is_bdry])
-        interiors.append(verts[~is_bdry])
+    for i in range(k):
+        vs, mask = verts[cuts[i]:cuts[i + 1]], on_bdry[cuts[i]:cuts[i + 1]]
+        boundaries.append(vs[mask])
+        interiors.append(vs[~mask])
     return boundaries, interiors
 
 
@@ -98,44 +120,61 @@ def partition_from_groups(g: WeightedGraph, groups, r, terminals=(),
     part = Partition(groups=groups, boundaries=boundaries, interiors=interiors,
                      r=int(r), n=g.n, m=g.m, terminals=tuple(terminals),
                      c_div=c_div, c_bdry=c_bdry)
-    validate_partition(part, g)
+    # the sets were just derived from the definition; only the size clauses remain
+    _check_sizes(part, g)
     return part
+
+
+def _check_sizes(part: Partition, g: WeightedGraph):
+    """The group-size, group-count and boundary-size clauses."""
+    sizes = np.fromiter((len(grp) for grp in part.groups), dtype=np.int64, count=part.k)
+    over = np.flatnonzero(sizes > part.r)
+    if over.size:
+        i = int(over[0])
+        raise ValidationError(f"group {i} has {sizes[i]} edges > r = {part.r}")
+    k_bound = max(part.c_div * g.n / part.r, 1.0)
+    if part.k > k_bound:
+        raise ValidationError(f"k = {part.k} exceeds c_div * n / r = {k_bound:.2f}")
+
+    bdry_bound = part.c_bdry * math.sqrt(part.r)
+    bsizes = np.fromiter((len(b) for b in part.boundaries), dtype=np.int64,
+                         count=len(part.boundaries))
+    over = np.flatnonzero(bsizes > bdry_bound)
+    if over.size:
+        i = int(over[0])
+        raise ValidationError(
+            f"|V_bdry(S_{i})| = {bsizes[i]} exceeds c_bdry * sqrt(r) = {bdry_bound:.2f}")
+
+
+def _first_mismatch(sets, ref, n):
+    """Index of the first group whose vertex set differs from ``ref``, or None."""
+    flat, owner = group_ids(sets)
+    ref_flat, ref_owner = group_ids(ref)
+    in_range = not flat.size or (flat.min() >= 0 and flat.max() < n)
+    if in_range and np.array_equal(owner, ref_owner):
+        # one sort over (group, vertex) keys compares every set at once
+        differ = np.sort(owner * n + flat) != owner * n + ref_flat
+        if not differ.any():
+            return None
+        return int(owner[np.flatnonzero(differ)[0]])
+    for i, (a, b) in enumerate(zip(sets, ref)):
+        if not np.array_equal(np.sort(a), b):
+            return i
+    return min(len(sets), len(ref))
 
 
 def validate_partition(part: Partition, g: WeightedGraph):
     """Enforce every r-division invariant; raises ValidationError naming the clause."""
     if g.n != part.n or g.m != part.m:
         raise ValidationError("partition does not match graph dimensions")
-    gid = np.full(g.m, -1, dtype=np.int64)
-    for i, grp in enumerate(part.groups):
-        grp = np.asarray(grp)
-        seen = gid[grp] >= 0
-        if np.any(seen):
-            dup = int(grp[seen][0])
-            raise ValidationError(f"edge {dup} in groups {int(gid[dup])} and {i}")
-        gid[grp] = i
-    if np.any(gid < 0):
-        raise ValidationError(f"edge {int(np.flatnonzero(gid < 0)[0])} belongs to no group")
-
-    for i, grp in enumerate(part.groups):
-        if len(grp) > part.r:
-            raise ValidationError(f"group {i} has {len(grp)} edges > r = {part.r}")
-    k_bound = max(part.c_div * g.n / part.r, 1.0)
-    if part.k > k_bound:
-        raise ValidationError(f"k = {part.k} exceeds c_div * n / r = {k_bound:.2f}")
-
-    bdry_bound = part.c_bdry * math.sqrt(part.r)
-    for i, b in enumerate(part.boundaries):
-        if len(b) > bdry_bound:
-            raise ValidationError(
-                f"|V_bdry(S_{i})| = {len(b)} exceeds c_bdry * sqrt(r) = {bdry_bound:.2f}")
-
     ref_b, ref_i = _boundary_sets(g, part.groups, part.terminals)
-    for i in range(part.k):
-        if not np.array_equal(np.sort(part.boundaries[i]), ref_b[i]):
-            raise ValidationError(f"boundary set of group {i} does not match its definition")
-        if not np.array_equal(np.sort(part.interiors[i]), ref_i[i]):
-            raise ValidationError(f"interior set of group {i} does not match its definition")
+    _check_sizes(part, g)
+    bad_b = _first_mismatch(part.boundaries, ref_b, g.n)
+    bad_i = _first_mismatch(part.interiors, ref_i, g.n)
+    if bad_b is not None and (bad_i is None or bad_b <= bad_i):
+        raise ValidationError(f"boundary set of group {bad_b} does not match its definition")
+    if bad_i is not None:
+        raise ValidationError(f"interior set of group {bad_i} does not match its definition")
     return part
 
 
@@ -204,8 +243,9 @@ def grid_r_division(rows, cols, layers, r, terminals=(), c_div=DEFAULT_C_DIV,
     # owner of an edge = block of its canonical tail coordinate
     _, trow, tcol = spec.coord_arrays(g.tails)
     owner = row_block[trow] * p_c + col_block[tcol]
-    groups = [np.flatnonzero(owner == b) for b in range(p_r * p_c)]
-    groups = [grp for grp in groups if grp.size]
+    order = np.argsort(owner, kind="stable")
+    cuts = np.searchsorted(owner[order], np.arange(p_r * p_c + 1))
+    groups = [order[cuts[b]:cuts[b + 1]] for b in range(p_r * p_c) if cuts[b + 1] > cuts[b]]
 
     part = partition_from_groups(g, groups, r, terminals=terminals, c_div=c_div, c_bdry=c_bdry)
     part.blocks = [

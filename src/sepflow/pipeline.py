@@ -6,11 +6,27 @@ Vertex id spaces: the original graph uses global ids; each group's sparsifier
 lives on its (global) boundary vertex set; the quotient graph concatenates all
 sparsifiers over the union of boundaries, with ``quotient_vertices`` mapping
 quotient-local ids back to global ones.
+
+Per-group elimination: a partition's ``GroupTopology`` (local vertex ids,
+boundary/interior split, local incidence, BFS trees) is built on first use
+and cached on the ``Partition``.  Each outer iteration then factors every
+group of at most ``schur.DENSE_GROUP_CUTOFF`` vertices once
+(``GroupElimination``, dense Cholesky batched over groups of equal shape).
+That one factor gives the group's sparsifier (its exact Schur complement,
+cleaned and floored), the conversion of quotient flows back to the group
+(``phi_b = S^+ d_b``, ``phi_int = X phi_b``) and the interior extension of
+the cut certificate.  The quotient's edge set is cached with the topology,
+so an iteration refreshes only its weights.  What still goes through PCG:
+groups above the cutoff (``approx_schur`` for their sparsifiers and
+``electrical_flow`` for their conversion), every group under
+``method="recursive"`` for its sparsifier, and the grouped flow on the
+quotient itself.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,12 +36,13 @@ import numpy as np
 from .config import RunConfig, substream, thread_count
 from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import (SparseLaplacian, WeightedGraph, edge_congestions, group_congestions,
-                     residual_of_vector, st_demand, zero_sum_demand)
+                     group_ids, st_demand, zero_sum_demand)
 from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
 from .maxflow import widest_path_bottleneck
 from .partition import Partition, SeparatorTree
-from .schur import one_step_vertex_sparsify, recursive_vertex_sparsify
-from .solver import SolverHandle, electrical_flow, solve_sdd
+from .schur import (GroupElimination, GroupTopology, one_step_vertex_sparsify,
+                    recursive_vertex_sparsify)
+from .solver import solve_sdd
 
 
 # -- oracle edge weights -------------------------------------------------------
@@ -59,13 +76,67 @@ def oracle_edge_weights(w_oracle: OracleWeights | np.ndarray, capacity, groups, 
     capacity = np.asarray(capacity, dtype=float)
     if eps >= 0.5 or eps <= 0:
         raise GraphError("oracle weights require 0 < eps < 1/2")
-    w = np.empty_like(values)
-    for grp in groups:
-        grp = np.asarray(grp, dtype=np.int64)
-        total = values[grp].sum()
-        w[grp] = values[grp] / total + eps / (4.0 * grp.size)
+    edges, owner = group_ids(groups)
+    if edges.size != values.size or np.any(np.bincount(edges, minlength=values.size) != 1):
+        raise GraphError("groups must cover every edge exactly once")
+    gid = np.empty(values.size, dtype=np.int64)
+    gid[edges] = owner
+    totals = np.bincount(gid, weights=values, minlength=len(groups))
+    sizes = np.bincount(gid, minlength=len(groups))
+    w = values / totals[gid] + eps / (4.0 * sizes[gid])
     w *= (1.0 - eps / 2.0) / capacity**2
     return w
+
+
+# -- run statistics ----------------------------------------------------------------
+
+
+STAGES = ("sparsify", "quotient_assemble", "grouped_flow", "convert", "oracle_update",
+          "certificate")
+
+
+@dataclass
+class MaxFlowRunStats:
+    """Counters and per-stage wall times (seconds) of one run.
+
+    ``timings`` holds one entry per name in ``STAGES`` plus ``total``; the
+    stages add up to ``total`` up to loop bookkeeping.  ``dense_groups`` and
+    ``fallback_groups`` count, over all sparsifier builds, the groups whose
+    sparsifier came from the dense elimination and those that took the
+    per-group route (above the dense cutoff, or recursive).
+    ``inner_failures`` counts inner solves that raised and ended a probe.
+    """
+
+    iterations_outer: int = 0
+    iterations_inner_total: int = 0
+    probes: int = 0
+    width_failures: int = 0
+    sparsifier_builds: int = 0
+    dense_groups: int = 0
+    fallback_groups: int = 0
+    topology_builds: int = 0
+    inner_failures: int = 0
+    timings: dict = field(default_factory=lambda: dict.fromkeys(STAGES + ("total",), 0.0))
+    trace_rows: list = field(default_factory=list)
+
+    def counters(self):
+        return {name: getattr(self, name) for name in (
+            "iterations_outer", "iterations_inner_total", "probes", "width_failures",
+            "sparsifier_builds", "dense_groups", "fallback_groups", "topology_builds",
+            "inner_failures")}
+
+
+@contextlib.contextmanager
+def _stage(stats, name):
+    """Add the block's wall time to ``stats.timings[name]`` (no-op without stats)."""
+    if stats is None:
+        yield
+        return
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stats.timings[name] += time.perf_counter() - t0
 
 
 # -- sparsified instances ---------------------------------------------------------
@@ -93,10 +164,11 @@ class SparsifiedInstance:
     partition: Partition
     weights: np.ndarray  # grouped-flow weights on original edges
     eps: float
-    sparsifiers: list
     quotient_graph: WeightedGraph
     quotient_groups: list
     quotient_vertices: np.ndarray  # quotient-local -> global id
+    elimination: GroupElimination  # the groups factored at ``weights``
+    stats: MaxFlowRunStats | None = None  # the run that built it, if any
 
     def quotient_demand(self, d):
         d = zero_sum_demand(d, self.graph.n)
@@ -108,6 +180,7 @@ class SparsifiedInstance:
 
 
 def _build_group_sparsifier(args):
+    """One group's sparsifier by the per-group route (recursive, or above the dense cutoff)."""
     (g, part, weights, eps, plan, seed, i) = args
     grp = part.groups[i]
     verts = part.group_vertices(g, i)
@@ -115,8 +188,6 @@ def _build_group_sparsifier(args):
     jdx = np.searchsorted(verts, g.heads[grp])
     lap = SparseLaplacian.from_edges(verts.size, idx, jdx, 1.0 / weights[grp])
     bdry_local = np.searchsorted(verts, part.boundaries[i])
-    if part.boundaries[i].size < 2:
-        raise GraphError(f"group {i} has boundary of size {part.boundaries[i].size}; need >= 2")
     gseed = substream(seed, "sparsify", i)
     if plan.method == "recursive" and plan.tree_for(i) is not None:
         mapping = np.full(g.n, -1, dtype=np.int64)
@@ -125,39 +196,85 @@ def _build_group_sparsifier(args):
         vs = recursive_vertex_sparsify(lap, bdry_local, tree_local, eps, seed=gseed, c_s=plan.c_s)
     else:
         vs = one_step_vertex_sparsify(lap, bdry_local, eps, seed=gseed, c_s=plan.c_s)
-    # re-express the sparsifier boundary in global ids
-    vs.boundary = verts[vs.boundary]
-    return vs
+    t, h, c = vs.laplacian.edge_list()
+    return verts[vs.boundary], t, h, c
 
 
-def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
-                              plan: SparsifierPlan | None = None, seed: int = 0,
-                              threads: int | None = None) -> SparsifiedInstance:
-    """Sparsify every group at error ``eps`` and assemble the quotient graph."""
-    plan = plan or SparsifierPlan()
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (g.m,) or np.any(weights <= 0):
-        raise GraphError("need one positive weight per edge")
-    jobs = [(g, part, weights, eps, plan, seed, i) for i in range(part.k)]
-    workers = thread_count() if threads is None else threads
-    if workers > 1 and part.k > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            sparsifiers = list(pool.map(_build_group_sparsifier, jobs))
-    else:
-        sparsifiers = [_build_group_sparsifier(j) for j in jobs]
+@dataclass
+class _QuotientPattern:
+    """The quotient's fixed edge set, built from one set of per-class edge masks."""
 
-    qverts = np.unique(np.concatenate([vs.boundary for vs in sparsifiers]))
+    masks: list  # per shape class, (G, P) booleans over np.triu_indices pairs
+    dest: list  # per shape class, quotient edge id of each True mask entry
+    graph: WeightedGraph  # template; iterations share its structure caches
+    groups: list
+    vertices: np.ndarray
+
+
+def _quotient_pattern(topo: GroupTopology, masks) -> _QuotientPattern:
+    qverts = np.unique(topo.slot_vertex[topo.on_boundary])
+    counts = np.zeros(topo.k, dtype=np.int64)
+    for cls, mask in zip(topo.classes, masks):
+        counts[cls.members] = mask.sum(axis=1)
+    if np.any(counts == 0):
+        raise GraphError("a group sparsifier has no edges; boundary too small")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    tails = np.empty(offsets[-1], dtype=np.int64)
+    heads = np.empty(offsets[-1], dtype=np.int64)
+    dest = []
+    for cls, mask in zip(topo.classes, masks):
+        iu = np.triu_indices(cls.nb, k=1)
+        qb = np.searchsorted(qverts, topo.slot_vertex[cls.slots[:, :cls.nb]])
+        where = (offsets[cls.members][:, None] + np.cumsum(mask, axis=1) - 1)[mask]
+        tails[where] = qb[:, iu[0]][mask]
+        heads[where] = qb[:, iu[1]][mask]
+        dest.append(where)
+    quotient = WeightedGraph(qverts.size, np.column_stack([tails, heads]))
+    if not quotient.is_connected:
+        raise GraphError("quotient graph is disconnected; sparsification failed")
+    groups = [np.arange(offsets[i], offsets[i + 1]) for i in range(topo.k)]
+    return _QuotientPattern(masks=masks, dest=dest, graph=quotient, groups=groups,
+                            vertices=qverts)
+
+
+def _cached_quotient(topo: GroupTopology, weights):
+    """Quotient from per-class sparsifier weights, reusing the cached edge set."""
+    masks = [w > 0 for w in weights]
+    pattern = topo.quotient
+    if pattern is None or not all(np.array_equal(a, b) for a, b in zip(masks, pattern.masks)):
+        pattern = topo.quotient = _quotient_pattern(topo, masks)
+    wq = np.empty(pattern.graph.m)
+    for w, mask, where in zip(weights, masks, pattern.dest):
+        wq[where] = 1.0 / w[mask]  # quotient grouped-flow weight = inverse conductance
+    return pattern.graph.reweighted(wq), pattern.groups, pattern.vertices
+
+
+def _dense_edge_lists(topo: GroupTopology, weights, sampled):
+    """{group: (boundary ids, tails, heads, conductances)} of the dense sparsifiers."""
+    out = {}
+    for cls, w in zip(topo.classes, weights):
+        iu = np.triu_indices(cls.nb, k=1)
+        for j, i in enumerate(cls.members.tolist()):
+            if i in sampled:
+                t, h, c = sampled[i].edge_list()
+            else:
+                keep = w[j] > 0
+                t, h, c = iu[0][keep], iu[1][keep], w[j][keep]
+            out[i] = (topo.boundary_vertices(i), t, h, c)
+    return out
+
+
+def _assembled_quotient(sparsifiers):
+    """Quotient from per-group (boundary ids, tails, heads, conductances), built afresh."""
+    qverts = np.unique(np.concatenate([b for b, _, _, _ in sparsifiers]))
     tails, heads, wq, groups = [], [], [], []
     offset = 0
-    for vs in sparsifiers:
-        t, h, c = vs.laplacian.edge_list()
-        gt = np.searchsorted(qverts, vs.boundary[t])
-        gh = np.searchsorted(qverts, vs.boundary[h])
+    for bdry, t, h, c in sparsifiers:
         if t.size == 0:
             raise GraphError("a group sparsifier has no edges; boundary too small")
-        tails.append(gt)
-        heads.append(gh)
-        wq.append(1.0 / c)  # quotient grouped-flow weight = inverse conductance
+        tails.append(np.searchsorted(qverts, bdry[t]))
+        heads.append(np.searchsorted(qverts, bdry[h]))
+        wq.append(1.0 / c)
         groups.append(np.arange(offset, offset + t.size))
         offset += t.size
     quotient = WeightedGraph(qverts.size,
@@ -165,17 +282,89 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
                              weight=np.concatenate(wq))
     if not quotient.is_connected:
         raise GraphError("quotient graph is disconnected; sparsification failed")
+    return quotient, groups, qverts
+
+
+def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopology:
+    cached = part._topology
+    topo = part.topology(g)
+    if stats is not None and topo is not cached:
+        stats.topology_builds += 1
+    return topo
+
+
+def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
+                              plan: SparsifierPlan | None = None, seed: int = 0,
+                              threads: int | None = None,
+                              stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
+    """Sparsify every group at error ``eps`` and assemble the quotient graph.
+
+    One-step sparsifiers of groups up to the dense cutoff come from one
+    batched elimination; the rest take the per-group route, on
+    ``SEPFLOW_THREADS`` threads.
+    """
+    plan = plan or SparsifierPlan()
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (g.m,) or np.any(weights <= 0):
+        raise GraphError("need one positive weight per edge")
+    with _stage(stats, "sparsify"):
+        topo = _group_topology(part, g, stats)
+        small = np.flatnonzero(topo.n_boundary < 2)
+        if small.size:
+            i = int(small[0])
+            raise GraphError(f"group {i} has boundary of size {topo.n_boundary[i]}; need >= 2")
+        split = np.flatnonzero(~topo.connected)
+        if split.size:
+            raise GraphError(
+                f"group {int(split[0])} is disconnected; sparsifiers need connected groups")
+        elim = GroupElimination(topo, 1.0 / weights)
+        if plan.method == "recursive":
+            cond, sampled, per_group = None, {}, np.arange(part.k)
+        else:
+            cond, sampled = elim.sparsify(eps, plan.c_s,
+                                          seed_of=lambda i: substream(seed, "sparsify", i))
+            per_group = np.flatnonzero(~topo.dense)
+        per_group = per_group.tolist()
+        jobs = [(g, part, weights, eps, plan, seed, i) for i in per_group]
+        workers = thread_count() if threads is None else threads
+        if workers > 1 and len(jobs) > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                built = dict(zip(per_group, pool.map(_build_group_sparsifier, jobs)))
+        else:
+            built = {i: _build_group_sparsifier(j) for i, j in zip(per_group, jobs)}
+    if stats is not None:
+        stats.sparsifier_builds += part.k
+        stats.fallback_groups += len(jobs)
+        stats.dense_groups += part.k - len(jobs)
+
+    with _stage(stats, "quotient_assemble"):
+        if not built and not sampled:
+            quotient, groups, qverts = _cached_quotient(topo, cond)
+        else:
+            if cond is not None:
+                built.update(_dense_edge_lists(topo, cond, sampled))
+            quotient, groups, qverts = _assembled_quotient([built[i] for i in range(part.k)])
     return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
-                              sparsifiers=sparsifiers, quotient_graph=quotient,
-                              quotient_groups=groups, quotient_vertices=qverts)
+                              quotient_graph=quotient, quotient_groups=groups,
+                              quotient_vertices=qverts, elimination=elim, stats=stats)
 
 
 # -- flow conversion -------------------------------------------------------------
 
 
+def _group_max(values, owner, k):
+    """Per-group maximum of ``values`` (0 for groups without entries); owner sorted."""
+    out = np.zeros(k)
+    if values.size:
+        starts = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1]]))
+        out[owner[starts]] = np.maximum.reduceat(values, starts)
+    return out
+
+
 def convert_flow(src_graph: WeightedGraph, src_groups, dst_graph: WeightedGraph, dst_groups,
                  f_src, eps, *, src_weights=None, dst_weights=None,
-                 src_vertex_map=None, dst_vertex_map=None, check_boundaries=None):
+                 src_vertex_map=None, dst_vertex_map=None, check_boundaries=None,
+                 elimination: GroupElimination | None = None):
     """Re-route a flow group-by-group through local electrical routings.
 
     For each group the boundary residual of the source flow is routed
@@ -183,54 +372,87 @@ def convert_flow(src_graph: WeightedGraph, src_groups, dst_graph: WeightedGraph,
     group congestion by at most ``1 + 3 eps`` when the group Schur complements
     are (1 +- eps)-close.  Boundary demands are preserved exactly; interior
     residuals are zero.
+
+    The destination groups must be disjoint.  A destination group's boundary
+    is ``check_boundaries[i]`` when given, else its vertices that the source
+    group also touches.  ``elimination`` supplies the destination groups
+    already factored at ``dst_weights`` (the pipeline passes the one its
+    sparsifiers came from); without it they are factored here.
     """
     if len(src_groups) != len(dst_groups):
         raise GraphError("group counts differ")
+    k = len(dst_groups)
     f_src = np.asarray(f_src, dtype=float)
-    src_w = src_graph.weight if src_weights is None else np.asarray(src_weights, dtype=float)
     dst_w = dst_graph.weight if dst_weights is None else np.asarray(dst_weights, dtype=float)
     smap = np.arange(src_graph.n) if src_vertex_map is None else np.asarray(src_vertex_map)
     dmap = np.arange(dst_graph.n) if dst_vertex_map is None else np.asarray(dst_vertex_map)
+    nglob = int(max(smap.max(initial=0), dmap.max(initial=0))) + 1
+
+    # residual of the source flow on each group, keyed by (group, global vertex)
+    s_edges, s_owner = group_ids(src_groups)
+    fe = f_src[s_edges]
+    keys, inverse = np.unique(np.concatenate([
+        s_owner * nglob + smap[src_graph.tails[s_edges]],
+        s_owner * nglob + smap[src_graph.heads[s_edges]]]), return_inverse=True)
+    res = np.bincount(inverse, weights=np.concatenate([fe, -fe]), minlength=keys.size)
+    owner = keys // nglob
+    tol = 1e-9 * np.maximum(_group_max(np.abs(res), owner, k), 1.0)[owner]
+    live = np.abs(res) > tol
+
+    bkeys = None
+    if check_boundaries is not None:
+        b_verts, b_owner = group_ids(check_boundaries)
+        bkeys = b_owner * nglob + b_verts
+    if elimination is None:
+        d_edges, d_owner = group_ids(dst_groups)
+        dkeys = np.unique(np.concatenate([d_owner * dst_graph.n + dst_graph.tails[d_edges],
+                                          d_owner * dst_graph.n + dst_graph.heads[d_edges]]))
+        d_grp, d_vert = np.divmod(dkeys, dst_graph.n)
+        on_bdry = np.isin(d_grp * nglob + dmap[d_vert], keys if bkeys is None else bkeys)
+        cuts = np.searchsorted(d_grp, np.arange(k + 1))
+        boundaries = [d_vert[cuts[i]:cuts[i + 1]][on_bdry[cuts[i]:cuts[i + 1]]] for i in range(k)]
+        elimination = GroupElimination(GroupTopology(dst_graph, dst_groups, boundaries),
+                                       1.0 / dst_w)
+    topo = elimination.topology
+
+    # place the residual on the destination boundary slots
+    slot_keys = topo.slot_group * nglob + dmap[topo.slot_vertex]
+    order = np.argsort(slot_keys)
+    pos = np.minimum(np.searchsorted(slot_keys, keys, sorter=order), order.size - 1)
+    slot = order[pos]
+    found = slot_keys[slot] == keys
+    on_slot_bdry = found & topo.on_boundary[slot]
+    off_bdry = live & found & ~on_slot_bdry
+    if bkeys is not None:
+        off_bdry |= live & ~np.isin(keys, bkeys)
+    missing = live & ~found
+    bad = np.flatnonzero(off_bdry | missing)
+    if bad.size:
+        i = owner[bad[0]]
+        first = bad[owner[bad] == i]
+        v = keys[first] % nglob
+        if off_bdry[first].any():
+            raise GraphError(f"group {i}: source residual at non-boundary vertex "
+                             f"{int(v[off_bdry[first]][0])}")
+        raise GraphError(f"group {i}: boundary vertex {int(v[0])} missing from destination group")
+    demand = np.zeros(topo.slot_group.size)
+    demand[slot[on_slot_bdry]] = res[on_slot_bdry]
+
+    # rounding dust in a group's total is spread over its boundary
+    bslot = topo.on_boundary
+    total = np.bincount(topo.slot_group, weights=demand, minlength=k)
+    peak = _group_max(np.abs(demand), topo.slot_group, k)
+    unbalanced = np.flatnonzero(np.abs(total) > 1e-9 * np.maximum(peak, 1.0))
+    if unbalanced.size:
+        i = unbalanced[0]
+        raise GraphError(f"group {i}: boundary demand does not sum to zero (sum={total[i]:.3e})")
+    demand[bslot] -= (total / np.maximum(topo.n_boundary, 1))[topo.slot_group[bslot]]
+    split = np.flatnonzero(~topo.connected)
+    if split.size:
+        raise GraphError(f"group {int(split[0])}: destination group subgraph is disconnected")
 
     f_dst = np.zeros(dst_graph.m)
-    for i, (sg, dg) in enumerate(zip(src_groups, dst_groups)):
-        sg = np.asarray(sg, dtype=np.int64)
-        dg = np.asarray(dg, dtype=np.int64)
-        local_res = residual_of_vector(f_src, src_graph, sg)
-        support = np.flatnonzero(np.abs(local_res) > 0)
-        d_global = {}
-        for v in support:
-            d_global[int(smap[v])] = local_res[v]
-
-        dverts = np.unique(np.concatenate([dst_graph.tails[dg], dst_graph.heads[dg]]))
-        dglob = dmap[dverts]
-        if check_boundaries is not None:
-            bdry = np.asarray(check_boundaries[i])
-            extra = [v for v in d_global if v not in set(int(x) for x in bdry)]
-            for v in extra:
-                if abs(d_global[v]) > 1e-9 * max(abs(local_res).max(), 1.0):
-                    raise GraphError(f"group {i}: source residual at non-boundary vertex {v}")
-        pos = {int(v): j for j, v in enumerate(dglob)}
-        d_local = np.zeros(dverts.size)
-        scale = max(np.abs(local_res).max(initial=0.0), 1.0)
-        for v, val in d_global.items():
-            if v not in pos:
-                if abs(val) <= 1e-9 * scale:
-                    continue  # interior rounding dust
-                raise GraphError(f"group {i}: boundary vertex {v} missing from destination group")
-            d_local[pos[v]] = val
-        dust = d_local.sum()
-        if abs(dust) <= 1e-9 * max(np.abs(d_local).max(initial=0.0), 1.0):
-            d_local -= dust / d_local.size
-
-        idx = np.searchsorted(dverts, dst_graph.tails[dg])
-        jdx = np.searchsorted(dverts, dst_graph.heads[dg])
-        sub = WeightedGraph(dverts.size, np.column_stack([idx, jdx]), weight=dst_w[dg])
-        if not sub.is_connected:
-            raise GraphError(f"group {i}: destination group subgraph is disconnected")
-        if np.any(d_local):
-            ef = electrical_flow(sub, d_local, eps, resistances=dst_w[dg])
-            f_dst[dg] = ef.flow
+    f_dst[topo.edges] = elimination.route(demand, eps)
     return f_dst
 
 
@@ -257,24 +479,28 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
                         runtime_checks=True) -> ApproxGroupedFlowResult:
     """Grouped flow on the quotient graph at eps/2, converted back to the
     original graph at eps/10."""
-    d = zero_sum_demand(d, instance.graph.n)
-    d_schur = instance.quotient_demand(d)
-    prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
-                              d_schur, eps / 2.0)
-    res = grouped_flow(prob, strict=strict, early_exit_cap=early_exit_cap,
-                       runtime_checks=runtime_checks, max_iterations=max_iterations)
+    stats = instance.stats
+    with _stage(stats, "grouped_flow"):
+        d = zero_sum_demand(d, instance.graph.n)
+        d_schur = instance.quotient_demand(d)
+        prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
+                                  d_schur, eps / 2.0)
+        res = grouped_flow(prob, strict=strict, early_exit_cap=early_exit_cap,
+                           runtime_checks=runtime_checks, max_iterations=max_iterations)
     if res.failed:
         return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail,
                                        quotient_flow=None,
                                        inner_iterations=res.diagnostics.iterations,
                                        instance=instance)
     part = instance.partition
-    f = convert_flow(instance.quotient_graph, instance.quotient_groups,
-                     instance.graph, part.groups, res.flow, eps / 10.0,
-                     dst_weights=instance.weights,
-                     src_vertex_map=instance.quotient_vertices,
-                     check_boundaries=part.boundaries)
-    cong = group_congestions(f, instance.weights, part.groups)
+    with _stage(stats, "convert"):
+        f = convert_flow(instance.quotient_graph, instance.quotient_groups,
+                         instance.graph, part.groups, res.flow, eps / 10.0,
+                         dst_weights=instance.weights,
+                         src_vertex_map=instance.quotient_vertices,
+                         check_boundaries=part.boundaries,
+                         elimination=instance.elimination)
+        cong = group_congestions(f, instance.weights, part.groups)
     return ApproxGroupedFlowResult(status="ok", flow=f, fail=None, quotient_flow=res.flow,
                                    inner_iterations=res.diagnostics.iterations,
                                    instance=instance,
@@ -282,17 +508,6 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
 
 
 # -- approximate max flow -----------------------------------------------------------
-
-
-@dataclass
-class MaxFlowRunStats:
-    iterations_outer: int = 0
-    iterations_inner_total: int = 0
-    probes: int = 0
-    width_failures: int = 0
-    sparsifier_builds: int = 0
-    timings: dict = field(default_factory=dict)
-    trace_rows: list = field(default_factory=list)
 
 
 @dataclass
@@ -331,10 +546,10 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
     stagnant = 0
     for it in range(1, limit + 1):
         stats.iterations_outer += 1
-        w = oracle_edge_weights(w_oracle, g.capacity, part.groups, eps)
+        with _stage(stats, "oracle_update"):
+            w = oracle_edge_weights(w_oracle, g.capacity, part.groups, eps)
         inst = build_sparsified_instance(g, part, w, eps / 10.0, plan,
-                                         seed=substream(seed, "phase", it))
-        stats.sparsifier_builds += part.k
+                                         seed=substream(seed, "phase", it), stats=stats)
         qsize = inst.quotient_graph.m + inst.quotient_graph.n
         inner_cap = min(max(config.max_inner_iterations,
                             config.inner_budget_units // max(qsize, 1)),
@@ -345,38 +560,40 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
                                       max_iterations=inner_cap,
                                       strict=config.strict_paper)
         except (SolverConvergenceError, ValidationError):
+            stats.inner_failures += 1
             break  # the inner solver could not certify this F; unproductive probe
-        stats.iterations_inner_total += res.inner_iterations
-        if res.failed:
-            fail = (inst, res.fail, d)
-            break
-        f = res.flow
-        cong = edge_congestions(f, g.capacity)
-        mc = float(cong.max())
-        # oracle output contract checks (weighted average and width conditions)
-        wsum = float(w_oracle @ cong)
-        if wsum > (1.0 + eps) * w_oracle.sum() * (1.0 + 1e-6) or mc > rho_outer * (1.0 + 1e-6):
-            stats.width_failures += 1
-            break
-        improved = False
-        if mc > 0 and flow_amount / mc > best_value:
-            best_value, best_flow = flow_amount / mc, f / mc
-            improved = True
-        flow_sum += f
-        accepted += 1
-        avg = flow_sum / accepted
-        amc = float(edge_congestions(avg, g.capacity).max())
-        if amc > 0 and flow_amount / amc > best_value:
-            best_value, best_flow = flow_amount / amc, avg / amc
-            improved = True
-        stats.trace_rows.append((stats.probes, it, flow_amount, best_value, mc))
-        if best_value >= target:
-            break
-        stagnant = 0 if improved else stagnant + 1
-        if not config.strict_paper and stagnant >= config.outer_stagnation_limit:
-            break
-        width = rho_outer if config.strict_paper else max(mc, config.update_width_floor)
-        w_oracle = w_oracle * (1.0 + (eps / width) * cong)
+        with _stage(stats, "oracle_update"):
+            stats.iterations_inner_total += res.inner_iterations
+            if res.failed:
+                fail = (inst, res.fail, d)
+                break
+            f = res.flow
+            cong = edge_congestions(f, g.capacity)
+            mc = float(cong.max())
+            # oracle output contract checks (weighted average and width conditions)
+            wsum = float(w_oracle @ cong)
+            if wsum > (1.0 + eps) * w_oracle.sum() * (1.0 + 1e-6) or mc > rho_outer * (1.0 + 1e-6):
+                stats.width_failures += 1
+                break
+            improved = False
+            if mc > 0 and flow_amount / mc > best_value:
+                best_value, best_flow = flow_amount / mc, f / mc
+                improved = True
+            flow_sum += f
+            accepted += 1
+            avg = flow_sum / accepted
+            amc = float(edge_congestions(avg, g.capacity).max())
+            if amc > 0 and flow_amount / amc > best_value:
+                best_value, best_flow = flow_amount / amc, avg / amc
+                improved = True
+            stats.trace_rows.append((stats.probes, it, flow_amount, best_value, mc))
+            if best_value >= target:
+                break
+            stagnant = 0 if improved else stagnant + 1
+            if not config.strict_paper and stagnant >= config.outer_stagnation_limit:
+                break
+            width = rho_outer if config.strict_paper else max(mc, config.update_width_floor)
+            w_oracle = w_oracle * (1.0 + (eps / width) * cong)
     success = best_value >= target
     return success, best_value, best_flow, fail, w_oracle
 
@@ -409,8 +626,9 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
 
     stats = MaxFlowRunStats()
     t_start = time.perf_counter()
-    f_lo = widest_path_bottleneck(g, s, t)
-    f_hi = float(g.capacity[(g.tails == s) | (g.heads == s)].sum())
+    with _stage(stats, "oracle_update"):
+        f_lo = widest_path_bottleneck(g, s, t)
+        f_hi = float(g.capacity[(g.tails == s) | (g.heads == s)].sum())
     best_value, best_flow = 0.0, np.zeros(g.m)
     fail_ctx = None
     warm = {"w": None}
@@ -469,8 +687,10 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     seed = config.seed if seed is None else seed
     plan = plan or SparsifierPlan(method=config.sparsifier_method, c_s=config.c_s)
     stats = MaxFlowRunStats()
+    t_start = time.perf_counter()
     ok, val, flow, fail, _ = _oracle_phase(g, part, plan, s, t, flow_amount, eps, config,
                                            substream(seed, "fixed"), stats)
+    stats.timings["total"] = time.perf_counter() - t_start
     if fail is not None:
         return None, fail
     if flow is None:
@@ -501,9 +721,13 @@ def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps,
                     demand=None, sweep=True) -> CutCertificate:
     """Extend the failing quotient potentials harmonically into every group
     interior, scale by 1 / max((1 + 10 eps) mu, sum u |grad phi|), and
-    optionally sweep the potentials for an explicit cut."""
+    optionally sweep the potentials for an explicit cut.
+
+    Its wall time is added to the building run's ``certificate`` and
+    ``total`` timings.
+    """
+    t_start = time.perf_counter()
     g = instance.graph
-    part = instance.partition
     d = fail.demand if demand is None else zero_sum_demand(demand, g.n)
     if demand is None:
         # fail.demand lives on the quotient; lift to global ids
@@ -516,29 +740,11 @@ def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps,
     lap_q = q.laplacian_csr(1.0 / fail.resistances)
     phi_q = solve_sdd(lap_q, d[instance.quotient_vertices], delta=1e-10)
 
-    k = part.k
-    eps_gf = fail.eps  # grouped-flow epsilon actually used on the quotient
     phi = np.zeros(g.n)
     phi[instance.quotient_vertices] = phi_q
-    for i in range(k):
-        grp = part.groups[i]
-        verts = part.group_vertices(g, i)
-        bdry = part.boundaries[i]
-        interior = np.setdiff1d(verts, bdry)
-        if interior.size == 0:
-            continue
-        r_grp = (fail.w_grp[i] + (eps_gf / k) * fail.mu) * instance.weights[grp]
-        idx = np.searchsorted(verts, g.tails[grp])
-        jdx = np.searchsorted(verts, g.heads[grp])
-        lap = SparseLaplacian.from_edges(verts.size, idx, jdx, 1.0 / r_grp)
-        li = np.searchsorted(verts, interior)
-        lb = np.searchsorted(verts, bdry)
-        mat = lap.matrix
-        l_intr = mat[li][:, li]
-        l_mid = mat[li][:, lb]
-        rhs = -(l_mid @ phi_q[np.searchsorted(instance.quotient_vertices, bdry)])
-        y = SolverHandle(l_intr).solve(rhs, delta=1e-10)
-        phi[interior] = y
+    # the failing resistances (w_grp(i) + (eps/k) mu) * weights scale each
+    # group by one constant, which leaves its harmonic extension unchanged
+    phi = instance.elimination.extend(phi)
 
     grad = np.abs(phi[g.tails] - phi[g.heads])
     a_total = float(g.capacity @ grad)
@@ -554,6 +760,10 @@ def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps,
         snk = int(np.flatnonzero(d < 0)[0]) if np.any(d < 0) else None
         if src is not None and snk is not None:
             cert.cut_side, cert.cut_capacity = sweep_cut(g, phi_scaled, src, snk)
+    if instance.stats is not None:
+        elapsed = time.perf_counter() - t_start
+        instance.stats.timings["certificate"] += elapsed
+        instance.stats.timings["total"] += elapsed
     return cert
 
 

@@ -1,10 +1,24 @@
-"""Exact and approximate Schur complements, spectral sparsification, and the
-one-step / recursive spectral vertex sparsifiers.
+"""Exact and approximate Schur complements, spectral sparsification, the
+one-step / recursive spectral vertex sparsifiers, and the batched per-group
+elimination.
 
 Conventions: boundary vertex sets are always sorted; returned Laplacians are
 indexed by position in the sorted boundary.  Disconnected inputs are handled
 per component (Schur complements of components add); a component whose
 vertices are all interior makes the interior block singular and is an error.
+
+Per-group elimination: ``GroupTopology`` holds the weight-independent
+structure of a list of edge groups (local ids with the boundary first, local
+incidence, BFS trees, shape classes).  ``GroupElimination`` factors each
+group's interior block once by dense Cholesky, stacked over groups of equal
+shape, and keeps the Schur complement ``S = L_bb - L_bi L_ii^-1 L_ib`` and
+the harmonic extension ``X = -L_ii^-1 L_ib``.  Those serve the one-step
+sparsifiers, flow conversion and the cut certificate.  The dense route covers
+groups of at most ``DENSE_GROUP_CUTOFF`` vertices, and ``one_step_vertex_sparsify``
+uses the same kernel up to that size.  What still goes through PCG: larger
+groups (``approx_schur`` for the sparsifier, ``electrical_flow`` for
+conversion, an interior solve for the certificate) and every node of
+``recursive_vertex_sparsify``.
 """
 
 from __future__ import annotations
@@ -15,15 +29,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GraphError, ValidationError
-from .graphs import SparseLaplacian
+from .errors import GraphError, SolverConvergenceError, ValidationError
+from .graphs import SparseLaplacian, WeightedGraph, group_ids
 from .partition import SeparatorTree, SeparatorNode
-from .solver import SolverHandle
+from .solver import GAP_FLOOR, SolverHandle, electrical_flow, solve_sdd
 
 APPROX_SCHUR_DELTA_FLOOR = 1e-12
 SPARSIFY_EDGE_FACTOR = 48.0  # C_s
 EXACT_RESISTANCE_CUTOFF = 64
 SKETCH_OVERSAMPLE = 4
+DENSE_GROUP_CUTOFF = 128  # vertices; larger groups take the PCG route
 
 
 # -- spectral bounds ---------------------------------------------------------
@@ -112,18 +127,54 @@ def exact_schur(lap: SparseLaplacian, v_bdry) -> SparseLaplacian:
             schur = 0.5 * (schur + schur.T)
         rows = [pos[int(verts[j])] for j in lb]
         out[np.ix_(rows, rows)] += schur
-    out = _clean_laplacian_dense(out, tol=1e-13)
-    return SparseLaplacian(sp.csr_matrix(out), boundary=None)
+    return SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]), boundary=None)
 
 
-def _clean_laplacian_dense(a, tol):
-    """Zero positive/dust off-diagonals and reset diagonals to weighted degrees."""
-    off = a - np.diag(np.diag(a))
-    scale = np.abs(off).max(initial=0.0)
+def _clean_stack(a, tol=1e-13):
+    """Zero positive/dust off-diagonals and reset diagonals to weighted degrees,
+    for each matrix of a (G, n, n) stack."""
+    diag = np.arange(a.shape[1])
+    off = a.copy()
+    off[:, diag, diag] = 0.0
+    scale = np.abs(off).max(axis=(1, 2), initial=0.0)
     off[off > 0] = 0.0
-    off[np.abs(off) <= tol * scale] = 0.0
-    np.fill_diagonal(off, -off.sum(axis=1))
+    off[np.abs(off) <= tol * scale[:, None, None]] = 0.0
+    off[:, diag, diag] = -off.sum(axis=2)
     return off
+
+
+def _check_clamp(a, eps):
+    """Positive off-diagonal mass of each matrix of a stack; raises ValidationError
+    when it exceeds eps/10 of the trace, so the cost of the clamp stays observable."""
+    diag = np.arange(a.shape[1])
+    trace = a[:, diag, diag].sum(axis=1)
+    off = a.copy()
+    off[:, diag, diag] = 0.0
+    clamp = np.where(off > 0, off, 0.0).sum(axis=(1, 2))
+    bad = np.flatnonzero(clamp > (eps / 10.0) * np.maximum(trace, 1e-300))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"clamped positive off-diagonal mass {clamp[i]:.3e} exceeds eps/10 of trace {trace[i]:.3e}")
+    return clamp
+
+
+def _eliminate(lap, nb):
+    """Schur complements of stacked dense Laplacians onto their first ``nb`` vertices.
+
+    ``lap`` has shape (G, n, n), boundary vertices first.  One Cholesky factor
+    C of each interior block gives ``S = L_bb - W^T W`` with ``W = C^-1 L_ib``
+    and the harmonic extension ``X = -L_ii^-1 L_ib = -C^-T W``.  Raises
+    ``np.linalg.LinAlgError`` if an interior block is not positive definite.
+    """
+    l_bb = lap[:, :nb, :nb]
+    if lap.shape[1] == nb:
+        return l_bb.copy(), np.zeros((lap.shape[0], 0, nb))
+    c_inv = np.linalg.inv(np.linalg.cholesky(lap[:, nb:, nb:]))
+    w = c_inv @ lap[:, nb:, :nb]
+    s = l_bb - np.swapaxes(w, 1, 2) @ w
+    x = -(np.swapaxes(c_inv, 1, 2) @ w)
+    return 0.5 * (s + np.swapaxes(s, 1, 2)), x
 
 
 def approx_schur(lap: SparseLaplacian, v_bdry, kappa: float, eps: float) -> SparseLaplacian:
@@ -169,14 +220,8 @@ def approx_schur(lap: SparseLaplacian, v_bdry, kappa: float, eps: float) -> Spar
                 schur = 0.5 * (schur + schur.T)
         rows = [pos[int(verts[j])] for j in lb]
         out[np.ix_(rows, rows)] += schur
-    trace = np.trace(out)
-    off = out - np.diag(np.diag(out))
-    clamp_mass = float(off[off > 0].sum())
-    if clamp_mass > (eps / 10.0) * max(trace, 1e-300):
-        raise ValidationError(
-            f"clamped positive off-diagonal mass {clamp_mass:.3e} exceeds eps/10 of trace {trace:.3e}")
-    cleaned = _clean_laplacian_dense(out, tol=1e-13)
-    result = SparseLaplacian(sp.csr_matrix(cleaned))
+    clamp_mass = float(_check_clamp(out[None], eps)[0])
+    result = SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]))
     result.meta = {"clamp_mass": clamp_mass, "delta": delta}
     return result
 
@@ -290,7 +335,12 @@ def _weight_ratio(w):
 
 def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int = 0,
                              c_s: float = SPARSIFY_EDGE_FACTOR) -> VertexSparsifier:
-    """ApproxSchur(eps/3), Sparsify(eps/3), then a lam_min/n^2 weight floor."""
+    """ApproxSchur(eps/3), Sparsify(eps/3), then a lam_min/n^2 weight floor.
+
+    Graphs of at most ``DENSE_GROUP_CUTOFF`` vertices take the exact dense
+    elimination that ``GroupElimination`` batches over groups; larger ones
+    take ``approx_schur`` (PCG on the interior block).
+    """
     if not (0 < eps < 0.5):
         raise GraphError("one_step_vertex_sparsify requires 0 < eps < 1/2")
     if not lap.is_connected():
@@ -298,7 +348,17 @@ def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int
     bdry = _sorted_boundary(lap, v_bdry)
     bounds = spectral_bounds(lap)
     u_in = _weight_ratio(lap.weights())
-    schur = approx_schur(lap, bdry, bounds.kappa, eps / 3.0)
+    if lap.n <= DENSE_GROUP_CUTOFF:
+        order = np.concatenate([bdry, np.setdiff1d(np.arange(lap.n), bdry)])
+        stack = lap.dense()[np.ix_(order, order)][None]
+        try:
+            raw, _ = _eliminate(stack, bdry.size)
+        except np.linalg.LinAlgError as exc:
+            raise GraphError("interior block is not positive definite") from exc
+        _check_clamp(raw, eps / 3.0)
+        schur = SparseLaplacian(sp.csr_matrix(_clean_stack(raw)[0]))
+    else:
+        schur = approx_schur(lap, bdry, bounds.kappa, eps / 3.0)
     sparse = sparsify(schur, eps / 3.0, seed, c_s=c_s)
     floored = weight_floor(sparse, bounds.lam_min)
     return VertexSparsifier(
@@ -442,6 +502,277 @@ def _one_step_local(local: SparseLaplacian, local_bdry, eps_step, kappa, seed, c
         source_n=local.n,
         c_s=c_s,
     )
+
+
+# -- per-group elimination ----------------------------------------------------------
+
+
+@dataclass
+class _ShapeClass:
+    """Dense groups with equal vertex and boundary counts, eliminated as one stack."""
+
+    members: np.ndarray  # group ids, ascending
+    n: int
+    nb: int
+    slots: np.ndarray  # (G, n): slot of each member's local vertex
+    edges: np.ndarray  # union edges of the members
+    scatter: np.ndarray  # flat (G, n, n) positions receiving [c, c, -c, -c] per edge
+    pairs: np.ndarray  # flat positions of each member's distinct vertex pairs
+    pair_starts: np.ndarray  # first entry of each member in ``pairs``
+
+
+class GroupTopology:
+    """The weight-independent structure of a list of edge groups.
+
+    A group's local vertex ids list its sorted boundary first, then its
+    sorted interior.  A *slot* is one (group, local id) pair; the slots of
+    group i are ``voff[i]:voff[i + 1]`` and its union edges
+    ``eoff[i]:eoff[i + 1]``.  ``union`` is the disjoint union of the group
+    subgraphs on the slots, with union edge j standing for graph edge
+    ``edges[j]``; its BFS forest has one tree per connected group.  Groups
+    of at most ``DENSE_GROUP_CUTOFF`` vertices are stacked into shape
+    classes for the batched elimination.
+    """
+
+    def __init__(self, g: WeightedGraph, groups, boundaries):
+        self.tails, self.heads = g.tails, g.heads
+        k = self.k = len(groups)
+        n = g.n
+        self.edges, self.edge_group = group_ids(groups)
+        if self.edges.size == 0:
+            raise GraphError("groups have no edges")
+        self.eoff = np.searchsorted(self.edge_group, np.arange(k + 1))
+        keys = np.unique(np.concatenate([self.edge_group * n + g.tails[self.edges],
+                                         self.edge_group * n + g.heads[self.edges]]))
+        b_verts, b_owner = group_ids(boundaries)
+        bkeys = np.unique(b_owner * n + b_verts)
+        is_bdry = np.isin(keys, bkeys)
+        if np.count_nonzero(is_bdry) != bkeys.size:
+            raise GraphError("a boundary vertex does not touch its group")
+        owner, vert = np.divmod(keys, n)
+        order = np.lexsort((vert, ~is_bdry, owner))
+        self.slot_group = owner[order]
+        self.slot_vertex = vert[order]
+        self.voff = np.searchsorted(self.slot_group, np.arange(k + 1))
+        self.n_vertices = np.diff(self.voff)
+        self.n_boundary = np.bincount(owner[is_bdry], minlength=k)
+        slot_of_key = np.empty(keys.size, dtype=np.int64)
+        slot_of_key[order] = np.arange(keys.size)
+        base = self.edge_group * n
+        self.slot_tail = slot_of_key[np.searchsorted(keys, base + g.tails[self.edges])]
+        self.slot_head = slot_of_key[np.searchsorted(keys, base + g.heads[self.edges])]
+        self.local_tail = self.slot_tail - self.voff[self.edge_group]
+        self.local_head = self.slot_head - self.voff[self.edge_group]
+        self.on_boundary = (np.arange(keys.size) - self.voff[self.slot_group]
+                            < self.n_boundary[self.slot_group])
+        # the union graph orients each edge from its lower slot; sign maps back
+        self.union = WeightedGraph(keys.size, np.column_stack([self.slot_tail, self.slot_head]))
+        self.sign = np.where(self.slot_tail < self.slot_head, 1.0, -1.0)
+        _, labels = self.union.components()
+        stray = labels != labels[self.voff[self.slot_group]]
+        self.connected = np.bincount(self.slot_group[stray], minlength=k) == 0
+        self.dense = self.n_vertices <= DENSE_GROUP_CUTOFF
+        self.classes = self._shape_classes()  # groups without a boundary have nothing to factor
+        self._subgraphs = {}
+        self.quotient = None  # the pipeline's cached quotient pattern
+
+    def _shape_classes(self):
+        shape = self.n_vertices * (DENSE_GROUP_CUTOFF + 1) + self.n_boundary
+        stacked = self.dense & (self.n_boundary > 0)
+        edge_shape = np.where(stacked, shape, -1)[self.edge_group]
+        pos = np.zeros(self.k, dtype=np.int64)
+        classes = []
+        for key in np.unique(shape[stacked]):
+            members = np.flatnonzero(stacked & (shape == key))
+            pos[members] = np.arange(members.size)
+            nv, nb = int(self.n_vertices[members[0]]), int(self.n_boundary[members[0]])
+            sel = np.flatnonzero(edge_shape == key)
+            base = pos[self.edge_group[sel]] * nv * nv
+            a, b = self.local_tail[sel], self.local_head[sel]
+            scatter = np.concatenate([base + a * nv + a, base + b * nv + b,
+                                      base + a * nv + b, base + b * nv + a])
+            pairs = np.unique(base + np.minimum(a, b) * nv + np.maximum(a, b))
+            classes.append(_ShapeClass(
+                members=members, n=nv, nb=nb, slots=self.voff[members][:, None] + np.arange(nv),
+                edges=sel, scatter=scatter, pairs=pairs,
+                pair_starts=np.searchsorted(pairs // (nv * nv), np.arange(members.size))))
+        return classes
+
+    def matches(self, g: WeightedGraph):
+        """True if ``g`` has the edge endpoints this topology was built from."""
+        if g.tails is self.tails and g.heads is self.heads:
+            return True
+        return np.array_equal(g.tails, self.tails) and np.array_equal(g.heads, self.heads)
+
+    def boundary_vertices(self, i):
+        """Group i's sorted boundary (graph vertex ids)."""
+        return self.slot_vertex[self.voff[i]:self.voff[i] + self.n_boundary[i]]
+
+    def local_laplacian(self, i, conductance):
+        """Group i's Laplacian on its local ids; ``conductance`` per union edge."""
+        sel = slice(self.eoff[i], self.eoff[i + 1])
+        return SparseLaplacian.from_edges(self.n_vertices[i], self.local_tail[sel],
+                                          self.local_head[sel], conductance[sel])
+
+    def subgraph(self, i):
+        """Group i as a graph on its local ids, edges in union order (cached)."""
+        if i not in self._subgraphs:
+            sel = slice(self.eoff[i], self.eoff[i + 1])
+            self._subgraphs[i] = WeightedGraph(
+                self.n_vertices[i], np.column_stack([self.local_tail[sel], self.local_head[sel]]))
+        return self._subgraphs[i]
+
+
+class GroupElimination:
+    """Every dense group eliminated at one set of edge conductances.
+
+    Per shape class, one batched Cholesky factor of the interior blocks
+    gives the Schur complements ``S`` onto the boundaries and the harmonic
+    extensions ``X = -L_ii^-1 L_ib``.  Those serve the vertex sparsifiers
+    (``sparsify``), flow conversion (``route``) and the cut certificate
+    (``extend``).  Groups above ``DENSE_GROUP_CUTOFF`` vertices are not
+    factored; ``route`` and ``extend`` solve them by PCG.
+    """
+
+    def __init__(self, topo: GroupTopology, conductance):
+        self.topology = topo
+        self.conductance = np.asarray(conductance, dtype=float)[topo.edges]  # per union edge
+        self.schur, self.extension, self.w_min = [], [], []
+        for cls in topo.classes:
+            c = self.conductance[cls.edges]
+            size = cls.members.size * cls.n * cls.n
+            lap = np.bincount(cls.scatter, weights=np.concatenate([c, c, -c, -c]),
+                              minlength=size).reshape(cls.members.size, cls.n, cls.n)
+            try:
+                s, x = _eliminate(lap, cls.nb)
+            except np.linalg.LinAlgError:
+                bad = next(i for i, block in zip(cls.members, lap)
+                           if not _positive_definite(block[cls.nb:, cls.nb:]))
+                raise GraphError(f"group {bad}: interior block is not positive definite") from None
+            self.schur.append(s)
+            self.extension.append(x)
+            # least merged edge weight, for the lam_min = w_min / n^2 floor
+            self.w_min.append(np.minimum.reduceat(-lap.reshape(-1)[cls.pairs], cls.pair_starts))
+
+    def schur_complement(self, i):
+        """Dense Schur complement of group i onto its sorted boundary."""
+        for cls, s in zip(self.topology.classes, self.schur):
+            j = np.searchsorted(cls.members, i)
+            if j < cls.members.size and cls.members[j] == i:
+                return s[j]
+        raise GraphError(f"group {i} is not factored densely")
+
+    def sparsify(self, eps, c_s=SPARSIFY_EDGE_FACTOR, seed_of=None):
+        """One-step vertex sparsifiers of the dense groups at error ``eps``.
+
+        The same steps as ``one_step_vertex_sparsify``: the clamp check and
+        cleanup of the Schur complement at ``eps/3``, ``sparsify`` when the
+        edge count exceeds its budget, and the ``lam_min / n_b^2`` weight
+        floor.  Returns ``(weights, sampled)``: per shape class a (G, P)
+        array of conductances over the boundary pairs in ``np.triu_indices``
+        order (0 where there is no edge), and {group id: floored
+        SparseLaplacian on local boundary ids} for the groups that were
+        sampled (seeded by ``seed_of(group id)``); their rows in ``weights``
+        are zero.
+        """
+        weights, sampled = [], {}
+        for cls, s, w_min in zip(self.topology.classes, self.schur, self.w_min):
+            _check_clamp(s, eps / 3.0)
+            clean = _clean_stack(s)
+            iu = np.triu_indices(cls.nb, k=1)
+            cond = -clean[:, iu[0], iu[1]]
+            has = cond > 0
+            lam_min = w_min / cls.n**2
+            cond = np.where(has, cond + (lam_min / cls.nb**2)[:, None], 0.0)
+            budget = c_s * cls.nb * math.log(max(cls.nb, 2)) / (eps / 3.0) ** 2
+            for j in np.flatnonzero(has.sum(axis=1) > budget):
+                i = int(cls.members[j])
+                thin = sparsify(SparseLaplacian(sp.csr_matrix(clean[j])), eps / 3.0,
+                                seed_of(i), c_s=c_s)
+                sampled[i] = weight_floor(thin, lam_min[j])
+                cond[j] = 0.0
+            weights.append(cond)
+        return weights, sampled
+
+    def route(self, demand, delta):
+        """Per-group electrical flows routing a boundary demand exactly.
+
+        ``demand`` is indexed by slot and zero on interior slots.  In a dense
+        group, ``phi_b = S^+ d_b`` (grounded at the first boundary vertex),
+        ``phi_int = X phi_b`` and ``f = c B phi``; the residual is then
+        repaired exactly on the group's BFS tree, and the duality gap must
+        certify ``energy <= (1 + delta^2 / 4.5) * optimum`` as in
+        ``electrical_flow``.  Larger groups run ``electrical_flow`` (PCG) on
+        their subgraph.  Returns the flow on the union edges, oriented as in
+        the graph.
+        """
+        topo = self.topology
+        phi = np.zeros(topo.slot_group.size)
+        for cls, s, x in zip(topo.classes, self.schur, self.extension):
+            if cls.nb < 2:
+                continue
+            bslots = cls.slots[:, :cls.nb]
+            phi_b = np.zeros((cls.members.size, cls.nb))
+            phi_b[:, 1:] = np.linalg.solve(s[:, 1:, 1:], demand[bslots][:, 1:, None])[..., 0]
+            phi[bslots] = phi_b
+            phi[cls.slots[:, cls.nb:]] = (x @ phi_b[..., None])[..., 0]
+        c = self.conductance
+        dphi = phi[topo.slot_tail] - phi[topo.slot_head]
+        flow = c * dphi
+        nslots = topo.slot_group.size
+        q = demand - (np.bincount(topo.slot_tail, weights=flow, minlength=nslots)
+                      - np.bincount(topo.slot_head, weights=flow, minlength=nslots))
+        q[~topo.dense[topo.slot_group]] = 0.0
+        flow += topo.sign * topo.union.route_on_tree(q)
+
+        k = topo.k
+        e_flow = np.bincount(topo.edge_group, weights=flow * flow / c, minlength=k)
+        quad = np.bincount(topo.edge_group, weights=c * dphi * dphi, minlength=k)
+        lin = np.bincount(topo.slot_group, weights=demand * phi, minlength=k)
+        loaded = np.bincount(topo.slot_group, weights=np.abs(demand), minlength=k) > 0
+        active = topo.dense & loaded
+        lower = np.divide(lin * lin, quad, out=np.zeros(k), where=quad > 0)
+        gap_target = max(delta * delta / 4.5, GAP_FLOOR)
+        bad = np.flatnonzero(active & ~((lower > 0) & (e_flow <= (1.0 + gap_target) * lower)))
+        if bad.size:
+            i = bad[0]
+            gap = e_flow[i] / max(lower[i], 1e-300) - 1.0
+            raise SolverConvergenceError(
+                f"group {i}: electrical flow gap {gap:.3e} above target {gap_target:.3e}",
+                best_iterate=flow, achieved_residual=gap)
+
+        for i in np.flatnonzero(~topo.dense):
+            d_local = demand[topo.voff[i]:topo.voff[i + 1]]
+            if np.any(d_local):
+                sel = slice(topo.eoff[i], topo.eoff[i + 1])
+                ef = electrical_flow(topo.subgraph(i), d_local, delta, resistances=1.0 / c[sel])
+                flow[sel] = topo.sign[sel] * ef.flow
+        return flow
+
+    def extend(self, phi):
+        """``phi`` (graph vertex ids) with every group interior set to the
+        harmonic extension of the group's boundary values."""
+        topo = self.topology
+        phi = np.array(phi, dtype=float)
+        for cls, x in zip(topo.classes, self.extension):
+            if cls.n > cls.nb:
+                verts = topo.slot_vertex[cls.slots]
+                phi[verts[:, cls.nb:]] = (x @ phi[verts[:, :cls.nb]][..., None])[..., 0]
+        for i in np.flatnonzero(~topo.dense & (topo.n_vertices > topo.n_boundary)):
+            nb = topo.n_boundary[i]
+            verts = topo.slot_vertex[topo.voff[i]:topo.voff[i + 1]]
+            lap = topo.local_laplacian(i, self.conductance).matrix
+            phi[verts[nb:]] = solve_sdd(lap[nb:, nb:], -(lap[nb:, :nb] @ phi[verts[:nb]]),
+                                        delta=1e-10)
+        return phi
+
+
+def _positive_definite(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # -- serialization ----------------------------------------------------------------

@@ -1,0 +1,387 @@
+"""Differential tests of the per-group elimination against independent references."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sepflow import (GraphError, RunConfig, SolverHandle, SparseLaplacian, SparsifierPlan,
+                     WeightedGraph, approx_max_flow, build_sparsified_instance, convert_flow,
+                     cut_certificate, exact_max_flow_oracle, exact_schur, grid_graph,
+                     grid_r_division, one_step_vertex_sparsify, optimum_energy,
+                     partition_from_groups, random_capacity_grid, residual_of_vector,
+                     route_fixed_flow)
+from sepflow.grids import GridSpec
+from sepflow.partition import _boundary_sets
+from sepflow.pipeline import STAGES
+from sepflow.schur import GroupElimination, GroupTopology
+
+from conftest import random_connected_graph
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def random_groups(rng, g, k):
+    """Random edge split into k groups, each with a boundary that meets every
+    component of the group subgraph."""
+    owner = rng.integers(0, k, g.m)
+    owner[:k] = np.arange(k)  # no empty group
+    groups = [np.flatnonzero(owner == i) for i in range(k)]
+    boundaries = []
+    for grp in groups:
+        sub_verts = np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))
+        sub = WeightedGraph(sub_verts.size, np.column_stack(
+            [np.searchsorted(sub_verts, g.tails[grp]), np.searchsorted(sub_verts, g.heads[grp])]))
+        _, labels = sub.components()
+        firsts = sub_verts[np.unique(labels, return_index=True)[1]]
+        extra = sub_verts[rng.random(sub_verts.size) < rng.uniform(0.2, 0.9)]
+        boundaries.append(np.union1d(firsts, extra))
+    return groups, boundaries
+
+
+def group_laplacian(g, grp, conductance):
+    verts = np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))
+    lap = SparseLaplacian.from_edges(verts.size, np.searchsorted(verts, g.tails[grp]),
+                                     np.searchsorted(verts, g.heads[grp]), conductance[grp])
+    return verts, lap
+
+
+class TestDenseSchur:
+    @SETTINGS
+    @given(n=st.integers(3, 18), extra=st.integers(0, 20), k=st.integers(1, 4),
+           seed=st.integers(0, 2**31))
+    def test_equals_exact_schur_on_random_groups(self, n, extra, k, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        k = min(k, g.m)
+        groups, boundaries = random_groups(rng, g, k)
+        cond = rng.uniform(0.1, 10.0, g.m)
+        elim = GroupElimination(GroupTopology(g, groups, boundaries), cond)
+        for i, grp in enumerate(groups):
+            verts, lap = group_laplacian(g, grp, cond)
+            ref = exact_schur(lap, np.searchsorted(verts, boundaries[i])).dense()
+            ours = elim.schur_complement(i)
+            # relative to the group's own entries: a one-vertex boundary has S = 0
+            assert np.abs(ours - ref).max() <= 1e-9 * cond[grp].max()
+
+    def test_group_without_interior(self):
+        g = WeightedGraph(3, [(0, 1), (1, 2)])
+        cond = np.array([1.0, 3.0])
+        elim = GroupElimination(GroupTopology(g, [np.arange(2)], [np.arange(3)]), cond)
+        assert np.allclose(elim.schur_complement(0), g.laplacian_csr(cond).toarray())
+
+    def test_interior_in_several_pieces(self):
+        # boundary {0, 2, 4} cuts the interior of the path into {1} and {3}
+        g = WeightedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        cond = np.array([1.0, 1.0, 2.0, 2.0])
+        elim = GroupElimination(GroupTopology(g, [np.arange(4)], [np.array([0, 2, 4])]), cond)
+        expect = exact_schur(SparseLaplacian(g.laplacian_csr(cond)), [0, 2, 4]).dense()
+        assert np.allclose(elim.schur_complement(0), expect, atol=1e-12)
+        assert elim.schur_complement(0)[0, 2] == 0.0
+
+    def test_one_step_matches_batched_sparsifier(self, rng):
+        # the public one-step sparsifier and the batched pipeline path share one kernel
+        g0 = grid_graph(6, 6)
+        part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g0)
+        w = rng.uniform(0.5, 2.0, g0.m)
+        inst = build_sparsified_instance(g0, part, w, 0.05, SparsifierPlan(), seed=1)
+        qv = inst.quotient_vertices
+        for i, grp in enumerate(part.groups):
+            verts, lap = group_laplacian(g0, grp, 1.0 / w)
+            vs = one_step_vertex_sparsify(lap, np.searchsorted(verts, part.boundaries[i]), 0.05)
+            t, h, c = vs.laplacian.edge_list()
+            q = inst.quotient_graph
+            qg = inst.quotient_groups[i]
+            assert np.array_equal(qv[q.tails[qg]], verts[vs.boundary][t])
+            assert np.array_equal(qv[q.heads[qg]], verts[vs.boundary][h])
+            assert np.allclose(1.0 / q.weight[qg], c, rtol=1e-12)
+
+
+    def test_over_budget_groups_go_through_sparsify(self, rng):
+        # a tiny c_s puts every Schur complement over the edge budget of sparsify
+        g = grid_graph(6, 6)
+        part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
+        w = rng.uniform(0.5, 2.0, g.m)
+        cached = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan(), seed=1)
+        sampled = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan(c_s=1e-3), seed=1)
+        assert sampled.quotient_graph is not cached.quotient_graph
+        assert sampled.quotient_graph._structure is not cached.quotient_graph._structure
+        assert np.array_equal(sampled.quotient_graph.edges, cached.quotient_graph.edges)
+        assert np.allclose(sampled.quotient_graph.weight, cached.quotient_graph.weight,
+                           rtol=1e-12)
+
+
+class TestConversion:
+    @SETTINGS
+    @given(n=st.integers(3, 16), extra=st.integers(0, 16), k=st.integers(1, 3),
+           seed=st.integers(0, 2**31))
+    def test_routes_boundary_demand_near_optimally(self, n, extra, k, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        k = min(k, g.m)
+        groups, boundaries = random_groups(rng, g, k)
+        r = rng.uniform(0.1, 10.0, g.m)
+        topo = GroupTopology(g, groups, boundaries)
+        if not topo.connected.all():
+            return  # conversion needs connected groups
+        elim = GroupElimination(topo, 1.0 / r)
+        delta = 1e-3
+        demand = np.zeros(topo.slot_group.size)
+        wanted = []
+        for i in range(k):
+            nb = topo.n_boundary[i]
+            vals = rng.normal(size=nb)
+            vals -= vals.mean()
+            demand[topo.voff[i]:topo.voff[i] + nb] = vals
+            d = np.zeros(g.n)
+            d[boundaries[i]] = vals  # slots list the sorted boundary first
+            wanted.append(d)
+        flow = np.zeros(g.m)
+        flow[topo.edges] = elim.route(demand, delta)
+        for i, grp in enumerate(groups):
+            res = residual_of_vector(flow, g, grp)
+            assert np.abs(res - wanted[i]).max() <= 1e-9 * max(np.abs(wanted[i]).max(), 1.0)
+            verts, _ = group_laplacian(g, grp, 1.0 / r)
+            sub = WeightedGraph(verts.size, np.column_stack(
+                [np.searchsorted(verts, g.tails[grp]), np.searchsorted(verts, g.heads[grp])]))
+            e_opt = optimum_energy(sub, wanted[i][verts], resistances=r[grp])
+            energy = float(np.sum(r[grp] * flow[grp] ** 2))
+            assert energy <= (1 + delta) * e_opt + 1e-12
+
+    def test_disconnected_destination_group_rejected(self):
+        g = WeightedGraph(4, [(0, 1), (2, 3)])
+        with pytest.raises(GraphError, match="disconnected"):
+            convert_flow(g, [np.arange(2)], g, [np.arange(2)], np.array([1.0, 0.0]), 0.1)
+
+
+class TestCertificateExtension:
+    def test_cached_extension_equals_scaled_fresh_solve(self, rng):
+        g = grid_graph(6, 6)
+        part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
+        w = rng.uniform(0.5, 2.0, g.m)
+        inst = build_sparsified_instance(g, part, w, 0.01, SparsifierPlan(), seed=3)
+        phi = np.zeros(g.n)
+        phi[inst.quotient_vertices] = rng.normal(size=inst.quotient_vertices.size)
+        ours = inst.elimination.extend(phi)
+        for i, grp in enumerate(part.groups):
+            interior = part.interiors[i]
+            if interior.size == 0:
+                continue
+            r = np.ones(g.m)
+            r[grp] = rng.uniform(0.1, 10.0) * w[grp]  # one scalar per group
+            verts, lap = group_laplacian(g, grp, 1.0 / r)
+            li = np.searchsorted(verts, interior)
+            lb = np.searchsorted(verts, part.boundaries[i])
+            rhs = -(lap.matrix[li][:, lb] @ phi[part.boundaries[i]])
+            fresh = SolverHandle(lap.matrix[li][:, li]).solve(rhs, delta=1e-10)
+            assert np.allclose(ours[interior], fresh, rtol=1e-9, atol=1e-12)
+            assert np.array_equal(ours[part.boundaries[i]], phi[part.boundaries[i]])
+
+
+def dust_instance():
+    """Two groups on {0, 1, 2}: group 0 joins 0 and 1 only through interior vertex 3."""
+    g = WeightedGraph(5, [(0, 3), (3, 1), (1, 2), (0, 2), (0, 4), (4, 2), (1, 4)])
+    part = partition_from_groups(g, [np.arange(4), np.arange(4, 7)], r=8, terminals=(0, 2))
+    return g, part
+
+
+class TestQuotientPattern:
+    def expected_quotient(self, g, part, w, eps):
+        """Quotient edges (global tail, global head, weight) from the public sparsifier."""
+        out = []
+        for i, grp in enumerate(part.groups):
+            verts, lap = group_laplacian(g, grp, 1.0 / w)
+            vs = one_step_vertex_sparsify(lap, np.searchsorted(verts, part.boundaries[i]), eps)
+            t, h, c = vs.laplacian.edge_list()
+            b = verts[vs.boundary]
+            out.extend(zip(b[t].tolist(), b[h].tolist(), (1.0 / c).tolist()))
+        return out
+
+    def assert_quotient(self, inst, expected):
+        q, qv = inst.quotient_graph, inst.quotient_vertices
+        got = list(zip(qv[q.tails].tolist(), qv[q.heads].tolist(), q.weight.tolist()))
+        assert [e[:2] for e in got] == [e[:2] for e in expected]
+        assert np.allclose([e[2] for e in got], [e[2] for e in expected], rtol=1e-12)
+
+    def test_same_pattern_reuses_structure(self):
+        g, part = dust_instance()
+        a = build_sparsified_instance(g, part, np.ones(g.m), 0.01)
+        cached = part.topology(g).quotient
+        w = np.linspace(1.0, 2.0, g.m)
+        b = build_sparsified_instance(g, part, w, 0.01)
+        assert part.topology(g).quotient is cached
+        assert b.quotient_graph._structure is a.quotient_graph._structure
+        self.assert_quotient(b, self.expected_quotient(g, part, w, 0.01))
+
+    def test_pattern_change_forces_rebuild(self):
+        g, part = dust_instance()
+        ones = np.ones(g.m)
+        a = build_sparsified_instance(g, part, ones, 0.01)
+        first = part.topology(g).quotient
+        # a huge resistance on edge 0-3 turns the Schur entry (0, 1) into dust
+        w = ones.copy()
+        w[0] = 1e16
+        b = build_sparsified_instance(g, part, w, 0.01)
+        assert part.topology(g).quotient is not first
+        assert b.quotient_graph.m == a.quotient_graph.m - 1
+        self.assert_quotient(b, self.expected_quotient(g, part, w, 0.01))
+        c = build_sparsified_instance(g, part, ones, 0.01)
+        assert c.quotient_graph.m == a.quotient_graph.m
+        self.assert_quotient(c, self.expected_quotient(g, part, ones, 0.01))
+
+
+def loop_boundary_sets(g, groups, terminals):
+    """The boundary definition, one edge at a time."""
+    touch = [set() for _ in range(g.n)]
+    for i, grp in enumerate(groups):
+        for e in grp:
+            touch[g.tails[e]].add(i)
+            touch[g.heads[e]].add(i)
+    term = set(int(t) for t in terminals)
+    boundaries, interiors = [], []
+    for grp in groups:
+        verts = sorted(set(g.tails[grp].tolist()) | set(g.heads[grp].tolist()))
+        boundaries.append([v for v in verts if len(touch[v]) > 1 or v in term])
+        interiors.append([v for v in verts if not (len(touch[v]) > 1 or v in term)])
+    return boundaries, interiors
+
+
+class TestSetupPath:
+    @SETTINGS
+    @given(n=st.integers(2, 30), extra=st.integers(0, 30), k=st.integers(1, 6),
+           n_term=st.integers(0, 3), seed=st.integers(0, 2**31))
+    def test_vectorized_boundary_sets_match_definition(self, n, extra, k, n_term, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        k = min(k, g.m)
+        owner = rng.integers(0, k, g.m)
+        owner[:k] = np.arange(k)
+        groups = [np.flatnonzero(owner == i) for i in range(k)]
+        terminals = tuple(rng.choice(n, size=min(n_term, n), replace=False).tolist())
+        got_b, got_i = _boundary_sets(g, groups, terminals)
+        ref_b, ref_i = loop_boundary_sets(g, groups, terminals)
+        assert [b.tolist() for b in got_b] == ref_b
+        assert [x.tolist() for x in got_i] == ref_i
+
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (3, 5, 1), (4, 3, 3), (2, 2, 2)])
+    def test_grid_edges_keep_scan_order(self, dims):
+        spec = GridSpec(*dims)
+        out = []
+        for layer in range(spec.layers):
+            for row in range(spec.rows):
+                for col in range(spec.cols):
+                    v = spec.vertex(layer, row, col)
+                    if col + 1 < spec.cols:
+                        out.append((v, spec.vertex(layer, row, col + 1)))
+                    if row + 1 < spec.rows:
+                        out.append((v, spec.vertex(layer, row + 1, col)))
+                    if layer + 1 < spec.layers:
+                        out.append((v, spec.vertex(layer + 1, row, col)))
+        assert np.array_equal(spec.edges(), np.array(out, dtype=np.int64))
+
+    def test_topology_built_on_first_use_only(self):
+        g = random_capacity_grid(8, 8, seed=9)
+        part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g)
+        assert part._topology is None
+        a = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
+        assert a.stats.topology_builds == 1
+        b = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
+        assert b.stats.topology_builds == 0
+        assert a.value == b.value and np.array_equal(a.flow, b.flow)
+
+
+class TestRunStats:
+    def test_stage_timings_add_up_to_total(self):
+        g = random_capacity_grid(10, 10, seed=2)
+        part = grid_r_division(10, 10, 1, 16, terminals=(0, g.n - 1), graph=g)
+        res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=2))
+        t = res.stats.timings
+        assert set(t) == set(STAGES) | {"total"}
+        assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
+        c = res.stats.counters()
+        assert c["dense_groups"] == c["sparsifier_builds"] == part.k * c["iterations_outer"]
+        assert c["fallback_groups"] == 0
+
+    def test_certificate_time_joins_the_run(self):
+        g = random_capacity_grid(8, 8, seed=400)
+        part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g)
+        _, fail_ctx = route_fixed_flow(g, part, None, 0, 63, 100.0, 0.1, RunConfig(eps=0.1, seed=7))
+        inst, fail, _ = fail_ctx
+        before = inst.stats.timings["total"]
+        cut_certificate(inst, fail, 0.1)
+        t = inst.stats.timings
+        assert t["certificate"] > 0
+        assert t["total"] == pytest.approx(before + t["certificate"])
+        assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
+
+    def test_counters_identical_across_thread_settings(self, tmp_path, monkeypatch):
+        from sepflow.cli import main
+
+        payloads = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SEPFLOW_THREADS", threads)
+            path = tmp_path / f"res{threads}.json"
+            assert main(["maxflow", "--grid", "6x6", "--random-capacities", "--recursive",
+                         "--r", "16", "--seed", "3", "--json", str(path)]) == 0
+            payloads.append(json.loads(path.read_text()))
+        counters = [p["counters"] for p in payloads]
+        assert counters[0] == counters[1]
+        assert counters[0]["fallback_groups"] == counters[0]["sparsifier_builds"] > 0
+        assert set(payloads[0]["timings"]) == set(STAGES) | {"total"}
+
+
+class TestAboveDenseCutoff:
+    def test_pcg_route_matches_dense_route(self, rng, monkeypatch):
+        from sepflow import schur
+
+        g = grid_graph(6, 6)
+        part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
+        w = rng.uniform(0.5, 2.0, g.m)
+        dense = GroupElimination(GroupTopology(g, part.groups, part.boundaries), 1.0 / w)
+        monkeypatch.setattr(schur, "DENSE_GROUP_CUTOFF", 0)
+        pcg = GroupElimination(GroupTopology(g, part.groups, part.boundaries), 1.0 / w)
+        assert dense.topology.dense.all() and not pcg.topology.dense.any()
+
+        phi = np.zeros(g.n)
+        phi[np.concatenate(part.boundaries)] = rng.normal(size=sum(map(len, part.boundaries)))
+        assert np.allclose(pcg.extend(phi), dense.extend(phi), rtol=1e-8, atol=1e-10)
+
+        topo = dense.topology
+        demand = np.zeros(topo.slot_group.size)
+        for i in range(part.k):
+            vals = rng.normal(size=topo.n_boundary[i])
+            demand[topo.voff[i]:topo.voff[i] + vals.size] = vals - vals.mean()
+        delta = 1e-3
+        f_dense, f_pcg = dense.route(demand, delta), pcg.route(demand, delta)
+        for f in (f_dense, f_pcg):
+            res = np.bincount(topo.slot_tail, weights=f, minlength=demand.size) - np.bincount(
+                topo.slot_head, weights=f, minlength=demand.size)
+            assert np.abs(res - demand).max() <= 1e-9
+        e_dense, e_pcg = (np.bincount(topo.edge_group, weights=f * f * w[topo.edges])
+                          for f in (f_dense, f_pcg))
+        assert np.all(e_pcg <= (1 + delta) * e_dense + 1e-12)
+
+        q_dense = build_sparsified_instance(g, part, w, 0.01, seed=2)
+        part._topology = None
+        q_pcg = build_sparsified_instance(g, part, w, 0.01, seed=2)
+        assert np.array_equal(q_pcg.quotient_graph.edges, q_dense.quotient_graph.edges)
+        assert np.allclose(q_pcg.quotient_graph.weight, q_dense.quotient_graph.weight, rtol=1e-8)
+
+    def test_single_large_group_end_to_end(self):
+        g = random_capacity_grid(12, 12, seed=5)  # one group of 144 vertices
+        part = partition_from_groups(g, [np.arange(g.m)], r=g.m, terminals=(0, g.n - 1))
+        exact = exact_max_flow_oracle(g, 0, g.n - 1).value
+        res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
+        assert res.value >= 0.9 * exact
+        c = res.stats.counters()
+        assert c["fallback_groups"] == c["sparsifier_builds"] > 0 and c["dense_groups"] == 0
+
+        _, fail_ctx = route_fixed_flow(g, part, None, 0, g.n - 1, 4 * exact, 0.1,
+                                       RunConfig(eps=0.1, seed=1))
+        inst, fail, _ = fail_ctx
+        cert = cut_certificate(inst, fail, 0.1)
+        assert cert.gradient_capacity <= 1 + 1e-8
+        assert cert.demand_value >= 1 - 10 * 0.1 - 1e-8
+        assert cert.cut_capacity >= exact * (1 - 1e-9)
