@@ -25,7 +25,6 @@ from .graphs import (
     energy,
     group_congestion,
     group_congestions,
-    laplacian_from_conductances,
     laplacian_from_resistances,
     residual,
     residual_of_vector,
@@ -47,11 +46,9 @@ from .groupedflow import (
     GroupedFlowFail,
     GroupedFlowProblem,
     GroupedFlowResult,
-    MWUState,
     check_mwu_step,
     grouped_flow,
     mwu_parameters,
-    write_trace_csv,
 )
 from .maxflow import MaxFlowResult, exact_max_flow_oracle, widest_path_bottleneck
 from .partition import (

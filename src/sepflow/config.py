@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,8 @@ MASK63 = (1 << 63) - 1
 def substream(seed: int, *tags) -> int:
     """Deterministic 63-bit child seed for a named substream.
 
-    Tags may be ints or short strings; results do not depend on scheduling,
-    which keeps threaded runs reproducible.
+    Tags may be ints or short strings; the result depends on the seed and
+    the tags only, not on the order in which substreams are drawn.
     """
     ints = []
     for t in tags:
@@ -26,13 +25,6 @@ def substream(seed: int, *tags) -> int:
             ints.append(int(t) & MASK63)
     ss = np.random.SeedSequence(entropy=(int(seed) & MASK63, *ints))
     return int(ss.generate_state(1, dtype=np.uint64)[0]) & MASK63
-
-
-def thread_count(default=1):
-    try:
-        return max(int(os.environ.get("SEPFLOW_THREADS", default)), 1)
-    except ValueError:
-        return default
 
 
 @dataclass

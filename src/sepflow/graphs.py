@@ -246,11 +246,6 @@ class FlowState:
     def residual(self, g: WeightedGraph):
         return residual(self, g)
 
-    def is_routed(self, g: WeightedGraph, tol=1e-9):
-        r = residual(self, g)
-        scale = max(np.abs(self.demand).max(initial=0.0), 1.0)
-        return np.abs(r - self.demand).max(initial=0.0) <= tol * scale
-
 
 def zero_sum_demand(d, n=None, tol=1e-9):
     """Validate and return a demand vector; entries must sum to ~0."""
@@ -365,24 +360,6 @@ class SparseLaplacian:
     def n(self):
         return self.matrix.shape[0]
 
-    @property
-    def interior(self):
-        if self.boundary is None:
-            return np.arange(0)
-        return np.setdiff1d(np.arange(self.n), self.boundary)
-
-    def blocks(self, boundary=None):
-        """(L_intr, L_mid, L_bdry, interior_ids, boundary_ids)."""
-        bdry = self.boundary if boundary is None else np.unique(np.asarray(boundary, dtype=np.int64))
-        if bdry is None:
-            raise GraphError("no boundary set given")
-        intr = np.setdiff1d(np.arange(self.n), bdry)
-        mat = self.matrix.tocsr()
-        l_intr = mat[intr][:, intr].tocsr()
-        l_mid = mat[intr][:, bdry].tocsr()
-        l_bdry = mat[bdry][:, bdry].tocsr()
-        return l_intr, l_mid, l_bdry, intr, bdry
-
     def edge_list(self, drop_tol=0.0):
         """Off-diagonal structure as (tails, heads, weights), weights = -L(u,v).
 
@@ -457,11 +434,3 @@ def laplacian_from_resistances(g: WeightedGraph, r=None, boundary=None) -> Spars
     if np.any(r <= 0) or not np.all(np.isfinite(r)):
         raise GraphError("resistances must be strictly positive and finite")
     return SparseLaplacian(g.laplacian_csr(1.0 / r), boundary=boundary)
-
-
-def laplacian_from_conductances(g: WeightedGraph, c, boundary=None) -> SparseLaplacian:
-    """Graph Laplacian with the given per-edge conductances."""
-    c = np.asarray(c, dtype=float)
-    if np.any(c <= 0) or not np.all(np.isfinite(c)):
-        raise GraphError("conductances must be strictly positive and finite")
-    return SparseLaplacian(g.laplacian_csr(c), boundary=boundary)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphError, ValidationError
+from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import WeightedGraph, group_ids, zero_sum_demand
 from .solver import DENSE_CUTOFF, SolverHandle, electrical_flow
 
@@ -70,19 +70,6 @@ class GroupedFlowProblem:
 
 
 @dataclass
-class MWUState:
-    """Per-iteration state of the multiplicative weights update."""
-
-    w_grp: np.ndarray
-    mu: float
-    flow: np.ndarray
-    n_accepted: int
-    iteration: int
-    rho: float
-    n_iterations: int
-
-
-@dataclass
 class GroupedFlowFail:
     """Certificate data captured when the energy test fires."""
 
@@ -105,7 +92,6 @@ class GroupedFlowDiagnostics:
     max_group_congestion: float = float("nan")
     mu_final: float = float("nan")
     trace: list = field(default_factory=list)
-    final_state: "MWUState | None" = None
 
 
 @dataclass
@@ -145,17 +131,9 @@ def _group_congestions(flow, weight, gid, k):
     return np.sqrt(sums)
 
 
-def write_trace_csv(diagnostics: GroupedFlowDiagnostics, path):
-    """Write the per-iteration trace as CSV rows (t, mu, energy, max_cong, accepted)."""
-    with open(path, "w") as fh:
-        fh.write("t,mu,energy,max_group_congestion,accepted\n")
-        for t, mu, energy, max_cong, accepted in diagnostics.trace:
-            fh.write(f"{t},{mu!r},{energy!r},{max_cong!r},{int(accepted)}\n")
-
-
 def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
                  early_exit_cap=DEFAULT_EARLY_EXIT_CAP, runtime_checks=True,
-                 trace=False, max_iterations=None, accelerated=None) -> GroupedFlowResult:
+                 trace=False, max_iterations=None) -> GroupedFlowResult:
     """Multiplicative weights over groups around electrical flows.
 
     Returns a flow whose group congestions are at most ``1 + 10 eps``
@@ -175,7 +153,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
     gid = problem.group_of_edge
     rho, n_iter = mwu_parameters(k, eps)
     delta_ef = eps**2 / (100.0 * rho)
-    accelerated = (not strict) if accelerated is None else accelerated
 
     budget = n_iter if strict or max_iterations is None else min(n_iter, int(max_iterations))
     w_grp = np.ones(k)
@@ -231,7 +208,7 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
         else:
             diag.width_exceeded_events += 1
 
-        width = max(float(cong.max(initial=0.0)), 1.0) if accelerated else rho
+        width = rho if strict else max(float(cong.max(initial=0.0)), 1.0)
         w_new = w_grp * (1.0 + (eps / width) * cong)
         if runtime_checks:
             check_mwu_step(w_grp, w_new, cong, eps, width)
@@ -247,9 +224,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
                 diag.early_exit = True
                 diag.max_group_congestion = float(avg_cong.max())
                 diag.mu_final = float(w_grp.sum())
-                diag.final_state = MWUState(w_grp=w_grp, mu=diag.mu_final, flow=flow_sum,
-                                            n_accepted=n_accepted, iteration=t, rho=rho,
-                                            n_iterations=n_iter)
                 return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag)
 
     if n_accepted == 0:
@@ -258,12 +232,7 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
     diag.accepted = n_accepted
     diag.max_group_congestion = float(_group_congestions(avg, w, gid, k).max())
     diag.mu_final = float(w_grp.sum())
-    diag.final_state = MWUState(w_grp=w_grp, mu=diag.mu_final, flow=flow_sum,
-                                n_accepted=n_accepted, iteration=budget, rho=rho,
-                                n_iterations=n_iter)
     if budget < n_iter and diag.max_group_congestion > 1.0 + 10.0 * eps:
-        from .errors import SolverConvergenceError
-
         raise SolverConvergenceError(
             f"grouped flow hit the iteration cap {budget} with max group congestion"
             f" {diag.max_group_congestion:.4f} > {1 + 10 * eps:.4f}",

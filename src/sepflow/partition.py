@@ -59,12 +59,6 @@ class Partition:
             self._topology = GroupTopology(g, self.groups, self.boundaries)
         return self._topology
 
-    def group_of_edges(self):
-        gid = np.full(self.m, -1, dtype=np.int64)
-        for i, grp in enumerate(self.groups):
-            gid[grp] = i
-        return gid
-
     def group_vertices(self, g: WeightedGraph, i):
         grp = self.groups[i]
         return np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))

@@ -10,37 +10,35 @@ quotient-local ids back to global ones.
 Per-group elimination: a partition's ``GroupTopology`` (local vertex ids,
 boundary/interior split, local incidence, BFS trees) is built on first use
 and cached on the ``Partition``.  Each outer iteration then factors every
-group of at most ``schur.DENSE_GROUP_CUTOFF`` vertices once
-(``GroupElimination``, dense Cholesky batched over groups of equal shape).
-That one factor gives the group's sparsifier (its exact Schur complement,
-cleaned and floored), the conversion of quotient flows back to the group
-(``phi_b = S^+ d_b``, ``phi_int = X phi_b``) and the interior extension of
-the cut certificate.  The quotient's edge set is cached with the topology,
-so an iteration refreshes only its weights.  What still goes through PCG:
-groups above the cutoff (``approx_schur`` for their sparsifiers and
-``electrical_flow`` for their conversion), every group under
-``method="recursive"`` for its sparsifier, and the grouped flow on the
-quotient itself.
+group once (``GroupElimination``, dense Cholesky batched over groups of
+equal shape).  That one factor gives the group's sparsifier (its exact Schur
+complement, cleaned and floored), the conversion of quotient flows back to
+the group (``phi_b = S^+ d_b``, ``phi_int = X phi_b``) and the interior
+extension of the cut certificate.  Sparsifiers are kept as per-shape-class
+arrays of boundary-pair conductances, and the quotient's edge set is cached
+with the topology, so an iteration refreshes only its weights.  What still
+goes through PCG: the sparsifiers of ``method="recursive"`` (one group at a
+time) and the grouped flow on the quotient itself.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, substream, thread_count
+from .config import RunConfig, substream
 from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import (SparseLaplacian, WeightedGraph, edge_congestions, group_congestions,
                      group_ids, st_demand, zero_sum_demand)
 from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
 from .maxflow import widest_path_bottleneck
 from .partition import Partition, SeparatorTree
-from .schur import (GroupElimination, GroupTopology, one_step_vertex_sparsify,
+from .schur import (GroupElimination, GroupTopology, one_step_vertex_sparsify, pair_weights,
                     recursive_vertex_sparsify)
 from .solver import solve_sdd
 
@@ -58,9 +56,6 @@ class OracleWeights:
         self.values = np.asarray(self.values, dtype=float)
         if np.any(self.values < 1.0 - 1e-12):
             raise GraphError("oracle weights must stay >= 1")
-
-    def group_totals(self, groups):
-        return np.array([self.values[grp].sum() for grp in groups])
 
     @property
     def total(self):
@@ -102,8 +97,8 @@ class MaxFlowRunStats:
     ``timings`` holds one entry per name in ``STAGES`` plus ``total``; the
     stages add up to ``total`` up to loop bookkeeping.  ``dense_groups`` and
     ``fallback_groups`` count, over all sparsifier builds, the groups whose
-    sparsifier came from the dense elimination and those that took the
-    per-group route (above the dense cutoff, or recursive).
+    sparsifier came from the batched elimination and those that took the
+    recursive route, one group at a time.
     ``inner_failures`` counts inner solves that raised and ended a probe.
     """
 
@@ -151,9 +146,7 @@ class SparsifierPlan:
     c_s: float = 48.0
 
     def tree_for(self, i) -> SeparatorTree | None:
-        if self.septrees is None:
-            return None
-        return self.septrees[i]
+        return None if self.septrees is None else self.septrees[i]
 
 
 @dataclass
@@ -179,9 +172,9 @@ class SparsifiedInstance:
         return d[self.quotient_vertices]
 
 
-def _build_group_sparsifier(args):
-    """One group's sparsifier by the per-group route (recursive, or above the dense cutoff)."""
-    (g, part, weights, eps, plan, seed, i) = args
+def _recursive_sparsifier(g, part, weights, eps, plan, seed, i):
+    """Group i's ``method="recursive"`` sparsifier (one-step where the plan has
+    no tree for it), as conductances over its boundary pairs (``pair_weights``)."""
     grp = part.groups[i]
     verts = part.group_vertices(g, i)
     idx = np.searchsorted(verts, g.tails[grp])
@@ -189,15 +182,14 @@ def _build_group_sparsifier(args):
     lap = SparseLaplacian.from_edges(verts.size, idx, jdx, 1.0 / weights[grp])
     bdry_local = np.searchsorted(verts, part.boundaries[i])
     gseed = substream(seed, "sparsify", i)
-    if plan.method == "recursive" and plan.tree_for(i) is not None:
+    if plan.tree_for(i) is None:
+        vs = one_step_vertex_sparsify(lap, bdry_local, eps, seed=gseed, c_s=plan.c_s)
+    else:
         mapping = np.full(g.n, -1, dtype=np.int64)
         mapping[verts] = np.arange(verts.size)
         tree_local = plan.tree_for(i).relabel(mapping)
         vs = recursive_vertex_sparsify(lap, bdry_local, tree_local, eps, seed=gseed, c_s=plan.c_s)
-    else:
-        vs = one_step_vertex_sparsify(lap, bdry_local, eps, seed=gseed, c_s=plan.c_s)
-    t, h, c = vs.laplacian.edge_list()
-    return verts[vs.boundary], t, h, c
+    return pair_weights(vs.laplacian)
 
 
 @dataclass
@@ -249,42 +241,6 @@ def _cached_quotient(topo: GroupTopology, weights):
     return pattern.graph.reweighted(wq), pattern.groups, pattern.vertices
 
 
-def _dense_edge_lists(topo: GroupTopology, weights, sampled):
-    """{group: (boundary ids, tails, heads, conductances)} of the dense sparsifiers."""
-    out = {}
-    for cls, w in zip(topo.classes, weights):
-        iu = np.triu_indices(cls.nb, k=1)
-        for j, i in enumerate(cls.members.tolist()):
-            if i in sampled:
-                t, h, c = sampled[i].edge_list()
-            else:
-                keep = w[j] > 0
-                t, h, c = iu[0][keep], iu[1][keep], w[j][keep]
-            out[i] = (topo.boundary_vertices(i), t, h, c)
-    return out
-
-
-def _assembled_quotient(sparsifiers):
-    """Quotient from per-group (boundary ids, tails, heads, conductances), built afresh."""
-    qverts = np.unique(np.concatenate([b for b, _, _, _ in sparsifiers]))
-    tails, heads, wq, groups = [], [], [], []
-    offset = 0
-    for bdry, t, h, c in sparsifiers:
-        if t.size == 0:
-            raise GraphError("a group sparsifier has no edges; boundary too small")
-        tails.append(np.searchsorted(qverts, bdry[t]))
-        heads.append(np.searchsorted(qverts, bdry[h]))
-        wq.append(1.0 / c)
-        groups.append(np.arange(offset, offset + t.size))
-        offset += t.size
-    quotient = WeightedGraph(qverts.size,
-                             np.column_stack([np.concatenate(tails), np.concatenate(heads)]),
-                             weight=np.concatenate(wq))
-    if not quotient.is_connected:
-        raise GraphError("quotient graph is disconnected; sparsification failed")
-    return quotient, groups, qverts
-
-
 def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopology:
     cached = part._topology
     topo = part.topology(g)
@@ -295,13 +251,12 @@ def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopol
 
 def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
                               plan: SparsifierPlan | None = None, seed: int = 0,
-                              threads: int | None = None,
                               stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """Sparsify every group at error ``eps`` and assemble the quotient graph.
 
-    One-step sparsifiers of groups up to the dense cutoff come from one
-    batched elimination; the rest take the per-group route, on
-    ``SEPFLOW_THREADS`` threads.
+    One-step sparsifiers come from one batched elimination; recursive ones
+    are built one group at a time and written into the same per-class
+    boundary-pair arrays.
     """
     plan = plan or SparsifierPlan()
     weights = np.asarray(weights, dtype=float)
@@ -318,32 +273,21 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
             raise GraphError(
                 f"group {int(split[0])} is disconnected; sparsifiers need connected groups")
         elim = GroupElimination(topo, 1.0 / weights)
-        if plan.method == "recursive":
-            cond, sampled, per_group = None, {}, np.arange(part.k)
+        recursive = plan.method == "recursive"
+        if recursive:
+            cond = [np.stack([_recursive_sparsifier(g, part, weights, eps, plan, seed, i)
+                              for i in cls.members.tolist()]) for cls in topo.classes]
         else:
-            cond, sampled = elim.sparsify(eps, plan.c_s,
-                                          seed_of=lambda i: substream(seed, "sparsify", i))
-            per_group = np.flatnonzero(~topo.dense)
-        per_group = per_group.tolist()
-        jobs = [(g, part, weights, eps, plan, seed, i) for i in per_group]
-        workers = thread_count() if threads is None else threads
-        if workers > 1 and len(jobs) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                built = dict(zip(per_group, pool.map(_build_group_sparsifier, jobs)))
-        else:
-            built = {i: _build_group_sparsifier(j) for i, j in zip(per_group, jobs)}
+            cond = elim.sparsify(eps, plan.c_s, seed_of=lambda i: substream(seed, "sparsify", i))
     if stats is not None:
         stats.sparsifier_builds += part.k
-        stats.fallback_groups += len(jobs)
-        stats.dense_groups += part.k - len(jobs)
+        if recursive:
+            stats.fallback_groups += part.k
+        else:
+            stats.dense_groups += part.k
 
     with _stage(stats, "quotient_assemble"):
-        if not built and not sampled:
-            quotient, groups, qverts = _cached_quotient(topo, cond)
-        else:
-            if cond is not None:
-                built.update(_dense_edge_lists(topo, cond, sampled))
-            quotient, groups, qverts = _assembled_quotient([built[i] for i in range(part.k)])
+        quotient, groups, qverts = _cached_quotient(topo, cond)
     return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
                               quotient_graph=quotient, quotient_groups=groups,
                               quotient_vertices=qverts, elimination=elim, stats=stats)
@@ -362,7 +306,7 @@ def _group_max(values, owner, k):
 
 
 def convert_flow(src_graph: WeightedGraph, src_groups, dst_graph: WeightedGraph, dst_groups,
-                 f_src, eps, *, src_weights=None, dst_weights=None,
+                 f_src, eps, *, dst_weights=None,
                  src_vertex_map=None, dst_vertex_map=None, check_boundaries=None,
                  elimination: GroupElimination | None = None):
     """Re-route a flow group-by-group through local electrical routings.
@@ -620,8 +564,6 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         msg = f"capacity ratio U(u) = {u_ratio:.3e} exceeds m/eps = {g.m / eps:.3e}"
         if config.capacity_ratio_policy == "reject":
             raise GraphError(msg)
-        import warnings
-
         warnings.warn(msg, stacklevel=2)
 
     stats = MaxFlowRunStats()

@@ -13,12 +13,10 @@ incidence, BFS trees, shape classes).  ``GroupElimination`` factors each
 group's interior block once by dense Cholesky, stacked over groups of equal
 shape, and keeps the Schur complement ``S = L_bb - L_bi L_ii^-1 L_ib`` and
 the harmonic extension ``X = -L_ii^-1 L_ib``.  Those serve the one-step
-sparsifiers, flow conversion and the cut certificate.  The dense route covers
-groups of at most ``DENSE_GROUP_CUTOFF`` vertices, and ``one_step_vertex_sparsify``
-uses the same kernel up to that size.  What still goes through PCG: larger
-groups (``approx_schur`` for the sparsifier, ``electrical_flow`` for
-conversion, an interior solve for the certificate) and every node of
-``recursive_vertex_sparsify``.
+sparsifiers, flow conversion and the cut certificate at every group size;
+``one_step_vertex_sparsify`` uses the same kernel.  Only the nodes of
+``recursive_vertex_sparsify`` go through ``approx_schur`` (PCG on the
+interior block).
 """
 
 from __future__ import annotations
@@ -32,13 +30,12 @@ import scipy.sparse as sp
 from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import SparseLaplacian, WeightedGraph, group_ids
 from .partition import SeparatorTree, SeparatorNode
-from .solver import GAP_FLOOR, SolverHandle, electrical_flow, solve_sdd
+from .solver import GAP_FLOOR, SolverHandle
 
 APPROX_SCHUR_DELTA_FLOOR = 1e-12
 SPARSIFY_EDGE_FACTOR = 48.0  # C_s
 EXACT_RESISTANCE_CUTOFF = 64
 SKETCH_OVERSAMPLE = 4
-DENSE_GROUP_CUTOFF = 128  # vertices; larger groups take the PCG route
 
 
 # -- spectral bounds ---------------------------------------------------------
@@ -192,32 +189,16 @@ def approx_schur(lap: SparseLaplacian, v_bdry, kappa: float, eps: float) -> Spar
     delta = max(2.0 * eps / (lap.n * kappa), APPROX_SCHUR_DELTA_FLOOR)
     out = np.zeros((bdry.size, bdry.size))
     pos = {int(v): i for i, v in enumerate(bdry)}
-    adense = lap.matrix.toarray() if lap.n <= 128 else None
     for verts, local_bdry in _component_cases(lap, bdry):
         li = np.setdiff1d(np.arange(verts.size), local_bdry)
         lb = local_bdry
-        if adense is not None:
-            sub = adense[np.ix_(verts, verts)]
-            if li.size == 0:
-                schur = sub[np.ix_(lb, lb)]
-            else:
-                l_intr = sp.csr_matrix(sub[np.ix_(li, li)])
-                l_mid = sub[np.ix_(li, lb)]
-                l_bdry = sub[np.ix_(lb, lb)]
-                y, _ = SolverHandle(l_intr).solve_with_stats(l_mid, delta=delta)
-                schur = l_bdry - l_mid.T @ y
-                schur = 0.5 * (schur + schur.T)
-        else:
-            sub = lap.matrix[verts][:, verts].tocsr()
-            if li.size == 0:
-                schur = sub[np.ix_(lb, lb)].toarray()
-            else:
-                l_intr = sub[li][:, li]
-                l_mid = sub[li][:, lb].toarray()
-                l_bdry = sub[lb][:, lb].toarray()
-                y, _ = SolverHandle(l_intr).solve_with_stats(l_mid, delta=delta)
-                schur = l_bdry - l_mid.T @ y
-                schur = 0.5 * (schur + schur.T)
+        sub = lap.matrix[verts][:, verts].tocsr()
+        schur = sub[lb][:, lb].toarray()
+        if li.size:
+            l_mid = sub[li][:, lb].toarray()
+            y, _ = SolverHandle(sub[li][:, li]).solve_with_stats(l_mid, delta=delta)
+            schur -= l_mid.T @ y
+            schur = 0.5 * (schur + schur.T)
         rows = [pos[int(verts[j])] for j in lb]
         out[np.ix_(rows, rows)] += schur
     clamp_mass = float(_check_clamp(out[None], eps)[0])
@@ -335,11 +316,11 @@ def _weight_ratio(w):
 
 def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int = 0,
                              c_s: float = SPARSIFY_EDGE_FACTOR) -> VertexSparsifier:
-    """ApproxSchur(eps/3), Sparsify(eps/3), then a lam_min/n^2 weight floor.
+    """Exact Schur complement (clamp-checked at eps/3), Sparsify(eps/3), then
+    a lam_min/n^2 weight floor.
 
-    Graphs of at most ``DENSE_GROUP_CUTOFF`` vertices take the exact dense
-    elimination that ``GroupElimination`` batches over groups; larger ones
-    take ``approx_schur`` (PCG on the interior block).
+    The Schur complement comes from the dense elimination that
+    ``GroupElimination`` batches over groups.
     """
     if not (0 < eps < 0.5):
         raise GraphError("one_step_vertex_sparsify requires 0 < eps < 1/2")
@@ -348,17 +329,13 @@ def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int
     bdry = _sorted_boundary(lap, v_bdry)
     bounds = spectral_bounds(lap)
     u_in = _weight_ratio(lap.weights())
-    if lap.n <= DENSE_GROUP_CUTOFF:
-        order = np.concatenate([bdry, np.setdiff1d(np.arange(lap.n), bdry)])
-        stack = lap.dense()[np.ix_(order, order)][None]
-        try:
-            raw, _ = _eliminate(stack, bdry.size)
-        except np.linalg.LinAlgError as exc:
-            raise GraphError("interior block is not positive definite") from exc
-        _check_clamp(raw, eps / 3.0)
-        schur = SparseLaplacian(sp.csr_matrix(_clean_stack(raw)[0]))
-    else:
-        schur = approx_schur(lap, bdry, bounds.kappa, eps / 3.0)
+    order = np.concatenate([bdry, np.setdiff1d(np.arange(lap.n), bdry)])
+    try:
+        raw, _ = _eliminate(lap.dense()[np.ix_(order, order)][None], bdry.size)
+    except np.linalg.LinAlgError as exc:
+        raise GraphError("interior block is not positive definite") from exc
+    _check_clamp(raw, eps / 3.0)
+    schur = SparseLaplacian(sp.csr_matrix(_clean_stack(raw)[0]))
     sparse = sparsify(schur, eps / 3.0, seed, c_s=c_s)
     floored = weight_floor(sparse, bounds.lam_min)
     return VertexSparsifier(
@@ -530,8 +507,8 @@ class GroupTopology:
     ``eoff[i]:eoff[i + 1]``.  ``union`` is the disjoint union of the group
     subgraphs on the slots, with union edge j standing for graph edge
     ``edges[j]``; its BFS forest has one tree per connected group.  Groups
-    of at most ``DENSE_GROUP_CUTOFF`` vertices are stacked into shape
-    classes for the batched elimination.
+    with a boundary are stacked into shape classes for the batched
+    elimination.
     """
 
     def __init__(self, g: WeightedGraph, groups, boundaries):
@@ -571,14 +548,13 @@ class GroupTopology:
         _, labels = self.union.components()
         stray = labels != labels[self.voff[self.slot_group]]
         self.connected = np.bincount(self.slot_group[stray], minlength=k) == 0
-        self.dense = self.n_vertices <= DENSE_GROUP_CUTOFF
         self.classes = self._shape_classes()  # groups without a boundary have nothing to factor
-        self._subgraphs = {}
         self.quotient = None  # the pipeline's cached quotient pattern
 
     def _shape_classes(self):
-        shape = self.n_vertices * (DENSE_GROUP_CUTOFF + 1) + self.n_boundary
-        stacked = self.dense & (self.n_boundary > 0)
+        # ascending (n, n_b) order: n_b <= n, so this key sorts by n, then n_b
+        shape = self.n_vertices * (self.n_vertices.max() + 1) + self.n_boundary
+        stacked = self.n_boundary > 0
         edge_shape = np.where(stacked, shape, -1)[self.edge_group]
         pos = np.zeros(self.k, dtype=np.int64)
         classes = []
@@ -604,34 +580,15 @@ class GroupTopology:
             return True
         return np.array_equal(g.tails, self.tails) and np.array_equal(g.heads, self.heads)
 
-    def boundary_vertices(self, i):
-        """Group i's sorted boundary (graph vertex ids)."""
-        return self.slot_vertex[self.voff[i]:self.voff[i] + self.n_boundary[i]]
-
-    def local_laplacian(self, i, conductance):
-        """Group i's Laplacian on its local ids; ``conductance`` per union edge."""
-        sel = slice(self.eoff[i], self.eoff[i + 1])
-        return SparseLaplacian.from_edges(self.n_vertices[i], self.local_tail[sel],
-                                          self.local_head[sel], conductance[sel])
-
-    def subgraph(self, i):
-        """Group i as a graph on its local ids, edges in union order (cached)."""
-        if i not in self._subgraphs:
-            sel = slice(self.eoff[i], self.eoff[i + 1])
-            self._subgraphs[i] = WeightedGraph(
-                self.n_vertices[i], np.column_stack([self.local_tail[sel], self.local_head[sel]]))
-        return self._subgraphs[i]
-
 
 class GroupElimination:
-    """Every dense group eliminated at one set of edge conductances.
+    """Every group eliminated at one set of edge conductances.
 
     Per shape class, one batched Cholesky factor of the interior blocks
     gives the Schur complements ``S`` onto the boundaries and the harmonic
     extensions ``X = -L_ii^-1 L_ib``.  Those serve the vertex sparsifiers
     (``sparsify``), flow conversion (``route``) and the cut certificate
-    (``extend``).  Groups above ``DENSE_GROUP_CUTOFF`` vertices are not
-    factored; ``route`` and ``extend`` solve them by PCG.
+    (``extend``).
     """
 
     def __init__(self, topo: GroupTopology, conductance):
@@ -660,22 +617,19 @@ class GroupElimination:
             j = np.searchsorted(cls.members, i)
             if j < cls.members.size and cls.members[j] == i:
                 return s[j]
-        raise GraphError(f"group {i} is not factored densely")
+        raise GraphError(f"group {i} has no boundary")
 
     def sparsify(self, eps, c_s=SPARSIFY_EDGE_FACTOR, seed_of=None):
-        """One-step vertex sparsifiers of the dense groups at error ``eps``.
+        """One-step vertex sparsifiers of every group at error ``eps``.
 
         The same steps as ``one_step_vertex_sparsify``: the clamp check and
         cleanup of the Schur complement at ``eps/3``, ``sparsify`` when the
-        edge count exceeds its budget, and the ``lam_min / n_b^2`` weight
-        floor.  Returns ``(weights, sampled)``: per shape class a (G, P)
-        array of conductances over the boundary pairs in ``np.triu_indices``
-        order (0 where there is no edge), and {group id: floored
-        SparseLaplacian on local boundary ids} for the groups that were
-        sampled (seeded by ``seed_of(group id)``); their rows in ``weights``
-        are zero.
+        edge count exceeds its budget (seeded by ``seed_of(group id)``), and
+        the ``lam_min / n_b^2`` weight floor.  Returns per shape class a
+        (G, P) array of conductances over the boundary pairs in
+        ``np.triu_indices`` order (0 where there is no edge).
         """
-        weights, sampled = [], {}
+        weights = []
         for cls, s, w_min in zip(self.topology.classes, self.schur, self.w_min):
             _check_clamp(s, eps / 3.0)
             clean = _clean_stack(s)
@@ -686,25 +640,22 @@ class GroupElimination:
             cond = np.where(has, cond + (lam_min / cls.nb**2)[:, None], 0.0)
             budget = c_s * cls.nb * math.log(max(cls.nb, 2)) / (eps / 3.0) ** 2
             for j in np.flatnonzero(has.sum(axis=1) > budget):
-                i = int(cls.members[j])
                 thin = sparsify(SparseLaplacian(sp.csr_matrix(clean[j])), eps / 3.0,
-                                seed_of(i), c_s=c_s)
-                sampled[i] = weight_floor(thin, lam_min[j])
-                cond[j] = 0.0
+                                seed_of(int(cls.members[j])), c_s=c_s)
+                cond[j] = pair_weights(weight_floor(thin, lam_min[j]))
             weights.append(cond)
-        return weights, sampled
+        return weights
 
     def route(self, demand, delta):
         """Per-group electrical flows routing a boundary demand exactly.
 
-        ``demand`` is indexed by slot and zero on interior slots.  In a dense
+        ``demand`` is indexed by slot and zero on interior slots.  In each
         group, ``phi_b = S^+ d_b`` (grounded at the first boundary vertex),
         ``phi_int = X phi_b`` and ``f = c B phi``; the residual is then
         repaired exactly on the group's BFS tree, and the duality gap must
         certify ``energy <= (1 + delta^2 / 4.5) * optimum`` as in
-        ``electrical_flow``.  Larger groups run ``electrical_flow`` (PCG) on
-        their subgraph.  Returns the flow on the union edges, oriented as in
-        the graph.
+        ``electrical_flow``.  Returns the flow on the union edges, oriented
+        as in the graph.
         """
         topo = self.topology
         phi = np.zeros(topo.slot_group.size)
@@ -722,7 +673,6 @@ class GroupElimination:
         nslots = topo.slot_group.size
         q = demand - (np.bincount(topo.slot_tail, weights=flow, minlength=nslots)
                       - np.bincount(topo.slot_head, weights=flow, minlength=nslots))
-        q[~topo.dense[topo.slot_group]] = 0.0
         flow += topo.sign * topo.union.route_on_tree(q)
 
         k = topo.k
@@ -730,23 +680,15 @@ class GroupElimination:
         quad = np.bincount(topo.edge_group, weights=c * dphi * dphi, minlength=k)
         lin = np.bincount(topo.slot_group, weights=demand * phi, minlength=k)
         loaded = np.bincount(topo.slot_group, weights=np.abs(demand), minlength=k) > 0
-        active = topo.dense & loaded
         lower = np.divide(lin * lin, quad, out=np.zeros(k), where=quad > 0)
         gap_target = max(delta * delta / 4.5, GAP_FLOOR)
-        bad = np.flatnonzero(active & ~((lower > 0) & (e_flow <= (1.0 + gap_target) * lower)))
+        bad = np.flatnonzero(loaded & ~((lower > 0) & (e_flow <= (1.0 + gap_target) * lower)))
         if bad.size:
             i = bad[0]
             gap = e_flow[i] / max(lower[i], 1e-300) - 1.0
             raise SolverConvergenceError(
                 f"group {i}: electrical flow gap {gap:.3e} above target {gap_target:.3e}",
                 best_iterate=flow, achieved_residual=gap)
-
-        for i in np.flatnonzero(~topo.dense):
-            d_local = demand[topo.voff[i]:topo.voff[i + 1]]
-            if np.any(d_local):
-                sel = slice(topo.eoff[i], topo.eoff[i + 1])
-                ef = electrical_flow(topo.subgraph(i), d_local, delta, resistances=1.0 / c[sel])
-                flow[sel] = topo.sign[sel] * ef.flow
         return flow
 
     def extend(self, phi):
@@ -758,13 +700,16 @@ class GroupElimination:
             if cls.n > cls.nb:
                 verts = topo.slot_vertex[cls.slots]
                 phi[verts[:, cls.nb:]] = (x @ phi[verts[:, :cls.nb]][..., None])[..., 0]
-        for i in np.flatnonzero(~topo.dense & (topo.n_vertices > topo.n_boundary)):
-            nb = topo.n_boundary[i]
-            verts = topo.slot_vertex[topo.voff[i]:topo.voff[i + 1]]
-            lap = topo.local_laplacian(i, self.conductance).matrix
-            phi[verts[nb:]] = solve_sdd(lap[nb:, nb:], -(lap[nb:, :nb] @ phi[verts[:nb]]),
-                                        delta=1e-10)
         return phi
+
+
+def pair_weights(lap: SparseLaplacian):
+    """Conductances of ``lap`` over its vertex pairs in ``np.triu_indices`` order."""
+    n = lap.n
+    t, h, c = lap.edge_list()
+    out = np.zeros(n * (n - 1) // 2)
+    out[t * (2 * n - t - 1) // 2 + h - t - 1] = c
+    return out
 
 
 def _positive_definite(a):

@@ -103,36 +103,15 @@ def _matrix_graph(mat):
     return coo.row[keep], coo.col[keep], -coo.data[keep]
 
 
-def _bfs_forest(n, tails, heads, weights):
-    """Deterministic BFS forest: (parent, depth, roots, parent_edge_weight)."""
-    rows = np.concatenate([tails, heads])
-    cols = np.concatenate([heads, tails])
-    wts = np.concatenate([weights, weights])
-    order = np.lexsort((cols, rows))
-    rows, cols, wts = rows[order], cols[order], wts[order]
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.full(n, -1, dtype=np.int64)
-    pweight = np.zeros(n)
-    roots = []
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        roots.append(root)
-        depth[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                for j in range(indptr[v], indptr[v + 1]):
-                    u = cols[j]
-                    if depth[u] < 0:
-                        depth[u] = depth[v] + 1
-                        parent[u] = v
-                        pweight[u] = wts[j]
-                        nxt.append(u)
-            queue = nxt
-    return parent, depth, np.asarray(roots, dtype=np.int64), pweight
+def _tree_cache(g: WeightedGraph, conductance):
+    """(parent, depth, roots, parent-edge conductance, n_components, labels) of
+    the graph's BFS forest, the tree the preconditioner is built on."""
+    parent, parent_edge, _, depth = g.bfs_tree()
+    tree_w = np.zeros(g.n)
+    nonroot = parent_edge >= 0
+    tree_w[nonroot] = conductance[parent_edge[nonroot]]
+    nc, labels = g.components()
+    return parent, depth, np.flatnonzero(parent < 0), tree_w, nc, labels
 
 
 class SolverHandle:
@@ -196,10 +175,9 @@ class SolverHandle:
             tails, heads, weights = _matrix_graph(a)
             if np.any(weights < 0):
                 raise GraphError("matrix has positive off-diagonal entries; not SDD")
-            parent, depth, roots, tree_w = _bfs_forest(self.n, tails, heads, weights)
-            nc, labels = sp.csgraph.connected_components(a, directed=False)
-        else:
-            parent, depth, roots, tree_w, nc, labels = _graph_cache
+            _graph_cache = _tree_cache(WeightedGraph(self.n, np.column_stack([tails, heads])),
+                                       weights)
+        parent, depth, roots, tree_w, nc, labels = _graph_cache
         self.n_components = int(nc)
         self.component = np.asarray(labels)
         self._comp_index = [np.flatnonzero(self.component == c) for c in range(self.n_components)]
@@ -225,16 +203,9 @@ class SolverHandle:
                   preconditioner="tree"):
         """Laplacian handle reusing the graph's cached BFS tree and components."""
         conductance = np.asarray(conductance, dtype=float)
-        parent, parent_edge, _, depth = g.bfs_tree()
-        tree_w = np.zeros(g.n)
-        nonroot = parent_edge >= 0
-        tree_w[nonroot] = conductance[parent_edge[nonroot]]
-        roots = np.flatnonzero(parent < 0)
-        nc, labels = g.components()
-        cache = (parent, depth, roots, tree_w, nc, labels)
         return cls(g.laplacian_csr(conductance), tolerance=tolerance,
                    iteration_cap=iteration_cap, preconditioner=preconditioner,
-                   _graph_cache=cache)
+                   _graph_cache=_tree_cache(g, conductance))
 
     def rebind(self, matrix):
         """Cheap handle for a same-structure matrix, reusing this handle's

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepflow import (GraphError, RunConfig, SolverHandle, SparseLaplacian, SparsifierPlan,
@@ -52,6 +52,7 @@ class TestDenseSchur:
     @SETTINGS
     @given(n=st.integers(3, 18), extra=st.integers(0, 20), k=st.integers(1, 4),
            seed=st.integers(0, 2**31))
+    @example(n=144, extra=120, k=1, seed=11)  # one group of 144 vertices
     def test_equals_exact_schur_on_random_groups(self, n, extra, k, seed):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, n, extra)
@@ -107,7 +108,8 @@ class TestDenseSchur:
         cached = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan(), seed=1)
         sampled = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan(c_s=1e-3), seed=1)
         assert sampled.quotient_graph is not cached.quotient_graph
-        assert sampled.quotient_graph._structure is not cached.quotient_graph._structure
+        # same edge set as the unsampled build, so the cached pattern is reused
+        assert sampled.quotient_graph._structure is cached.quotient_graph._structure
         assert np.array_equal(sampled.quotient_graph.edges, cached.quotient_graph.edges)
         assert np.allclose(sampled.quotient_graph.weight, cached.quotient_graph.weight,
                            rtol=1e-12)
@@ -332,43 +334,7 @@ class TestRunStats:
         assert set(payloads[0]["timings"]) == set(STAGES) | {"total"}
 
 
-class TestAboveDenseCutoff:
-    def test_pcg_route_matches_dense_route(self, rng, monkeypatch):
-        from sepflow import schur
-
-        g = grid_graph(6, 6)
-        part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
-        w = rng.uniform(0.5, 2.0, g.m)
-        dense = GroupElimination(GroupTopology(g, part.groups, part.boundaries), 1.0 / w)
-        monkeypatch.setattr(schur, "DENSE_GROUP_CUTOFF", 0)
-        pcg = GroupElimination(GroupTopology(g, part.groups, part.boundaries), 1.0 / w)
-        assert dense.topology.dense.all() and not pcg.topology.dense.any()
-
-        phi = np.zeros(g.n)
-        phi[np.concatenate(part.boundaries)] = rng.normal(size=sum(map(len, part.boundaries)))
-        assert np.allclose(pcg.extend(phi), dense.extend(phi), rtol=1e-8, atol=1e-10)
-
-        topo = dense.topology
-        demand = np.zeros(topo.slot_group.size)
-        for i in range(part.k):
-            vals = rng.normal(size=topo.n_boundary[i])
-            demand[topo.voff[i]:topo.voff[i] + vals.size] = vals - vals.mean()
-        delta = 1e-3
-        f_dense, f_pcg = dense.route(demand, delta), pcg.route(demand, delta)
-        for f in (f_dense, f_pcg):
-            res = np.bincount(topo.slot_tail, weights=f, minlength=demand.size) - np.bincount(
-                topo.slot_head, weights=f, minlength=demand.size)
-            assert np.abs(res - demand).max() <= 1e-9
-        e_dense, e_pcg = (np.bincount(topo.edge_group, weights=f * f * w[topo.edges])
-                          for f in (f_dense, f_pcg))
-        assert np.all(e_pcg <= (1 + delta) * e_dense + 1e-12)
-
-        q_dense = build_sparsified_instance(g, part, w, 0.01, seed=2)
-        part._topology = None
-        q_pcg = build_sparsified_instance(g, part, w, 0.01, seed=2)
-        assert np.array_equal(q_pcg.quotient_graph.edges, q_dense.quotient_graph.edges)
-        assert np.allclose(q_pcg.quotient_graph.weight, q_dense.quotient_graph.weight, rtol=1e-8)
-
+class TestLargeGroup:
     def test_single_large_group_end_to_end(self):
         g = random_capacity_grid(12, 12, seed=5)  # one group of 144 vertices
         part = partition_from_groups(g, [np.arange(g.m)], r=g.m, terminals=(0, g.n - 1))
@@ -376,7 +342,7 @@ class TestAboveDenseCutoff:
         res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
         assert res.value >= 0.9 * exact
         c = res.stats.counters()
-        assert c["fallback_groups"] == c["sparsifier_builds"] > 0 and c["dense_groups"] == 0
+        assert c["dense_groups"] == c["sparsifier_builds"] > 0 and c["fallback_groups"] == 0
 
         _, fail_ctx = route_fixed_flow(g, part, None, 0, g.n - 1, 4 * exact, 0.1,
                                        RunConfig(eps=0.1, seed=1))

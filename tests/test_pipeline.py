@@ -134,7 +134,7 @@ class TestConvertFlow:
         inv = np.full(g.n, -1, dtype=np.int64)
         inv[qmap] = np.arange(qmap.size)
         f_q = convert_flow(g, part.groups, q, inst.quotient_groups, f0, eps,
-                           dst_vertex_map=qmap, src_weights=w)
+                           dst_vertex_map=qmap)
         f_back = convert_flow(q, inst.quotient_groups, g, part.groups, f_q, eps,
                               src_vertex_map=qmap, dst_weights=w)
         c0 = group_congestions(f0, w, part.groups).max()

@@ -77,6 +77,17 @@ class TestSolveSdd:
         x2 = handle.solve(d, delta=1e-8)
         assert np.array_equal(x1, x2)
 
+    def test_matrix_and_graph_handles_agree_bitwise(self, rng):
+        # above the dense cutoff both build the tree preconditioner on one BFS tree
+        g = random_connected_graph(rng, 90, 60)
+        g = WeightedGraph(g.n, np.unique(g.edges, axis=0))  # simple: no parallel edges
+        c = rng.uniform(0.5, 2.0, g.m)
+        d = rng.normal(size=g.n)
+        d -= d.mean()
+        x_mat = SolverHandle(g.laplacian_csr(c)).solve(d, delta=1e-8)
+        x_graph = SolverHandle.for_graph(g, c).solve(d, delta=1e-8)
+        assert np.array_equal(x_mat, x_graph)
+
 
 class TestElectricalFlow:
     def test_series_path(self):
