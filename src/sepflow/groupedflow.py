@@ -162,8 +162,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
     # the nominal gate is t >= N/10; capped so practical runs stay usable
     early_gate = n_iter if strict else min(max(int(math.ceil(n_iter / 10.0)), 1), early_exit_cap)
     hint = None
-    # lagged preconditioner: resistances drift slowly between iterations, so a
-    # direct factorization is refreshed only when solves start taking long
+    # lagged preconditioner: resistances drift slowly between iterations, so
+    # above the dense cutoff the quotient's factor preconditions PCG on later
+    # iterations and is refreshed only when solves start taking long; below
+    # it a fresh dense factor per iteration costs less than those PCG solves
     handle = None
     handle_age = 0
     last_iters = 0
@@ -174,7 +176,7 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
         use_handle = None
         if g.n > DENSE_CUTOFF:
             if handle is None or last_iters > 10 or handle_age >= 30:
-                handle = SolverHandle.for_graph(g, 1.0 / r, preconditioner="direct")
+                handle = SolverHandle.for_graph(g, 1.0 / r)
                 handle_age = 0
                 use_handle = handle
             else:

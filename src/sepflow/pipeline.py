@@ -16,9 +16,11 @@ complement, cleaned and floored), the conversion of quotient flows back to
 the group (``phi_b = S^+ d_b``, ``phi_int = X phi_b``) and the interior
 extension of the cut certificate.  Sparsifiers are kept as per-shape-class
 arrays of boundary-pair conductances, and the quotient's edge set is cached
-with the topology, so an iteration refreshes only its weights.  What still
-goes through PCG: the sparsifiers of ``method="recursive"`` (one group at a
-time) and the grouped flow on the quotient itself.
+with the topology, so an iteration refreshes only its weights.  Outside it,
+``SolverHandle`` factors serve the sparsifiers of ``method="recursive"`` (one
+group at a time) and the grouped flow on the quotient itself; a quotient
+above the dense cutoff reuses its factor as the PCG preconditioner of later
+iterations.
 """
 
 from __future__ import annotations

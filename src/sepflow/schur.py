@@ -15,8 +15,8 @@ shape, and keeps the Schur complement ``S = L_bb - L_bi L_ii^-1 L_ib`` and
 the harmonic extension ``X = -L_ii^-1 L_ib``.  Those serve the one-step
 sparsifiers, flow conversion and the cut certificate at every group size;
 ``one_step_vertex_sparsify`` uses the same kernel.  Only the nodes of
-``recursive_vertex_sparsify`` go through ``approx_schur`` (PCG on the
-interior block).
+``recursive_vertex_sparsify`` go through ``approx_schur`` (one exact
+``SolverHandle`` factor of the node's interior block).
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _eliminate(lap, nb):
 
 
 def approx_schur(lap: SparseLaplacian, v_bdry, kappa: float, eps: float) -> SparseLaplacian:
-    """Approximate Schur complement via column-by-column interior solves.
+    """Schur complement via one ``SolverHandle`` solve of the interior block.
 
     Positive off-diagonals of the assembled matrix are clamped to zero and
     diagonals reset to weighted degrees; the clamped mass is checked against

@@ -1,14 +1,13 @@
 """SDD / Laplacian linear solves and demand-exact approximate electrical flows.
 
-The solver is preconditioned conjugate gradient with a composite
-spanning-tree + Jacobi preconditioner; the tree system is applied through a
-zero-fill sparse factorization in leaf-first elimination order.  Systems with
-at most 64 unknowns short-circuit to an exact dense Cholesky solve, which
-meets the same contract trivially.
-
-Stopping is controlled by the standard CG quadrature estimate of the A-norm
-error, so the contract ``|x - A^+ b|_A <= delta * |A^+ b|_A`` is targeted
-directly rather than through a 2-norm residual proxy.
+A ``SolverHandle`` factors its matrix exactly, with each component's root
+row and column removed (dense Cholesky up to ``DENSE_CUTOFF`` unknowns,
+sparse LU above), so a fresh handle meets the contract
+``|x - A^+ b|_A <= delta * |A^+ b|_A`` with one factor application.  A
+handle rebound to a nearby matrix of the same structure keeps the old factor
+as the preconditioner of conjugate gradients, whose stopping rule is the
+standard CG quadrature estimate of the A-norm error, so the contract is
+targeted directly rather than through a 2-norm residual proxy.
 
 Electrical flows refine the solve until a computable duality gap certifies
 the energy bounds; the flow residual is then repaired exactly on a BFS
@@ -42,191 +41,102 @@ class SolveStats:
     refinements: int = 0
 
 
-class _TreePreconditioner:
-    """Spanning-tree SDD system applied via a zero-fill LU in leaf-first order."""
+class _Factor:
+    """Exact factor of a matrix with each component's root row and column
+    removed (none for a non-Laplacian): dense Cholesky up to ``DENSE_CUTOFF``
+    unknowns, sparse LU above.  Applies as zeros at the roots."""
 
-    def __init__(self, n, parent, depth, tree_weight, diag, jacobi_diag):
-        nonroot = np.flatnonzero(parent >= 0)
-        rows = np.concatenate([np.arange(n), nonroot, parent[nonroot]])
-        cols = np.concatenate([np.arange(n), parent[nonroot], nonroot])
-        vals = np.concatenate([diag, -tree_weight[nonroot], -tree_weight[nonroot]])
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        perm = np.argsort(-depth, kind="stable")  # leaves first: no fill-in
-        self.perm = perm
-        mp = mat[perm][:, perm].tocsc()
-        self.lu = spla.splu(mp, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
-        self.jacobi = jacobi_diag
-
-    def apply(self, y):
-        perm = self.perm
-        out = np.empty_like(y)
-        out[perm] = self.lu.solve(y[perm])
-        return 0.5 * (out + y / (self.jacobi[:, None] if y.ndim == 2 else self.jacobi))
-
-
-class _DirectPreconditioner:
-    """Sparse LU of the (grounded) matrix itself; near-exact, reusable after
-    the matrix is rebound to a nearby one (lagged preconditioning)."""
-
-    def __init__(self, matrix, roots, is_laplacian, diag):
-        m = matrix.tocsc(copy=True)
-        if is_laplacian:
-            ground = sp.csr_matrix(
-                (np.maximum(diag[roots], 1.0), (roots, roots)), shape=m.shape)
-            m = (m + ground).tocsc()
-        self.lu = spla.splu(m)
-
-    def apply(self, y):
-        return self.lu.solve(y)
-
-
-class _DenseCholPreconditioner:
-    """Dense Cholesky of the reduced matrix, used when a small handle is
-    rebound to a perturbed matrix."""
-
-    def __init__(self, factor, keep, n):
-        self.factor = factor
+    def __init__(self, a, keep):
+        try:
+            if a.shape[0] <= DENSE_CUTOFF:
+                self._chol = scipy.linalg.cho_factor(a.toarray()[np.ix_(keep, keep)], lower=True,
+                                                     check_finite=False)
+                self._lu = None
+            else:
+                self._lu = spla.splu(a[keep][:, keep].tocsc())
+        except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+            raise GraphError("matrix is singular after grounding") from exc
         self.keep = keep
-        self.n = n
 
     def apply(self, y):
         out = np.zeros_like(y)
-        out[self.keep] = scipy.linalg.cho_solve(self.factor, y[self.keep], check_finite=False)
+        if self._lu is None:
+            out[self.keep] = scipy.linalg.cho_solve(self._chol, y[self.keep], check_finite=False)
+        else:
+            out[self.keep] = self._lu.solve(y[self.keep])
         return out
-
-
-def _matrix_graph(mat):
-    """Off-diagonal structure of a symmetric matrix as (tails, heads, weights)."""
-    coo = sp.triu(mat, k=1).tocoo()
-    keep = coo.data != 0
-    return coo.row[keep], coo.col[keep], -coo.data[keep]
-
-
-def _tree_cache(g: WeightedGraph, conductance):
-    """(parent, depth, roots, parent-edge conductance, n_components, labels) of
-    the graph's BFS forest, the tree the preconditioner is built on."""
-    parent, parent_edge, _, depth = g.bfs_tree()
-    tree_w = np.zeros(g.n)
-    nonroot = parent_edge >= 0
-    tree_w[nonroot] = conductance[parent_edge[nonroot]]
-    nc, labels = g.components()
-    return parent, depth, np.flatnonzero(parent < 0), tree_w, nc, labels
 
 
 class SolverHandle:
     """Shareable solver state for one fixed symmetric diagonally dominant matrix.
+
+    A fresh handle solves exactly, with one application of its factor.  A
+    handle made by ``rebind`` runs PCG preconditioned by the factor of the
+    matrix it was rebound from; ``iteration_cap`` caps that PCG.
 
     Immutable after construction; each solve allocates private workspace, so
     concurrent solves against one handle are safe.  Repeated solves with the
     same right-hand side and arguments are bit-identical.
     """
 
-    def __init__(self, matrix, tolerance=1e-8, iteration_cap=None, seed=0,
-                 preconditioner="tree", _graph_cache=None):
+    def __init__(self, matrix, iteration_cap=None, _components=None):
         if isinstance(matrix, SparseLaplacian):
             matrix = matrix.matrix
         a = sp.csr_matrix(matrix).astype(float)
         if a.shape[0] != a.shape[1]:
             raise GraphError("matrix must be square")
         self.matrix = a
-        self.n = a.shape[0]
-        self.tolerance = float(tolerance)
-        self.seed = seed
+        self.n = n = a.shape[0]
 
         diag = a.diagonal()
         if np.any(diag <= 0):
             raise GraphError("matrix diagonal must be strictly positive")
-        self.diag = diag
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        if np.any(a.data[rows != a.indices] > 0):
+            raise GraphError("matrix has positive off-diagonal entries; not SDD")
 
         rowsum = np.asarray(a.sum(axis=1)).ravel()
-        self.is_laplacian = bool(np.abs(rowsum).max(initial=0.0) <= 1e-9 * max(diag.max(initial=1.0), 1.0))
-
-        self._dense = None
-        self._exact_direct = False
-        if self.n <= DENSE_CUTOFF and iteration_cap is None:
-            # dense exact path needs only the component structure for grounding
-            if _graph_cache is None:
-                if self.is_laplacian:
-                    nc, labels = sp.csgraph.connected_components(a, directed=False)
-                else:
-                    nc, labels = 1, np.zeros(self.n, dtype=np.int64)
-            else:
-                _, _, _, _, nc, labels = _graph_cache
-            self.n_components = int(nc)
-            self.component = np.asarray(labels)
-            self._comp_index = [np.flatnonzero(self.component == c) for c in range(self.n_components)]
-            roots = np.array([idx[0] for idx in self._comp_index], dtype=np.int64)
-            self._roots = roots
-            dense = a.toarray()
-            keep = np.setdiff1d(np.arange(self.n), roots) if self.is_laplacian else np.arange(self.n)
-            self._dense_keep = keep
-            try:
-                self._dense = scipy.linalg.cho_factor(dense[np.ix_(keep, keep)], lower=True,
-                                                      check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise GraphError("matrix is not positive definite after grounding") from exc
-            self._precond = _DenseCholPreconditioner(self._dense, keep, self.n)
-            self._exact_direct = True
-            self.iteration_cap = 1
-            return
-
-        if _graph_cache is None:
-            tails, heads, weights = _matrix_graph(a)
-            if np.any(weights < 0):
-                raise GraphError("matrix has positive off-diagonal entries; not SDD")
-            _graph_cache = _tree_cache(WeightedGraph(self.n, np.column_stack([tails, heads])),
-                                       weights)
-        parent, depth, roots, tree_w, nc, labels = _graph_cache
-        self.n_components = int(nc)
-        self.component = np.asarray(labels)
-        self._comp_index = [np.flatnonzero(self.component == c) for c in range(self.n_components)]
-        self._roots = roots
-
-        if preconditioner == "direct":
-            self._precond = _DirectPreconditioner(a, roots, self.is_laplacian, diag)
+        no_excess = np.abs(rowsum) <= 1e-9 * max(diag.max(initial=1.0), 1.0)
+        self.is_laplacian = bool(no_excess.all())
+        if no_excess.any() and _components is None:
+            _components = sp.csgraph.connected_components(a, directed=False)
+        if self.is_laplacian:
+            nc, labels = _components
+            self._comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
+            keep = np.ones(n, dtype=bool)
+            keep[[idx[0] for idx in self._comp_index]] = False
+            keep = np.flatnonzero(keep)
         else:
-            tree_diag = np.maximum(rowsum, 0.0)  # diagonal excess of strictly SDD rows
-            nonroot = np.flatnonzero(parent >= 0)
-            np.add.at(tree_diag, nonroot, tree_w[nonroot])
-            np.add.at(tree_diag, parent[nonroot], tree_w[nonroot])
-            if self.is_laplacian:
-                tree_diag[roots] += np.maximum(diag[roots], 1.0)  # ground each component root
-            self._precond = _TreePreconditioner(self.n, parent, depth, tree_w, tree_diag, diag)
+            if no_excess.any():
+                # an SDD component without diagonal excess is singular
+                nc, labels = _components
+                if np.any(np.bincount(labels[~no_excess], minlength=nc) == 0):
+                    raise GraphError("matrix is singular: a component has no diagonal excess")
+            self._comp_index = []
+            keep = np.arange(n)
+        self._factor = _Factor(a, keep)
+        self._exact_direct = True
 
-        u_diag = diag.max() / diag.min()
-        kappa_est = 4.0 * self.n ** 2 * u_diag
+        kappa_est = 4.0 * n ** 2 * diag.max() / diag.min()
         self.iteration_cap = iteration_cap if iteration_cap is not None else int(20 * np.sqrt(kappa_est) + 1000)
 
     @classmethod
-    def for_graph(cls, g: WeightedGraph, conductance, tolerance=1e-8, iteration_cap=None,
-                  preconditioner="tree"):
-        """Laplacian handle reusing the graph's cached BFS tree and components."""
-        conductance = np.asarray(conductance, dtype=float)
-        return cls(g.laplacian_csr(conductance), tolerance=tolerance,
-                   iteration_cap=iteration_cap, preconditioner=preconditioner,
-                   _graph_cache=_tree_cache(g, conductance))
+    def for_graph(cls, g: WeightedGraph, conductance):
+        """Laplacian handle reusing the graph's cached components."""
+        return cls(g.laplacian_csr(conductance), _components=g.components())
 
     def rebind(self, matrix):
-        """Cheap handle for a same-structure matrix, reusing this handle's
-        preconditioner (lagged preconditioning).  Solves run through PCG even
-        below the dense cutoff, since the factorization is of the old matrix.
-        """
+        """Handle for a same-structure matrix whose solves run PCG,
+        preconditioned by this handle's factor (lagged preconditioning)."""
         if isinstance(matrix, SparseLaplacian):
             matrix = matrix.matrix
         clone = object.__new__(SolverHandle)
         clone.__dict__.update(self.__dict__)
         clone.matrix = sp.csr_matrix(matrix).astype(float)
-        clone.diag = clone.matrix.diagonal()
         clone._exact_direct = False
-        if self._dense is not None:
-            clone.iteration_cap = max(int(self.iteration_cap), 40 * self.n + 1000)
         return clone
 
     # -- helpers ---------------------------------------------------------------
-
-    def _precondition(self, y):
-        return self._precond.apply(y)
 
     def _project(self, v):
         """Remove per-component constant part (Laplacian null space)."""
@@ -249,42 +159,31 @@ class SolverHandle:
 
     # -- solves ------------------------------------------------------------------
 
-    def solve(self, b, delta=None, x0=None, anorm2_floor=0.0):
+    def solve(self, b, delta=1e-8, x0=None, anorm2_floor=0.0):
         """Solve A x = b with ``|x - A^+ b|_A <= delta * |A^+ b|_A``.
 
-        Raises SolverConvergenceError (carrying the best iterate) if the
-        iteration cap is reached first.
+        A fresh handle solves exactly and ignores ``delta``, ``x0`` and
+        ``anorm2_floor``.  A rebound handle raises SolverConvergenceError
+        (carrying the best iterate) if PCG reaches the iteration cap first.
         """
         x, _ = self.solve_with_stats(b, delta=delta, x0=x0, anorm2_floor=anorm2_floor)
         return x
 
-    def solve_with_stats(self, b, delta=None, x0=None, anorm2_floor=0.0):
+    def solve_with_stats(self, b, delta=1e-8, x0=None, anorm2_floor=0.0):
         b = np.asarray(b, dtype=float)
+        single = b.ndim == 1
+        bmat = b[:, None] if single else b
+        if self.is_laplacian:
+            self._check_range(bmat)
+            bmat = self._project(bmat)
         if self._exact_direct:
-            return self._dense_solve(b)
-        return self._pcg(b, delta, x0, anorm2_floor)
+            x, stats = self._project(self._factor.apply(bmat)), SolveStats(iterations=1)
+        else:
+            x, stats = self._pcg(bmat, float(delta), x0, anorm2_floor, b.shape)
+        return (x[:, 0] if single else x), stats
 
-    def _dense_solve(self, b):
-        single = b.ndim == 1
-        bmat = b[:, None] if single else b
-        if self.is_laplacian:
-            self._check_range(bmat)
-            bmat = self._project(bmat)
-        keep = self._dense_keep
-        x = np.zeros_like(bmat)
-        x[keep] = scipy.linalg.cho_solve(self._dense, bmat[keep], check_finite=False)
-        x = self._project(x)
-        return (x[:, 0] if single else x), SolveStats(iterations=1)
-
-    def _pcg(self, b, delta, x0, anorm2_floor):
-        delta = self.tolerance if delta is None else float(delta)
-        single = b.ndim == 1
-        bmat = b[:, None] if single else b
+    def _pcg(self, bmat, delta, x0, anorm2_floor, shape):
         k = bmat.shape[1]
-        if self.is_laplacian:
-            self._check_range(bmat)
-            bmat = self._project(bmat)
-
         if x0 is None:
             x = np.zeros_like(bmat)
             r = bmat.copy()
@@ -293,7 +192,7 @@ class SolverHandle:
             x = np.array(x0, dtype=float).reshape(bmat.shape)
             r = bmat - self.matrix @ x
             base = 2.0 * np.einsum("ij,ij->j", x, bmat) - np.einsum("ij,ij->j", x, self.matrix @ x)
-        z = self._precondition(r)
+        z = self._factor.apply(r)
         p = z.copy()
         gamma = np.einsum("ij,ij->j", r, z)
         total = np.zeros(k)
@@ -309,7 +208,7 @@ class SolverHandle:
             if it >= self.iteration_cap:
                 raise SolverConvergenceError(
                     f"PCG hit iteration cap {self.iteration_cap}",
-                    best_iterate=self._project(x[:, 0] if single else x),
+                    best_iterate=self._project(x).reshape(shape),
                     achieved_residual=float(np.linalg.norm(r) / max(np.linalg.norm(bmat), 1e-300)),
                 )
             ap = self.matrix @ p
@@ -318,7 +217,7 @@ class SolverHandle:
             alpha = np.where(safe, gamma / np.where(pap > 0, pap, 1.0), 0.0)
             x += alpha * p
             r -= alpha * ap
-            z = self._precondition(r)
+            z = self._factor.apply(r)
             gamma_new = np.einsum("ij,ij->j", r, z)
             step = alpha * gamma
             total += step
@@ -342,9 +241,8 @@ class SolverHandle:
             p = z + beta * p
             gamma = gamma_new
 
-        x = self._project(x)
         stats = SolveStats(iterations=it, achieved_estimate=float(np.sqrt(ring.sum(axis=0).max(initial=0.0))))
-        return (x[:, 0] if single else x), stats
+        return self._project(x), stats
 
 
 def solve_sdd(a, b, delta, x0=None):
@@ -425,7 +323,7 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
 
 
 def optimum_energy(g: WeightedGraph, d, resistances=None):
-    """d^T L^+ d via a high-accuracy solve (delta = 1e-10)."""
+    """d^T L^+ d via an exact solve."""
     g.require_connected("optimum energy")
     d = zero_sum_demand(d, g.n)
     lap = laplacian_from_resistances(g, resistances)

@@ -32,34 +32,62 @@ class TestSolveSdd:
             ref -= ref.mean()
             assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
 
-    def test_anorm_contract_n50(self, rng):
-        # |x - A^+ b|_A <= delta |A^+ b|_A against the dense pseudoinverse
-        for delta in (1e-2, 1e-4, 1e-6):
-            g = random_connected_graph(rng, 50, 60)
-            lap = laplacian_from_resistances(g)
-            a = lap.dense()
-            d = rng.normal(size=g.n)
+    def test_anorm_contract(self, rng):
+        # |x - A^+ b|_A <= delta |A^+ b|_A against the dense pseudoinverse, on
+        # both sides of the dense cutoff, for a fresh handle (one factor
+        # application) and for one rebound to conductances scaled by
+        # U(0.8, 1.25) (PCG preconditioned by the old factor)
+        deltas = (1e-2, 1e-4, 1e-6, 1e-10)
+        for trial in range(300):
+            n = int(rng.integers(10, 121))
+            g = random_connected_graph(rng, n, int(rng.integers(0, 2 * n)))
+            c = rng.uniform(0.5, 2.0, g.m)
+            c_new = c * rng.uniform(0.8, 1.25, g.m)
+            d = rng.normal(size=n)
             d -= d.mean()
-            # force the PCG path: the dense shortcut only covers n <= 64 handles
-            handle = SolverHandle(lap.matrix, iteration_cap=10_000)
-            x = handle.solve(d, delta=delta)
-            ref = np.linalg.pinv(a) @ d
-            err = x - ref
-            err -= err.mean()
-            anorm = np.sqrt(err @ a @ err)
-            ref_norm = np.sqrt(ref @ a @ ref)
-            assert anorm <= delta * ref_norm * 1.05
+            delta = deltas[trial % len(deltas)]
+            fresh = SolverHandle.for_graph(g, c)
+            for handle, cond in ((fresh, c), (fresh.rebind(g.laplacian_csr(c_new)), c_new)):
+                a = g.laplacian_csr(cond).toarray()
+                x = handle.solve(d, delta=delta)
+                ref = np.linalg.pinv(a) @ d
+                err = x - ref
+                err -= err.mean()
+                anorm = np.sqrt(err @ a @ err)
+                ref_norm = np.sqrt(ref @ a @ ref)
+                assert anorm <= delta * ref_norm * 1.05, (n, delta, handle._exact_direct)
 
     def test_iteration_cap_errors_with_best_iterate(self, rng):
+        # only a rebound handle iterates, so only it can hit the cap
         g = random_connected_graph(rng, 80, 60)
-        lap = laplacian_from_resistances(g)
-        handle = SolverHandle(lap.matrix, iteration_cap=2)
+        c = rng.uniform(0.5, 2.0, g.m)
+        handle = SolverHandle(g.laplacian_csr(c), iteration_cap=2)
+        rebound = handle.rebind(g.laplacian_csr(c * rng.uniform(0.8, 1.25, g.m)))
         d = rng.normal(size=g.n)
         d -= d.mean()
         with pytest.raises(SolverConvergenceError) as err:
-            handle.solve(d, delta=1e-12)
+            rebound.solve(d, delta=1e-12)
         assert err.value.best_iterate is not None
+        assert err.value.best_iterate.shape == d.shape
         assert err.value.achieved_residual is not None
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_rejects_singular_non_laplacian(self, rng, n):
+        # a path Laplacian next to an isolated vertex of diagonal 3: not a
+        # Laplacian, and singular on the path's component
+        path = WeightedGraph(n - 1, [(i, i + 1) for i in range(n - 2)]).laplacian_csr(
+            rng.uniform(0.5, 2.0, n - 2))
+        a = sp.block_diag([path, sp.csr_matrix([[3.0]])]).tocsr()
+        with pytest.raises(GraphError, match="singular"):
+            SolverHandle(a)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_rejects_positive_off_diagonal(self, rng, n):
+        g = random_connected_graph(rng, n, n)
+        a = g.laplacian_csr(rng.uniform(0.5, 2.0, g.m)).tolil()
+        a[0, 1] = a[1, 0] = 0.5
+        with pytest.raises(GraphError, match="positive off-diagonal"):
+            SolverHandle(a.tocsr())
 
     def test_rejects_rhs_outside_range(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)], resistance=[1.0, 1.0])
@@ -78,7 +106,7 @@ class TestSolveSdd:
         assert np.array_equal(x1, x2)
 
     def test_matrix_and_graph_handles_agree_bitwise(self, rng):
-        # above the dense cutoff both build the tree preconditioner on one BFS tree
+        # above the dense cutoff both factor the same matrix by sparse LU
         g = random_connected_graph(rng, 90, 60)
         g = WeightedGraph(g.n, np.unique(g.edges, axis=0))  # simple: no parallel edges
         c = rng.uniform(0.5, 2.0, g.m)
