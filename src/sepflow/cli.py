@@ -32,7 +32,7 @@ def _parse_grid(spec_str):
 
 
 def _build_instance(args):
-    """Returns (graph, s, t, partition, plan, grid_spec_or_None)."""
+    """Returns (graph, s, t, partition, plan)."""
     config_terminals = None
     if args.input:
         g, s, t = load_dimacs(args.input, weights_path=args.weights)

@@ -36,15 +36,6 @@ class RunConfig:
     seed: int = 0
     strict_paper: bool = False
 
-    # validation thresholds
-    c_div: float = 4.0
-    c_bdry: float = 8.0
-    leaf_cutoff: int = 16
-
-    # sparsification
-    c_s: float = 48.0
-    sparsifier_method: str = "one-step"  # or "recursive"
-
     # outer oracle loop
     c_w: float = 10.0
     max_outer_iterations: int = 40
@@ -59,15 +50,10 @@ class RunConfig:
     inner_budget_units: int = 200_000  # ~iterations * quotient size per oracle call
     inner_iteration_ceiling: int = 4000
 
-    capacity_ratio_policy: str = "warn"  # or "reject"; capacities with U(u) >> m/eps
-
     def __post_init__(self):
         if not (0 < self.eps < 0.5):
             raise GraphError("config requires 0 < eps < 1/2")
         if self.r < 4:
             raise GraphError("config requires r >= 4")
-        for name in ("c_div", "c_bdry", "c_s", "c_w"):
-            if getattr(self, name) <= 0:
-                raise GraphError(f"{name} must be positive")
-        if self.sparsifier_method not in ("one-step", "recursive"):
-            raise GraphError("sparsifier_method must be 'one-step' or 'recursive'")
+        if self.c_w <= 0:
+            raise GraphError("c_w must be positive")

@@ -19,7 +19,6 @@ from .graphs import WeightedGraph, group_ids, zero_sum_demand
 from .solver import DENSE_CUTOFF, SolverHandle, electrical_flow
 
 DEFAULT_EARLY_EXIT_CAP = 40
-DEFAULT_EARLY_EXIT_FRACTION = 0.1
 
 
 def mwu_parameters(k: int, eps: float):

@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphError, ParseError, ValidationError
 from .graphs import WeightedGraph, group_ids
-from .grids import GridSpec
+from .grids import GridSpec, grid_graph
 
 DEFAULT_C_DIV = 4.0
 DEFAULT_C_BDRY = 8.0
@@ -196,11 +198,7 @@ def grid_r_division(rows, cols, layers, r, terminals=(), c_div=DEFAULT_C_DIV,
     if r < 4:
         raise GraphError("r must be at least 4")
     spec = GridSpec(rows, cols, layers)
-    g = graph if graph is not None else None
-    if g is None:
-        from .grids import grid_graph
-
-        g = grid_graph(rows, cols, layers)
+    g = grid_graph(rows, cols, layers) if graph is None else graph
 
     def feasible(p_r, p_c):
         ra, ca = _axis_parts(rows, p_r), _axis_parts(cols, p_c)
@@ -373,19 +371,19 @@ def septrees_for_partition(spec: GridSpec, part: Partition, g: WeightedGraph,
             for i in range(part.k)]
 
 
-def _induced_connected(g: WeightedGraph, verts):
-    vset = np.zeros(g.n, dtype=bool)
-    vset[verts] = True
-    keep = vset[g.tails] & vset[g.heads]
-    if verts.size <= 1:
-        return True
-    import scipy.sparse as sp
-
+def _induced_labels(g: WeightedGraph, verts):
+    """Component labels of the subgraph induced on sorted ``verts``, by position."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[verts] = True
+    keep = inside[g.tails] & inside[g.heads]
     idx = np.searchsorted(verts, g.tails[keep])
     jdx = np.searchsorted(verts, g.heads[keep])
     adj = sp.csr_matrix((np.ones(idx.size), (idx, jdx)), shape=(verts.size, verts.size))
-    nc, _ = sp.csgraph.connected_components(adj, directed=False)
-    return nc == 1
+    return connected_components(adj, directed=False)[1]
+
+
+def _induced_connected(g: WeightedGraph, verts):
+    return verts.size <= 1 or not _induced_labels(g, verts).any()
 
 
 def validate_septree(tree: SeparatorTree, g: WeightedGraph | None = None,
@@ -428,17 +426,8 @@ def validate_septree(tree: SeparatorTree, g: WeightedGraph | None = None,
 
 def _bfs_reaches(g: WeightedGraph, verts, sep, c1, c2):
     """True iff C1 reaches C2 inside the induced subgraph minus the separator."""
-    vset = np.zeros(g.n, dtype=np.int8)
-    vset[verts] = 1
-    vset[sep] = 0
-    keep = (vset[g.tails] == 1) & (vset[g.heads] == 1)
-    import scipy.sparse as sp
-
-    sub = np.flatnonzero(vset == 1)
-    idx = np.searchsorted(sub, g.tails[keep])
-    jdx = np.searchsorted(sub, g.heads[keep])
-    adj = sp.csr_matrix((np.ones(idx.size), (idx, jdx)), shape=(sub.size, sub.size))
-    _, labels = sp.csgraph.connected_components(adj, directed=False)
+    sub = np.setdiff1d(verts, sep)
+    labels = _induced_labels(g, sub)
     l1 = labels[np.searchsorted(sub, c1)]
     l2 = labels[np.searchsorted(sub, c2)]
     return bool(np.isin(l1, l2).any())

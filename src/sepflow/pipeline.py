@@ -16,11 +16,11 @@ complement, cleaned and floored), the conversion of quotient flows back to
 the group (``phi_b = S^+ d_b``, ``phi_int = X phi_b``) and the interior
 extension of the cut certificate.  Sparsifiers are kept as per-shape-class
 arrays of boundary-pair conductances, and the quotient's edge set is cached
-with the topology, so an iteration refreshes only its weights.  Outside it,
-``SolverHandle`` factors serve the sparsifiers of ``method="recursive"`` (one
-group at a time) and the grouped flow on the quotient itself; a quotient
-above the dense cutoff reuses its factor as the PCG preconditioner of later
-iterations.
+with the topology, so an iteration refreshes only its weights.  A
+``SparsifierPlan`` with ``method="recursive"`` builds the sparsifiers one
+group at a time along its separator trees instead.  ``SolverHandle`` factors
+serve the grouped flow on the quotient; a quotient above the dense cutoff
+reuses its factor as the PCG preconditioner of later iterations.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .graphs import (SparseLaplacian, WeightedGraph, edge_congestions, group_con
                      group_ids, st_demand, zero_sum_demand)
 from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
 from .maxflow import widest_path_bottleneck
-from .partition import Partition, SeparatorTree
-from .schur import (GroupElimination, GroupTopology, one_step_vertex_sparsify, pair_weights,
+from .partition import Partition
+from .schur import (SPARSIFY_EDGE_FACTOR, GroupElimination, GroupTopology, pair_weights,
                     recursive_vertex_sparsify)
 from .solver import solve_sdd
 
@@ -141,14 +141,22 @@ def _stage(stats, name):
 
 @dataclass
 class SparsifierPlan:
-    """How to build per-group sparsifiers: one-step, or recursive along trees."""
+    """How to build per-group sparsifiers: ``"one-step"`` (one batched
+    elimination of every group) or ``"recursive"`` (along ``septrees``, one
+    ``SeparatorTree`` per group on global vertex ids)."""
 
     method: str = "one-step"
-    septrees: list | None = None  # per-group SeparatorTree on global vertex ids
-    c_s: float = 48.0
+    septrees: list | None = None
+    c_s: float = SPARSIFY_EDGE_FACTOR
 
-    def tree_for(self, i) -> SeparatorTree | None:
-        return None if self.septrees is None else self.septrees[i]
+    def __post_init__(self):
+        if self.method not in ("one-step", "recursive"):
+            raise GraphError(
+                f"sparsifier method must be 'one-step' or 'recursive', not {self.method!r}")
+        if self.method == "recursive" and self.septrees is None:
+            raise GraphError("a recursive sparsifier plan needs septrees, one per group")
+        if self.c_s <= 0:
+            raise GraphError("c_s must be positive")
 
 
 @dataclass
@@ -175,22 +183,18 @@ class SparsifiedInstance:
 
 
 def _recursive_sparsifier(g, part, weights, eps, plan, seed, i):
-    """Group i's ``method="recursive"`` sparsifier (one-step where the plan has
-    no tree for it), as conductances over its boundary pairs (``pair_weights``)."""
+    """Group i's sparsifier along ``plan.septrees[i]``, as conductances over
+    its boundary pairs (``pair_weights``)."""
     grp = part.groups[i]
     verts = part.group_vertices(g, i)
     idx = np.searchsorted(verts, g.tails[grp])
     jdx = np.searchsorted(verts, g.heads[grp])
     lap = SparseLaplacian.from_edges(verts.size, idx, jdx, 1.0 / weights[grp])
     bdry_local = np.searchsorted(verts, part.boundaries[i])
-    gseed = substream(seed, "sparsify", i)
-    if plan.tree_for(i) is None:
-        vs = one_step_vertex_sparsify(lap, bdry_local, eps, seed=gseed, c_s=plan.c_s)
-    else:
-        mapping = np.full(g.n, -1, dtype=np.int64)
-        mapping[verts] = np.arange(verts.size)
-        tree_local = plan.tree_for(i).relabel(mapping)
-        vs = recursive_vertex_sparsify(lap, bdry_local, tree_local, eps, seed=gseed, c_s=plan.c_s)
+    mapping = np.full(g.n, -1, dtype=np.int64)
+    mapping[verts] = np.arange(verts.size)
+    vs = recursive_vertex_sparsify(lap, bdry_local, plan.septrees[i].relabel(mapping), eps,
+                                   seed=substream(seed, "sparsify", i), c_s=plan.c_s)
     return pair_weights(vs.laplacian)
 
 
@@ -555,7 +559,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
     """
     config = config or RunConfig(eps=eps)
     seed = config.seed if seed is None else seed
-    plan = plan or SparsifierPlan(method=config.sparsifier_method, c_s=config.c_s)
+    plan = plan or SparsifierPlan()
     g.require_connected("approximate max flow")
     bdry_union = np.unique(np.concatenate([b for b in part.boundaries]))
     for v, name in ((s, "s"), (t, "t")):
@@ -563,10 +567,8 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
             raise GraphError(f"{name} = {v} is not a boundary vertex of the partition")
     u_ratio = float(g.capacity.max() / g.capacity.min())
     if u_ratio > g.m / eps:
-        msg = f"capacity ratio U(u) = {u_ratio:.3e} exceeds m/eps = {g.m / eps:.3e}"
-        if config.capacity_ratio_policy == "reject":
-            raise GraphError(msg)
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(f"capacity ratio U(u) = {u_ratio:.3e} exceeds m/eps = {g.m / eps:.3e}",
+                      stacklevel=2)
 
     stats = MaxFlowRunStats()
     t_start = time.perf_counter()
@@ -629,7 +631,7 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     """Route a fixed amount; returns (result | None, fail_context | None)."""
     config = config or RunConfig(eps=eps)
     seed = config.seed if seed is None else seed
-    plan = plan or SparsifierPlan(method=config.sparsifier_method, c_s=config.c_s)
+    plan = plan or SparsifierPlan()
     stats = MaxFlowRunStats()
     t_start = time.perf_counter()
     ok, val, flow, fail, _ = _oracle_phase(g, part, plan, s, t, flow_amount, eps, config,
@@ -661,23 +663,19 @@ class CutCertificate:
     cut_capacity: float | None = None
 
 
-def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps,
-                    demand=None, sweep=True) -> CutCertificate:
+def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps) -> CutCertificate:
     """Extend the failing quotient potentials harmonically into every group
-    interior, scale by 1 / max((1 + 10 eps) mu, sum u |grad phi|), and
-    optionally sweep the potentials for an explicit cut.
+    interior, scale by 1 / max((1 + 10 eps) mu, sum u |grad phi|), and sweep
+    the potentials for an explicit cut.
 
     Its wall time is added to the building run's ``certificate`` and
     ``total`` timings.
     """
     t_start = time.perf_counter()
     g = instance.graph
-    d = fail.demand if demand is None else zero_sum_demand(demand, g.n)
-    if demand is None:
-        # fail.demand lives on the quotient; lift to global ids
-        d_global = np.zeros(g.n)
-        d_global[instance.quotient_vertices] = fail.demand
-        d = d_global
+    # fail.demand lives on the quotient; lift to global ids
+    d = np.zeros(g.n)
+    d[instance.quotient_vertices] = fail.demand
 
     # high-accuracy potentials of the failing electrical problem on the quotient
     q = instance.quotient_graph
@@ -699,11 +697,10 @@ def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps,
         gradient_capacity=a_total / scale,
         demand_value=float(d @ phi_scaled),
     )
-    if sweep:
-        src = int(np.flatnonzero(d > 0)[0]) if np.any(d > 0) else None
-        snk = int(np.flatnonzero(d < 0)[0]) if np.any(d < 0) else None
-        if src is not None and snk is not None:
-            cert.cut_side, cert.cut_capacity = sweep_cut(g, phi_scaled, src, snk)
+    src = int(np.flatnonzero(d > 0)[0]) if np.any(d > 0) else None
+    snk = int(np.flatnonzero(d < 0)[0]) if np.any(d < 0) else None
+    if src is not None and snk is not None:
+        cert.cut_side, cert.cut_capacity = sweep_cut(g, phi_scaled, src, snk)
     if instance.stats is not None:
         elapsed = time.perf_counter() - t_start
         instance.stats.timings["certificate"] += elapsed

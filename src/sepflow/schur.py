@@ -13,10 +13,11 @@ incidence, BFS trees, shape classes).  ``GroupElimination`` factors each
 group's interior block once by dense Cholesky, stacked over groups of equal
 shape, and keeps the Schur complement ``S = L_bb - L_bi L_ii^-1 L_ib`` and
 the harmonic extension ``X = -L_ii^-1 L_ib``.  Those serve the one-step
-sparsifiers, flow conversion and the cut certificate at every group size;
-``one_step_vertex_sparsify`` uses the same kernel.  Only the nodes of
-``recursive_vertex_sparsify`` go through ``approx_schur`` (one exact
-``SolverHandle`` factor of the node's interior block).
+sparsifiers, flow conversion and the cut certificate at every group size.
+``approx_schur`` runs the same elimination on one Laplacian, a component at
+a time, for ``one_step_vertex_sparsify`` and for every node (leaf or inner)
+of ``recursive_vertex_sparsify``; ``exact_schur`` stays an independent
+reference by ``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .graphs import SparseLaplacian, WeightedGraph, group_ids
 from .partition import SeparatorTree, SeparatorNode
 from .solver import GAP_FLOOR, SolverHandle
 
-APPROX_SCHUR_DELTA_FLOOR = 1e-12
 SPARSIFY_EDGE_FACTOR = 48.0  # C_s
 EXACT_RESISTANCE_CUTOFF = 64
 SKETCH_OVERSAMPLE = 4
@@ -174,36 +174,34 @@ def _eliminate(lap, nb):
     return 0.5 * (s + np.swapaxes(s, 1, 2)), x
 
 
-def approx_schur(lap: SparseLaplacian, v_bdry, kappa: float, eps: float) -> SparseLaplacian:
-    """Schur complement via one ``SolverHandle`` solve of the interior block.
+def approx_schur(lap: SparseLaplacian, v_bdry, eps: float) -> SparseLaplacian:
+    """Schur complement onto the boundary by ``_eliminate``, one component at a
+    time with its boundary first.
 
-    Positive off-diagonals of the assembled matrix are clamped to zero and
-    diagonals reset to weighted degrees; the clamped mass is checked against
-    eps/10 of the trace so the cost of the clamp stays observable.
+    The elimination is exact up to rounding; ``eps`` (the paper's ApproxSchur
+    tolerance) bounds only the clamp.  Positive off-diagonals of the
+    assembled matrix are clamped to zero and diagonals reset to weighted
+    degrees; the clamped mass is checked against eps/10 of the trace so the
+    cost of the clamp stays observable.
     """
     if not (0 < eps < 0.5):
         raise GraphError("approx_schur requires 0 < eps < 1/2")
     bdry = _sorted_boundary(lap, v_bdry)
     if bdry.size == lap.n:
         return SparseLaplacian(lap.matrix.copy())
-    delta = max(2.0 * eps / (lap.n * kappa), APPROX_SCHUR_DELTA_FLOOR)
     out = np.zeros((bdry.size, bdry.size))
-    pos = {int(v): i for i, v in enumerate(bdry)}
     for verts, local_bdry in _component_cases(lap, bdry):
-        li = np.setdiff1d(np.arange(verts.size), local_bdry)
-        lb = local_bdry
-        sub = lap.matrix[verts][:, verts].tocsr()
-        schur = sub[lb][:, lb].toarray()
-        if li.size:
-            l_mid = sub[li][:, lb].toarray()
-            y, _ = SolverHandle(sub[li][:, li]).solve_with_stats(l_mid, delta=delta)
-            schur -= l_mid.T @ y
-            schur = 0.5 * (schur + schur.T)
-        rows = [pos[int(verts[j])] for j in lb]
-        out[np.ix_(rows, rows)] += schur
+        interior = np.setdiff1d(np.arange(verts.size), local_bdry)
+        order = verts[np.concatenate([local_bdry, interior])]
+        try:
+            schur, _ = _eliminate(lap.matrix[order][:, order].toarray()[None], local_bdry.size)
+        except np.linalg.LinAlgError as exc:
+            raise GraphError("interior block is not positive definite") from exc
+        rows = np.searchsorted(bdry, verts[local_bdry])
+        out[np.ix_(rows, rows)] += schur[0]
     clamp_mass = float(_check_clamp(out[None], eps)[0])
     result = SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]))
-    result.meta = {"clamp_mass": clamp_mass, "delta": delta}
+    result.meta = {"clamp_mass": clamp_mass}
     return result
 
 
@@ -238,6 +236,12 @@ def sparsify(lap: SparseLaplacian, eps: float, seed: int, c_s: float = SPARSIFY_
     Graphs already under the edge budget ``c_s n ln(n) eps^-2`` are returned
     unchanged.  Sampling is deterministic given the seed; if a draw
     disconnects the graph the seed stream advances deterministically.
+
+    The pipeline sparsifies each group's Schur complement, a clique on its
+    ``b`` boundary vertices, at eps/30, so sampling fires only above about
+    1.6e8 boundary vertices at eps = 0.1 (6.7e6 at eps = 0.45) with the
+    default ``c_s``; below that every quotient group is its group's exact
+    Schur complement, cleaned and floored.
     """
     if not (0 < eps < 1):
         raise GraphError("sparsify requires 0 < eps < 1")
@@ -316,11 +320,10 @@ def _weight_ratio(w):
 
 def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int = 0,
                              c_s: float = SPARSIFY_EDGE_FACTOR) -> VertexSparsifier:
-    """Exact Schur complement (clamp-checked at eps/3), Sparsify(eps/3), then
-    a lam_min/n^2 weight floor.
+    """ApproxSchur(eps/3), Sparsify(eps/3), then a lam_min/n^2 weight floor.
 
     The Schur complement comes from the dense elimination that
-    ``GroupElimination`` batches over groups.
+    ``GroupElimination`` batches over groups, so it is exact up to rounding.
     """
     if not (0 < eps < 0.5):
         raise GraphError("one_step_vertex_sparsify requires 0 < eps < 1/2")
@@ -329,13 +332,7 @@ def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int
     bdry = _sorted_boundary(lap, v_bdry)
     bounds = spectral_bounds(lap)
     u_in = _weight_ratio(lap.weights())
-    order = np.concatenate([bdry, np.setdiff1d(np.arange(lap.n), bdry)])
-    try:
-        raw, _ = _eliminate(lap.dense()[np.ix_(order, order)][None], bdry.size)
-    except np.linalg.LinAlgError as exc:
-        raise GraphError("interior block is not positive definite") from exc
-    _check_clamp(raw, eps / 3.0)
-    schur = SparseLaplacian(sp.csr_matrix(_clean_stack(raw)[0]))
+    schur = approx_schur(lap, bdry, eps / 3.0)
     sparse = sparsify(schur, eps / 3.0, seed, c_s=c_s)
     floored = weight_floor(sparse, bounds.lam_min)
     return VertexSparsifier(
@@ -389,7 +386,6 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
     depth = max(tree.depth(), 1)
     eps_step = eps / (2.0 * depth)
     bounds = spectral_bounds(lap)
-    kappa_fwd = min(2.0**depth, 1e12) * bounds.kappa
     u_in = _weight_ratio(lap.weights())
 
     root_verts = np.unique(np.asarray(tree.root.vertices, dtype=np.int64))
@@ -398,8 +394,8 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
     if missing.size:
         raise ValidationError(f"separator tree does not cover graph vertices {missing[:5]}")
 
-    out_bdry, ot, oh, ow = _sparsify_node(tree.root, tails, heads, w, bdry, eps_step,
-                                          kappa_fwd, seed, c_s, path=())
+    out_bdry, ot, oh, ow = _sparsify_node(tree.root, tails, heads, w, bdry, eps_step, seed, c_s,
+                                          path=())
     lap_out = _local_lap(out_bdry, ot, oh, ow)
     floored = weight_floor(lap_out, bounds.lam_min)
     return VertexSparsifier(
@@ -414,21 +410,16 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
     )
 
 
-def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, kappa, seed, c_s, path):
+def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, c_s, path):
     """Returns (boundary ids, tails, heads, weights) of the node's sparsifier."""
     verts = np.unique(np.asarray(node.vertices, dtype=np.int64))
     bdry = np.intersect1d(bdry, verts)
     if bdry.size == 0:
         raise GraphError("node has no boundary vertices")
 
-    small = verts.size <= max(2 * bdry.size, 1)
-    if node.is_leaf or small:
-        local = _local_lap(verts, tails, heads, w)
-        local_bdry = np.searchsorted(verts, bdry)
-        vs = _one_step_local(local, local_bdry, eps_step, kappa,
-                             _node_seed(seed, path + (0xF,)), c_s)
-        t, h, ww = vs.laplacian.edge_list()
-        return bdry, bdry[t], bdry[h], ww
+    if node.is_leaf or verts.size <= 2 * bdry.size:
+        return _reduce_node(verts, tails, heads, w, bdry, eps_step,
+                            _node_seed(seed, path + (0xF,)), c_s)
 
     sep = np.unique(np.asarray(node.separator, dtype=np.int64))
     child_parts = []
@@ -448,7 +439,7 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, kappa, 
         ew = np.concatenate([w[own], 0.5 * w[shared]])
         child_bdry = np.union1d(np.intersect1d(cverts, bdry), sep)
         child_parts.append(
-            _sparsify_node(child, et, eh, ew, child_bdry, eps_step, kappa, seed, c_s, path + (ci,)))
+            _sparsify_node(child, et, eh, ew, child_bdry, eps_step, seed, c_s, path + (ci,)))
     if not covered.all():
         raise ValidationError(
             "separator does not cover the node: an edge joins the two child components")
@@ -457,28 +448,16 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, kappa, 
     ch = np.concatenate([p[2] for p in child_parts])
     cw = np.concatenate([p[3] for p in child_parts])
     union = np.union1d(child_parts[0][0], child_parts[1][0])
-    combined = _local_lap(union, ct, ch, cw)
-    local_bdry = np.searchsorted(union, bdry)
-    schur = approx_schur(combined, local_bdry, kappa, eps_step / 3.0)
-    thin = sparsify(schur, eps_step / 3.0, _node_seed(seed, path + (0xA,)), c_s=c_s)
-    t, h, ww = thin.edge_list()
+    return _reduce_node(union, ct, ch, cw, bdry, eps_step, _node_seed(seed, path + (0xA,)), c_s)
+
+
+def _reduce_node(verts, tails, heads, w, bdry, eps_step, seed, c_s):
+    """ApproxSchur(eps_step/3) onto ``bdry``, then Sparsify(eps_step/3), of the
+    edges on ``verts``; the same step for a leaf and for an inner node."""
+    lap = _local_lap(verts, tails, heads, w)
+    schur = approx_schur(lap, np.searchsorted(verts, bdry), eps_step / 3.0)
+    t, h, ww = sparsify(schur, eps_step / 3.0, seed, c_s=c_s).edge_list()
     return bdry, bdry[t], bdry[h], ww
-
-
-def _one_step_local(local: SparseLaplacian, local_bdry, eps_step, kappa, seed, c_s):
-    """One-step body reusing a forwarded kappa (leaf case of the recursion)."""
-    schur = approx_schur(local, local_bdry, kappa, eps_step / 3.0)
-    sparse = sparsify(schur, eps_step / 3.0, seed, c_s=c_s)
-    bdry = _sorted_boundary(local, local_bdry)
-    return VertexSparsifier(
-        laplacian=sparse,
-        boundary=bdry,
-        eps=eps_step,
-        provenance="one-step",
-        source_weight_ratio=_weight_ratio(local.weights()),
-        source_n=local.n,
-        c_s=c_s,
-    )
 
 
 # -- per-group elimination ----------------------------------------------------------

@@ -19,8 +19,7 @@ from sepflow import (GroupedFlowProblem, RunConfig, SparseLaplacian, SparsifierP
                      group_congestions, grouped_flow, mwu_parameters,
                      one_step_vertex_sparsify, oracle_edge_weights, partition_from_groups,
                      random_capacity_grid, recursive_vertex_sparsify, residual_of_vector,
-                     route_fixed_flow, separator_tree_for_grid_block, spectral_bounds,
-                     st_demand)
+                     route_fixed_flow, separator_tree_for_grid_block, st_demand)
 from sepflow.grids import GridSpec
 
 from conftest import (dense_electrical, gen_eig_range, partial_elimination_schur,
@@ -100,8 +99,7 @@ def test_criterion_03_schur_correctness(rng):
         assert np.abs(ours - ref).max() <= 1e-9 * scale
 
         if n - nb >= 1:
-            bounds = spectral_bounds(lap)
-            approx = approx_schur(lap, bdry, bounds.kappa, 0.1).dense()
+            approx = approx_schur(lap, bdry, 0.1).dense()
             lo, hi = gen_eig_range(approx, ours)
             lo_w, hi_w = min(lo_w, lo), max(hi_w, hi)
             assert 0.9 - 1e-6 <= lo and hi <= 1.1 + 1e-6

@@ -152,6 +152,16 @@ def small_instance(eps=0.01, seed=3):
     return g, part, w, inst
 
 
+class TestSparsifierPlan:
+    def test_unknown_method_rejected(self):
+        with pytest.raises(GraphError, match="one-step"):
+            SparsifierPlan(method="two-step")
+
+    def test_recursive_without_septrees_rejected(self):
+        with pytest.raises(GraphError, match="septrees"):
+            SparsifierPlan(method="recursive")
+
+
 class TestApproxGroupedFlow:
     def test_matches_direct_grouped_flow(self):
         g, part, w, inst = small_instance()
@@ -306,16 +316,6 @@ class TestDeterminism:
         g = random_capacity_grid(8, 8, seed=9)
         part = grid_r_division(8, 8, 1, 32, terminals=(0, 63), graph=g)
         a = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
-        b = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
-        assert a.value == b.value
-        assert np.array_equal(a.flow, b.flow)
-
-    def test_thread_env_invariance(self, monkeypatch):
-        g = random_capacity_grid(8, 8, seed=9)
-        part = grid_r_division(8, 8, 1, 32, terminals=(0, 63), graph=g)
-        monkeypatch.setenv("SEPFLOW_THREADS", "1")
-        a = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
-        monkeypatch.setenv("SEPFLOW_THREADS", "4")
         b = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
         assert a.value == b.value
         assert np.array_equal(a.flow, b.flow)

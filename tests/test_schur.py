@@ -63,14 +63,13 @@ class TestExactSchur:
 class TestApproxSchur:
     def test_path_small_eps(self):
         lap = SparseLaplacian.from_edges(3, [0, 1], [1, 2], [1.0, 1.0])
-        bounds = spectral_bounds(lap)
-        s = approx_schur(lap, [0, 2], bounds.kappa, 0.01)
+        s = approx_schur(lap, [0, 2], 0.01)
         w = -s.dense()[0, 1]
         assert 0.495 <= w <= 0.505
 
     def test_boundary_equals_vertices_identity(self):
         lap = SparseLaplacian.from_edges(3, [0, 1], [1, 2], [1.0, 2.0])
-        s = approx_schur(lap, [0, 1, 2], 10.0, 0.1)
+        s = approx_schur(lap, [0, 1, 2], 0.1)
         assert np.allclose(s.dense(), lap.dense())
 
     def test_sandwich_on_random_graphs(self, rng):
@@ -78,21 +77,42 @@ class TestApproxSchur:
             g = random_connected_graph(rng, 30, 40)
             lap = lap_of(g)
             bdry = np.arange(8)
-            bounds = spectral_bounds(lap)
-            approx = approx_schur(lap, bdry, bounds.kappa, 0.1)
-            exact = exact_schur(lap, bdry)
-            lo, hi = gen_eig_range(approx.dense(), exact.dense())
+            approx = approx_schur(lap, bdry, 0.1).dense()
+            exact = exact_schur(lap, bdry).dense()
+            lo, hi = gen_eig_range(approx, exact)
             assert 0.9 - 1e-6 <= lo and hi <= 1.1 + 1e-6
+            assert np.abs(approx - exact).max() <= 1e-12 * np.abs(exact).max()
+        # disjoint unions of 2-4 components, interleaved by a vertex permutation,
+        # each component with at least one boundary and one interior vertex
+        for k in (2, 3, 4):
+            for _ in range(5):
+                sizes = rng.integers(3, 15, size=k)
+                offsets = np.concatenate([[0], np.cumsum(sizes)])
+                tails, heads, c, bdry = [], [], [], []
+                for n, off in zip(sizes.tolist(), offsets[:-1].tolist()):
+                    t, h, w = lap_of(random_connected_graph(rng, n, n)).edge_list()
+                    tails.append(t + off)
+                    heads.append(h + off)
+                    c.append(w)
+                    bdry.append(off + rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+                perm = rng.permutation(offsets[-1])
+                lap = SparseLaplacian.from_edges(int(offsets[-1]), perm[np.concatenate(tails)],
+                                                 perm[np.concatenate(heads)], np.concatenate(c))
+                assert lap.component_labels()[0] == k
+                bdry = perm[np.concatenate(bdry)]
+                approx = approx_schur(lap, bdry, 0.1).dense()
+                exact = exact_schur(lap, bdry).dense()
+                assert np.abs(approx - exact).max() <= 1e-12 * np.abs(exact).max()
 
     def test_eps_range_enforced(self):
         lap = SparseLaplacian.from_edges(3, [0, 1], [1, 2], [1.0, 1.0])
         with pytest.raises(GraphError):
-            approx_schur(lap, [0, 2], 10.0, 0.7)
+            approx_schur(lap, [0, 2], 0.7)
 
     def test_clamp_mass_recorded(self, rng):
         g = random_connected_graph(rng, 20, 15)
         lap = lap_of(g)
-        s = approx_schur(lap, np.arange(5), spectral_bounds(lap).kappa, 0.2)
+        s = approx_schur(lap, np.arange(5), 0.2)
         assert "clamp_mass" in s.meta
         assert s.meta["clamp_mass"] >= 0.0
 
