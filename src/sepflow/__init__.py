@@ -72,6 +72,7 @@ from .pipeline import (
     OracleWeights,
     SparsifiedInstance,
     SparsifierPlan,
+    SweptCutFail,
     approx_grouped_flow,
     approx_max_flow,
     build_sparsified_instance,

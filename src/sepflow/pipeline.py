@@ -2,6 +2,14 @@
 flow-oracle outer loop producing the approximate maximum flow, and the cut
 certificate extracted from a failed run.
 
+A fixed-flow phase (``route_fixed_flow``) sweeps the quotient's electrical
+potentials once per outer iteration, lifted into every group interior; a
+swept cut below the phase's success target proves by weak duality that the
+request cannot be routed, and ends the phase with a ``SweptCutFail``.
+Otherwise a phase fails when grouped flow's energy test fires
+(``GroupedFlowFail``).  ``cut_certificate`` turns either record into vertex
+potentials and an explicit cut.
+
 Vertex id spaces: the original graph uses global ids; each group's sparsifier
 lives on its (global) boundary vertex set; the quotient graph concatenates all
 sparsifiers over the union of boundaries, with ``quotient_vertices`` mapping
@@ -42,7 +50,7 @@ from .maxflow import widest_path_bottleneck
 from .partition import Partition
 from .schur import (SPARSIFY_EDGE_FACTOR, GroupElimination, GroupTopology, pair_weights,
                     recursive_vertex_sparsify)
-from .solver import solve_sdd
+from .solver import SolverHandle, solve_sdd
 
 
 # -- oracle edge weights -------------------------------------------------------
@@ -98,10 +106,11 @@ class MaxFlowRunStats:
 
     ``timings`` holds one entry per name in ``STAGES`` plus ``total``; the
     stages add up to ``total`` up to loop bookkeeping.  ``dense_groups`` and
-    ``fallback_groups`` count, over all sparsifier builds, the groups whose
+    ``recursive_groups`` count, over all sparsifier builds, the groups whose
     sparsifier came from the batched elimination and those that took the
     recursive route, one group at a time.
-    ``inner_failures`` counts inner solves that raised and ended a probe.
+    ``inner_failures`` counts inner solves that raised and ended a probe;
+    ``cut_verdicts`` counts fixed-flow phases decided by a swept cut.
     """
 
     iterations_outer: int = 0
@@ -110,17 +119,18 @@ class MaxFlowRunStats:
     width_failures: int = 0
     sparsifier_builds: int = 0
     dense_groups: int = 0
-    fallback_groups: int = 0
+    recursive_groups: int = 0
     topology_builds: int = 0
     inner_failures: int = 0
+    cut_verdicts: int = 0
     timings: dict = field(default_factory=lambda: dict.fromkeys(STAGES + ("total",), 0.0))
     trace_rows: list = field(default_factory=list)
 
     def counters(self):
         return {name: getattr(self, name) for name in (
             "iterations_outer", "iterations_inner_total", "probes", "width_failures",
-            "sparsifier_builds", "dense_groups", "fallback_groups", "topology_builds",
-            "inner_failures")}
+            "sparsifier_builds", "dense_groups", "recursive_groups", "topology_builds",
+            "inner_failures", "cut_verdicts")}
 
 
 @contextlib.contextmanager
@@ -288,7 +298,7 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
     if stats is not None:
         stats.sparsifier_builds += part.k
         if recursive:
-            stats.fallback_groups += part.k
+            stats.recursive_groups += part.k
         else:
             stats.dense_groups += part.k
 
@@ -468,18 +478,52 @@ class ApproxMaxFlowResult:
     max_edge_congestion: float
     per_group_congestion_max: float
     stats: MaxFlowRunStats
-    fail_context: tuple | None = None  # (instance, fail, demand) for certificates
+    # (instance, GroupedFlowFail, demand) of the first probe whose energy test
+    # fired, for cut_certificate
+    fail_context: tuple | None = None
     seed: int = 0
 
 
+@dataclass
+class SweptCutFail:
+    """A swept cut below a fixed-flow phase's success target.
+
+    Its capacity is below the requested amount, so by weak duality no flow
+    of that amount exists.
+    """
+
+    cut_side: np.ndarray  # sorted global ids on the source side
+    cut_capacity: float
+    demand: np.ndarray  # the requested s-t demand, on global ids
+
+
+def _swept_cut(inst: SparsifiedInstance, d, s, t):
+    """Sweep of the quotient's electrical potentials at its grouped-flow
+    weights, lifted harmonically into every group interior.
+
+    Grouped flow's first iterate routes ``d`` under these resistances times
+    one constant, so this is the ordering its first electrical flow gives.
+    """
+    q = inst.quotient_graph
+    phi = np.zeros(inst.graph.n)
+    phi[inst.quotient_vertices] = SolverHandle.for_graph(q, 1.0 / q.weight).solve(
+        inst.quotient_demand(d))
+    return sweep_cut(inst.graph, inst.elimination.extend(phi), s, t)
+
+
 def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
-                  w_oracle_init=None):
+                  w_oracle_init=None, sweep=False):
     """One fixed-F multiplicative-weights phase.
 
     Returns (success, best_value, best_flow, fail, w_oracle).  The update
     width is the iterate's own max congestion (floored), which converges in
     practical iteration counts; the theoretical width c_w sqrt(r/eps) is
     still enforced as the output check on every returned flow.
+
+    With ``sweep``, every outer iteration first sweeps the quotient's
+    electrical potentials (``_swept_cut``); a cut below the success target
+    ends the phase with a ``SweptCutFail``, since no flow of ``flow_amount``
+    exists.
     """
     m = g.m
     rho_outer = math.ceil(config.c_w * math.sqrt(part.r) / math.sqrt(eps))
@@ -500,6 +544,13 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
             w = oracle_edge_weights(w_oracle, g.capacity, part.groups, eps)
         inst = build_sparsified_instance(g, part, w, eps / 10.0, plan,
                                          seed=substream(seed, "phase", it), stats=stats)
+        if sweep:
+            with _stage(stats, "grouped_flow"):
+                side, cut = _swept_cut(inst, d, s, t)
+            if cut < target:
+                stats.cut_verdicts += 1
+                fail = (inst, SweptCutFail(side, cut, d), d)
+                break
         qsize = inst.quotient_graph.m + inst.quotient_graph.n
         inner_cap = min(max(config.max_inner_iterations,
                             config.inner_budget_units // max(qsize, 1)),
@@ -628,14 +679,23 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
 def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
                      s: int, t: int, flow_amount: float, eps: float,
                      config: RunConfig | None = None, seed: int | None = None):
-    """Route a fixed amount; returns (result | None, fail_context | None)."""
+    """Route a fixed amount; returns (result | None, fail_context | None).
+
+    ``fail_context`` is ``(instance, fail, demand)``, ready for
+    ``cut_certificate``.  ``fail`` is a ``SweptCutFail`` when a swept cut
+    below ``(1 - probe_slack eps) F`` decided the request (no request that
+    could succeed is decided this way), or the ``GroupedFlowFail`` of an
+    energy test that fired.  Otherwise ``result`` carries the best feasible
+    flow the phase found; a phase that found none raises
+    ``SolverConvergenceError``.
+    """
     config = config or RunConfig(eps=eps)
     seed = config.seed if seed is None else seed
     plan = plan or SparsifierPlan()
     stats = MaxFlowRunStats()
     t_start = time.perf_counter()
     ok, val, flow, fail, _ = _oracle_phase(g, part, plan, s, t, flow_amount, eps, config,
-                                           substream(seed, "fixed"), stats)
+                                           substream(seed, "fixed"), stats, sweep=True)
     stats.timings["total"] = time.perf_counter() - t_start
     if fail is not None:
         return None, fail
@@ -663,15 +723,41 @@ class CutCertificate:
     cut_capacity: float | None = None
 
 
-def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps) -> CutCertificate:
-    """Extend the failing quotient potentials harmonically into every group
-    interior, scale by 1 / max((1 + 10 eps) mu, sum u |grad phi|), and sweep
-    the potentials for an explicit cut.
+def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail | SweptCutFail,
+                    eps) -> CutCertificate:
+    """Vertex potentials certifying that a failed phase's demand cannot be
+    routed, with an explicit swept cut.
+
+    A ``SweptCutFail`` gives the cut's indicator scaled by ``1 / cut``, so
+    the gradient capacity is 1 and the demand value is ``F / cut > 1``.  A
+    ``GroupedFlowFail`` gives the failing quotient potentials, extended
+    harmonically into every group interior and scaled by
+    ``1 / max((1 + 10 eps) mu, sum u |grad phi|)``, then swept for a cut.
 
     Its wall time is added to the building run's ``certificate`` and
     ``total`` timings.
     """
     t_start = time.perf_counter()
+    g = instance.graph
+    if isinstance(fail, SweptCutFail):
+        side = np.zeros(g.n, dtype=bool)
+        side[fail.cut_side] = True
+        phi_scaled = side / fail.cut_capacity
+        cert = CutCertificate(
+            potentials=phi_scaled,
+            gradient_capacity=float(g.capacity @ np.abs(phi_scaled[g.tails] - phi_scaled[g.heads])),
+            demand_value=float(fail.demand @ phi_scaled),
+            cut_side=fail.cut_side, cut_capacity=fail.cut_capacity)
+    else:
+        cert = _energy_certificate(instance, fail, eps)
+    if instance.stats is not None:
+        elapsed = time.perf_counter() - t_start
+        instance.stats.timings["certificate"] += elapsed
+        instance.stats.timings["total"] += elapsed
+    return cert
+
+
+def _energy_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps):
     g = instance.graph
     # fail.demand lives on the quotient; lift to global ids
     d = np.zeros(g.n)
@@ -701,33 +787,30 @@ def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps) ->
     snk = int(np.flatnonzero(d < 0)[0]) if np.any(d < 0) else None
     if src is not None and snk is not None:
         cert.cut_side, cert.cut_capacity = sweep_cut(g, phi_scaled, src, snk)
-    if instance.stats is not None:
-        elapsed = time.perf_counter() - t_start
-        instance.stats.timings["certificate"] += elapsed
-        instance.stats.timings["total"] += elapsed
     return cert
 
 
 def sweep_cut(g: WeightedGraph, phi, s, t):
-    """Best threshold cut over the potential ordering that separates s from t."""
+    """Best threshold cut over the potential ordering that separates s from t.
+
+    Vertices are ranked by decreasing potential (increasing when that puts t
+    before s; ties keep vertex order).  The cut after rank ``p`` is crossed by
+    every edge whose endpoint ranks span ``p``, so one difference array over
+    the edges' rank intervals and a cumulative sum give every prefix's cut.
+    Returns the sorted source side of the first smallest cut between s and t
+    and its capacity, summed over the edges that cross it.
+    """
     order = np.argsort(-phi, kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
     if rank[s] > rank[t]:
         order = np.argsort(phi, kind="stable")
         rank[order] = np.arange(g.n)
-    lo, hi = rank[s], rank[t]
-    in_side = np.zeros(g.n, dtype=bool)
-    cut = 0.0
-    best = (np.inf, None)
-    indptr, nbr, eid = g.incident_edges()
-    for pos in range(hi):
-        v = order[pos]
-        in_side[v] = True
-        for j in range(indptr[v], indptr[v + 1]):
-            cut += -g.capacity[eid[j]] if in_side[nbr[j]] else g.capacity[eid[j]]
-        if pos >= lo:
-            if cut < best[0]:
-                best = (cut, pos)
-    cut_side = order[:best[1] + 1]
-    return np.sort(cut_side), float(best[0])
+    rt, rh = rank[g.tails], rank[g.heads]
+    spans = (np.bincount(np.minimum(rt, rh), weights=g.capacity, minlength=g.n)
+             - np.bincount(np.maximum(rt, rh), weights=g.capacity, minlength=g.n))
+    prefix_cuts = np.cumsum(spans)
+    pos = rank[s] + int(np.argmin(prefix_cuts[rank[s]:rank[t]]))
+    side = rank <= pos
+    cut = float(g.capacity[side[g.tails] != side[g.heads]].sum())
+    return np.flatnonzero(side), cut

@@ -304,7 +304,7 @@ class TestRunStats:
         assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
         c = res.stats.counters()
         assert c["dense_groups"] == c["sparsifier_builds"] == part.k * c["iterations_outer"]
-        assert c["fallback_groups"] == 0
+        assert c["recursive_groups"] == 0
 
     def test_certificate_time_joins_the_run(self):
         g = random_capacity_grid(8, 8, seed=400)
@@ -318,19 +318,19 @@ class TestRunStats:
         assert t["total"] == pytest.approx(before + t["certificate"])
         assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
 
-    def test_counters_identical_across_thread_settings(self, tmp_path, monkeypatch):
+    def test_counters_identical_on_same_seed_rerun(self, tmp_path):
+        """Two runs with the same seed give identical counters."""
         from sepflow.cli import main
 
         payloads = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SEPFLOW_THREADS", threads)
-            path = tmp_path / f"res{threads}.json"
+        for tag in ("a", "b"):
+            path = tmp_path / f"res{tag}.json"
             assert main(["maxflow", "--grid", "6x6", "--random-capacities", "--recursive",
                          "--r", "16", "--seed", "3", "--json", str(path)]) == 0
             payloads.append(json.loads(path.read_text()))
         counters = [p["counters"] for p in payloads]
         assert counters[0] == counters[1]
-        assert counters[0]["fallback_groups"] == counters[0]["sparsifier_builds"] > 0
+        assert counters[0]["recursive_groups"] == counters[0]["sparsifier_builds"] > 0
         assert set(payloads[0]["timings"]) == set(STAGES) | {"total"}
 
 
@@ -342,7 +342,7 @@ class TestLargeGroup:
         res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
         assert res.value >= 0.9 * exact
         c = res.stats.counters()
-        assert c["dense_groups"] == c["sparsifier_builds"] > 0 and c["fallback_groups"] == 0
+        assert c["dense_groups"] == c["sparsifier_builds"] > 0 and c["recursive_groups"] == 0
 
         _, fail_ctx = route_fixed_flow(g, part, None, 0, g.n - 1, 4 * exact, 0.1,
                                        RunConfig(eps=0.1, seed=1))

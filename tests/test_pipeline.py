@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sepflow import (GraphError, GroupedFlowProblem, RunConfig, SparseLaplacian,
-                     SparsifierPlan, WeightedGraph, approx_grouped_flow, approx_max_flow,
-                     build_sparsified_instance, convert_flow, cut_certificate,
-                     edge_congestions, exact_max_flow_oracle, exact_schur, grid_graph,
-                     grid_r_division, group_congestions, grouped_flow,
-                     one_step_vertex_sparsify, oracle_edge_weights, partition_from_groups,
-                     random_capacity_grid, residual_of_vector, route_fixed_flow, st_demand,
-                     sweep_cut)
+from sepflow import (GraphError, GroupedFlowFail, GroupedFlowProblem, RunConfig,
+                     SparseLaplacian, SparsifierPlan, SweptCutFail, WeightedGraph,
+                     approx_grouped_flow, approx_max_flow, build_sparsified_instance,
+                     convert_flow, cut_certificate, edge_congestions, exact_max_flow_oracle,
+                     exact_schur, grid_graph, grid_r_division, group_congestions,
+                     grouped_flow, one_step_vertex_sparsify, oracle_edge_weights,
+                     partition_from_groups, random_capacity_grid, residual_of_vector,
+                     route_fixed_flow, st_demand, sweep_cut)
+from sepflow import pipeline
 
 from conftest import dense_electrical, random_connected_graph
 
@@ -309,6 +312,137 @@ class TestCutCertificate:
         side, cap = sweep_cut(g, phi, 0, g.n - 1)
         assert 0 in side and (g.n - 1) not in side
         assert cap > 0
+
+
+def reference_sweep_cut(g, phi, s, t):
+    """The vertex-at-a-time sweep that ``sweep_cut`` vectorizes."""
+    order = np.argsort(-phi, kind="stable")
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    if rank[s] > rank[t]:
+        order = np.argsort(phi, kind="stable")
+        rank[order] = np.arange(g.n)
+    lo, hi = rank[s], rank[t]
+    in_side = np.zeros(g.n, dtype=bool)
+    cut = 0.0
+    best = (np.inf, None)
+    indptr, nbr, eid = g.incident_edges()
+    for pos in range(hi):
+        v = order[pos]
+        in_side[v] = True
+        for j in range(indptr[v], indptr[v + 1]):
+            cut += -g.capacity[eid[j]] if in_side[nbr[j]] else g.capacity[eid[j]]
+        if pos >= lo:
+            if cut < best[0]:
+                best = (cut, pos)
+    cut_side = order[:best[1] + 1]
+    return np.sort(cut_side), float(best[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 30), extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       tied=st.booleans(), flip=st.booleans(), s=st.integers(0, 29), t=st.integers(0, 29))
+def test_sweep_cut_matches_reference_loop(n, extra, seed, tied, flip, s, t):
+    s, t = s % n, t % n
+    assume(s != t)
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra)
+    # tied potentials take few values; flip reverses the s-t orientation
+    phi = rng.integers(0, 3, n).astype(float) if tied else rng.normal(size=n)
+    if flip:
+        phi = -phi
+    assume(phi[s] != phi[t])
+    side, cap = sweep_cut(g, phi, s, t)
+    ref_side, ref_cap = reference_sweep_cut(g, phi, s, t)
+    assert abs(cap - ref_cap) <= 1e-12 * abs(ref_cap)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[side] = True
+    assert mask[s] and not mask[t]
+    assert np.array_equal(side, np.sort(side))
+    assert cap == pytest.approx(float(g.capacity[mask[g.tails] != mask[g.heads]].sum()),
+                                rel=1e-12)
+
+
+def assert_valid_certificate(g, s, t, cert, exact, eps):
+    """The conditions the benchmark checks on an overload verdict."""
+    assert cert.gradient_capacity <= 1 + 1e-8
+    assert cert.demand_value >= 1 - 10 * eps
+    side = np.zeros(g.n, dtype=bool)
+    side[np.asarray(cert.cut_side, dtype=np.int64)] = True
+    assert side[s] and not side[t]
+    crossing = float(g.capacity[side[g.tails] != side[g.heads]].sum())
+    assert abs(crossing - cert.cut_capacity) <= 1e-9 * max(crossing, 1.0)
+    assert cert.cut_capacity >= exact * (1 - 1e-9)
+
+
+def strong_terminal_grid(n, seed, s, t):
+    """Random-capacity grid whose terminals' edges are 10x stronger, so that
+    its min cut is not a terminal's star."""
+    g = random_capacity_grid(n, n, seed=seed)
+    cap = g.capacity.copy()
+    cap[np.isin(g.tails, (s, t)) | np.isin(g.heads, (s, t))] *= 10.0
+    return WeightedGraph(g.n, g.edges, capacity=cap)
+
+
+class TestSweptCutVerdict:
+    @pytest.mark.parametrize("n, factor, seed, interior", [
+        (8, 2.0, 1, False), (12, 3.0, 2, False), (16, 4.0, 3, False), (12, 2.0, 3, True)])
+    def test_overload_decided_after_one_outer_iteration(self, n, factor, seed, interior):
+        eps = 0.1
+        if interior:
+            s, t = 3 * n + 3, 8 * n + 8
+            g = strong_terminal_grid(n, seed, s, t)
+        else:
+            s, t = 0, n * n - 1
+            g = random_capacity_grid(n, n, seed=seed)
+        part = grid_r_division(n, n, 1, 16, terminals=(s, t), graph=g)
+        exact = exact_max_flow_oracle(g, s, t).value
+        res, fail_ctx = route_fixed_flow(g, part, None, s, t, factor * exact, eps,
+                                         RunConfig(eps=eps, r=16, seed=seed))
+        assert res is None
+        inst, fail, d = fail_ctx
+        assert isinstance(fail, SweptCutFail)
+        c = inst.stats.counters()
+        assert c["iterations_outer"] == 1 and c["iterations_inner_total"] == 0
+        assert c["cut_verdicts"] == 1
+        cert = cut_certificate(inst, fail, eps)
+        assert_valid_certificate(g, s, t, cert, exact, eps)
+        assert cert.gradient_capacity == pytest.approx(1.0)
+        assert cert.demand_value == pytest.approx(factor * exact / cert.cut_capacity)
+        if interior:
+            assert 1 < cert.cut_side.size < g.n - 1
+
+    def test_energy_certificate_from_grouped_flow_fail(self):
+        eps = 0.1
+        g = random_capacity_grid(10, 10, seed=4)
+        s, t = 0, g.n - 1
+        part = grid_r_division(10, 10, 1, 16, terminals=(s, t), graph=g)
+        exact = exact_max_flow_oracle(g, s, t).value
+        w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, eps)
+        inst = build_sparsified_instance(g, part, w, eps / 10, seed=1)
+        res = approx_grouped_flow(inst, st_demand(g.n, s, t, 4 * exact), eps / 10)
+        assert res.failed and isinstance(res.fail, GroupedFlowFail)
+        cert = cut_certificate(inst, res.fail, eps)
+        assert_valid_certificate(g, s, t, cert, exact, eps)
+
+    def test_near_threshold_request_gets_no_verdict(self, monkeypatch):
+        """At 1.02x the max flow no swept cut falls below the target, and the
+        phase runs exactly as it does with the sweep never deciding."""
+        g = random_capacity_grid(12, 12, seed=12)
+        amount = 1.02 * exact_max_flow_oracle(g, 0, g.n - 1).value
+
+        def run():
+            part = grid_r_division(12, 12, 1, 16, terminals=(0, g.n - 1), graph=g)
+            return route_fixed_flow(g, part, None, 0, g.n - 1, amount, 0.1,
+                                    RunConfig(eps=0.1, r=16, seed=1))
+
+        res, fail_ctx = run()
+        assert fail_ctx is None and res.stats.cut_verdicts == 0
+        monkeypatch.setattr(pipeline, "_swept_cut", lambda inst, d, s, t: (None, np.inf))
+        base, base_ctx = run()
+        assert base_ctx is None
+        assert res.value == base.value and np.array_equal(res.flow, base.flow)
+        assert res.stats.counters() == base.stats.counters()
 
 
 class TestDeterminism:
