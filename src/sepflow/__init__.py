@@ -33,6 +33,7 @@ from .graphs import (
 )
 from .solver import (
     ElectricalFlowResult,
+    LaggedFactor,
     SolverHandle,
     electrical_flow,
     optimum_energy,
@@ -80,6 +81,7 @@ from .pipeline import (
     cut_certificate,
     oracle_edge_weights,
     route_fixed_flow,
+    success_target,
     sweep_cut,
 )
 from .schur import (

@@ -1,7 +1,10 @@
 """Command-line entry points: approximate max flow and the benchmark harness.
 
 Exit codes for ``maxflow``: 0 on success, 2 when a fixed-flow run returns the
-fail certificate (the cut is emitted), 1 on input or validation errors.
+fail certificate (the cut is emitted), 3 when a fixed-flow run ends partial
+(its best flow is below ``(1 - eps/3) F`` and no cut proves ``F``
+infeasible), 1 on input or validation errors.  The fixed-flow JSON carries
+``status`` (``"ok"``, ``"partial"`` or ``"fail"``) and ``requested_flow``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .grids import GridSpec, grid_graph, random_capacity_grid
 from .maxflow import exact_max_flow_oracle
 from .partition import (grid_r_division, load_partition, load_septree,
                         septrees_for_partition)
-from .pipeline import (SparsifierPlan, approx_max_flow, cut_certificate, route_fixed_flow)
+from .pipeline import (SparsifierPlan, approx_max_flow, cut_certificate, route_fixed_flow,
+                       success_target)
 
 
 def _parse_grid(spec_str):
@@ -121,8 +125,11 @@ def cmd_maxflow(args):
                 with open(args.emit_cut, "w") as fh:
                     fh.write(" ".join(str(int(v)) for v in cert.cut_side) + "\n")
             return 2
-        payload = _result_json(res)
+        partial = res.value < success_target(args.flow, args.eps, config)
+        payload = dict(_result_json(res), status="partial" if partial else "ok",
+                       requested_flow=args.flow)
     else:
+        partial = False
         res = approx_max_flow(g, part, plan, s, t, args.eps, config=config, seed=args.seed)
         payload = _result_json(res)
 
@@ -134,7 +141,7 @@ def cmd_maxflow(args):
             fh.write("probe,outer_iteration,flow_target,best_value,max_edge_congestion\n")
             for row in res.stats.trace_rows:
                 fh.write(",".join(str(x) for x in row) + "\n")
-    return 0
+    return 3 if partial else 0
 
 
 def _emit_json(payload, path):

@@ -218,14 +218,22 @@ class WeightedGraph:
             mapper = sp.csr_matrix((sign, (slot, eids)), shape=(uniq.size, m))
             indices = (uniq % n).astype(np.int32)
             indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
+            indices.setflags(write=False)
+            indptr.setflags(write=False)
             self._structure["laplacian"] = (indptr, indices, mapper)
         return self._structure["laplacian"]
 
     def laplacian_csr(self, conductance):
-        """CSR Laplacian for the given per-edge conductances."""
+        """CSR Laplacian for the given per-edge conductances.
+
+        Every matrix shares the cached, read-only ``indices`` and ``indptr``
+        (sorted, no duplicates), so only ``data`` is new; in-place structural
+        changes such as ``eliminate_zeros`` raise instead of corrupting the
+        pattern.
+        """
         indptr, indices, mapper = self.laplacian_pattern()
         data = mapper @ np.asarray(conductance, dtype=float)
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(self.n, self.n))
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import WeightedGraph, group_ids, zero_sum_demand
-from .solver import DENSE_CUTOFF, SolverHandle, electrical_flow
+from .solver import LaggedFactor, electrical_flow
 
 DEFAULT_EARLY_EXIT_CAP = 40
 
@@ -132,7 +132,8 @@ def _group_congestions(flow, weight, gid, k):
 
 def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
                  early_exit_cap=DEFAULT_EARLY_EXIT_CAP, runtime_checks=True,
-                 trace=False, max_iterations=None) -> GroupedFlowResult:
+                 trace=False, max_iterations=None,
+                 lag: LaggedFactor | None = None) -> GroupedFlowResult:
     """Multiplicative weights over groups around electrical flows.
 
     Returns a flow whose group congestions are at most ``1 + 10 eps``
@@ -143,6 +144,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
     early once the running average already meets the output contract
     (flagged in diagnostics), and ``max_iterations`` caps the budget
     (exhausting the cap without meeting the contract raises).
+
+    ``lag`` supplies each iteration's solver handle and keeps its counters;
+    a run passes one through all its calls so the quotient's factor carries
+    across outer iterations.  Without one the call makes its own.
     """
     g = problem.graph
     g.require_connected("grouped flow")
@@ -161,29 +166,23 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
     # the nominal gate is t >= N/10; capped so practical runs stay usable
     early_gate = n_iter if strict else min(max(int(math.ceil(n_iter / 10.0)), 1), early_exit_cap)
     hint = None
-    # lagged preconditioner: resistances drift slowly between iterations, so
-    # above the dense cutoff the quotient's factor preconditions PCG on later
-    # iterations and is refreshed only when solves start taking long; below
-    # it a fresh dense factor per iteration costs less than those PCG solves
-    handle = None
-    handle_age = 0
-    last_iters = 0
+    # lagged preconditioner: resistances drift slowly between iterations (and
+    # between the calls of one run), so above the dense cutoff one factor of
+    # the quotient preconditions PCG on later iterations and is refreshed only
+    # when solves start taking long; a failed solve drops it.  No local keeps
+    # the handle past its flow, so a refresh can free the old factor first.
+    lag = LaggedFactor() if lag is None else lag
 
     for t in range(1, budget + 1):
         mu = float(w_grp.sum())
         r = (w_grp[gid] + (eps / k) * mu) * w
-        use_handle = None
-        if g.n > DENSE_CUTOFF:
-            if handle is None or last_iters > 10 or handle_age >= 30:
-                handle = SolverHandle.for_graph(g, 1.0 / r)
-                handle_age = 0
-                use_handle = handle
-            else:
-                use_handle = handle.rebind(g.laplacian_csr(1.0 / r))
-                handle_age += 1
-        ef = electrical_flow(g, d, delta_ef, resistances=r, potentials_hint=hint,
-                             handle=use_handle)
-        last_iters = ef.stats.iterations
+        try:
+            ef = electrical_flow(g, d, delta_ef, resistances=r, potentials_hint=hint,
+                                 handle=lag.handle_for(g, 1.0 / r))
+        except SolverConvergenceError:
+            lag.drop()
+            raise
+        lag.record(ef.stats)
         hint = ef.potentials
         diag.iterations = t
         if ef.energy > mu:

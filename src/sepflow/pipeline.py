@@ -26,9 +26,13 @@ extension of the cut certificate.  Sparsifiers are kept as per-shape-class
 arrays of boundary-pair conductances, and the quotient's edge set is cached
 with the topology, so an iteration refreshes only its weights.  A
 ``SparsifierPlan`` with ``method="recursive"`` builds the sparsifiers one
-group at a time along its separator trees instead.  ``SolverHandle`` factors
-serve the grouped flow on the quotient; a quotient above the dense cutoff
-reuses its factor as the PCG preconditioner of later iterations.
+group at a time along its separator trees instead.
+
+Every grouped-flow electrical flow on the quotient gets its solver handle
+from the run's one ``LaggedFactor``: above the dense cutoff, one factor of
+the quotient Laplacian preconditions PCG across inner iterations, outer
+iterations and probes alike, and is refreshed when PCG slows down or the
+quotient's edge pattern is rebuilt.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig, substream
-from .errors import GraphError, SolverConvergenceError, ValidationError
+from .errors import GraphError, SolverConvergenceError
 from .graphs import (SparseLaplacian, WeightedGraph, edge_congestions, group_congestions,
                      group_ids, st_demand, zero_sum_demand)
 from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
@@ -50,7 +54,7 @@ from .maxflow import widest_path_bottleneck
 from .partition import Partition
 from .schur import (SPARSIFY_EDGE_FACTOR, GroupElimination, GroupTopology, pair_weights,
                     recursive_vertex_sparsify)
-from .solver import SolverHandle, solve_sdd
+from .solver import SOLVER_COUNTERS, LaggedFactor, SolverHandle, solve_sdd
 
 
 # -- oracle edge weights -------------------------------------------------------
@@ -109,8 +113,12 @@ class MaxFlowRunStats:
     ``recursive_groups`` count, over all sparsifier builds, the groups whose
     sparsifier came from the batched elimination and those that took the
     recursive route, one group at a time.
-    ``inner_failures`` counts inner solves that raised and ended a probe;
-    ``cut_verdicts`` counts fixed-flow phases decided by a swept cut.
+    ``inner_failures`` counts inner solves that raised ``SolverConvergenceError``
+    and ended a probe; ``cut_verdicts`` counts fixed-flow phases decided by a
+    swept cut.  ``electrical_flows``, ``factorizations``, ``rebinds`` and
+    ``pcg_iterations`` are the run's ``LaggedFactor`` counters: grouped flow's
+    electrical flows on the quotient, the fresh factors and rebound handles
+    that served them, and the PCG iterations on the rebound ones.
     """
 
     iterations_outer: int = 0
@@ -123,6 +131,10 @@ class MaxFlowRunStats:
     topology_builds: int = 0
     inner_failures: int = 0
     cut_verdicts: int = 0
+    electrical_flows: int = 0
+    factorizations: int = 0
+    rebinds: int = 0
+    pcg_iterations: int = 0
     timings: dict = field(default_factory=lambda: dict.fromkeys(STAGES + ("total",), 0.0))
     trace_rows: list = field(default_factory=list)
 
@@ -130,7 +142,7 @@ class MaxFlowRunStats:
         return {name: getattr(self, name) for name in (
             "iterations_outer", "iterations_inner_total", "probes", "width_failures",
             "sparsifier_builds", "dense_groups", "recursive_groups", "topology_builds",
-            "inner_failures", "cut_verdicts")}
+            "inner_failures", "cut_verdicts") + SOLVER_COUNTERS}
 
 
 @contextlib.contextmanager
@@ -435,10 +447,10 @@ class ApproxGroupedFlowResult:
 
 
 def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
-                        early_exit_cap=4, max_iterations=200,
-                        runtime_checks=True) -> ApproxGroupedFlowResult:
+                        early_exit_cap=4, max_iterations=200, runtime_checks=True,
+                        lag: LaggedFactor | None = None) -> ApproxGroupedFlowResult:
     """Grouped flow on the quotient graph at eps/2, converted back to the
-    original graph at eps/10."""
+    original graph at eps/10.  ``lag`` is passed on to ``grouped_flow``."""
     stats = instance.stats
     with _stage(stats, "grouped_flow"):
         d = zero_sum_demand(d, instance.graph.n)
@@ -446,7 +458,8 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
         prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
                                   d_schur, eps / 2.0)
         res = grouped_flow(prob, strict=strict, early_exit_cap=early_exit_cap,
-                           runtime_checks=runtime_checks, max_iterations=max_iterations)
+                           runtime_checks=runtime_checks, max_iterations=max_iterations,
+                           lag=lag)
     if res.failed:
         return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail,
                                        quotient_flow=None,
@@ -511,7 +524,13 @@ def _swept_cut(inst: SparsifiedInstance, d, s, t):
     return sweep_cut(inst.graph, inst.elimination.extend(phi), s, t)
 
 
-def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
+def success_target(flow_amount, eps, config: RunConfig):
+    """Value at which a fixed-flow phase counts ``flow_amount`` as routed:
+    ``(1 - probe_slack eps) F``."""
+    return (1.0 - config.probe_slack * eps) * flow_amount
+
+
+def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats, lag,
                   w_oracle_init=None, sweep=False):
     """One fixed-F multiplicative-weights phase.
 
@@ -524,12 +543,17 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
     electrical potentials (``_swept_cut``); a cut below the success target
     ends the phase with a ``SweptCutFail``, since no flow of ``flow_amount``
     exists.
+
+    ``lag`` is the run's ``LaggedFactor``; its counters are copied into
+    ``stats``.  An inner ``SolverConvergenceError`` ends the phase as an
+    unproductive probe (counted in ``inner_failures``); a ``ValidationError``
+    is a broken invariant and propagates.
     """
     m = g.m
     rho_outer = math.ceil(config.c_w * math.sqrt(part.r) / math.sqrt(eps))
     n_outer = max(int(math.ceil(20.0 * rho_outer * math.log(max(m, 2)) * eps**-2)), 1)
     limit = n_outer if config.strict_paper else min(n_outer, config.max_outer_iterations)
-    target = (1.0 - config.probe_slack * eps) * flow_amount
+    target = success_target(flow_amount, eps, config)
 
     w_oracle = np.ones(m) if w_oracle_init is None else np.asarray(w_oracle_init, dtype=float).copy()
     d = st_demand(g.n, s, t, flow_amount)
@@ -559,8 +583,8 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
             res = approx_grouped_flow(inst, d, eps / 10.0,
                                       early_exit_cap=config.inner_early_exit_cap,
                                       max_iterations=inner_cap,
-                                      strict=config.strict_paper)
-        except (SolverConvergenceError, ValidationError):
+                                      strict=config.strict_paper, lag=lag)
+        except SolverConvergenceError:
             stats.inner_failures += 1
             break  # the inner solver could not certify this F; unproductive probe
         with _stage(stats, "oracle_update"):
@@ -595,6 +619,8 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats,
                 break
             width = rho_outer if config.strict_paper else max(mc, config.update_width_floor)
             w_oracle = w_oracle * (1.0 + (eps / width) * cong)
+    for name, value in lag.counters().items():
+        setattr(stats, name, value)
     success = best_value >= target
     return success, best_value, best_flow, fail, w_oracle
 
@@ -622,6 +648,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
                       stacklevel=2)
 
     stats = MaxFlowRunStats()
+    lag = LaggedFactor()
     t_start = time.perf_counter()
     with _stage(stats, "oracle_update"):
         f_lo = widest_path_bottleneck(g, s, t)
@@ -636,7 +663,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         w_init = None if config.strict_paper else warm["w"]
         ok, val, flow, fail, w_final = _oracle_phase(
             g, part, plan, s, t, flow_amount, eps, config,
-            substream(seed, "F", stats.probes), stats, w_oracle_init=w_init)
+            substream(seed, "F", stats.probes), stats, lag, w_oracle_init=w_init)
         if not config.strict_paper:
             warm["w"] = w_final
         if fail is not None and fail_ctx is None:
@@ -686,8 +713,11 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     below ``(1 - probe_slack eps) F`` decided the request (no request that
     could succeed is decided this way), or the ``GroupedFlowFail`` of an
     energy test that fired.  Otherwise ``result`` carries the best feasible
-    flow the phase found; a phase that found none raises
-    ``SolverConvergenceError``.
+    flow the phase found.  Its value reaches ``success_target(flow_amount,
+    eps, config)`` when the phase routed the request; below that the phase
+    neither routed it nor proved it infeasible, and the result is partial
+    (the CLI reports it as ``"partial"`` and exits 3).  A phase that found
+    no flow at all raises ``SolverConvergenceError``.
     """
     config = config or RunConfig(eps=eps)
     seed = config.seed if seed is None else seed
@@ -695,7 +725,8 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     stats = MaxFlowRunStats()
     t_start = time.perf_counter()
     ok, val, flow, fail, _ = _oracle_phase(g, part, plan, s, t, flow_amount, eps, config,
-                                           substream(seed, "fixed"), stats, sweep=True)
+                                           substream(seed, "fixed"), stats, LaggedFactor(),
+                                           sweep=True)
     stats.timings["total"] = time.perf_counter() - t_start
     if fail is not None:
         return None, fail
@@ -798,7 +829,9 @@ def sweep_cut(g: WeightedGraph, phi, s, t):
     every edge whose endpoint ranks span ``p``, so one difference array over
     the edges' rank intervals and a cumulative sum give every prefix's cut.
     Returns the sorted source side of the first smallest cut between s and t
-    and its capacity, summed over the edges that cross it.
+    and its capacity, summed over the edges that cross it.  Raises
+    ``GraphError`` when s and t have equal potentials and t ranks first,
+    since then no threshold cut separates them.
     """
     order = np.argsort(-phi, kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
@@ -806,6 +839,8 @@ def sweep_cut(g: WeightedGraph, phi, s, t):
     if rank[s] > rank[t]:
         order = np.argsort(phi, kind="stable")
         rank[order] = np.arange(g.n)
+        if rank[s] > rank[t]:
+            raise GraphError("s and t have equal potentials; no threshold cut separates them")
     rt, rh = rank[g.tails], rank[g.heads]
     spans = (np.bincount(np.minimum(rt, rh), weights=g.capacity, minlength=g.n)
              - np.bincount(np.maximum(rt, rh), weights=g.capacity, minlength=g.n))

@@ -5,9 +5,15 @@ row and column removed (dense Cholesky up to ``DENSE_CUTOFF`` unknowns,
 sparse LU above), so a fresh handle meets the contract
 ``|x - A^+ b|_A <= delta * |A^+ b|_A`` with one factor application.  A
 handle rebound to a nearby matrix of the same structure keeps the old factor
-as the preconditioner of conjugate gradients, whose stopping rule is the
-standard CG quadrature estimate of the A-norm error, so the contract is
-targeted directly rather than through a 2-norm residual proxy.
+as the preconditioner of conjugate gradients on one right-hand side at a
+time, whose stopping rule is the standard CG quadrature estimate of the
+A-norm error, so the contract is targeted directly rather than through a
+2-norm residual proxy.
+
+A ``LaggedFactor`` carries one such factor across a whole sequence of nearby
+Laplacians on one graph structure (lagged preconditioning), refreshing it
+when PCG starts to take long; grouped flow serves every inner electrical
+flow of a run from one.
 
 Electrical flows refine the solve until a computable duality gap certifies
 the energy bounds; the flow residual is then repaired exactly on a BFS
@@ -16,6 +22,7 @@ spanning tree, which makes the demand constraint unconditional.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +78,9 @@ class SolverHandle:
     """Shareable solver state for one fixed symmetric diagonally dominant matrix.
 
     A fresh handle solves exactly, with one application of its factor.  A
-    handle made by ``rebind`` runs PCG preconditioned by the factor of the
-    matrix it was rebound from; ``iteration_cap`` caps that PCG.
+    handle made by ``rebind`` runs PCG on one right-hand side at a time,
+    preconditioned by the factor of the handle it was rebound from;
+    ``iteration_cap`` caps that PCG.
 
     Immutable after construction; each solve allocates private workspace, so
     concurrent solves against one handle are safe.  Repeated solves with the
@@ -127,12 +135,21 @@ class SolverHandle:
 
     def rebind(self, matrix):
         """Handle for a same-structure matrix whose solves run PCG,
-        preconditioned by this handle's factor (lagged preconditioning)."""
+        preconditioned by this handle's factor (lagged preconditioning).
+
+        A float64 CSR matrix of the handle's shape is kept as it is, not
+        copied, so it must not change afterwards; anything else is converted.
+        Rebinding a rebound handle keeps the original factor.
+        """
         if isinstance(matrix, SparseLaplacian):
             matrix = matrix.matrix
+        if not (sp.issparse(matrix) and matrix.format == "csr" and matrix.dtype == np.float64):
+            matrix = sp.csr_matrix(matrix, dtype=float)
+        if matrix.shape != (self.n, self.n):
+            raise GraphError(f"rebound matrix must have shape {(self.n, self.n)}, not {matrix.shape}")
         clone = object.__new__(SolverHandle)
         clone.__dict__.update(self.__dict__)
-        clone.matrix = sp.csr_matrix(matrix).astype(float)
+        clone.matrix = matrix
         clone._exact_direct = False
         return clone
 
@@ -171,78 +188,163 @@ class SolverHandle:
 
     def solve_with_stats(self, b, delta=1e-8, x0=None, anorm2_floor=0.0):
         b = np.asarray(b, dtype=float)
-        single = b.ndim == 1
-        bmat = b[:, None] if single else b
+        if not self._exact_direct:
+            if b.ndim == 1:
+                return self._pcg(b, float(delta), x0, anorm2_floor)
+            return self._pcg_columns(b, float(delta), x0, anorm2_floor)
+        bmat = b[:, None] if b.ndim == 1 else b
         if self.is_laplacian:
             self._check_range(bmat)
             bmat = self._project(bmat)
-        if self._exact_direct:
-            x, stats = self._project(self._factor.apply(bmat)), SolveStats(iterations=1)
-        else:
-            x, stats = self._pcg(bmat, float(delta), x0, anorm2_floor, b.shape)
-        return (x[:, 0] if single else x), stats
+        x = self._project(self._factor.apply(bmat))
+        return (x[:, 0] if b.ndim == 1 else x), SolveStats(iterations=1)
 
-    def _pcg(self, bmat, delta, x0, anorm2_floor, shape):
-        k = bmat.shape[1]
+    def _pcg_columns(self, b, delta, x0, anorm2_floor):
+        """PCG column by column; a cap hit carries every column's best iterate."""
+        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float).reshape(b.shape)
+        iterations, estimate = 0, 0.0
+        for j in range(b.shape[1]):
+            try:
+                x[:, j], st = self._pcg(np.ascontiguousarray(b[:, j]), delta,
+                                        None if x0 is None else x[:, j], anorm2_floor)
+            except SolverConvergenceError as exc:
+                x[:, j] = exc.best_iterate
+                raise SolverConvergenceError(str(exc), best_iterate=x,
+                                             achieved_residual=exc.achieved_residual) from exc
+            iterations += st.iterations
+            estimate = max(estimate, st.achieved_estimate)
+        return x, SolveStats(iterations=iterations, achieved_estimate=estimate)
+
+    def _pcg(self, b, delta, x0, anorm2_floor):
+        """Preconditioned CG on one right-hand side.
+
+        Stops when the CG quadrature estimate of the squared A-norm error,
+        summed over the last ``window`` steps, falls below
+        ``(delta / 2)^2 |x|_A^2`` (``|x|_A^2`` estimated from the steps so far,
+        floored at ``anorm2_floor``), after two consecutive steps far below
+        that target, or once the residual has sat at the float64 floor for a
+        whole window.
+        """
+        if self.is_laplacian:
+            self._check_range(b)
+            b = self._project(b)
+        a, precondition = self.matrix, self._factor.apply
         if x0 is None:
-            x = np.zeros_like(bmat)
-            r = bmat.copy()
-            base = np.zeros(k)
+            x = np.zeros(self.n)
+            r = b.copy()
+            base = 0.0
         else:
-            x = np.array(x0, dtype=float).reshape(bmat.shape)
-            r = bmat - self.matrix @ x
-            base = 2.0 * np.einsum("ij,ij->j", x, bmat) - np.einsum("ij,ij->j", x, self.matrix @ x)
-        z = self._factor.apply(r)
+            x = np.array(x0, dtype=float).reshape(b.shape)
+            ax = a @ x
+            r = b - ax
+            base = 2.0 * float(x @ b) - float(x @ ax)
+        z = precondition(r)
         p = z.copy()
-        gamma = np.einsum("ij,ij->j", r, z)
-        total = np.zeros(k)
+        work = np.empty(self.n)
+        gamma = float(r @ z)
+        bnorm = math.sqrt(float(b @ b))
+        floor2 = (64.0 * _EPS * max(bnorm, 1e-300)) ** 2
 
         window = 8
-        ring = np.zeros((window, k))
-        bnorm = np.linalg.norm(bmat, axis=0)
-        active = bnorm > 0
-        it = 0
-        stagnant = np.zeros(k, dtype=int)
-        tiny = np.zeros(k, dtype=int)
-        while active.any():
+        ring = [0.0] * window
+        total = 0.0
+        it = stagnant = tiny = 0
+        while bnorm > 0:
             if it >= self.iteration_cap:
                 raise SolverConvergenceError(
                     f"PCG hit iteration cap {self.iteration_cap}",
-                    best_iterate=self._project(x).reshape(shape),
-                    achieved_residual=float(np.linalg.norm(r) / max(np.linalg.norm(bmat), 1e-300)),
+                    best_iterate=self._project(x),
+                    achieved_residual=math.sqrt(float(r @ r)) / max(bnorm, 1e-300),
                 )
-            ap = self.matrix @ p
-            pap = np.einsum("ij,ij->j", p, ap)
-            safe = active & (pap > 0)
-            alpha = np.where(safe, gamma / np.where(pap > 0, pap, 1.0), 0.0)
-            x += alpha * p
-            r -= alpha * ap
-            z = self._factor.apply(r)
-            gamma_new = np.einsum("ij,ij->j", r, z)
+            ap = a @ p
+            pap = float(p @ ap)
+            alpha = gamma / pap if pap > 0 else 0.0
+            x += np.multiply(p, alpha, out=work)
+            r -= np.multiply(ap, alpha, out=work)
+            z = precondition(r)
+            gamma_new = float(r @ z)
             step = alpha * gamma
             total += step
-            ring[it % window] = np.where(active, step, 0.0)
+            ring[it % window] = step
             it += 1
 
-            denom = np.maximum(np.maximum(total + base, anorm2_floor), 1e-300)
-            west = ring.sum(axis=0)
-            target = 0.25 * delta * delta * denom
-            done = (it >= window) & (west <= target)
+            target = 0.25 * delta * delta * max(total + base, anorm2_floor, 1e-300)
             # near-exact preconditioners collapse the error in a couple of
-            # steps; two consecutive steps far below target end the column
-            tiny_now = np.abs(step) <= 1e-5 * target
-            tiny = np.where(tiny_now, tiny + 1, 0)
-            done |= (it >= 2) & (tiny >= 2)
-            rnorm = np.linalg.norm(r, axis=0)
-            stagnant = np.where(rnorm <= 64.0 * _EPS * np.maximum(bnorm, 1e-300), stagnant + 1, 0)
-            done |= stagnant >= window  # roundoff floor; as good as float64 gets
-            active &= ~done
-            beta = np.where(gamma > 0, gamma_new / np.where(gamma > 0, gamma, 1.0), 0.0)
-            p = z + beta * p
+            # steps; two consecutive steps far below target end the solve
+            tiny = tiny + 1 if abs(step) <= 1e-5 * target else 0
+            stagnant = stagnant + 1 if float(r @ r) <= floor2 else 0
+            if ((it >= window and sum(ring) <= target) or (it >= 2 and tiny >= 2)
+                    or stagnant >= window):  # roundoff floor; as good as float64 gets
+                break
+            beta = gamma_new / gamma if gamma > 0 else 0.0
+            p *= beta
+            p += z
             gamma = gamma_new
 
-        stats = SolveStats(iterations=it, achieved_estimate=float(np.sqrt(ring.sum(axis=0).max(initial=0.0))))
+        stats = SolveStats(iterations=it, achieved_estimate=math.sqrt(max(sum(ring), 0.0)))
         return self._project(x), stats
+
+
+SOLVER_COUNTERS = ("electrical_flows", "factorizations", "rebinds", "pcg_iterations")
+
+
+class LaggedFactor:
+    """One Laplacian factor carried across a sequence of nearby solves.
+
+    ``handle_for(g, conductance)`` gives the handle for the next electrical
+    flow on ``g``.  At most ``DENSE_CUTOFF`` vertices that is a fresh dense
+    factor every time, which costs less than PCG solves.  Above it, the
+    carried factor is rebound to the new conductances (PCG preconditioned by
+    the old factor) and refreshed when the last solve took more than
+    ``REFRESH_ITERATIONS`` iterations, after ``MAX_AGE`` rebinds, or when
+    ``g`` no longer shares the structure the factor was built on (graphs
+    made by ``reweighted`` share it; a rebuilt quotient pattern does not).
+    ``record`` takes each solve's stats; ``drop`` forgets the factor after a
+    failed solve.
+
+    The counters cover every handle it gave: ``electrical_flows``,
+    ``factorizations`` (fresh factors), ``rebinds`` and ``pcg_iterations``
+    (iterations on rebound handles).  One object lives for one run and is
+    never cached on shared state, so same-seed reruns repeat exactly.
+    """
+
+    REFRESH_ITERATIONS = 10
+    MAX_AGE = 30
+
+    def __init__(self):
+        self.handle = None
+        self.structure = None  # the ``_structure`` of the graph ``handle`` factors
+        self.age = 0
+        self.last_iterations = 0
+        self.rebound = False
+        self.electrical_flows = self.factorizations = self.rebinds = self.pcg_iterations = 0
+
+    def handle_for(self, g: WeightedGraph, conductance):
+        self.electrical_flows += 1
+        stale = (self.handle is None or self.structure is not g._structure
+                 or self.last_iterations > self.REFRESH_ITERATIONS or self.age >= self.MAX_AGE)
+        self.rebound = g.n > DENSE_CUTOFF and not stale
+        if self.rebound:
+            self.age += 1
+            self.rebinds += 1
+            return self.handle.rebind(g.laplacian_csr(conductance))
+        self.factorizations += 1
+        self.handle = None  # free the old factor first: less heap to grow
+        handle = SolverHandle.for_graph(g, conductance)
+        if g.n > DENSE_CUTOFF:
+            self.handle, self.structure, self.age = handle, g._structure, 0
+        return handle
+
+    def record(self, stats: SolveStats):
+        self.last_iterations = stats.iterations
+        if self.rebound:
+            self.pcg_iterations += stats.iterations
+
+    def drop(self):
+        self.handle = self.structure = None
+
+    def counters(self):
+        return {name: getattr(self, name) for name in SOLVER_COUNTERS}
 
 
 def solve_sdd(a, b, delta, x0=None):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sepflow import random_capacity_grid, save_dimacs, grid_r_division, save_partition
+from sepflow import (exact_max_flow_oracle, grid_r_division, random_capacity_grid, save_dimacs,
+                     save_partition)
 from sepflow.cli import main
 
 
@@ -23,6 +24,10 @@ class TestMaxflowCommand:
             assert key in payload
         assert payload["flow_value"] > 0
         assert payload["max_edge_congestion"] <= 1 + 1e-9
+        counters = payload["counters"]
+        for key in ("electrical_flows", "factorizations", "rebinds", "pcg_iterations"):
+            assert key in counters
+        assert counters["electrical_flows"] == counters["factorizations"] + counters["rebinds"]
 
     def test_dimacs_input(self, tmp_path):
         g = random_capacity_grid(5, 5, seed=2)
@@ -57,6 +62,22 @@ class TestMaxflowCommand:
         assert payload["status"] == "fail"
         assert payload["certificate"]["gradient_capacity"] <= 1 + 1e-8
         assert cut.exists() and cut.read_text().strip()
+
+    def test_fixed_flow_status(self, tmp_path):
+        # 12x12, capacity seed 12: at 1.02x the max flow no swept cut decides
+        # the request and the phase ends short of it, which is not a success
+        g = random_capacity_grid(12, 12, seed=12)
+        exact = exact_max_flow_oracle(g, 0, g.n - 1).value
+        for factor, code, status in ((1.02, 3, "partial"), (0.5, 0, "ok")):
+            out = tmp_path / f"{status}.json"
+            assert run(["maxflow", "--grid", "12x12", "--random-capacities", "--seed", "12",
+                        "--r", "16", "--flow", repr(factor * exact),
+                        "--json", str(out)]) == code
+            payload = json.loads(out.read_text())
+            assert payload["status"] == status
+            assert payload["requested_flow"] == factor * exact
+            if status == "partial":
+                assert payload["flow_value"] < (1 - 0.1 / 3) * factor * exact
 
     def test_emit_flow_and_trace(self, tmp_path):
         out = tmp_path / "r.json"

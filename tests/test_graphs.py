@@ -184,6 +184,15 @@ class TestDemand:
         ref = dense_laplacian(g.n, g.tails, g.heads, 1.0 / g.resistance)
         assert np.allclose(ours, ref, atol=1e-14)
 
+    def test_laplacian_csr_shares_the_read_only_pattern(self, rng):
+        g = random_connected_graph(rng, 9, 6)
+        a = g.laplacian_csr(np.ones(g.m))
+        b = g.reweighted(2.0 * g.weight).laplacian_csr(2.0 * np.ones(g.m))
+        assert np.shares_memory(a.indices, b.indices) and np.shares_memory(a.indptr, b.indptr)
+        assert a.has_canonical_format
+        assert not a.indices.flags.writeable and not a.indptr.flags.writeable
+        assert np.allclose(b.toarray(), 2.0 * a.toarray())
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=9), st.data())

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sepflow import (GraphError, GroupedFlowProblem, ValidationError, WeightedGraph,
-                     check_mwu_step, electrical_flow, grid_graph, grid_r_division,
+from sepflow import (GraphError, GroupedFlowProblem, LaggedFactor, ValidationError,
+                     WeightedGraph, check_mwu_step, electrical_flow, grid_graph, grid_r_division,
                      group_congestions, grouped_flow, mwu_parameters, residual_of_vector,
                      st_demand)
 
@@ -136,6 +136,27 @@ class TestGroupedFlow:
         d = st_demand(16, 0, 15, 0.5 / cong.max())
         res = grouped_flow(GroupedFlowProblem(g, part.groups, d, 0.1))
         assert res.diagnostics.accepted >= (1 - 0.1) * res.diagnostics.iterations
+
+    def test_carried_lag_matches_fresh_call(self):
+        # a LaggedFactor carried over from an earlier call preconditions the
+        # next call's first solve with the old factor; the result is the
+        # fresh call's up to the solve tolerance
+        rng = np.random.default_rng(3)
+        g0 = grid_graph(10, 10)  # 100 vertices, above the dense cutoff
+        part = grid_r_division(10, 10, 1, 16, terminals=(0, 99), graph=g0)
+        g1 = WeightedGraph(g0.n, g0.edges, weight=rng.uniform(0.5, 2.0, g0.m))
+        g2 = g1.reweighted(g1.weight * rng.uniform(0.8, 1.25, g0.m))
+        lag = LaggedFactor()
+        grouped_flow(GroupedFlowProblem(g1, part.groups, st_demand(100, 0, 99, 0.3), 0.1), lag=lag)
+        before = lag.counters()
+        prob = GroupedFlowProblem(g2, part.groups, st_demand(100, 0, 99, 0.35), 0.1)
+        carried = grouped_flow(prob, lag=lag)
+        fresh = grouped_flow(prob)
+        assert lag.rebinds > before["rebinds"] and lag.handle is not None
+        assert carried.status == fresh.status == "ok"
+        assert carried.diagnostics.iterations == fresh.diagnostics.iterations
+        scale = np.abs(fresh.flow).max()
+        assert np.abs(carried.flow - fresh.flow).max() <= 1e-9 * scale
 
     def test_resistance_positivity_invariant(self):
         # every per-edge resistance (w_grp + (eps/k) mu) w(e) stays positive

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GraphError, GroupedFlowFail, GroupedFlowProblem, RunConfig,
-                     SparseLaplacian, SparsifierPlan, SweptCutFail, WeightedGraph,
-                     approx_grouped_flow, approx_max_flow, build_sparsified_instance,
-                     convert_flow, cut_certificate, edge_congestions, exact_max_flow_oracle,
-                     exact_schur, grid_graph, grid_r_division, group_congestions,
-                     grouped_flow, one_step_vertex_sparsify, oracle_edge_weights,
-                     partition_from_groups, random_capacity_grid, residual_of_vector,
-                     route_fixed_flow, st_demand, sweep_cut)
+from sepflow import (GraphError, GroupedFlowFail, GroupedFlowProblem, LaggedFactor, RunConfig,
+                     SolverConvergenceError, SparseLaplacian, SparsifierPlan, SweptCutFail,
+                     ValidationError, WeightedGraph, approx_grouped_flow, approx_max_flow,
+                     build_sparsified_instance, convert_flow, cut_certificate,
+                     edge_congestions, exact_max_flow_oracle, exact_schur, grid_graph,
+                     grid_r_division, group_congestions, grouped_flow,
+                     one_step_vertex_sparsify, oracle_edge_weights, partition_from_groups,
+                     random_capacity_grid, residual_of_vector, route_fixed_flow, st_demand,
+                     sweep_cut)
 from sepflow import pipeline
 
 from conftest import dense_electrical, random_connected_graph
@@ -207,6 +208,38 @@ class TestApproxGroupedFlow:
         with pytest.raises(GraphError, match="interior"):
             approx_grouped_flow(inst, d, 0.1)
 
+    def test_rebuilt_quotient_pattern_factors_afresh(self):
+        # a LaggedFactor carried across calls rebinds while the quotient keeps
+        # its edge pattern, and factors afresh once the pattern is rebuilt
+        class Spy(LaggedFactor):
+            def handle_for(self, g, conductance):
+                handle = super().handle_for(g, conductance)
+                self.fresh.append(handle._exact_direct)
+                return handle
+
+        eps = 0.1
+        g = random_capacity_grid(12, 12, seed=4)
+        part = grid_r_division(12, 12, 1, 16, terminals=(0, g.n - 1), graph=g)
+        w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, eps)
+        d = st_demand(g.n, 0, g.n - 1, 0.5 * exact_max_flow_oracle(g, 0, g.n - 1).value)
+        lag = Spy()
+        lag.fresh = []
+        first = build_sparsified_instance(g, part, w, eps / 10, seed=1)
+        assert first.quotient_graph.n > 64  # above the dense cutoff
+        approx_grouped_flow(first, d, eps, lag=lag)
+        assert lag.fresh[0] and not any(lag.fresh[1:])
+        same = build_sparsified_instance(g, part, 1.05 * w, eps / 10, seed=1)
+        assert same.quotient_graph._structure is first.quotient_graph._structure
+        lag.fresh = []
+        approx_grouped_flow(same, d, eps, lag=lag)
+        assert not any(lag.fresh)
+        part._topology.quotient = None  # forces a rebuilt quotient pattern
+        rebuilt = build_sparsified_instance(g, part, 1.05 * w, eps / 10, seed=1)
+        assert rebuilt.quotient_graph._structure is not first.quotient_graph._structure
+        lag.fresh = []
+        approx_grouped_flow(rebuilt, d, eps, lag=lag)
+        assert lag.fresh[0] and lag.structure is rebuilt.quotient_graph._structure
+
     def test_single_group_whole_graph(self):
         g0 = grid_graph(3, 3)
         part = grid_r_division(3, 3, 1, 100, terminals=(0, 8), graph=g0)
@@ -247,6 +280,27 @@ class TestApproxMaxFlow:
                               RunConfig(eps=0.1, r=32, seed=2))
         assert res.value >= 0.9 * exact - 1e-6
         assert edge_congestions(res.flow, g.capacity).max() <= 1 + 1e-9
+
+    def test_validation_error_reaches_the_caller(self, monkeypatch):
+        # a broken invariant inside grouped flow is not an unproductive probe
+        def broken(*args, **kwargs):
+            raise ValidationError("planted invariant violation")
+
+        g = random_capacity_grid(6, 6, seed=1)
+        part = grid_r_division(6, 6, 1, 16, terminals=(0, g.n - 1), graph=g)
+        monkeypatch.setattr(pipeline, "grouped_flow", broken)
+        with pytest.raises(ValidationError, match="planted"):
+            approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=16))
+
+    def test_convergence_error_ends_the_probe(self, monkeypatch):
+        def capped(*args, **kwargs):
+            raise SolverConvergenceError("planted cap hit")
+
+        g = random_capacity_grid(6, 6, seed=1)
+        part = grid_r_division(6, 6, 1, 16, terminals=(0, g.n - 1), graph=g)
+        monkeypatch.setattr(pipeline, "grouped_flow", capped)
+        res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=16))
+        assert res.stats.inner_failures == res.stats.probes >= 1
 
     def test_nonboundary_terminal_rejected(self):
         g = grid_graph(4, 4)
@@ -312,6 +366,14 @@ class TestCutCertificate:
         side, cap = sweep_cut(g, phi, 0, g.n - 1)
         assert 0 in side and (g.n - 1) not in side
         assert cap > 0
+
+    def test_sweep_cut_tied_terminals(self):
+        g = grid_graph(4, 4)
+        phi = np.zeros(g.n)
+        with pytest.raises(GraphError, match="equal potentials"):
+            sweep_cut(g, phi, 9, 2)
+        side, _ = sweep_cut(g, phi, 2, 9)  # s ranks first on a tie: a cut exists
+        assert 2 in side and 9 not in side
 
 
 def reference_sweep_cut(g, phi, s, t):
@@ -453,3 +515,20 @@ class TestDeterminism:
         b = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
         assert a.value == b.value
         assert np.array_equal(a.flow, b.flow)
+
+    def test_same_seed_repeats_solver_counters(self):
+        # quotient of 97 vertices: the run carries one lagged factor
+        g = random_capacity_grid(12, 12, seed=4)
+
+        def run():
+            part = grid_r_division(12, 12, 1, 16, terminals=(0, g.n - 1), graph=g)
+            return approx_max_flow(g, part, None, 0, g.n - 1, 0.1,
+                                   RunConfig(eps=0.1, r=16, seed=4))
+
+        a, b = run(), run()
+        ca = a.stats.counters()
+        assert ca == b.stats.counters()
+        assert np.array_equal(a.flow, b.flow)
+        assert 0 < ca["factorizations"] < ca["electrical_flows"]
+        assert ca["factorizations"] + ca["rebinds"] == ca["electrical_flows"]
+        assert ca["pcg_iterations"] >= ca["rebinds"]

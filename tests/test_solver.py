@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sepflow import (GraphError, SolverConvergenceError, SolverHandle, WeightedGraph,
-                     electrical_flow, laplacian_from_resistances, optimum_energy,
-                     residual_of_vector, solve_sdd, st_demand)
+from sepflow import (GraphError, LaggedFactor, SolverConvergenceError, SolverHandle,
+                     WeightedGraph, electrical_flow, grid_graph, laplacian_from_resistances,
+                     optimum_energy, residual_of_vector, solve_sdd, st_demand)
+from sepflow.solver import SolveStats
 
 from conftest import dense_electrical, random_connected_graph
 
@@ -35,19 +36,24 @@ class TestSolveSdd:
     def test_anorm_contract(self, rng):
         # |x - A^+ b|_A <= delta |A^+ b|_A against the dense pseudoinverse, on
         # both sides of the dense cutoff, for a fresh handle (one factor
-        # application) and for one rebound to conductances scaled by
-        # U(0.8, 1.25) (PCG preconditioned by the old factor)
+        # application) and for the same base handle rebound again and again
+        # to conductances that drift by U(0.8, 1.25) per step (PCG
+        # preconditioned by the old factor, as a carried ``LaggedFactor``
+        # uses it); the last one is rebound from a rebound handle
         deltas = (1e-2, 1e-4, 1e-6, 1e-10)
         for trial in range(300):
             n = int(rng.integers(10, 121))
             g = random_connected_graph(rng, n, int(rng.integers(0, 2 * n)))
-            c = rng.uniform(0.5, 2.0, g.m)
-            c_new = c * rng.uniform(0.8, 1.25, g.m)
+            conds = [rng.uniform(0.5, 2.0, g.m)]
+            for _ in range(3):
+                conds.append(conds[-1] * rng.uniform(0.8, 1.25, g.m))
             d = rng.normal(size=n)
             d -= d.mean()
             delta = deltas[trial % len(deltas)]
-            fresh = SolverHandle.for_graph(g, c)
-            for handle, cond in ((fresh, c), (fresh.rebind(g.laplacian_csr(c_new)), c_new)):
+            fresh = SolverHandle.for_graph(g, conds[0])
+            handles = [fresh] + [fresh.rebind(g.laplacian_csr(c)) for c in conds[1:-1]]
+            handles.append(handles[-1].rebind(g.laplacian_csr(conds[-1])))
+            for handle, cond in zip(handles, conds):
                 a = g.laplacian_csr(cond).toarray()
                 x = handle.solve(d, delta=delta)
                 ref = np.linalg.pinv(a) @ d
@@ -70,6 +76,38 @@ class TestSolveSdd:
         assert err.value.best_iterate is not None
         assert err.value.best_iterate.shape == d.shape
         assert err.value.achieved_residual is not None
+        b = np.column_stack([d, -d])
+        with pytest.raises(SolverConvergenceError) as err:
+            rebound.solve(b, delta=1e-12)
+        assert err.value.best_iterate.shape == b.shape
+
+    def test_rebound_columns_match_vector_solves(self, rng):
+        # a 2-D right-hand side on a rebound handle runs the one-vector PCG
+        # column by column, warm start included
+        g = random_connected_graph(rng, 90, 120)
+        c = rng.uniform(0.5, 2.0, g.m)
+        rebound = SolverHandle.for_graph(g, c).rebind(
+            g.laplacian_csr(c * rng.uniform(0.8, 1.25, g.m)))
+        b = rng.normal(size=(g.n, 3))
+        b -= b.mean(axis=0)
+        x0 = rng.normal(size=(g.n, 3))
+        for start in (None, x0):
+            x, st = rebound.solve_with_stats(b, delta=1e-8, x0=start)
+            cols = [rebound.solve_with_stats(b[:, j].copy(), delta=1e-8,
+                                             x0=None if start is None else start[:, j].copy())
+                    for j in range(3)]
+            assert np.array_equal(x, np.column_stack([xj for xj, _ in cols]))
+            assert st.iterations == sum(sj.iterations for _, sj in cols)
+
+    def test_rebind_keeps_csr_and_rejects_wrong_shape(self, rng):
+        g = random_connected_graph(rng, 70, 40)
+        c = rng.uniform(0.5, 2.0, g.m)
+        handle = SolverHandle.for_graph(g, c)
+        lap = g.laplacian_csr(c * 1.1)
+        assert handle.rebind(lap).matrix is lap
+        assert handle.rebind(lap.toarray()).matrix.format == "csr"
+        with pytest.raises(GraphError, match="shape"):
+            handle.rebind(sp.eye(g.n + 1, format="csr"))
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_rejects_singular_non_laplacian(self, rng, n):
@@ -115,6 +153,50 @@ class TestSolveSdd:
         x_mat = SolverHandle(g.laplacian_csr(c)).solve(d, delta=1e-8)
         x_graph = SolverHandle.for_graph(g, c).solve(d, delta=1e-8)
         assert np.array_equal(x_mat, x_graph)
+
+
+class TestLaggedFactor:
+    def test_policy_and_counters(self):
+        g = grid_graph(9, 9)  # 81 vertices, above the dense cutoff
+        c = np.ones(g.m)
+        lag = LaggedFactor()
+        first = lag.handle_for(g, c)
+        assert first._exact_direct and lag.factorizations == 1
+        lag.record(SolveStats(iterations=1))
+        again = lag.handle_for(g.reweighted(np.full(g.m, 2.0)), 1.1 * c)
+        assert not again._exact_direct and lag.rebinds == 1
+        slow = LaggedFactor.REFRESH_ITERATIONS + 1
+        lag.record(SolveStats(iterations=slow))
+        assert lag.handle_for(g, c)._exact_direct  # slow PCG refreshes the factor
+        assert lag.counters() == {"electrical_flows": 3, "factorizations": 2, "rebinds": 1,
+                                  "pcg_iterations": slow}
+
+    def test_rebuilt_pattern_factors_afresh(self):
+        g = grid_graph(9, 9)
+        lag = LaggedFactor()
+        lag.handle_for(g, np.ones(g.m))
+        lag.record(SolveStats(iterations=1))
+        # same edges, but not made by ``reweighted``: a rebuilt pattern
+        rebuilt = WeightedGraph(g.n, g.edges)
+        assert lag.handle_for(rebuilt, np.ones(g.m))._exact_direct
+        assert lag.factorizations == 2 and lag.rebinds == 0
+        lag.record(SolveStats(iterations=1))
+        assert not lag.handle_for(rebuilt.reweighted(np.full(g.m, 3.0)), np.ones(g.m))._exact_direct
+
+    def test_small_graphs_factor_every_time(self):
+        g = grid_graph(8, 8)  # 64 vertices: at the dense cutoff
+        lag = LaggedFactor()
+        for _ in range(3):
+            assert lag.handle_for(g, np.ones(g.m))._exact_direct
+            lag.record(SolveStats(iterations=1))
+        assert lag.factorizations == 3 and lag.rebinds == 0 and lag.pcg_iterations == 0
+
+    def test_drop_forgets_the_factor(self):
+        g = grid_graph(9, 9)
+        lag = LaggedFactor()
+        lag.handle_for(g, np.ones(g.m))
+        lag.drop()
+        assert lag.handle_for(g, np.ones(g.m))._exact_direct
 
 
 class TestElectricalFlow:
