@@ -1,13 +1,14 @@
 """Cut certificates: what comes back when the demand cannot be routed.
 
-Each outer iteration of a fixed-flow run first sweeps the quotient's
-electrical potentials, lifted into every group interior.  A swept cut below
-the request decides it at once (a swept-cut verdict): the cut's indicator,
-scaled by 1 / cut, is a vertex potential vector phi with
+Each outer iteration of a fixed-flow run first sweeps the electrical
+potentials of the graph grouped flow runs on (the graph itself by default;
+on the two-level routes the quotient's, lifted into every group interior).
+A swept cut below the request decides it at once (a swept-cut verdict): the
+cut's indicator, scaled by 1 / cut, is a vertex potential vector phi with
 sum_e u(e) |phi_u - phi_v| = 1 and d^T phi = F / cut > 1.  Otherwise a
-grouped-flow run whose energy test fires yields quotient potentials;
-extending them harmonically into every group interior and rescaling gives phi
-with sum_e u(e) |phi_u - phi_v| <= 1 and d^T phi >= 1 - 10 eps (an
+grouped-flow run whose energy test fires yields potentials (on the two-level
+routes, extended harmonically into every group interior); rescaling gives
+phi with sum_e u(e) |phi_u - phi_v| <= 1 and d^T phi >= 1 - 10 eps (an
 energy-test verdict).  Either certifies infeasibility, and comes with an
 explicit cut.
 """

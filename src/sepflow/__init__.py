@@ -1,11 +1,13 @@
 """Approximate maximum s-t flow on separable undirected graphs.
 
 The pipeline: an r-division partitions the edges into small groups with
-small vertex boundaries; each group is replaced by a spectral vertex
-sparsifier of its Schur complement; a multiplicative-weights grouped-L2-flow
-solver runs on the shrunken quotient graph; flows are converted back
-group-by-group through local electrical routings; an outer flow-oracle loop
+small vertex boundaries; a multiplicative-weights grouped-L2-flow solver
+routes flows under per-group energy constraints; an outer flow-oracle loop
 turns grouped flows into an approximate maximum flow (or a cut certificate).
+By default grouped flow runs on the graph itself.  The paper's two-level
+routes replace each group by a spectral vertex sparsifier of its Schur
+complement, run grouped flow on the quotient graph, and convert flows back
+group-by-group through local electrical routings.
 """
 
 from .errors import (

@@ -75,7 +75,7 @@ def _build_instance(args):
             raise SepflowError("--recursive without --septree needs a grid instance")
         plan = SparsifierPlan(method="recursive", septrees=septrees_for_partition(spec, part, g))
     else:
-        plan = SparsifierPlan(method="one-step")
+        plan = SparsifierPlan()
     return g, s, t, part, plan
 
 

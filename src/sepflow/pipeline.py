@@ -2,6 +2,21 @@
 flow-oracle outer loop producing the approximate maximum flow, and the cut
 certificate extracted from a failed run.
 
+Routes: a ``SparsifierPlan`` picks how each outer iteration solves its
+grouped-flow problem.  The default ``"direct"`` route runs grouped flow on
+G itself, at the oracle's edge weights and with the partition's groups, and
+takes its averaged flow as it is: no group is eliminated, no quotient is
+built and nothing is converted.  ``"one-step"`` and ``"recursive"`` run the
+paper's two-level scheme: grouped flow on a quotient of per-group vertex
+sparsifiers, converted back group by group.  Until ``sparsify`` samples
+(README "Notes on scale"), every quotient group is its group's exact Schur
+complement; grouped flow scales a group's resistances by one constant, which
+scales its Schur complement by the same constant, and conversion is the
+harmonic extension, so the two routes are the same algorithm in exact
+arithmetic (Kron reduction), and the quotient has more edges than G.  Either
+route hands on a ``SparsifiedInstance``; a direct one has G as its quotient,
+with identity vertex map and interior extension.
+
 A fixed-flow phase (``route_fixed_flow``) sweeps the quotient's electrical
 potentials once per outer iteration, lifted into every group interior; a
 swept cut below the phase's success target proves by weak duality that the
@@ -15,24 +30,25 @@ lives on its (global) boundary vertex set; the quotient graph concatenates all
 sparsifiers over the union of boundaries, with ``quotient_vertices`` mapping
 quotient-local ids back to global ones.
 
-Per-group elimination: a partition's ``GroupTopology`` (local vertex ids,
-boundary/interior split, local incidence, BFS trees) is built on first use
-and cached on the ``Partition``.  Each outer iteration then factors every
-group once (``GroupElimination``, dense Cholesky batched over groups of
-equal shape).  That one factor gives the group's sparsifier (its exact Schur
-complement, cleaned and floored), the conversion of quotient flows back to
-the group (``phi_b = S^+ d_b``, ``phi_int = X phi_b``) and the interior
-extension of the cut certificate.  Sparsifiers are kept as per-shape-class
-arrays of boundary-pair conductances, and the quotient's edge set is cached
-with the topology, so an iteration refreshes only its weights.  A
-``SparsifierPlan`` with ``method="recursive"`` builds the sparsifiers one
-group at a time along its separator trees instead.
+Per-group elimination (two-level routes only): a partition's
+``GroupTopology`` (local vertex ids, boundary/interior split, local
+incidence, BFS trees) is built on first use and cached on the ``Partition``.
+Each outer iteration then factors every group once (``GroupElimination``,
+dense Cholesky batched over groups of equal shape).  That one factor gives
+the group's sparsifier (its exact Schur complement, cleaned and floored),
+the conversion of quotient flows back to the group (``phi_b = S^+ d_b``,
+``phi_int = X phi_b``) and the interior extension of the cut certificate.
+Sparsifiers are kept as per-shape-class arrays of boundary-pair
+conductances, and the quotient's edge set is cached with the topology, so an
+iteration refreshes only its weights.  A ``SparsifierPlan`` with
+``method="recursive"`` builds the sparsifiers one group at a time along its
+separator trees instead.
 
-Every grouped-flow electrical flow on the quotient gets its solver handle
-from the run's one ``LaggedFactor``: above the dense cutoff, one factor of
-the quotient Laplacian preconditions PCG across inner iterations, outer
-iterations and probes alike, and is refreshed when PCG slows down or the
-quotient's edge pattern is rebuilt.
+Every grouped-flow electrical flow gets its solver handle from the run's one
+``LaggedFactor``: above the dense cutoff, one factor of the Laplacian grouped
+flow runs on (G's, or the quotient's) preconditions PCG across inner
+iterations, outer iterations and probes alike, and is refreshed when PCG
+slows down or the quotient's edge pattern is rebuilt.
 """
 
 from __future__ import annotations
@@ -108,8 +124,10 @@ STAGES = ("sparsify", "quotient_assemble", "grouped_flow", "convert", "oracle_up
 class MaxFlowRunStats:
     """Counters and per-stage wall times (seconds) of one run.
 
-    ``timings`` holds one entry per name in ``STAGES`` plus ``total``; the
-    stages add up to ``total`` up to loop bookkeeping.  ``dense_groups`` and
+    ``route`` is the ``SparsifierPlan`` method the run took.  ``timings``
+    holds one entry per name in ``STAGES`` plus ``total``; the stages add up
+    to ``total`` up to loop bookkeeping (the direct route spends nothing in
+    ``sparsify``, ``quotient_assemble`` and ``convert``).  ``dense_groups`` and
     ``recursive_groups`` count, over all sparsifier builds, the groups whose
     sparsifier came from the batched elimination and those that took the
     recursive route, one group at a time.
@@ -117,10 +135,13 @@ class MaxFlowRunStats:
     and ended a probe; ``cut_verdicts`` counts fixed-flow phases decided by a
     swept cut.  ``electrical_flows``, ``factorizations``, ``rebinds`` and
     ``pcg_iterations`` are the run's ``LaggedFactor`` counters: grouped flow's
-    electrical flows on the quotient, the fresh factors and rebound handles
-    that served them, and the PCG iterations on the rebound ones.
+    electrical flows (on G or on the quotient), the fresh factors and rebound
+    handles that served them, and the PCG iterations on the rebound ones.
+    ``iterations_inner_total`` counts one inner iteration per electrical
+    flow, including those of a probe that a ``SolverConvergenceError`` ended.
     """
 
+    route: str = ""
     iterations_outer: int = 0
     iterations_inner_total: int = 0
     probes: int = 0
@@ -140,7 +161,7 @@ class MaxFlowRunStats:
 
     def counters(self):
         return {name: getattr(self, name) for name in (
-            "iterations_outer", "iterations_inner_total", "probes", "width_failures",
+            "route", "iterations_outer", "iterations_inner_total", "probes", "width_failures",
             "sparsifier_builds", "dense_groups", "recursive_groups", "topology_builds",
             "inner_failures", "cut_verdicts") + SOLVER_COUNTERS}
 
@@ -163,18 +184,26 @@ def _stage(stats, name):
 
 @dataclass
 class SparsifierPlan:
-    """How to build per-group sparsifiers: ``"one-step"`` (one batched
-    elimination of every group) or ``"recursive"`` (along ``septrees``, one
-    ``SeparatorTree`` per group on global vertex ids)."""
+    """How an outer iteration solves its grouped-flow problem.
 
-    method: str = "one-step"
+    ``"direct"`` (the default) runs grouped flow on G itself with the
+    partition's groups.  The two-level routes run it on a quotient of
+    per-group vertex sparsifiers and convert the flow back: ``"one-step"``
+    builds them by one batched elimination of every group, ``"recursive"``
+    along ``septrees`` (one ``SeparatorTree`` per group on global vertex
+    ids).  Below the scale where ``sparsify`` samples, the quotient is an
+    exact reformulation of G with more edges (see the module docstring), so
+    the two-level routes are for callers who want the paper's scheme itself.
+    """
+
+    method: str = "direct"
     septrees: list | None = None
     c_s: float = SPARSIFY_EDGE_FACTOR
 
     def __post_init__(self):
-        if self.method not in ("one-step", "recursive"):
-            raise GraphError(
-                f"sparsifier method must be 'one-step' or 'recursive', not {self.method!r}")
+        if self.method not in ("direct", "one-step", "recursive"):
+            raise GraphError("sparsifier method must be 'direct', 'one-step' or 'recursive', "
+                             f"not {self.method!r}")
         if self.method == "recursive" and self.septrees is None:
             raise GraphError("a recursive sparsifier plan needs septrees, one per group")
         if self.c_s <= 0:
@@ -183,7 +212,9 @@ class SparsifierPlan:
 
 @dataclass
 class SparsifiedInstance:
-    """Original graph + partition with per-group sparsifiers assembled into a quotient."""
+    """Original graph + partition with per-group sparsifiers assembled into a
+    quotient; on the direct route the quotient is G itself at ``weights``,
+    with the partition's groups and no ``elimination``."""
 
     graph: WeightedGraph
     partition: Partition
@@ -192,8 +223,15 @@ class SparsifiedInstance:
     quotient_graph: WeightedGraph
     quotient_groups: list
     quotient_vertices: np.ndarray  # quotient-local -> global id
-    elimination: GroupElimination  # the groups factored at ``weights``
+    elimination: GroupElimination | None  # the groups factored at ``weights``; None if direct
     stats: MaxFlowRunStats | None = None  # the run that built it, if any
+
+    def extend(self, phi):
+        """``phi`` (graph vertex ids) with every group interior set to the
+        harmonic extension of its boundary values (the identity when direct)."""
+        if self.elimination is None:
+            return np.asarray(phi, dtype=float)
+        return self.elimination.extend(phi)
 
     def quotient_demand(self, d):
         d = zero_sum_demand(d, self.graph.n)
@@ -277,16 +315,28 @@ def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopol
     return topo
 
 
+def _direct_instance(g: WeightedGraph, part: Partition, weights, eps,
+                     stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
+    """A phase's grouped-flow problem on G itself: G at ``weights`` with the
+    partition's groups, identity vertex map, nothing eliminated."""
+    return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
+                              quotient_graph=g.reweighted(weights), quotient_groups=part.groups,
+                              quotient_vertices=np.arange(g.n), elimination=None, stats=stats)
+
+
 def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
                               plan: SparsifierPlan | None = None, seed: int = 0,
                               stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """Sparsify every group at error ``eps`` and assemble the quotient graph.
 
-    One-step sparsifiers come from one batched elimination; recursive ones
-    are built one group at a time and written into the same per-class
-    boundary-pair arrays.
+    One-step sparsifiers (the default here) come from one batched
+    elimination; recursive ones are built one group at a time and written
+    into the same per-class boundary-pair arrays.  A direct plan builds no
+    sparsifiers and is rejected.
     """
-    plan = plan or SparsifierPlan()
+    plan = plan or SparsifierPlan("one-step")
+    if plan.method == "direct":
+        raise GraphError("a direct plan builds no sparsifiers; its phases run on G itself")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (g.m,) or np.any(weights <= 0):
         raise GraphError("need one positive weight per edge")
@@ -450,7 +500,9 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
                         early_exit_cap=4, max_iterations=200, runtime_checks=True,
                         lag: LaggedFactor | None = None) -> ApproxGroupedFlowResult:
     """Grouped flow on the quotient graph at eps/2, converted back to the
-    original graph at eps/10.  ``lag`` is passed on to ``grouped_flow``."""
+    original graph at eps/10; on a direct instance the flow is on the
+    original graph already and is returned as it is.  ``lag`` is passed on
+    to ``grouped_flow``."""
     stats = instance.stats
     with _stage(stats, "grouped_flow"):
         d = zero_sum_demand(d, instance.graph.n)
@@ -466,14 +518,16 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
                                        inner_iterations=res.diagnostics.iterations,
                                        instance=instance)
     part = instance.partition
-    with _stage(stats, "convert"):
-        f = convert_flow(instance.quotient_graph, instance.quotient_groups,
-                         instance.graph, part.groups, res.flow, eps / 10.0,
-                         dst_weights=instance.weights,
-                         src_vertex_map=instance.quotient_vertices,
-                         check_boundaries=part.boundaries,
-                         elimination=instance.elimination)
-        cong = group_congestions(f, instance.weights, part.groups)
+    f = res.flow
+    if instance.elimination is not None:
+        with _stage(stats, "convert"):
+            f = convert_flow(instance.quotient_graph, instance.quotient_groups,
+                             instance.graph, part.groups, res.flow, eps / 10.0,
+                             dst_weights=instance.weights,
+                             src_vertex_map=instance.quotient_vertices,
+                             check_boundaries=part.boundaries,
+                             elimination=instance.elimination)
+    cong = group_congestions(f, instance.weights, part.groups)
     return ApproxGroupedFlowResult(status="ok", flow=f, fail=None, quotient_flow=res.flow,
                                    inner_iterations=res.diagnostics.iterations,
                                    instance=instance,
@@ -512,7 +566,8 @@ class SweptCutFail:
 
 def _swept_cut(inst: SparsifiedInstance, d, s, t):
     """Sweep of the quotient's electrical potentials at its grouped-flow
-    weights, lifted harmonically into every group interior.
+    weights, lifted harmonically into every group interior (on the direct
+    route, G's own potentials).
 
     Grouped flow's first iterate routes ``d`` under these resistances times
     one constant, so this is the ordering its first electrical flow gives.
@@ -521,7 +576,7 @@ def _swept_cut(inst: SparsifiedInstance, d, s, t):
     phi = np.zeros(inst.graph.n)
     phi[inst.quotient_vertices] = SolverHandle.for_graph(q, 1.0 / q.weight).solve(
         inst.quotient_demand(d))
-    return sweep_cut(inst.graph, inst.elimination.extend(phi), s, t)
+    return sweep_cut(inst.graph, inst.extend(phi), s, t)
 
 
 def success_target(flow_amount, eps, config: RunConfig):
@@ -544,10 +599,15 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats, la
     ends the phase with a ``SweptCutFail``, since no flow of ``flow_amount``
     exists.
 
+    ``plan`` picks the route: a direct phase runs grouped flow on G at the
+    oracle's weights, a two-level phase on the quotient of sparsifiers built
+    at those weights.
+
     ``lag`` is the run's ``LaggedFactor``; its counters are copied into
     ``stats``.  An inner ``SolverConvergenceError`` ends the phase as an
-    unproductive probe (counted in ``inner_failures``); a ``ValidationError``
-    is a broken invariant and propagates.
+    unproductive probe (counted in ``inner_failures``, its electrical flows
+    in ``iterations_inner_total``); a ``ValidationError`` is a broken
+    invariant and propagates.
     """
     m = g.m
     rho_outer = math.ceil(config.c_w * math.sqrt(part.r) / math.sqrt(eps))
@@ -566,8 +626,12 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats, la
         stats.iterations_outer += 1
         with _stage(stats, "oracle_update"):
             w = oracle_edge_weights(w_oracle, g.capacity, part.groups, eps)
-        inst = build_sparsified_instance(g, part, w, eps / 10.0, plan,
-                                         seed=substream(seed, "phase", it), stats=stats)
+        if plan.method == "direct":
+            with _stage(stats, "grouped_flow"):
+                inst = _direct_instance(g, part, w, eps / 10.0, stats)
+        else:
+            inst = build_sparsified_instance(g, part, w, eps / 10.0, plan,
+                                             seed=substream(seed, "phase", it), stats=stats)
         if sweep:
             with _stage(stats, "grouped_flow"):
                 side, cut = _swept_cut(inst, d, s, t)
@@ -579,16 +643,20 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats, la
         inner_cap = min(max(config.max_inner_iterations,
                             config.inner_budget_units // max(qsize, 1)),
                         config.inner_iteration_ceiling)
+        flows_before = lag.electrical_flows
         try:
             res = approx_grouped_flow(inst, d, eps / 10.0,
                                       early_exit_cap=config.inner_early_exit_cap,
                                       max_iterations=inner_cap,
                                       strict=config.strict_paper, lag=lag)
         except SolverConvergenceError:
+            res = None
+        # one inner iteration per electrical flow, also when a cap hit ends the probe
+        stats.iterations_inner_total += lag.electrical_flows - flows_before
+        if res is None:
             stats.inner_failures += 1
             break  # the inner solver could not certify this F; unproductive probe
         with _stage(stats, "oracle_update"):
-            stats.iterations_inner_total += res.inner_iterations
             if res.failed:
                 fail = (inst, res.fail, d)
                 break
@@ -647,7 +715,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         warnings.warn(f"capacity ratio U(u) = {u_ratio:.3e} exceeds m/eps = {g.m / eps:.3e}",
                       stacklevel=2)
 
-    stats = MaxFlowRunStats()
+    stats = MaxFlowRunStats(route=plan.method)
     lag = LaggedFactor()
     t_start = time.perf_counter()
     with _stage(stats, "oracle_update"):
@@ -722,11 +790,11 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     config = config or RunConfig(eps=eps)
     seed = config.seed if seed is None else seed
     plan = plan or SparsifierPlan()
-    stats = MaxFlowRunStats()
+    stats = MaxFlowRunStats(route=plan.method)
+    phase_seed, lag = substream(seed, "fixed"), LaggedFactor()
     t_start = time.perf_counter()
     ok, val, flow, fail, _ = _oracle_phase(g, part, plan, s, t, flow_amount, eps, config,
-                                           substream(seed, "fixed"), stats, LaggedFactor(),
-                                           sweep=True)
+                                           phase_seed, stats, lag, sweep=True)
     stats.timings["total"] = time.perf_counter() - t_start
     if fail is not None:
         return None, fail
@@ -803,7 +871,7 @@ def _energy_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps
     phi[instance.quotient_vertices] = phi_q
     # the failing resistances (w_grp(i) + (eps/k) mu) * weights scale each
     # group by one constant, which leaves its harmonic extension unchanged
-    phi = instance.elimination.extend(phi)
+    phi = instance.extend(phi)
 
     grad = np.abs(phi[g.tails] - phi[g.heads])
     a_total = float(g.capacity @ grad)

@@ -161,16 +161,19 @@ def _eliminate(lap, nb):
 
     ``lap`` has shape (G, n, n), boundary vertices first.  One Cholesky factor
     C of each interior block gives ``S = L_bb - W^T W`` with ``W = C^-1 L_ib``
-    and the harmonic extension ``X = -L_ii^-1 L_ib = -C^-T W``.  Raises
-    ``np.linalg.LinAlgError`` if an interior block is not positive definite.
+    and the harmonic extension ``X = -L_ii^-1 L_ib = -C^-T W``, both by
+    solves against C, stacked (no inverse is formed, so no second interior-
+    sized array is held).  Raises ``np.linalg.LinAlgError`` if an interior
+    block is not positive definite.
     """
     l_bb = lap[:, :nb, :nb]
     if lap.shape[1] == nb:
         return l_bb.copy(), np.zeros((lap.shape[0], 0, nb))
-    c_inv = np.linalg.inv(np.linalg.cholesky(lap[:, nb:, nb:]))
-    w = c_inv @ lap[:, nb:, :nb]
+    chol = np.linalg.cholesky(lap[:, nb:, nb:])
+    w = np.linalg.solve(chol, lap[:, nb:, :nb])
     s = l_bb - np.swapaxes(w, 1, 2) @ w
-    x = -(np.swapaxes(c_inv, 1, 2) @ w)
+    x = np.linalg.solve(np.swapaxes(chol, 1, 2), w)
+    x *= -1.0
     return 0.5 * (s + np.swapaxes(s, 1, 2)), x
 
 

@@ -51,7 +51,11 @@ class SolveStats:
 class _Factor:
     """Exact factor of a matrix with each component's root row and column
     removed (none for a non-Laplacian): dense Cholesky up to ``DENSE_CUTOFF``
-    unknowns, sparse LU above.  Applies as zeros at the roots."""
+    unknowns, sparse LU above.  Applies as zeros at the roots.
+
+    The grounded matrix is symmetric positive definite, so the LU takes a
+    symmetric fill-reducing ordering (minimum degree on ``A^T + A``) and
+    pivots on the diagonal, which keeps L and U to one sparsity pattern."""
 
     def __init__(self, a, keep):
         try:
@@ -60,7 +64,8 @@ class _Factor:
                                                      check_finite=False)
                 self._lu = None
             else:
-                self._lu = spla.splu(a[keep][:, keep].tocsc())
+                self._lu = spla.splu(a[keep][:, keep].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except (scipy.linalg.LinAlgError, RuntimeError) as exc:
             raise GraphError("matrix is singular after grounding") from exc
         self.keep = keep

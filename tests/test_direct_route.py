@@ -1,0 +1,139 @@
+"""Differential tests: the default direct route (grouped flow on G itself)
+against the two-level one-step route (grouped flow on the quotient of
+per-group sparsifiers, converted back).
+
+Below the scale where ``sparsify`` samples, each quotient group is its
+group's exact Schur complement plus the one-step route's ``lam_min / n_b^2``
+weight floor, so the two routes run the same iterations and their values
+differ only by that floor's effect (at most 1.8e-6 relative on these
+instances; with the floor removed they agree to about 3e-13).
+"""
+
+import numpy as np
+import pytest
+
+from sepflow import (GraphError, GroupedFlowFail, RunConfig, SparsifierPlan, SweptCutFail,
+                     approx_grouped_flow, approx_max_flow, cut_certificate,
+                     exact_max_flow_oracle, grid_r_division, oracle_edge_weights,
+                     partition_from_groups, random_capacity_grid, route_fixed_flow, st_demand)
+from sepflow import pipeline
+
+EPS = 0.1
+VALUE_RTOL = 1e-5  # the one-step weight floor moves 24x24 r=12 by 1.8e-6
+
+INSTANCES = [  # rows, cols, layers, r (None: one group), capacity seed
+    (24, 24, 1, 12, 0),
+    (16, 16, 3, 128, 0),
+    (32, 32, 1, 32, 1),
+    (12, 12, 4, 96, 1),
+    (12, 12, 1, None, 5),
+]
+
+
+def _instance(rows, cols, layers, r, seed):
+    g = random_capacity_grid(rows, cols, layers, seed=seed)
+    if r is None:
+        part = partition_from_groups(g, [np.arange(g.m)], r=g.m, terminals=(0, g.n - 1))
+    else:
+        part = grid_r_division(rows, cols, layers, r, terminals=(0, g.n - 1), graph=g)
+    return g, part, RunConfig(eps=EPS, r=max(r or 4, 4), seed=seed)
+
+
+def _ids(spec):
+    rows, cols, layers, r, _ = spec
+    return f"{rows}x{cols}x{layers}-" + ("one-group" if r is None else f"r{r}")
+
+
+@pytest.mark.parametrize("spec", INSTANCES, ids=_ids)
+def test_max_flow_routes_agree(spec):
+    g, part, config = _instance(*spec)
+    exact = exact_max_flow_oracle(g, 0, g.n - 1).value
+    direct = approx_max_flow(g, part, None, 0, g.n - 1, EPS, config)
+    two_level = approx_max_flow(g, part, SparsifierPlan("one-step"), 0, g.n - 1, EPS, config)
+    cd, c2 = direct.stats.counters(), two_level.stats.counters()
+    for name in ("probes", "iterations_outer", "iterations_inner_total", "inner_failures"):
+        assert cd[name] == c2[name], name
+    assert direct.value == pytest.approx(two_level.value, rel=VALUE_RTOL)
+    assert min(direct.value, two_level.value) >= (1 - EPS) * exact
+    # the direct route eliminates, sparsifies and converts nothing
+    assert cd["route"] == "direct" and c2["route"] == "one-step"
+    assert cd["sparsifier_builds"] == cd["dense_groups"] == cd["topology_builds"] == 0
+    assert c2["dense_groups"] == c2["sparsifier_builds"] == part.k * c2["iterations_outer"]
+    t = direct.stats.timings
+    assert t["sparsify"] == t["quotient_assemble"] == t["convert"] == 0.0
+    assert cd["iterations_inner_total"] == cd["electrical_flows"]
+
+
+@pytest.mark.parametrize("spec", INSTANCES, ids=_ids)
+@pytest.mark.parametrize("factor", [2.0, 1.02])
+def test_fixed_flow_routes_agree(spec, factor):
+    g, part, config = _instance(*spec)
+    exact = exact_max_flow_oracle(g, 0, g.n - 1).value
+    outcomes = []
+    for plan in (None, SparsifierPlan("one-step")):
+        res, fail_ctx = route_fixed_flow(g, part, plan, 0, g.n - 1, factor * exact, EPS, config)
+        if fail_ctx is None:
+            outcomes.append(("flow", res.value))
+        else:
+            inst, fail, _ = fail_ctx
+            cert = cut_certificate(inst, fail, EPS)
+            assert cert.gradient_capacity <= 1 + 1e-8
+            assert cert.demand_value >= 1 - 10 * EPS
+            outcomes.append((type(fail).__name__, cert.cut_capacity))
+    (kind_d, value_d), (kind_2, value_2) = outcomes
+    assert kind_d == kind_2
+    assert value_d == pytest.approx(value_2, rel=VALUE_RTOL)
+    if factor == 2.0:
+        assert kind_d == SweptCutFail.__name__
+
+
+def test_direct_energy_certificate():
+    g, part, _ = _instance(10, 10, 1, 16, 4)
+    s, t = 0, g.n - 1
+    exact = exact_max_flow_oracle(g, s, t).value
+    w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
+    inst = pipeline._direct_instance(g, part, w, EPS / 10)
+    assert inst.quotient_graph.m == g.m and inst.elimination is None
+    res = approx_grouped_flow(inst, st_demand(g.n, s, t, 4 * exact), EPS / 10)
+    assert res.failed and isinstance(res.fail, GroupedFlowFail)
+    cert = cut_certificate(inst, res.fail, EPS)
+    assert cert.gradient_capacity <= 1 + 1e-8
+    assert cert.demand_value >= 1 - 10 * EPS
+    side = np.zeros(g.n, dtype=bool)
+    side[cert.cut_side] = True
+    assert side[s] and not side[t]
+    crossing = float(g.capacity[side[g.tails] != side[g.heads]].sum())
+    assert crossing == pytest.approx(cert.cut_capacity)
+    assert cert.cut_capacity >= exact * (1 - 1e-9)
+
+
+def test_direct_flow_meets_the_group_contract():
+    # a feasible demand: the averaged flow on G is returned as it is, demand-exact
+    g, part, _ = _instance(10, 10, 1, 16, 4)
+    w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
+    inst = pipeline._direct_instance(g, part, w, EPS / 10)
+    d = st_demand(g.n, 0, g.n - 1, 0.3 * exact_max_flow_oracle(g, 0, g.n - 1).value)
+    res = approx_grouped_flow(inst, d, EPS / 10)
+    assert res.status == "ok" and res.flow is res.quotient_flow
+    net = (np.bincount(g.tails, weights=res.flow, minlength=g.n)
+           - np.bincount(g.heads, weights=res.flow, minlength=g.n))
+    assert np.abs(net - d).max() <= 1e-9
+    assert res.max_group_congestion <= 1 + 10 * EPS / 20
+
+
+def test_build_sparsified_instance_rejects_a_direct_plan():
+    g, part, _ = _instance(8, 8, 1, 16, 1)
+    w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
+    with pytest.raises(GraphError, match="direct"):
+        pipeline.build_sparsified_instance(g, part, w, EPS / 10, SparsifierPlan("direct"))
+
+
+def test_inner_iterations_count_a_probe_ended_by_a_cap_hit():
+    # 16x16 r=16 capacity seed 3: one probe ends in SolverConvergenceError
+    g = random_capacity_grid(16, 16, seed=3)
+    part = grid_r_division(16, 16, 1, 16, terminals=(0, g.n - 1), graph=g)
+    for plan in (None, SparsifierPlan("one-step")):
+        res = approx_max_flow(g, part, plan, 0, g.n - 1, EPS, RunConfig(eps=EPS, r=16, seed=3))
+        c = res.stats.counters()
+        assert c["inner_failures"] > 0
+        assert c["iterations_inner_total"] == c["electrical_flows"]

@@ -87,7 +87,7 @@ class TestDenseSchur:
         g0 = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g0)
         w = rng.uniform(0.5, 2.0, g0.m)
-        inst = build_sparsified_instance(g0, part, w, 0.05, SparsifierPlan(), seed=1)
+        inst = build_sparsified_instance(g0, part, w, 0.05, SparsifierPlan("one-step"), seed=1)
         qv = inst.quotient_vertices
         for i, grp in enumerate(part.groups):
             verts, lap = group_laplacian(g0, grp, 1.0 / w)
@@ -105,8 +105,9 @@ class TestDenseSchur:
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
-        cached = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan(), seed=1)
-        sampled = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan(c_s=1e-3), seed=1)
+        cached = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan("one-step"), seed=1)
+        sampled = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan("one-step", c_s=1e-3),
+                                            seed=1)
         assert sampled.quotient_graph is not cached.quotient_graph
         # same edge set as the unsampled build, so the cached pattern is reused
         assert sampled.quotient_graph._structure is cached.quotient_graph._structure
@@ -163,7 +164,7 @@ class TestCertificateExtension:
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
-        inst = build_sparsified_instance(g, part, w, 0.01, SparsifierPlan(), seed=3)
+        inst = build_sparsified_instance(g, part, w, 0.01, SparsifierPlan("one-step"), seed=3)
         phi = np.zeros(g.n)
         phi[inst.quotient_vertices] = rng.normal(size=inst.quotient_vertices.size)
         ours = inst.elimination.extend(phi)
@@ -287,9 +288,12 @@ class TestSetupPath:
         g = random_capacity_grid(8, 8, seed=9)
         part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g)
         assert part._topology is None
-        a = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
+        direct = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
+        assert direct.stats.topology_builds == 0 and part._topology is None
+        plan = SparsifierPlan("one-step")
+        a = approx_max_flow(g, part, plan, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
         assert a.stats.topology_builds == 1
-        b = approx_max_flow(g, part, None, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
+        b = approx_max_flow(g, part, plan, 0, 63, 0.1, RunConfig(eps=0.1, seed=4))
         assert b.stats.topology_builds == 0
         assert a.value == b.value and np.array_equal(a.flow, b.flow)
 
@@ -298,13 +302,22 @@ class TestRunStats:
     def test_stage_timings_add_up_to_total(self):
         g = random_capacity_grid(10, 10, seed=2)
         part = grid_r_division(10, 10, 1, 16, terminals=(0, g.n - 1), graph=g)
-        res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=2))
+        res = approx_max_flow(g, part, SparsifierPlan("one-step"), 0, g.n - 1, 0.1,
+                              RunConfig(eps=0.1, seed=2))
         t = res.stats.timings
         assert set(t) == set(STAGES) | {"total"}
         assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
         c = res.stats.counters()
         assert c["dense_groups"] == c["sparsifier_builds"] == part.k * c["iterations_outer"]
         assert c["recursive_groups"] == 0
+
+        direct = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=2))
+        t = direct.stats.timings
+        assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
+        c = direct.stats.counters()
+        assert c["route"] == "direct"
+        assert c["sparsifier_builds"] == c["dense_groups"] == c["topology_builds"] == 0
+        assert t["sparsify"] == t["quotient_assemble"] == t["convert"] == 0.0
 
     def test_certificate_time_joins_the_run(self):
         g = random_capacity_grid(8, 8, seed=400)
@@ -339,12 +352,18 @@ class TestLargeGroup:
         g = random_capacity_grid(12, 12, seed=5)  # one group of 144 vertices
         part = partition_from_groups(g, [np.arange(g.m)], r=g.m, terminals=(0, g.n - 1))
         exact = exact_max_flow_oracle(g, 0, g.n - 1).value
-        res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
+        plan = SparsifierPlan("one-step")
+        res = approx_max_flow(g, part, plan, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
         assert res.value >= 0.9 * exact
         c = res.stats.counters()
         assert c["dense_groups"] == c["sparsifier_builds"] > 0 and c["recursive_groups"] == 0
 
-        _, fail_ctx = route_fixed_flow(g, part, None, 0, g.n - 1, 4 * exact, 0.1,
+        direct = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
+        assert direct.value >= 0.9 * exact
+        c = direct.stats.counters()
+        assert c["sparsifier_builds"] == c["dense_groups"] == c["recursive_groups"] == 0
+
+        _, fail_ctx = route_fixed_flow(g, part, plan, 0, g.n - 1, 4 * exact, 0.1,
                                        RunConfig(eps=0.1, seed=1))
         inst, fail, _ = fail_ctx
         cert = cut_certificate(inst, fail, 0.1)

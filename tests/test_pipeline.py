@@ -152,7 +152,7 @@ def small_instance(eps=0.01, seed=3):
     part = grid_r_division(4, 4, 1, 8, terminals=(0, 15), graph=g0)
     w = oracle_edge_weights(np.ones(g0.m), g0.capacity, part.groups, 0.1)
     g = WeightedGraph(g0.n, g0.edges, capacity=g0.capacity, weight=w)
-    inst = build_sparsified_instance(g, part, w, eps, SparsifierPlan(), seed=seed)
+    inst = build_sparsified_instance(g, part, w, eps, SparsifierPlan("one-step"), seed=seed)
     return g, part, w, inst
 
 
@@ -246,7 +246,7 @@ class TestApproxGroupedFlow:
         assert part.k == 1
         w = oracle_edge_weights(np.ones(g0.m), g0.capacity, part.groups, 0.1)
         g = WeightedGraph(g0.n, g0.edges, weight=w)
-        inst = build_sparsified_instance(g, part, w, 0.01, SparsifierPlan(), seed=1)
+        inst = build_sparsified_instance(g, part, w, 0.01, SparsifierPlan("one-step"), seed=1)
         from sepflow import electrical_flow
 
         ef = electrical_flow(g, st_demand(9, 0, 8, 1.0), 1e-8, resistances=w)
