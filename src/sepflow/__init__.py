@@ -24,6 +24,7 @@ from .graphs import (
     WeightedGraph,
     edge_congestion,
     edge_congestions,
+    edge_group_ids,
     energy,
     group_congestion,
     group_congestions,

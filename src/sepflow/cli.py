@@ -155,7 +155,8 @@ def _emit_json(payload, path):
 
 def cmd_bench(args):
     sizes = [int(x) for x in args.grids.split(",")] if args.grids else [8, 16]
-    rows = ["instance,n,m,r,eps,value,exact,ratio,wall_time,solver_iters"]
+    rows = ["instance,n,m,r,eps,value,exact,ratio,wall_time,inner_iterations,factorizations,"
+            "pcg_iterations"]
     for size in sizes:
         name = f"grid{size}x{size}" + (f"x{args.layers}" if args.layers > 1 else "")
         seed = substream(args.seed, "bench", size)
@@ -184,8 +185,9 @@ def cmd_bench(args):
         else:
             exact_s, ratio_s = "", ""
         wall_s = "-" if args.no_timing else f"{wall:.3f}"
-        rows.append(f"{name},{g.n},{g.m},{r},{args.eps},{res.value:.6f},"
-                    f"{exact_s},{ratio_s},{wall_s},{res.stats.iterations_inner_total}")
+        st = res.stats
+        rows.append(f"{name},{g.n},{g.m},{r},{args.eps},{res.value:.6f},{exact_s},{ratio_s},"
+                    f"{wall_s},{st.iterations_inner_total},{st.factorizations},{st.pcg_iterations}")
     text = "\n".join(rows)
     if args.out:
         with open(args.out, "w") as fh:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import DisconnectedGraphError, GraphError
 
@@ -175,37 +176,64 @@ class WeightedGraph:
         """Flow vector whose residual equals ``q`` exactly, supported on the BFS tree.
 
         ``q`` must sum to zero on every component (up to rounding); the
-        leftover at each root is dropped.
+        leftover at each root is dropped.  A tree edge carries the sum of
+        ``q`` over the subtree below it, which is one interval of the tree's
+        DFS preorder, so one prefix sum over ``q`` in preorder routes every
+        edge at once.
         """
-        carry = np.array(q, dtype=float)
+        preorder, lo, hi, edge, sign = self._tree_intervals()
+        prefix = np.zeros(self.n + 1)
+        np.cumsum(np.asarray(q, dtype=float)[preorder], out=prefix[1:])
         f = np.zeros(self.m)
-        for idx, e, sign, up in self._tree_levels():
-            amount = carry[idx]
-            f[e] = sign * amount  # each tree edge is the parent edge of one vertex
-            np.add.at(carry, up, amount)
+        f[edge] = sign * (prefix[hi] - prefix[lo])
         return f
 
-    def _tree_levels(self):
-        """BFS tree by depth, deepest first: (vertices, parent edges, sign, parents).
+    def _tree_intervals(self):
+        """The BFS forest as DFS-preorder subtree intervals (cached).
 
-        The sign is +1 where pushing from the vertex toward its parent runs
-        along the edge's tail -> head orientation.
+        Returns ``(preorder, lo, hi, edge, sign)``: ``preorder`` lists the
+        vertices in a DFS preorder of the forest (children in BFS order), and
+        for every non-root vertex ``v`` its subtree occupies the preorder
+        positions ``lo:hi``, ``edge`` is its parent edge and ``sign`` is +1
+        where pushing from ``v`` toward its parent runs along the edge's
+        tail -> head orientation.
         """
-        if "tree_levels" not in self._structure:
-            parent, parent_edge, _, depth = self.bfs_tree()
-            maxd = int(depth.max()) if self.n else 0
-            levels = []
-            for d in range(maxd, 0, -1):
-                idx = np.flatnonzero(depth == d)
-                e = parent_edge[idx]
-                levels.append((idx, e, np.where(self.tails[e] == idx, 1.0, -1.0), parent[idx]))
-            self._structure["tree_levels"] = levels
-        return self._structure["tree_levels"]
+        if "tree_intervals" not in self._structure:
+            parent, parent_edge, order, depth = self.bfs_tree()
+            n = self.n
+            # BFS order sorted by depth keeps each level's children grouped
+            # by parent, with the groups in their parents' order
+            level = order[np.argsort(depth[order], kind="stable")]
+            cuts = np.searchsorted(depth[level], np.arange(int(depth.max()) + 2))
+            size = np.ones(n, dtype=np.int64)
+            for d in range(len(cuts) - 2, 0, -1):  # subtree sizes, deepest level first
+                kids = level[cuts[d]:cuts[d + 1]]
+                np.add.at(size, parent[kids], size[kids])
+            # a subtree starts after its parent and its earlier siblings' subtrees
+            up, sz = parent[level], size[level]
+            before = np.cumsum(sz) - sz
+            first = np.flatnonzero(np.concatenate([[True], up[1:] != up[:-1]]))
+            before -= np.repeat(before[first], np.diff(np.append(first, n)))
+            start = np.zeros(n, dtype=np.int64)
+            start[level] = before
+            for d in range(1, len(cuts) - 1):
+                kids = level[cuts[d]:cuts[d + 1]]
+                start[kids] += start[parent[kids]] + 1
+            preorder = np.empty(n, dtype=np.int64)
+            preorder[start] = np.arange(n)
+            tree = level[cuts[1]:]
+            edge = parent_edge[tree]
+            sign = np.where(self.tails[edge] == tree, 1.0, -1.0)
+            self._structure["tree_intervals"] = (preorder, start[tree], start[tree] + size[tree],
+                                                 edge, sign)
+        return self._structure["tree_intervals"]
 
     # -- Laplacian ---------------------------------------------------------
 
     def laplacian_pattern(self):
-        """Cached (indptr, indices, map) with ``data = map @ conductance``."""
+        """Cached (indptr, indices, map): the CSR Laplacian's read-only
+        ``indptr`` and ``indices`` (sorted, no duplicates), and the CSR matrix
+        with ``data = map @ conductance``."""
         if "laplacian" not in self._structure:
             n, m = self.n, self.m
             a, b = self.tails, self.heads
@@ -223,6 +251,13 @@ class WeightedGraph:
             self._structure["laplacian"] = (indptr, indices, mapper)
         return self._structure["laplacian"]
 
+    def laplacian_data(self, conductance):
+        """The ``data`` of the CSR Laplacian for the given per-edge
+        conductances, over the cached ``laplacian_pattern``."""
+        _, indices, mapper = self.laplacian_pattern()
+        return csr_matvec(mapper.indptr, mapper.indices, mapper.data, self.m,
+                          np.asarray(conductance, dtype=float), np.empty(indices.size))
+
     def laplacian_csr(self, conductance):
         """CSR Laplacian for the given per-edge conductances.
 
@@ -231,9 +266,28 @@ class WeightedGraph:
         changes such as ``eliminate_zeros`` raise instead of corrupting the
         pattern.
         """
-        indptr, indices, mapper = self.laplacian_pattern()
-        data = mapper @ np.asarray(conductance, dtype=float)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        indptr, indices, _ = self.laplacian_pattern()
+        return sp.csr_matrix((self.laplacian_data(conductance), indices, indptr),
+                             shape=(self.n, self.n))
+
+
+def csr_matvec(indptr, indices, data, ncols, x, out):
+    """``out = A @ x`` for the CSR matrix ``A = (data, indices, indptr)`` with
+    ``ncols`` columns, written into the float64 vector ``out`` and returned.
+
+    The same kernel as ``A @ x`` in scipy, so the result is bitwise equal,
+    without the per-call dispatch and allocation of the operator.  The CSR
+    arrays must be consistent (as scipy or ``laplacian_pattern`` made them);
+    the vectors' lengths are checked here, since the kernel reads ``x`` at
+    the stored column indices unchecked.
+    """
+    if x.shape != (ncols,) or out.shape != (indptr.size - 1,):
+        raise GraphError(f"a {indptr.size - 1} x {ncols} matrix cannot take a vector of shape"
+                         f" {x.shape} into one of shape {out.shape}")
+    out.fill(0.0)
+    _sparsetools.csr_matvec(out.size, ncols, indptr, indices, data,
+                            np.ascontiguousarray(x, dtype=float), out)
+    return out
 
 
 @dataclass
@@ -306,9 +360,49 @@ def group_ids(groups):
     return ids, np.repeat(np.arange(len(groups)), sizes)
 
 
+def _is_id_array(groups):
+    """True for each edge's group id (a 1-D integer array), False for a list
+    of edge-id arrays."""
+    return isinstance(groups, np.ndarray) and groups.ndim == 1 and groups.dtype.kind in "iu"
+
+
+def edge_group_ids(groups, m):
+    """Group id of each of ``m`` edges, from a list of edge-id arrays that
+    lists every edge exactly once; such an id array is returned as it is.
+
+    Raises ``GraphError`` for an edge id outside ``0..m-1``, an edge listed
+    twice (the first repeated listing is named), an edge no group lists, or
+    an id array of another length.
+    """
+    if _is_id_array(groups):
+        if groups.shape != (m,):
+            raise GraphError(f"need one group id per edge ({m}), got shape {groups.shape}")
+        return groups
+    edges, owner = group_ids(groups)
+    bad = np.flatnonzero((edges < 0) | (edges >= m))
+    if bad.size:
+        p = bad[0]
+        raise GraphError(f"edge id {int(edges[p])} in group {int(owner[p])} is out of range"
+                         f" for {m} edges")
+    gid = np.full(m, -1, dtype=np.int64)
+    gid[edges] = owner
+    if np.count_nonzero(gid >= 0) != edges.size:
+        _, first, inverse = np.unique(edges, return_index=True, return_inverse=True)
+        p = np.flatnonzero(first[inverse] != np.arange(edges.size))[0]
+        raise GraphError(f"edge {int(edges[p])} in groups {int(owner[first[inverse[p]]])}"
+                         f" and {int(owner[p])}")
+    if edges.size != m:
+        raise GraphError(f"edge {int(np.flatnonzero(gid < 0)[0])} belongs to no group;"
+                         " groups must cover every edge")
+    return gid
+
+
 def group_congestions(flow, weight, groups):
-    """Per-group sqrt(sum w f^2) for a list of edge-id arrays."""
+    """Per-group sqrt(sum w f^2); ``groups`` is a list of edge-id arrays, or
+    the group id of every edge (``edge_group_ids``)."""
     flow = np.asarray(flow, dtype=float)
+    if _is_id_array(groups):
+        return np.sqrt(np.bincount(groups, weights=weight * flow * flow))
     edges, owner = group_ids(groups)
     fe = flow[edges]
     return np.sqrt(np.bincount(owner, weights=weight[edges] * fe * fe, minlength=len(groups)))

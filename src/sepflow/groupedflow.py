@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphError, SolverConvergenceError, ValidationError
-from .graphs import WeightedGraph, group_ids, zero_sum_demand
+from .graphs import WeightedGraph, edge_group_ids, group_congestions, zero_sum_demand
 from .solver import LaggedFactor, electrical_flow
 
 DEFAULT_EARLY_EXIT_CAP = 40
@@ -37,28 +37,31 @@ def mwu_parameters(k: int, eps: float):
 
 @dataclass
 class GroupedFlowProblem:
-    """Grouped L2 flow instance: weights w, an edge partition, and a demand."""
+    """Grouped L2 flow instance: weights w, an edge partition, and a demand.
+
+    ``group_of_edge`` is each edge's group id; it is derived from ``groups``
+    (``edge_group_ids``) unless a caller that already holds it passes it in.
+    """
 
     graph: WeightedGraph
     groups: list
     demand: np.ndarray
     eps: float
+    group_of_edge: np.ndarray | None = None
 
     def __post_init__(self):
-        g = self.graph
-        self.groups = [np.asarray(grp, dtype=np.int64) for grp in self.groups]
-        edges, owner = group_ids(self.groups)
-        empty = np.flatnonzero(np.bincount(owner, minlength=len(self.groups)) == 0)
+        g, k = self.graph, len(self.groups)
+        if self.group_of_edge is None:
+            self.groups = [np.asarray(grp, dtype=np.int64) for grp in self.groups]
+            self.group_of_edge = edge_group_ids(self.groups, g.m)
+        else:
+            gid = self.group_of_edge
+            if gid.shape != (g.m,) or gid.min(initial=0) < 0 or gid.max(initial=0) >= k:
+                raise GraphError(f"group_of_edge must hold one group id in 0..{k - 1} per edge")
+        sizes = np.bincount(self.group_of_edge, minlength=k)
+        empty = np.flatnonzero(sizes == 0)
         if empty.size:
             raise GraphError(f"group {int(empty[0])} is empty")
-        listed = np.bincount(edges, minlength=g.m)
-        if np.any(listed > 1):
-            raise GraphError("groups overlap")
-        if np.any(listed == 0):
-            raise GraphError("groups do not cover all edges")
-        gid = np.empty(g.m, dtype=np.int64)
-        gid[edges] = owner
-        self.group_of_edge = gid
         self.demand = zero_sum_demand(self.demand, g.n)
         if not (0 < self.eps < 0.5):
             raise GraphError("grouped flow requires 0 < eps < 1/2")
@@ -125,11 +128,6 @@ def check_mwu_step(w_before, w_after, congestions, eps, rho, tol=1e-9):
     }
 
 
-def _group_congestions(flow, weight, gid, k):
-    sums = np.bincount(gid, weights=weight * flow * flow, minlength=k)
-    return np.sqrt(sums)
-
-
 def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
                  early_exit_cap=DEFAULT_EARLY_EXIT_CAP, runtime_checks=True,
                  trace=False, max_iterations=None,
@@ -194,7 +192,7 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
                 diag.trace.append((t, mu, ef.energy, float("nan"), False))
             return GroupedFlowResult(status="fail", flow=None, fail=fail, diagnostics=diag)
 
-        cong = _group_congestions(ef.flow, w, gid, k)
+        cong = group_congestions(ef.flow, w, gid)
         if runtime_checks:
             weighted = float(w_grp @ cong)
             if weighted > mu * (1.0 + 1e-9):
@@ -218,7 +216,7 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
 
         if not strict and n_accepted > 0 and t >= early_gate:
             avg = flow_sum / n_accepted
-            avg_cong = _group_congestions(avg, w, gid, k)
+            avg_cong = group_congestions(avg, w, gid)
             if avg_cong.max(initial=0.0) <= (1.0 + 10.0 * eps):
                 diag.accepted = n_accepted
                 diag.early_exit = True
@@ -230,7 +228,7 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
         raise ValidationError("no iteration stayed under the width; cannot average")
     avg = flow_sum / n_accepted
     diag.accepted = n_accepted
-    diag.max_group_congestion = float(_group_congestions(avg, w, gid, k).max())
+    diag.max_group_congestion = float(group_congestions(avg, w, gid).max())
     diag.mu_final = float(w_grp.sum())
     if budget < n_iter and diag.max_group_congestion > 1.0 + 10.0 * eps:
         raise SolverConvergenceError(

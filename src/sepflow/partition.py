@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphError, ParseError, ValidationError
-from .graphs import WeightedGraph, group_ids
+from .graphs import WeightedGraph, edge_group_ids, group_ids
 from .grids import GridSpec, grid_graph
 
 DEFAULT_C_DIV = 4.0
@@ -66,28 +66,14 @@ class Partition:
         return np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))
 
 
-def _edge_group_ids(m, groups):
-    """Group id of every edge; raises ValidationError on an overlap or an uncovered edge."""
-    edges, owner = group_ids(groups)
-    _, first, inverse = np.unique(edges, return_index=True, return_inverse=True)
-    # an edge listed again in a later group; the first such listing is reported
-    cross = np.flatnonzero(owner[first[inverse]] != owner)
-    if cross.size:
-        p = cross[0]
-        raise ValidationError(
-            f"edge {int(edges[p])} in groups {int(owner[first[inverse[p]]])} and {int(owner[p])}")
-    gid = np.full(m, -1, dtype=np.int64)
-    gid[edges] = owner
-    if np.any(gid < 0):
-        raise ValidationError(f"edge {int(np.flatnonzero(gid < 0)[0])} belongs to no group")
-    return gid
-
-
 def _boundary_sets(g: WeightedGraph, groups, terminals):
     """Per-group boundary/interior per the definition: a vertex is boundary of a
     group iff it touches the group and also touches another group (or is a
     designated terminal)."""
-    gid = _edge_group_ids(g.m, groups)
+    try:
+        gid = edge_group_ids(groups, g.m)
+    except GraphError as exc:
+        raise ValidationError(str(exc)) from None
     k = len(groups)
     # distinct (group, vertex) incidences, sorted by group then vertex
     keys = np.unique(np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads]))

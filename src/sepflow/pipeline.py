@@ -63,8 +63,8 @@ import numpy as np
 
 from .config import RunConfig, substream
 from .errors import GraphError, SolverConvergenceError
-from .graphs import (SparseLaplacian, WeightedGraph, edge_congestions, group_congestions,
-                     group_ids, st_demand, zero_sum_demand)
+from .graphs import (SparseLaplacian, WeightedGraph, edge_congestions, edge_group_ids,
+                     group_congestions, group_ids, st_demand, zero_sum_demand)
 from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
 from .maxflow import widest_path_bottleneck
 from .partition import Partition
@@ -96,18 +96,17 @@ def oracle_edge_weights(w_oracle: OracleWeights | np.ndarray, capacity, groups, 
     """Grouped-flow edge weights derived from oracle weights:
 
     w(e) = (1 - eps/2) / u(e)^2 * (w_oracle(e) / w_oracle(S_i) + eps / (4 |S_i|)).
+
+    ``groups`` is a list of edge-id arrays that covers every edge exactly
+    once, or the group id of every edge (``edge_group_ids``).
     """
     values = w_oracle.values if isinstance(w_oracle, OracleWeights) else np.asarray(w_oracle, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
     if eps >= 0.5 or eps <= 0:
         raise GraphError("oracle weights require 0 < eps < 1/2")
-    edges, owner = group_ids(groups)
-    if edges.size != values.size or np.any(np.bincount(edges, minlength=values.size) != 1):
-        raise GraphError("groups must cover every edge exactly once")
-    gid = np.empty(values.size, dtype=np.int64)
-    gid[edges] = owner
-    totals = np.bincount(gid, weights=values, minlength=len(groups))
-    sizes = np.bincount(gid, minlength=len(groups))
+    gid = edge_group_ids(groups, values.size)
+    totals = np.bincount(gid, weights=values)
+    sizes = np.bincount(gid)
     w = values / totals[gid] + eps / (4.0 * sizes[gid])
     w *= (1.0 - eps / 2.0) / capacity**2
     return w
@@ -224,6 +223,8 @@ class SparsifiedInstance:
     quotient_groups: list
     quotient_vertices: np.ndarray  # quotient-local -> global id
     elimination: GroupElimination | None  # the groups factored at ``weights``; None if direct
+    group_of_edge: np.ndarray  # each graph edge's group in ``partition``
+    quotient_group_of_edge: np.ndarray  # each quotient edge's index in ``quotient_groups``
     stats: MaxFlowRunStats | None = None  # the run that built it, if any
 
     def extend(self, phi):
@@ -266,6 +267,7 @@ class _QuotientPattern:
     dest: list  # per shape class, quotient edge id of each True mask entry
     graph: WeightedGraph  # template; iterations share its structure caches
     groups: list
+    group_of_edge: np.ndarray
     vertices: np.ndarray
 
 
@@ -292,7 +294,7 @@ def _quotient_pattern(topo: GroupTopology, masks) -> _QuotientPattern:
         raise GraphError("quotient graph is disconnected; sparsification failed")
     groups = [np.arange(offsets[i], offsets[i + 1]) for i in range(topo.k)]
     return _QuotientPattern(masks=masks, dest=dest, graph=quotient, groups=groups,
-                            vertices=qverts)
+                            group_of_edge=np.repeat(np.arange(topo.k), counts), vertices=qverts)
 
 
 def _cached_quotient(topo: GroupTopology, weights):
@@ -304,7 +306,7 @@ def _cached_quotient(topo: GroupTopology, weights):
     wq = np.empty(pattern.graph.m)
     for w, mask, where in zip(weights, masks, pattern.dest):
         wq[where] = 1.0 / w[mask]  # quotient grouped-flow weight = inverse conductance
-    return pattern.graph.reweighted(wq), pattern.groups, pattern.vertices
+    return pattern.graph.reweighted(wq), pattern
 
 
 def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopology:
@@ -315,13 +317,16 @@ def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopol
     return topo
 
 
-def _direct_instance(g: WeightedGraph, part: Partition, weights, eps,
+def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights, eps,
                      stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """A phase's grouped-flow problem on G itself: G at ``weights`` with the
-    partition's groups, identity vertex map, nothing eliminated."""
+    partition's groups (``group_of_edge`` from ``edge_group_ids``), identity
+    vertex map, nothing eliminated."""
     return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
                               quotient_graph=g.reweighted(weights), quotient_groups=part.groups,
-                              quotient_vertices=np.arange(g.n), elimination=None, stats=stats)
+                              quotient_vertices=np.arange(g.n), elimination=None,
+                              group_of_edge=group_of_edge, quotient_group_of_edge=group_of_edge,
+                              stats=stats)
 
 
 def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
@@ -365,10 +370,12 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
             stats.dense_groups += part.k
 
     with _stage(stats, "quotient_assemble"):
-        quotient, groups, qverts = _cached_quotient(topo, cond)
+        quotient, pattern = _cached_quotient(topo, cond)
     return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
-                              quotient_graph=quotient, quotient_groups=groups,
-                              quotient_vertices=qverts, elimination=elim, stats=stats)
+                              quotient_graph=quotient, quotient_groups=pattern.groups,
+                              quotient_vertices=pattern.vertices, elimination=elim,
+                              group_of_edge=topo.group_of_edge,
+                              quotient_group_of_edge=pattern.group_of_edge, stats=stats)
 
 
 # -- flow conversion -------------------------------------------------------------
@@ -508,7 +515,8 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
         d = zero_sum_demand(d, instance.graph.n)
         d_schur = instance.quotient_demand(d)
         prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
-                                  d_schur, eps / 2.0)
+                                  d_schur, eps / 2.0,
+                                  group_of_edge=instance.quotient_group_of_edge)
         res = grouped_flow(prob, strict=strict, early_exit_cap=early_exit_cap,
                            runtime_checks=runtime_checks, max_iterations=max_iterations,
                            lag=lag)
@@ -527,7 +535,7 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
                              src_vertex_map=instance.quotient_vertices,
                              check_boundaries=part.boundaries,
                              elimination=instance.elimination)
-    cong = group_congestions(f, instance.weights, part.groups)
+    cong = group_congestions(f, instance.weights, instance.group_of_edge)
     return ApproxGroupedFlowResult(status="ok", flow=f, fail=None, quotient_flow=res.flow,
                                    inner_iterations=res.diagnostics.iterations,
                                    instance=instance,
@@ -585,8 +593,8 @@ def success_target(flow_amount, eps, config: RunConfig):
     return (1.0 - config.probe_slack * eps) * flow_amount
 
 
-def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats, lag,
-                  w_oracle_init=None, sweep=False):
+def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, seed, stats,
+                  lag, w_oracle_init=None, sweep=False):
     """One fixed-F multiplicative-weights phase.
 
     Returns (success, best_value, best_flow, fail, w_oracle).  The update
@@ -601,7 +609,8 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats, la
 
     ``plan`` picks the route: a direct phase runs grouped flow on G at the
     oracle's weights, a two-level phase on the quotient of sparsifiers built
-    at those weights.
+    at those weights.  ``group_of_edge`` is the partition's
+    ``edge_group_ids``, computed once per run.
 
     ``lag`` is the run's ``LaggedFactor``; its counters are copied into
     ``stats``.  An inner ``SolverConvergenceError`` ends the phase as an
@@ -625,10 +634,10 @@ def _oracle_phase(g, part, plan, s, t, flow_amount, eps, config, seed, stats, la
     for it in range(1, limit + 1):
         stats.iterations_outer += 1
         with _stage(stats, "oracle_update"):
-            w = oracle_edge_weights(w_oracle, g.capacity, part.groups, eps)
+            w = oracle_edge_weights(w_oracle, g.capacity, group_of_edge, eps)
         if plan.method == "direct":
             with _stage(stats, "grouped_flow"):
-                inst = _direct_instance(g, part, w, eps / 10.0, stats)
+                inst = _direct_instance(g, part, group_of_edge, w, eps / 10.0, stats)
         else:
             inst = build_sparsified_instance(g, part, w, eps / 10.0, plan,
                                              seed=substream(seed, "phase", it), stats=stats)
@@ -716,7 +725,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
                       stacklevel=2)
 
     stats = MaxFlowRunStats(route=plan.method)
-    lag = LaggedFactor()
+    lag, group_of_edge = LaggedFactor(), edge_group_ids(part.groups, g.m)
     t_start = time.perf_counter()
     with _stage(stats, "oracle_update"):
         f_lo = widest_path_bottleneck(g, s, t)
@@ -730,7 +739,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         stats.probes += 1
         w_init = None if config.strict_paper else warm["w"]
         ok, val, flow, fail, w_final = _oracle_phase(
-            g, part, plan, s, t, flow_amount, eps, config,
+            g, part, group_of_edge, plan, s, t, flow_amount, eps, config,
             substream(seed, "F", stats.probes), stats, lag, w_oracle_init=w_init)
         if not config.strict_paper:
             warm["w"] = w_final
@@ -763,7 +772,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
 
     cong = edge_congestions(best_flow, g.capacity)
     gcong = group_congestions(best_flow, oracle_edge_weights(np.ones(g.m), g.capacity,
-                                                             part.groups, eps), part.groups)
+                                                             group_of_edge, eps), group_of_edge)
     return ApproxMaxFlowResult(
         value=best_value, flow=best_flow, eps=eps,
         max_edge_congestion=float(cong.max(initial=0.0)),
@@ -793,8 +802,9 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     stats = MaxFlowRunStats(route=plan.method)
     phase_seed, lag = substream(seed, "fixed"), LaggedFactor()
     t_start = time.perf_counter()
-    ok, val, flow, fail, _ = _oracle_phase(g, part, plan, s, t, flow_amount, eps, config,
-                                           phase_seed, stats, lag, sweep=True)
+    ok, val, flow, fail, _ = _oracle_phase(g, part, edge_group_ids(part.groups, g.m), plan, s,
+                                           t, flow_amount, eps, config, phase_seed, stats, lag,
+                                           sweep=True)
     stats.timings["total"] = time.perf_counter() - t_start
     if fail is not None:
         return None, fail

@@ -163,14 +163,19 @@ def _eliminate(lap, nb):
     C of each interior block gives ``S = L_bb - W^T W`` with ``W = C^-1 L_ib``
     and the harmonic extension ``X = -L_ii^-1 L_ib = -C^-T W``, both by
     solves against C, stacked (no inverse is formed, so no second interior-
-    sized array is held).  Raises ``np.linalg.LinAlgError`` if an interior
-    block is not positive definite.
+    sized array is held).  Once C is formed the stack is dropped, so a
+    caller that passes a stack it keeps no reference to frees it before the
+    solves.  Raises ``np.linalg.LinAlgError`` if an interior block is not
+    positive definite.
     """
-    l_bb = lap[:, :nb, :nb]
+    l_bb = lap[:, :nb, :nb].copy()
     if lap.shape[1] == nb:
-        return l_bb.copy(), np.zeros((lap.shape[0], 0, nb))
+        return l_bb, np.zeros((lap.shape[0], 0, nb))
     chol = np.linalg.cholesky(lap[:, nb:, nb:])
-    w = np.linalg.solve(chol, lap[:, nb:, :nb])
+    l_ib = lap[:, nb:, :nb].copy()
+    del lap
+    w = np.linalg.solve(chol, l_ib)
+    del l_ib
     s = l_bb - np.swapaxes(w, 1, 2) @ w
     x = np.linalg.solve(np.swapaxes(chol, 1, 2), w)
     x *= -1.0
@@ -478,6 +483,23 @@ class _ShapeClass:
     scatter: np.ndarray  # flat (G, n, n) positions receiving [c, c, -c, -c] per edge
     pairs: np.ndarray  # flat positions of each member's distinct vertex pairs
     pair_starts: np.ndarray  # first entry of each member in ``pairs``
+    pair_of: np.ndarray  # index in ``pairs`` of each class edge
+
+    def laplacians(self, conductance):
+        """The members' dense Laplacians, (G, n, n), at per-edge conductances
+        over ``edges``."""
+        c = conductance
+        return np.bincount(self.scatter, weights=np.concatenate([c, c, -c, -c]),
+                           minlength=self.members.size * self.n * self.n
+                           ).reshape(self.members.size, self.n, self.n)
+
+    def least_merged_weights(self, conductance):
+        """Per member, the least total conductance between two adjacent
+        vertices, without the stack.  A graph orients its parallel edges
+        alike, so ``laplacians`` also sums a pair's edges in edge order: the
+        result is bitwise the negated off-diagonal."""
+        merged = np.bincount(self.pair_of, weights=conductance, minlength=self.pairs.size)
+        return np.minimum.reduceat(merged, self.pair_starts)
 
 
 class GroupTopology:
@@ -500,6 +522,8 @@ class GroupTopology:
         self.edges, self.edge_group = group_ids(groups)
         if self.edges.size == 0:
             raise GraphError("groups have no edges")
+        self.group_of_edge = np.full(g.m, -1, dtype=np.int64)  # -1: in no group
+        self.group_of_edge[self.edges] = self.edge_group
         self.eoff = np.searchsorted(self.edge_group, np.arange(k + 1))
         keys = np.unique(np.concatenate([self.edge_group * n + g.tails[self.edges],
                                          self.edge_group * n + g.heads[self.edges]]))
@@ -549,11 +573,13 @@ class GroupTopology:
             a, b = self.local_tail[sel], self.local_head[sel]
             scatter = np.concatenate([base + a * nv + a, base + b * nv + b,
                                       base + a * nv + b, base + b * nv + a])
-            pairs = np.unique(base + np.minimum(a, b) * nv + np.maximum(a, b))
+            pair_pos = base + np.minimum(a, b) * nv + np.maximum(a, b)
+            pairs = np.unique(pair_pos)
             classes.append(_ShapeClass(
                 members=members, n=nv, nb=nb, slots=self.voff[members][:, None] + np.arange(nv),
                 edges=sel, scatter=scatter, pairs=pairs,
-                pair_starts=np.searchsorted(pairs // (nv * nv), np.arange(members.size))))
+                pair_starts=np.searchsorted(pairs // (nv * nv), np.arange(members.size)),
+                pair_of=np.searchsorted(pairs, pair_pos)))
         return classes
 
     def matches(self, g: WeightedGraph):
@@ -579,19 +605,17 @@ class GroupElimination:
         self.schur, self.extension, self.w_min = [], [], []
         for cls in topo.classes:
             c = self.conductance[cls.edges]
-            size = cls.members.size * cls.n * cls.n
-            lap = np.bincount(cls.scatter, weights=np.concatenate([c, c, -c, -c]),
-                              minlength=size).reshape(cls.members.size, cls.n, cls.n)
+            # least merged edge weight, for the lam_min = w_min / n^2 floor
+            self.w_min.append(cls.least_merged_weights(c))
             try:
-                s, x = _eliminate(lap, cls.nb)
+                # the stack goes in unnamed, so _eliminate frees it before its solves
+                s, x = _eliminate(cls.laplacians(c), cls.nb)
             except np.linalg.LinAlgError:
-                bad = next(i for i, block in zip(cls.members, lap)
+                bad = next(i for i, block in zip(cls.members, cls.laplacians(c))
                            if not _positive_definite(block[cls.nb:, cls.nb:]))
                 raise GraphError(f"group {bad}: interior block is not positive definite") from None
             self.schur.append(s)
             self.extension.append(x)
-            # least merged edge weight, for the lam_min = w_min / n^2 floor
-            self.w_min.append(np.minimum.reduceat(-lap.reshape(-1)[cls.pairs], cls.pair_starts))
 
     def schur_complement(self, i):
         """Dense Schur complement of group i onto its sorted boundary."""

@@ -18,6 +18,13 @@ flow of a run from one.
 Electrical flows refine the solve until a computable duality gap certifies
 the energy bounds; the flow residual is then repaired exactly on a BFS
 spanning tree, which makes the demand constraint unconditional.
+
+An inner electrical flow on a carried factor costs its factor applications
+and a few vector operations: the rebound handle takes only the Laplacian's
+new values over the graph's cached pattern (no scipy matrix is built), PCG
+multiplies by the matrix into a preallocated vector through one CSR kernel
+(``graphs.csr_matvec``), a connected Laplacian is grounded and projected by
+slicing, and the tree repair is one prefix sum (``route_on_tree``).
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GraphError, SolverConvergenceError
-from .graphs import SparseLaplacian, WeightedGraph, laplacian_from_resistances, zero_sum_demand
+from .graphs import (SparseLaplacian, WeightedGraph, csr_matvec, laplacian_from_resistances,
+                     zero_sum_demand)
 
 _EPS = np.finfo(float).eps
 
@@ -48,19 +56,31 @@ class SolveStats:
     refinements: int = 0
 
 
+def _as_slice(idx):
+    """``idx`` (sorted, distinct) as a slice when it is one contiguous range."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 class _Factor:
     """Exact factor of a matrix with each component's root row and column
     removed (none for a non-Laplacian): dense Cholesky up to ``DENSE_CUTOFF``
     unknowns, sparse LU above.  Applies as zeros at the roots.
+
+    Kept vertices that form one contiguous range (a connected Laplacian with
+    its root at vertex 0, or a non-Laplacian) are grounded and applied by
+    slicing rather than fancy indexing.
 
     The grounded matrix is symmetric positive definite, so the LU takes a
     symmetric fill-reducing ordering (minimum degree on ``A^T + A``) and
     pivots on the diagonal, which keeps L and U to one sparsity pattern."""
 
     def __init__(self, a, keep):
+        keep = _as_slice(keep)
         try:
             if a.shape[0] <= DENSE_CUTOFF:
-                self._chol = scipy.linalg.cho_factor(a.toarray()[np.ix_(keep, keep)], lower=True,
+                self._chol = scipy.linalg.cho_factor(a.toarray()[keep][:, keep], lower=True,
                                                      check_finite=False)
                 self._lu = None
             else:
@@ -85,7 +105,8 @@ class SolverHandle:
     A fresh handle solves exactly, with one application of its factor.  A
     handle made by ``rebind`` runs PCG on one right-hand side at a time,
     preconditioned by the factor of the handle it was rebound from;
-    ``iteration_cap`` caps that PCG.
+    ``iteration_cap`` caps that PCG.  Its products with the matrix run on
+    the CSR arrays directly (``matvec``), into preallocated vectors.
 
     Immutable after construction; each solve allocates private workspace, so
     concurrent solves against one handle are safe.  Repeated solves with the
@@ -98,7 +119,7 @@ class SolverHandle:
         a = sp.csr_matrix(matrix).astype(float)
         if a.shape[0] != a.shape[1]:
             raise GraphError("matrix must be square")
-        self.matrix = a
+        self._set_matrix(a)
         self.n = n = a.shape[0]
 
         diag = a.diagonal()
@@ -115,9 +136,10 @@ class SolverHandle:
             _components = sp.csgraph.connected_components(a, directed=False)
         if self.is_laplacian:
             nc, labels = _components
-            self._comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
+            comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
+            self._comp_index = [_as_slice(idx) for idx in comp_index]
             keep = np.ones(n, dtype=bool)
-            keep[[idx[0] for idx in self._comp_index]] = False
+            keep[[idx[0] for idx in comp_index]] = False
             keep = np.flatnonzero(keep)
         else:
             if no_excess.any():
@@ -138,24 +160,53 @@ class SolverHandle:
         """Laplacian handle reusing the graph's cached components."""
         return cls(g.laplacian_csr(conductance), _components=g.components())
 
+    def _set_matrix(self, a):
+        self._matrix = a
+        self._indptr, self._indices, self._data = a.indptr, a.indices, a.data
+
+    @property
+    def matrix(self):
+        """The matrix as a scipy CSR matrix (built on first use for a handle
+        rebound to values alone)."""
+        if self._matrix is None:
+            self._matrix = sp.csr_matrix((self._data, self._indices, self._indptr),
+                                         shape=(self.n, self.n))
+        return self._matrix
+
+    def matvec(self, x, out=None):
+        """``A @ x`` for a vector ``x``, written into ``out`` when given."""
+        return csr_matvec(self._indptr, self._indices, self._data, self.n, np.asarray(x),
+                          np.empty(self.n) if out is None else out)
+
     def rebind(self, matrix):
         """Handle for a same-structure matrix whose solves run PCG,
         preconditioned by this handle's factor (lagged preconditioning).
 
-        A float64 CSR matrix of the handle's shape is kept as it is, not
-        copied, so it must not change afterwards; anything else is converted.
-        Rebinding a rebound handle keeps the original factor.
+        ``matrix`` is the new matrix, or a 1-D float64 array of its values
+        over this handle's sparsity pattern (the ``data`` of a CSR matrix
+        with this handle's ``indices`` and ``indptr``, as
+        ``WeightedGraph.laplacian_data`` gives for a handle made by
+        ``for_graph``); then no scipy matrix is built.  A float64 CSR matrix
+        of the handle's shape is kept as it is, not copied, so it must not
+        change afterwards; anything else is converted.  Rebinding a rebound
+        handle keeps the original factor.
         """
+        clone = object.__new__(SolverHandle)
+        clone.__dict__.update(self.__dict__)
+        clone._exact_direct = False
+        if isinstance(matrix, np.ndarray) and matrix.ndim == 1:
+            if matrix.shape != self._data.shape or matrix.dtype != np.float64:
+                raise GraphError(f"rebound values must be {self._data.size} float64 entries, "
+                                 "one per stored entry of the pattern")
+            clone._matrix, clone._data = None, matrix
+            return clone
         if isinstance(matrix, SparseLaplacian):
             matrix = matrix.matrix
         if not (sp.issparse(matrix) and matrix.format == "csr" and matrix.dtype == np.float64):
             matrix = sp.csr_matrix(matrix, dtype=float)
         if matrix.shape != (self.n, self.n):
             raise GraphError(f"rebound matrix must have shape {(self.n, self.n)}, not {matrix.shape}")
-        clone = object.__new__(SolverHandle)
-        clone.__dict__.update(self.__dict__)
-        clone.matrix = matrix
-        clone._exact_direct = False
+        clone._set_matrix(matrix)
         return clone
 
     # -- helpers ---------------------------------------------------------------
@@ -166,10 +217,7 @@ class SolverHandle:
             return v
         out = np.array(v, dtype=float)
         for idx in self._comp_index:
-            if out.ndim == 2:
-                out[idx] -= out[idx].mean(axis=0)
-            else:
-                out[idx] -= out[idx].mean()
+            out[idx] -= out[idx].mean(axis=0)
         return out
 
     def _check_range(self, bmat):
@@ -233,19 +281,19 @@ class SolverHandle:
         if self.is_laplacian:
             self._check_range(b)
             b = self._project(b)
-        a, precondition = self.matrix, self._factor.apply
+        matvec, precondition = self.matvec, self._factor.apply
+        ap, work = np.empty(self.n), np.empty(self.n)
         if x0 is None:
             x = np.zeros(self.n)
             r = b.copy()
             base = 0.0
         else:
             x = np.array(x0, dtype=float).reshape(b.shape)
-            ax = a @ x
+            ax = matvec(x, ap)
             r = b - ax
             base = 2.0 * float(x @ b) - float(x @ ax)
         z = precondition(r)
         p = z.copy()
-        work = np.empty(self.n)
         gamma = float(r @ z)
         bnorm = math.sqrt(float(b @ b))
         floor2 = (64.0 * _EPS * max(bnorm, 1e-300)) ** 2
@@ -261,7 +309,7 @@ class SolverHandle:
                     best_iterate=self._project(x),
                     achieved_residual=math.sqrt(float(r @ r)) / max(bnorm, 1e-300),
                 )
-            ap = a @ p
+            matvec(p, ap)
             pap = float(p @ ap)
             alpha = gamma / pap if pap > 0 else 0.0
             x += np.multiply(p, alpha, out=work)
@@ -332,7 +380,7 @@ class LaggedFactor:
         if self.rebound:
             self.age += 1
             self.rebinds += 1
-            return self.handle.rebind(g.laplacian_csr(conductance))
+            return self.handle.rebind(g.laplacian_data(conductance))
         self.factorizations += 1
         self.handle = None  # free the old factor first: less heap to grow
         handle = SolverHandle.for_graph(g, conductance)
@@ -396,7 +444,6 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
     cond = 1.0 / r
     if handle is None:
         handle = SolverHandle.for_graph(g, cond)
-    lap = handle.matrix
 
     if not np.any(d):
         return ElectricalFlowResult(np.zeros(g.m), np.zeros(g.n), 0.0, 0.0)
@@ -414,7 +461,7 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
                  - np.bincount(g.heads, weights=f_pot, minlength=g.n))
         flow = f_pot + g.route_on_tree(q)
         e_flow = float(np.sum(r * flow * flow))
-        quad = float(phi @ (lap @ phi))
+        quad = float(phi @ handle.matvec(phi))
         lin = float(d @ phi)
         lower = lin * lin / quad if quad > 0 else 0.0
         if lower > 0 and e_flow <= (1.0 + gap_target) * lower:

@@ -128,11 +128,16 @@ class TestBenchCommand:
                     "--seed", "3", "--no-timing", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0].split(",")[:4] == ["instance", "n", "m", "r"]
+        header = ["instance", "n", "m", "r", "eps", "value", "exact", "ratio", "wall_time",
+                  "inner_iterations", "factorizations", "pcg_iterations"]
+        assert lines[0].split(",") == header
         assert len(lines) == 3
         for line in lines[1:]:
-            ratio = float(line.split(",")[7])
-            assert ratio >= 1 - 0.1
+            row = dict(zip(header, line.split(",")))
+            assert len(row) == len(header) and row["wall_time"] == "-"
+            assert float(row["ratio"]) >= 1 - 0.1
+            assert 0 < int(row["factorizations"]) <= int(row["inner_iterations"])
+            assert int(row["pcg_iterations"]) >= 0
 
     def test_repeat_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -16,7 +16,7 @@ from sepflow import (GraphError, GroupedFlowFail, RunConfig, SparsifierPlan, Swe
                      approx_grouped_flow, approx_max_flow, cut_certificate,
                      exact_max_flow_oracle, grid_r_division, oracle_edge_weights,
                      partition_from_groups, random_capacity_grid, route_fixed_flow, st_demand)
-from sepflow import pipeline
+from sepflow import edge_group_ids, pipeline
 
 EPS = 0.1
 VALUE_RTOL = 1e-5  # the one-step weight floor moves 24x24 r=12 by 1.8e-6
@@ -64,6 +64,31 @@ def test_max_flow_routes_agree(spec):
     assert cd["iterations_inner_total"] == cd["electrical_flows"]
 
 
+PINNED = {  # value and counters of the default route at RunConfig seed 7
+    (24, 24, 1, 12, 0): (11.078404348494194, dict(
+        probes=3, iterations_outer=37, iterations_inner_total=148, electrical_flows=148,
+        factorizations=6, rebinds=142, pcg_iterations=1036)),
+    (16, 16, 3, 128, 0): (13.058843236592866, dict(
+        probes=7, iterations_outer=144, iterations_inner_total=804, electrical_flows=804,
+        factorizations=33, rebinds=771, pcg_iterations=5284)),
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED), ids=_ids)
+def test_default_route_keeps_its_value_and_counters(spec):
+    # how an inner electrical flow is set up (tree repair, rebinding to new
+    # values, PCG products) must not move the result or any counter
+    g, part, _ = _instance(*spec)
+    config = RunConfig(eps=EPS, r=spec[3], seed=7)
+    res = approx_max_flow(g, part, None, 0, g.n - 1, EPS, config)
+    value, counters = PINNED[spec]
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0)
+    c = res.stats.counters()
+    assert {name: c[name] for name in counters} == counters
+    # each electrical flow got exactly one handle
+    assert c["factorizations"] + c["rebinds"] == c["electrical_flows"]
+
+
 @pytest.mark.parametrize("spec", INSTANCES, ids=_ids)
 @pytest.mark.parametrize("factor", [2.0, 1.02])
 def test_fixed_flow_routes_agree(spec, factor):
@@ -92,7 +117,7 @@ def test_direct_energy_certificate():
     s, t = 0, g.n - 1
     exact = exact_max_flow_oracle(g, s, t).value
     w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
-    inst = pipeline._direct_instance(g, part, w, EPS / 10)
+    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w, EPS / 10)
     assert inst.quotient_graph.m == g.m and inst.elimination is None
     res = approx_grouped_flow(inst, st_demand(g.n, s, t, 4 * exact), EPS / 10)
     assert res.failed and isinstance(res.fail, GroupedFlowFail)
@@ -111,7 +136,7 @@ def test_direct_flow_meets_the_group_contract():
     # a feasible demand: the averaged flow on G is returned as it is, demand-exact
     g, part, _ = _instance(10, 10, 1, 16, 4)
     w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
-    inst = pipeline._direct_instance(g, part, w, EPS / 10)
+    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w, EPS / 10)
     d = st_demand(g.n, 0, g.n - 1, 0.3 * exact_max_flow_oracle(g, 0, g.n - 1).value)
     res = approx_grouped_flow(inst, d, EPS / 10)
     assert res.status == "ok" and res.flow is res.quotient_flow

@@ -66,6 +66,11 @@ class TestDenseSchur:
             ours = elim.schur_complement(i)
             # relative to the group's own entries: a one-vertex boundary has S = 0
             assert np.abs(ours - ref).max() <= 1e-9 * cond[grp].max()
+        # the least merged weights, summed without the stack, equal the
+        # negated off-diagonals of the stack bit for bit
+        for cls, w_min in zip(elim.topology.classes, elim.w_min):
+            stack = cls.laplacians(elim.conductance[cls.edges]).reshape(-1)
+            assert np.array_equal(w_min, np.minimum.reduceat(-stack[cls.pairs], cls.pair_starts))
 
     def test_group_without_interior(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)])

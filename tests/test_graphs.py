@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sepflow import (FlowState, GraphError, WeightedGraph, edge_congestion, energy,
                      group_congestion, laplacian_from_resistances, residual,
                      residual_of_vector, st_demand, zero_sum_demand)
+from sepflow.graphs import csr_matvec
 
 from conftest import dense_laplacian, random_connected_graph
 
@@ -208,3 +209,73 @@ def test_residual_matches_incidence_matrix(n, data):
         b[e, u] = 1.0
         b[e, v] = -1.0
     assert np.allclose(residual_of_vector(flow, g), b.T @ flow, atol=1e-9)
+
+
+def reference_route_on_tree(g, q):
+    """The BFS-tree repair level by level, deepest first: each vertex pushes
+    everything it carries to its parent (the former ``route_on_tree``)."""
+    parent, parent_edge, _, depth = g.bfs_tree()
+    carry = np.array(q, dtype=float)
+    f = np.zeros(g.m)
+    for d in range(int(depth.max()), 0, -1):
+        idx = np.flatnonzero(depth == d)
+        e = parent_edge[idx]
+        f[e] = np.where(g.tails[e] == idx, 1.0, -1.0) * carry[idx]
+        np.add.at(carry, parent[idx], carry[idx])
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=4), st.data())
+def test_route_on_tree_repairs_every_component(n, parts, data):
+    # random components (some of them single vertices) with parallel edges
+    label = np.array(data.draw(st.lists(st.integers(0, parts - 1), min_size=n, max_size=n)))
+    edges = []
+    for c in range(parts):
+        verts = np.flatnonzero(label == c)
+        for u, v in zip(verts[:-1], verts[1:]):  # keep each component connected
+            w = int(verts[data.draw(st.integers(0, int(np.searchsorted(verts, v)) - 1))])
+            edges.append((w, int(v)))
+        if verts.size > 1:
+            pairs = data.draw(st.lists(st.tuples(st.sampled_from(verts.tolist()),
+                                                 st.sampled_from(verts.tolist())), max_size=8))
+            edges += [(int(a), int(b)) for a, b in pairs if a != b]
+            edges += edges[-2:] if len(edges) >= 2 else []  # parallel edges
+    g = WeightedGraph(n, edges)
+    q = np.array(data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n)))
+    _, comp = g.components()
+    q -= (np.bincount(comp, weights=q) / np.bincount(comp))[comp]
+    f = g.route_on_tree(q)
+    scale = max(np.abs(q).max(initial=0.0), 1e-300)
+    roots = np.flatnonzero(g.bfs_tree()[0] < 0)
+    off_root = np.ones(n, dtype=bool)
+    off_root[roots] = False
+    assert np.all(np.abs(residual_of_vector(f, g) - q)[off_root] <= 1e-12 * scale)
+    assert np.all(np.abs(f - reference_route_on_tree(g, q)) <= 1e-12 * scale)
+    tree = np.zeros(g.m, dtype=bool)
+    tree[g.bfs_tree()[1][off_root]] = True
+    assert not np.any(f[~tree])
+
+
+def test_route_on_tree_tiny_flows_match_the_level_loop(rng):
+    # flows far below 1 keep their relative accuracy
+    g = random_connected_graph(rng, 300, 200)
+    q = rng.normal(size=g.n) * 1e-6
+    q -= q.mean()
+    f, ref = g.route_on_tree(q), reference_route_on_tree(g, q)
+    assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_csr_matvec_matches_scipy_bitwise(rng):
+    g = random_connected_graph(rng, 50, 80)
+    a = g.laplacian_csr(rng.uniform(0.5, 2.0, g.m))
+    x = rng.normal(size=g.n)
+    out = np.full(g.n, np.nan)  # stale contents are overwritten
+    assert csr_matvec(a.indptr, a.indices, a.data, g.n, x, out) is out
+    assert np.array_equal(out, a @ x)
+    for short_x, short_out in ((x[:-1], out), (x, out[:-1])):
+        with pytest.raises(GraphError, match="cannot take"):
+            csr_matvec(a.indptr, a.indices, a.data, g.n, short_x, short_out)
+    with pytest.raises(GraphError, match="cannot take"):
+        g.laplacian_data(np.ones(g.m - 1))
+    assert np.array_equal(g.laplacian_data(np.ones(g.m)), g.laplacian_csr(np.ones(g.m)).data)

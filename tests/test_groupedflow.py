@@ -42,6 +42,26 @@ class TestProblemValidation:
         with pytest.raises(GraphError, match="cover"):
             GroupedFlowProblem(g, [[0]], st_demand(3, 0, 2, 0.5), 0.1)
 
+    @pytest.mark.parametrize("extra, message", [(12, "out of range"), (-1, "out of range"),
+                                                (3, "edge 3 in groups 0 and 1")])
+    def test_bad_edge_ids_rejected(self, extra, message):
+        g = grid_graph(3, 3)  # 12 edges
+        with pytest.raises(GraphError, match=message):
+            GroupedFlowProblem(g, [np.arange(g.m), [extra]], st_demand(g.n, 0, 8, 0.5), 0.1)
+
+    def test_given_group_ids_are_checked(self):
+        g = grid_graph(3, 3)
+        groups = [np.arange(6), np.arange(6, g.m)]
+        gid = np.repeat([0, 1], 6)
+        prob = GroupedFlowProblem(g, groups, st_demand(g.n, 0, 8, 0.5), 0.1, group_of_edge=gid)
+        assert prob.group_of_edge is gid
+        for bad in (gid[:-1], np.where(gid == 1, 2, 0), gid - 1):
+            with pytest.raises(GraphError, match="group_of_edge"):
+                GroupedFlowProblem(g, groups, st_demand(g.n, 0, 8, 0.5), 0.1, group_of_edge=bad)
+        with pytest.raises(GraphError, match="group 1 is empty"):
+            GroupedFlowProblem(g, groups, st_demand(g.n, 0, 8, 0.5), 0.1,
+                               group_of_edge=np.zeros(g.m, dtype=np.int64))
+
 
 class TestStepInvariants:
     def test_mu_growth_bound(self):

@@ -66,6 +66,11 @@ class TestPartitionValidation:
         with pytest.raises(ValidationError, match=r"edge 2 in groups 0 and 1"):
             partition_from_groups(g, groups, r=20)
 
+    def test_out_of_range_edge_id_named(self):
+        g = grid_graph(3, 3)
+        with pytest.raises(ValidationError, match="edge id 12 in group 1 is out of range"):
+            partition_from_groups(g, [np.arange(g.m), [g.m]], r=20)
+
     def test_missing_edge_detected(self):
         g = grid_graph(3, 3)
         with pytest.raises(ValidationError, match="belongs to no group"):

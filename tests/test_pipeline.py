@@ -7,7 +7,7 @@ from sepflow import (GraphError, GroupedFlowFail, GroupedFlowProblem, LaggedFact
                      SolverConvergenceError, SparseLaplacian, SparsifierPlan, SweptCutFail,
                      ValidationError, WeightedGraph, approx_grouped_flow, approx_max_flow,
                      build_sparsified_instance, convert_flow, cut_certificate,
-                     edge_congestions, exact_max_flow_oracle, exact_schur, grid_graph,
+                     edge_congestions, edge_group_ids, exact_max_flow_oracle, exact_schur, grid_graph,
                      grid_r_division, group_congestions, grouped_flow,
                      one_step_vertex_sparsify, oracle_edge_weights, partition_from_groups,
                      random_capacity_grid, residual_of_vector, route_fixed_flow, st_demand,
@@ -30,6 +30,22 @@ class TestOracleWeights:
         w1 = oracle_edge_weights(np.ones(4), np.ones(4), [np.arange(4)], 0.2)
         w2 = oracle_edge_weights(np.ones(4), 2 * np.ones(4), [np.arange(4)], 0.2)
         assert np.allclose(w2, w1 / 4.0)
+
+    @pytest.mark.parametrize("groups, message", [
+        ([np.arange(11), [-1]], "out of range"), ([np.arange(12), [12]], "out of range"),
+        ([np.arange(11)], "belongs to no group"), ([np.arange(12), [0]], "in groups 0 and 1")])
+    def test_bad_edge_ids_rejected(self, groups, message):
+        with pytest.raises(GraphError, match=message):
+            oracle_edge_weights(np.ones(12), np.ones(12), groups, 0.2)
+
+    def test_group_ids_give_the_same_weights(self, rng):
+        groups = [np.arange(0, 5), np.arange(5, 12)]
+        wo, cap = rng.uniform(1, 5, 12), rng.uniform(1, 10, 12)
+        gid = edge_group_ids(groups, 12)
+        assert np.array_equal(oracle_edge_weights(wo, cap, gid, 0.2),
+                              oracle_edge_weights(wo, cap, groups, 0.2))
+        with pytest.raises(GraphError, match="one group id per edge"):
+            oracle_edge_weights(wo, cap, gid[:-1], 0.2)
 
     def test_weight_ratio_bound(self, rng):
         # U(w) <= 8 (m/eps) U(u)^2 <= O(m^3 eps^-3) when U(u) <= m/eps

@@ -155,6 +155,74 @@ class TestSolveSdd:
         assert np.array_equal(x_mat, x_graph)
 
 
+def _random_components(rng, n, parts):
+    """Random graph on ``n`` vertices with ``parts`` connected components of
+    at least two vertices each."""
+    cuts = 2 * np.sort(rng.choice(np.arange(1, n // 2), parts - 1, replace=False))
+    edges = []
+    for lo, hi in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [n]])):
+        sub = random_connected_graph(rng, int(hi - lo), int(rng.integers(0, hi - lo + 1)))
+        edges += [(int(u + lo), int(v + lo)) for u, v in sub.edges]
+    return WeightedGraph(n, edges)
+
+
+class TestReboundValues:
+    def test_values_rebind_matches_matrix_rebind_bitwise(self, rng):
+        # rebinding to the values over the graph's cached pattern (what a
+        # ``LaggedFactor`` does) solves exactly as rebinding to the CSR matrix
+        for trial in range(24):
+            n = int(rng.integers(10, 301))
+            g = _random_components(rng, n, 1 + trial % 3)
+            c0 = rng.uniform(0.5, 2.0, g.m)
+            c = c0 * rng.uniform(0.8, 1.25, g.m)
+            base = SolverHandle.for_graph(g, c0)
+            by_values = base.rebind(g.laplacian_data(c))
+            by_matrix = SolverHandle.for_graph(g, c0).rebind(g.laplacian_csr(c))
+            _, labels = g.components()
+            d = rng.normal(size=n)
+            d -= (np.bincount(labels, weights=d) / np.bincount(labels))[labels]
+            for x0 in (None, rng.normal(size=n)):
+                xv, sv = by_values.solve_with_stats(d, delta=1e-8, x0=x0)
+                xm, sm = by_matrix.solve_with_stats(d, delta=1e-8, x0=x0)
+                assert np.array_equal(xv, xm) and sv.iterations == sm.iterations
+            assert np.array_equal(by_values.matrix.toarray(), by_matrix.matrix.toarray())
+
+    def test_lagged_factor_rebinds_match_matrix_rebinds(self, rng):
+        # electrical flows on a carried factor equal those on a matrix rebind
+        g = random_connected_graph(rng, 150, 200)
+        c0 = rng.uniform(0.5, 2.0, g.m)
+        lag = LaggedFactor()
+        lag.handle_for(g, c0)
+        lag.record(SolveStats(iterations=1))
+        d = st_demand(g.n, 0, g.n - 1, 1.0)
+        for _ in range(3):
+            c = c0 * rng.uniform(0.8, 1.25, g.m)
+            ours = lag.handle_for(g.reweighted(np.full(g.m, 2.0)), c)
+            ref = SolverHandle.for_graph(g, c0).rebind(g.laplacian_csr(c))
+            a = electrical_flow(g, d, 1e-3, resistances=1.0 / c, handle=ours)
+            b = electrical_flow(g, d, 1e-3, resistances=1.0 / c, handle=ref)
+            lag.record(a.stats)
+            assert np.array_equal(a.flow, b.flow) and np.array_equal(a.potentials, b.potentials)
+            assert a.stats.iterations == b.stats.iterations
+        assert lag.rebinds == 3 and lag.factorizations == 1
+
+    def test_values_rebind_checks_its_length(self, rng):
+        g = random_connected_graph(rng, 70, 40)
+        handle = SolverHandle.for_graph(g, np.ones(g.m))
+        with pytest.raises(GraphError, match="one per stored entry"):
+            handle.rebind(np.ones(g.laplacian_data(np.ones(g.m)).size + 1))
+
+    def test_matvec_matches_the_matrix_product(self, rng):
+        g = random_connected_graph(rng, 90, 120)
+        c = rng.uniform(0.5, 2.0, g.m)
+        x = rng.normal(size=g.n)
+        for handle in (SolverHandle.for_graph(g, c),
+                       SolverHandle.for_graph(g, c).rebind(g.laplacian_data(1.1 * c))):
+            out = np.empty(g.n)
+            assert handle.matvec(x, out) is out
+            assert np.array_equal(out, handle.matrix @ x)
+
+
 class TestLaggedFactor:
     def test_policy_and_counters(self):
         g = grid_graph(9, 9)  # 81 vertices, above the dense cutoff
