@@ -45,7 +45,6 @@ class RunConfig:
     outer_stagnation_limit: int = 6
 
     # inner grouped flow
-    inner_early_exit_cap: int = 4
     max_inner_iterations: int = 80
     inner_budget_units: int = 200_000  # ~iterations * quotient size per oracle call
     inner_iteration_ceiling: int = 4000

@@ -18,8 +18,6 @@ from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import WeightedGraph, edge_group_ids, group_congestions, zero_sum_demand
 from .solver import LaggedFactor, electrical_flow
 
-DEFAULT_EARLY_EXIT_CAP = 40
-
 
 def mwu_parameters(k: int, eps: float):
     """Width and iteration count: rho = 10 k^(1/3) eps^(-2/3), N = ceil(20 rho ln(k) eps^-2).
@@ -128,8 +126,7 @@ def check_mwu_step(w_before, w_after, congestions, eps, rho, tol=1e-9):
     }
 
 
-def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
-                 early_exit_cap=DEFAULT_EARLY_EXIT_CAP, runtime_checks=True,
+def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=True,
                  trace=False, max_iterations=None,
                  lag: LaggedFactor | None = None) -> GroupedFlowResult:
     """Multiplicative weights over groups around electrical flows.
@@ -138,10 +135,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
     whenever a flow of congestion ``1 - eps`` exists, or a fail certificate.
     In strict mode the loop always runs the full iteration budget with the
     formula width; otherwise updates use the width-normalized step
-    (the iterate's own max congestion, floored at 1), the loop may return
-    early once the running average already meets the output contract
-    (flagged in diagnostics), and ``max_iterations`` caps the budget
-    (exhausting the cap without meeting the contract raises).
+    (the iterate's own max congestion, floored at 1), the loop returns as
+    soon as the running average meets the output contract, from the first
+    iteration on (flagged in diagnostics), and ``max_iterations`` caps the
+    budget (exhausting the cap without meeting the contract raises).
 
     ``lag`` supplies each iteration's solver handle and keeps its counters;
     a run passes one through all its calls so the quotient's factor carries
@@ -161,8 +158,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
     flow_sum = np.zeros(g.m)
     n_accepted = 0
     diag = GroupedFlowDiagnostics()
-    # the nominal gate is t >= N/10; capped so practical runs stay usable
-    early_gate = n_iter if strict else min(max(int(math.ceil(n_iter / 10.0)), 1), early_exit_cap)
     hint = None
     # lagged preconditioner: resistances drift slowly between iterations (and
     # between the calls of one run), so above the dense cutoff one factor of
@@ -214,21 +209,18 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False,
         if trace:
             diag.trace.append((t, mu, ef.energy, float(cong.max()), accepted))
 
-        if not strict and n_accepted > 0 and t >= early_gate:
-            avg = flow_sum / n_accepted
-            avg_cong = group_congestions(avg, w, gid)
-            if avg_cong.max(initial=0.0) <= (1.0 + 10.0 * eps):
-                diag.accepted = n_accepted
+        if not strict and accepted:  # the average moves only when an iterate is accepted
+            diag.max_group_congestion = group_congestions(flow_sum / n_accepted, w, gid).max()
+            if diag.max_group_congestion <= 1.0 + 10.0 * eps:
                 diag.early_exit = True
-                diag.max_group_congestion = float(avg_cong.max())
-                diag.mu_final = float(w_grp.sum())
-                return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag)
+                break
 
     if n_accepted == 0:
         raise ValidationError("no iteration stayed under the width; cannot average")
     avg = flow_sum / n_accepted
     diag.accepted = n_accepted
-    diag.max_group_congestion = float(group_congestions(avg, w, gid).max())
+    if strict:  # otherwise measured at the average's last change
+        diag.max_group_congestion = float(group_congestions(avg, w, gid).max())
     diag.mu_final = float(w_grp.sum())
     if budget < n_iter and diag.max_group_congestion > 1.0 + 10.0 * eps:
         raise SolverConvergenceError(

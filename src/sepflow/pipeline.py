@@ -53,7 +53,7 @@ slows down or the quotient's edge pattern is rebuilt.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import time
 import warnings
@@ -165,17 +165,19 @@ class MaxFlowRunStats:
             "inner_failures", "cut_verdicts") + SOLVER_COUNTERS}
 
 
-@contextlib.contextmanager
-def _stage(stats, name):
-    """Add the block's wall time to ``stats.timings[name]`` (no-op without stats)."""
-    if stats is None:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        stats.timings[name] += time.perf_counter() - t0
+class _stage:
+    """Add the block's wall time to ``stats.timings[name]`` (no-op without
+    stats); a plain class, so little of its own time falls outside the block."""
+
+    def __init__(self, stats, name):
+        self.stats, self.name = stats, name
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc):
+        if self.stats is not None:
+            self.stats.timings[self.name] += time.perf_counter() - self.t0
 
 
 # -- sparsified instances ---------------------------------------------------------
@@ -236,10 +238,11 @@ class SparsifiedInstance:
 
     def quotient_demand(self, d):
         d = zero_sum_demand(d, self.graph.n)
-        support = np.flatnonzero(d)
-        if support.size and not np.isin(support, self.quotient_vertices).all():
-            bad = support[~np.isin(support, self.quotient_vertices)][0]
-            raise GraphError(f"demand is nonzero at interior vertex {int(bad)}")
+        if self.elimination is None:
+            return d  # the quotient is G
+        interior = np.setdiff1d(np.flatnonzero(d), self.quotient_vertices)
+        if interior.size:
+            raise GraphError(f"demand is nonzero at interior vertex {int(interior[0])}")
         return d[self.quotient_vertices]
 
 
@@ -317,6 +320,12 @@ def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopol
     return topo
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(n):
+    """Read-only ``0..n-1``, the vertex map of every direct instance on n vertices."""
+    return np.lib.stride_tricks.as_strided(np.arange(n), writeable=False)
+
+
 def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights, eps,
                      stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """A phase's grouped-flow problem on G itself: G at ``weights`` with the
@@ -324,7 +333,7 @@ def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights, 
     vertex map, nothing eliminated."""
     return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
                               quotient_graph=g.reweighted(weights), quotient_groups=part.groups,
-                              quotient_vertices=np.arange(g.n), elimination=None,
+                              quotient_vertices=_identity(g.n), elimination=None,
                               group_of_edge=group_of_edge, quotient_group_of_edge=group_of_edge,
                               stats=stats)
 
@@ -342,10 +351,10 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
     plan = plan or SparsifierPlan("one-step")
     if plan.method == "direct":
         raise GraphError("a direct plan builds no sparsifiers; its phases run on G itself")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (g.m,) or np.any(weights <= 0):
-        raise GraphError("need one positive weight per edge")
     with _stage(stats, "sparsify"):
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (g.m,) or np.any(weights <= 0):
+            raise GraphError("need one positive weight per edge")
         topo = _group_topology(part, g, stats)
         small = np.flatnonzero(topo.n_boundary < 2)
         if small.size:
@@ -362,20 +371,20 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
                               for i in cls.members.tolist()]) for cls in topo.classes]
         else:
             cond = elim.sparsify(eps, plan.c_s, seed_of=lambda i: substream(seed, "sparsify", i))
-    if stats is not None:
-        stats.sparsifier_builds += part.k
-        if recursive:
-            stats.recursive_groups += part.k
-        else:
-            stats.dense_groups += part.k
+        if stats is not None:
+            stats.sparsifier_builds += part.k
+            if recursive:
+                stats.recursive_groups += part.k
+            else:
+                stats.dense_groups += part.k
 
     with _stage(stats, "quotient_assemble"):
         quotient, pattern = _cached_quotient(topo, cond)
-    return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
-                              quotient_graph=quotient, quotient_groups=pattern.groups,
-                              quotient_vertices=pattern.vertices, elimination=elim,
-                              group_of_edge=topo.group_of_edge,
-                              quotient_group_of_edge=pattern.group_of_edge, stats=stats)
+        return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
+                                  quotient_graph=quotient, quotient_groups=pattern.groups,
+                                  quotient_vertices=pattern.vertices, elimination=elim,
+                                  group_of_edge=topo.group_of_edge,
+                                  quotient_group_of_edge=pattern.group_of_edge, stats=stats)
 
 
 # -- flow conversion -------------------------------------------------------------
@@ -504,42 +513,39 @@ class ApproxGroupedFlowResult:
 
 
 def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
-                        early_exit_cap=4, max_iterations=200, runtime_checks=True,
+                        max_iterations=200, runtime_checks=True,
                         lag: LaggedFactor | None = None) -> ApproxGroupedFlowResult:
     """Grouped flow on the quotient graph at eps/2, converted back to the
     original graph at eps/10; on a direct instance the flow is on the
-    original graph already and is returned as it is.  ``lag`` is passed on
-    to ``grouped_flow``."""
+    original graph already and is returned as it is.  ``max_iterations``
+    and ``lag`` are passed on to ``grouped_flow``, which returns (unless
+    ``strict``) once its running average meets its contract."""
     stats = instance.stats
     with _stage(stats, "grouped_flow"):
-        d = zero_sum_demand(d, instance.graph.n)
-        d_schur = instance.quotient_demand(d)
         prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
-                                  d_schur, eps / 2.0,
+                                  instance.quotient_demand(d), eps / 2.0,
                                   group_of_edge=instance.quotient_group_of_edge)
-        res = grouped_flow(prob, strict=strict, early_exit_cap=early_exit_cap,
-                           runtime_checks=runtime_checks, max_iterations=max_iterations,
-                           lag=lag)
+        res = grouped_flow(prob, strict=strict, runtime_checks=runtime_checks,
+                           max_iterations=max_iterations, lag=lag)
     if res.failed:
-        return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail,
-                                       quotient_flow=None,
+        return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail, quotient_flow=None,
                                        inner_iterations=res.diagnostics.iterations,
                                        instance=instance)
-    part = instance.partition
-    f = res.flow
+    # on a direct instance grouped flow measured this flow at these weights already
+    f, max_cong = res.flow, res.diagnostics.max_group_congestion
     if instance.elimination is not None:
         with _stage(stats, "convert"):
             f = convert_flow(instance.quotient_graph, instance.quotient_groups,
-                             instance.graph, part.groups, res.flow, eps / 10.0,
+                             instance.graph, instance.partition.groups, res.flow, eps / 10.0,
                              dst_weights=instance.weights,
                              src_vertex_map=instance.quotient_vertices,
-                             check_boundaries=part.boundaries,
+                             check_boundaries=instance.partition.boundaries,
                              elimination=instance.elimination)
-    cong = group_congestions(f, instance.weights, instance.group_of_edge)
+            max_cong = float(group_congestions(f, instance.weights,
+                                               instance.group_of_edge).max(initial=0.0))
     return ApproxGroupedFlowResult(status="ok", flow=f, fail=None, quotient_flow=res.flow,
                                    inner_iterations=res.diagnostics.iterations,
-                                   instance=instance,
-                                   max_group_congestion=float(cong.max(initial=0.0)))
+                                   instance=instance, max_group_congestion=max_cong)
 
 
 # -- approximate max flow -----------------------------------------------------------
@@ -619,14 +625,14 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
     invariant and propagates.
     """
     m = g.m
-    rho_outer = math.ceil(config.c_w * math.sqrt(part.r) / math.sqrt(eps))
-    n_outer = max(int(math.ceil(20.0 * rho_outer * math.log(max(m, 2)) * eps**-2)), 1)
-    limit = n_outer if config.strict_paper else min(n_outer, config.max_outer_iterations)
-    target = success_target(flow_amount, eps, config)
-
-    w_oracle = np.ones(m) if w_oracle_init is None else np.asarray(w_oracle_init, dtype=float).copy()
-    d = st_demand(g.n, s, t, flow_amount)
-    flow_sum = np.zeros(m)
+    with _stage(stats, "oracle_update"):
+        rho_outer = math.ceil(config.c_w * math.sqrt(part.r) / math.sqrt(eps))
+        n_outer = max(int(math.ceil(20.0 * rho_outer * math.log(max(m, 2)) * eps**-2)), 1)
+        limit = n_outer if config.strict_paper else min(n_outer, config.max_outer_iterations)
+        target = success_target(flow_amount, eps, config)
+        w_oracle = np.ones(m) if w_oracle_init is None else np.array(w_oracle_init, dtype=float)
+        d = st_demand(g.n, s, t, flow_amount)
+        flow_sum = np.zeros(m)
     accepted = 0
     best_value, best_flow = -np.inf, None
     fail = None
@@ -639,8 +645,10 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
             with _stage(stats, "grouped_flow"):
                 inst = _direct_instance(g, part, group_of_edge, w, eps / 10.0, stats)
         else:
-            inst = build_sparsified_instance(g, part, w, eps / 10.0, plan,
-                                             seed=substream(seed, "phase", it), stats=stats)
+            with _stage(stats, "sparsify"):
+                phase_seed = substream(seed, "phase", it)
+            inst = build_sparsified_instance(g, part, w, eps / 10.0, plan, seed=phase_seed,
+                                             stats=stats)
         if sweep:
             with _stage(stats, "grouped_flow"):
                 side, cut = _swept_cut(inst, d, s, t)
@@ -654,9 +662,7 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
                         config.inner_iteration_ceiling)
         flows_before = lag.electrical_flows
         try:
-            res = approx_grouped_flow(inst, d, eps / 10.0,
-                                      early_exit_cap=config.inner_early_exit_cap,
-                                      max_iterations=inner_cap,
+            res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap,
                                       strict=config.strict_paper, lag=lag)
         except SolverConvergenceError:
             res = None
@@ -696,8 +702,9 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
                 break
             width = rho_outer if config.strict_paper else max(mc, config.update_width_floor)
             w_oracle = w_oracle * (1.0 + (eps / width) * cong)
-    for name, value in lag.counters().items():
-        setattr(stats, name, value)
+    with _stage(stats, "oracle_update"):
+        for name, value in lag.counters().items():
+            setattr(stats, name, value)
     success = best_value >= target
     return success, best_value, best_flow, fail, w_oracle
 
@@ -738,9 +745,11 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         nonlocal best_value, best_flow, fail_ctx
         stats.probes += 1
         w_init = None if config.strict_paper else warm["w"]
+        with _stage(stats, "oracle_update"):
+            probe_seed = substream(seed, "F", stats.probes)
         ok, val, flow, fail, w_final = _oracle_phase(
-            g, part, group_of_edge, plan, s, t, flow_amount, eps, config,
-            substream(seed, "F", stats.probes), stats, lag, w_oracle_init=w_init)
+            g, part, group_of_edge, plan, s, t, flow_amount, eps, config, probe_seed, stats,
+            lag, w_oracle_init=w_init)
         if not config.strict_paper:
             warm["w"] = w_final
         if fail is not None and fail_ctx is None:
@@ -801,10 +810,10 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     plan = plan or SparsifierPlan()
     stats = MaxFlowRunStats(route=plan.method)
     phase_seed, lag = substream(seed, "fixed"), LaggedFactor()
+    group_of_edge = edge_group_ids(part.groups, g.m)
     t_start = time.perf_counter()
-    ok, val, flow, fail, _ = _oracle_phase(g, part, edge_group_ids(part.groups, g.m), plan, s,
-                                           t, flow_amount, eps, config, phase_seed, stats, lag,
-                                           sweep=True)
+    ok, val, flow, fail, _ = _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps,
+                                           config, phase_seed, stats, lag, sweep=True)
     stats.timings["total"] = time.perf_counter() - t_start
     if fail is not None:
         return None, fail

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepflow import (GraphError, GroupedFlowProblem, LaggedFactor, ValidationError,
-                     WeightedGraph, check_mwu_step, electrical_flow, grid_graph, grid_r_division,
-                     group_congestions, grouped_flow, mwu_parameters, residual_of_vector,
-                     st_demand)
+from sepflow import (GraphError, GroupedFlowProblem, LaggedFactor, SolverConvergenceError,
+                     ValidationError, WeightedGraph, check_mwu_step, electrical_flow, grid_graph,
+                     grid_r_division, group_congestions, grouped_flow, mwu_parameters,
+                     residual_of_vector, st_demand)
 
 
 class TestParameters:
@@ -129,6 +131,21 @@ class TestGroupedFlow:
         _, n_iter = mwu_parameters(part.k, 0.1)
         assert res.diagnostics.iterations <= n_iter
 
+    def test_first_iterate_meeting_the_contract_returns_at_once(self):
+        # a witness of congestion 0.8: the first electrical flow already has
+        # every group congestion <= 1 + 10 eps, and nothing waits for more
+        g0 = grid_graph(4, 4)
+        part = grid_r_division(4, 4, 1, 8, terminals=(0, 15), graph=g0)
+        w = np.ones(g0.m)
+        g = WeightedGraph(g0.n, g0.edges, weight=w)
+        ef = electrical_flow(g, st_demand(16, 0, 15, 1.0), 1e-8, resistances=w)
+        d = st_demand(16, 0, 15, 0.8 / group_congestions(ef.flow, w, part.groups).max())
+        res = grouped_flow(GroupedFlowProblem(g, part.groups, d, 0.1))
+        assert res.status == "ok"
+        assert res.diagnostics.iterations == res.diagnostics.accepted == 1
+        assert res.diagnostics.early_exit
+        assert res.diagnostics.max_group_congestion == pytest.approx(0.8, rel=1e-6)
+
     def test_strict_mode_runs_full_budget(self):
         g = WeightedGraph(2, [(0, 1), (0, 1)], weight=[1.0, 1.0])
         prob = GroupedFlowProblem(g, [[0], [1]], st_demand(2, 0, 1, 1.0), 0.4)
@@ -184,3 +201,31 @@ class TestGroupedFlow:
         prob = GroupedFlowProblem(g, [[0], [1]], st_demand(3, 0, 2, 0.2), 0.2)
         res = grouped_flow(prob, trace=True)
         assert res.status == "ok"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=6), st.data())
+def test_every_early_return_meets_the_contract(n, k, data):
+    # random connected multigraphs, weights and groups; whatever the demand,
+    # a non-strict "ok" is an average within 1 + 10 eps that routes it
+    edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += [e for e in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                      st.integers(0, n - 1)), max_size=10))
+              if e[0] != e[1]]
+    edges += [edges[0]] * (k - len(edges))  # parallel copies until every group gets an edge
+    m = len(edges)
+    weight = data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+    label = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+    label[:k] = np.arange(k)  # no group is empty
+    g = WeightedGraph(n, edges, weight=weight)
+    d = st_demand(n, 0, n - 1, data.draw(st.floats(0.01, 5.0)))
+    eps = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.4]))
+    groups = [np.flatnonzero(label == i) for i in range(k)]
+    try:
+        res = grouped_flow(GroupedFlowProblem(g, groups, d, eps), max_iterations=100)
+    except SolverConvergenceError:
+        return  # the cap hit without the contract met
+    if res.failed:
+        return
+    assert group_congestions(res.flow, g.weight, groups).max() <= 1 + 10 * eps
+    assert np.abs(residual_of_vector(res.flow, g) - d).max() <= 1e-9
