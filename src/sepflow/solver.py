@@ -90,8 +90,11 @@ class _Factor:
             raise GraphError("matrix is singular after grounding") from exc
         self.keep = keep
 
-    def apply(self, y):
-        out = np.zeros_like(y)
+    def apply(self, y, out=None):
+        """The factor's solve of ``y``, written into ``out`` when given; an
+        ``out`` must hold zeros at the roots, which are never written."""
+        if out is None:
+            out = np.zeros_like(y)
         if self._lu is None:
             out[self.keep] = scipy.linalg.cho_solve(self._chol, y[self.keep], check_finite=False)
         else:
@@ -282,7 +285,8 @@ class SolverHandle:
             self._check_range(b)
             b = self._project(b)
         matvec, precondition = self.matvec, self._factor.apply
-        ap, work = np.empty(self.n), np.empty(self.n)
+        # z is the preconditioned residual, rewritten in place every step
+        ap, work, z = np.empty(self.n), np.empty(self.n), np.zeros(self.n)
         if x0 is None:
             x = np.zeros(self.n)
             r = b.copy()
@@ -292,7 +296,7 @@ class SolverHandle:
             ax = matvec(x, ap)
             r = b - ax
             base = 2.0 * float(x @ b) - float(x @ ax)
-        z = precondition(r)
+        precondition(r, z)
         p = z.copy()
         gamma = float(r @ z)
         bnorm = math.sqrt(float(b @ b))
@@ -314,7 +318,7 @@ class SolverHandle:
             alpha = gamma / pap if pap > 0 else 0.0
             x += np.multiply(p, alpha, out=work)
             r -= np.multiply(ap, alpha, out=work)
-            z = precondition(r)
+            precondition(r, z)
             gamma_new = float(r @ z)
             step = alpha * gamma
             total += step

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sepflow import (exact_max_flow_oracle, grid_r_division, random_capacity_grid, save_dimacs,
-                     save_partition)
+from sepflow import (SolverConvergenceError, exact_max_flow_oracle, grid_r_division, pipeline,
+                     random_capacity_grid, save_dimacs, save_partition)
 from sepflow.cli import main
 
 
@@ -51,6 +51,17 @@ class TestMaxflowCommand:
                     "--json", str(tmp_path / "r.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_run_without_a_flow_exits_one(self, tmp_path, capsys, monkeypatch):
+        def capped(*args, **kwargs):
+            raise SolverConvergenceError("planted cap hit")
+
+        monkeypatch.setattr(pipeline, "grouped_flow", capped)
+        out = tmp_path / "res.json"
+        code = run(["maxflow", "--grid", "6x6", "--random-capacities", "--r", "16",
+                    "--json", str(out)])
+        assert code == 1 and not out.exists()
+        assert "no probe produced a flow" in capsys.readouterr().err
 
     def test_overdemand_fixed_flow_exits_two(self, tmp_path):
         out = tmp_path / "res.json"

@@ -69,8 +69,8 @@ PINNED = {  # value and counters of the default route at RunConfig seed 7
         probes=3, iterations_outer=37, iterations_inner_total=37, electrical_flows=37,
         factorizations=5, rebinds=32, pcg_iterations=280)),
     (16, 16, 3, 128, 0): (13.058843234413537, dict(
-        probes=7, iterations_outer=144, iterations_inner_total=381, electrical_flows=381,
-        factorizations=27, rebinds=354, pcg_iterations=2459)),
+        probes=7, iterations_outer=144, iterations_inner_total=156, electrical_flows=156,
+        factorizations=20, rebinds=136, pcg_iterations=1218)),
 }
 
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GraphError, GroupedFlowProblem, LaggedFactor, SolverConvergenceError,
-                     ValidationError, WeightedGraph, check_mwu_step, electrical_flow, grid_graph,
-                     grid_r_division, group_congestions, grouped_flow, mwu_parameters,
-                     residual_of_vector, st_demand)
+from sepflow import (GraphError, GroupedFlowProblem, LaggedFactor, RunConfig,
+                     SolverConvergenceError, ValidationError, WeightedGraph, approx_max_flow,
+                     check_mwu_step, electrical_flow, grid_graph, grid_r_division,
+                     group_congestions, grouped_flow, groupedflow, mwu_parameters,
+                     random_capacity_grid, residual_of_vector, st_demand)
 
 
 class TestParameters:
@@ -203,11 +204,9 @@ class TestGroupedFlow:
         assert res.status == "ok"
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=6), st.data())
-def test_every_early_return_meets_the_contract(n, k, data):
-    # random connected multigraphs, weights and groups; whatever the demand,
-    # a non-strict "ok" is an average within 1 + 10 eps that routes it
+def _random_multigraph(n, k, data):
+    """A random connected multigraph on n vertices with weights, and its
+    edges split into k nonempty groups."""
     edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     edges += [e for e in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
                                                       st.integers(0, n - 1)), max_size=10))
@@ -217,10 +216,17 @@ def test_every_early_return_meets_the_contract(n, k, data):
     weight = data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
     label = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
     label[:k] = np.arange(k)  # no group is empty
-    g = WeightedGraph(n, edges, weight=weight)
+    return WeightedGraph(n, edges, weight=weight), [np.flatnonzero(label == i) for i in range(k)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=6), st.data())
+def test_every_early_return_meets_the_contract(n, k, data):
+    # random connected multigraphs, weights and groups; whatever the demand,
+    # a non-strict "ok" is an average within 1 + 10 eps that routes it
+    g, groups = _random_multigraph(n, k, data)
     d = st_demand(n, 0, n - 1, data.draw(st.floats(0.01, 5.0)))
     eps = data.draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.4]))
-    groups = [np.flatnonzero(label == i) for i in range(k)]
     try:
         res = grouped_flow(GroupedFlowProblem(g, groups, d, eps), max_iterations=100)
     except SolverConvergenceError:
@@ -229,3 +235,53 @@ def test_every_early_return_meets_the_contract(n, k, data):
         return
     assert group_congestions(res.flow, g.weight, groups).max() <= 1 + 10 * eps
     assert np.abs(residual_of_vector(res.flow, g) - d).max() <= 1e-9
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(min_value=4, max_value=12), st.integers(min_value=2, max_value=8), st.data())
+def test_every_stall_exit_would_hit_the_cap(n, k, data):
+    # the demand puts the first iterate's max group congestion at 1 to 2
+    # times the contract's 1 + 10 eps, where a capped loop at small eps may
+    # stall (a few percent of examples); every call the stall exit ends
+    # must also end at its cap without the exit
+    g, groups = _random_multigraph(n, k, data)
+    eps = data.draw(st.sampled_from([0.02, 0.05]))
+    unit = st_demand(n, 0, n - 1, 1.0)
+    first = electrical_flow(g, unit, 1e-6, resistances=g.weight).flow
+    d = unit * (data.draw(st.floats(1.0, 2.0)) * (1 + 10 * eps)
+                / group_congestions(first, g.weight, groups).max())
+    cap = data.draw(st.integers(10, 200))
+    try:
+        grouped_flow(GroupedFlowProblem(g, groups, d, eps), max_iterations=cap)
+        return
+    except SolverConvergenceError as exc:
+        if not exc.stalled:
+            return
+        stalled = exc
+    event("stall exit")
+    assert stalled.achieved_residual > 1 + 10 * eps
+    assert np.abs(residual_of_vector(stalled.best_iterate, g) - d).max() <= 1e-9
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupedflow, "STALL_WINDOW", 10**9)  # never a full window: no stall exit
+        with pytest.raises(SolverConvergenceError, match=f"iteration cap {cap} ") as capped:
+            grouped_flow(GroupedFlowProblem(g, groups, d, eps), max_iterations=cap)
+    assert not capped.value.stalled
+
+
+def test_stall_exit_keeps_a_max_flow_run(monkeypatch):
+    # 16x16, r=16, capacity seed 3 (as the CLI runs it): one probe's inner
+    # loop stalls; ending it early changes no search decision
+    g = random_capacity_grid(16, 16, seed=3)
+    part = grid_r_division(16, 16, 1, 16, terminals=(0, g.n - 1), graph=g)
+    config = RunConfig(eps=0.1, r=16, seed=3)
+    res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, config)
+    monkeypatch.setattr(groupedflow, "STALL_WINDOW", 10**9)
+    full = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, config)
+    c, cf = res.stats.counters(), full.stats.counters()
+    assert (cf["probes"], cf["iterations_outer"], cf["inner_failures"],
+            cf["inner_stalls"], cf["electrical_flows"]) == (6, 70, 1, 0, 530)
+    assert full.value == pytest.approx(10.491016907423449, rel=1e-12, abs=0)
+    for name in ("probes", "iterations_outer", "inner_failures"):
+        assert c[name] == cf[name], name
+    assert c["inner_stalls"] == 1 and c["electrical_flows"] < 300
+    assert res.value == pytest.approx(full.value, rel=1e-12, abs=0)

@@ -309,14 +309,26 @@ class TestApproxMaxFlow:
             approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=16))
 
     def test_convergence_error_ends_the_probe(self, monkeypatch):
+        calls = {"grouped_flow": 0, "phase": 0}
+        phase = pipeline._oracle_phase
+
         def capped(*args, **kwargs):
+            calls["grouped_flow"] += 1
             raise SolverConvergenceError("planted cap hit")
+
+        def counted_phase(*args, **kwargs):
+            calls["phase"] += 1
+            return phase(*args, **kwargs)
 
         g = random_capacity_grid(6, 6, seed=1)
         part = grid_r_division(6, 6, 1, 16, terminals=(0, g.n - 1), graph=g)
         monkeypatch.setattr(pipeline, "grouped_flow", capped)
-        res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=16))
-        assert res.stats.inner_failures == res.stats.probes >= 1
+        monkeypatch.setattr(pipeline, "_oracle_phase", counted_phase)
+        # no probe produced a flow, so there is no value to report
+        with pytest.raises(SolverConvergenceError, match="no probe produced a flow"):
+            approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=16))
+        # every probe's first grouped flow hit the planted cap and ended it
+        assert calls["grouped_flow"] == calls["phase"] >= 1
 
     def test_nonboundary_terminal_rejected(self):
         g = grid_graph(4, 4)
