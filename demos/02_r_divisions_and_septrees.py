@@ -1,4 +1,4 @@
-"""r-divisions and separator trees on grids, with validation and file I/O.
+"""r-divisions and separator trees on grids, with validation and partition file I/O.
 
 An r-division partitions the edges into groups of at most r edges whose
 vertex boundaries have size O(sqrt r); separator trees recursively split each
@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sepflow import (GridSpec, grid_graph, grid_r_division, load_partition,
-                     load_septree, save_partition, save_septree,
+from sepflow import (GridSpec, grid_graph, grid_r_division, load_partition, save_partition,
                      separator_tree_for_grid_block, septrees_for_partition,
                      validate_partition, validate_septree)
 
@@ -38,7 +37,3 @@ with tempfile.TemporaryDirectory() as td:
     print("partition round-trips:", all(
         np.array_equal(a, b) for a, b in zip(part.groups, reloaded.groups)))
 
-    tpath = Path(td) / "nine.tree"
-    save_septree(trees[0], tpath)
-    t2 = load_septree(tpath, g=g)
-    print("septree round-trips, separator-edge convention:", t2.convention)

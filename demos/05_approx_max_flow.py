@@ -2,10 +2,10 @@
 
 The pipeline: r-division -> grouped L2 flows -> outer flow-oracle loop with a
 doubling + binary search over the flow amount.  The default route runs the
-grouped flows on the graph itself.  The paper's two-level routes run them on
-a quotient of per-group spectral vertex sparsifiers and convert each flow
-back; at this scale the quotient is an exact reformulation of the graph (no
-sampling fires), so the routes agree.
+grouped flows on the graph itself.  The paper's two-level route runs them on
+a quotient of per-group one-step spectral vertex sparsifiers and converts
+each flow back; at this scale the quotient is an exact reformulation of the
+graph (no sampling fires), so the routes agree.
 """
 
 import time
@@ -13,9 +13,7 @@ import time
 import numpy as np
 
 from sepflow import (RunConfig, SparsifierPlan, approx_max_flow, edge_congestions,
-                     exact_max_flow_oracle, grid_r_division, random_capacity_grid,
-                     septrees_for_partition)
-from sepflow.grids import GridSpec
+                     exact_max_flow_oracle, grid_r_division, random_capacity_grid)
 
 size, eps, seed = 16, 0.1, 7
 g = random_capacity_grid(size, size, seed=seed)
@@ -38,13 +36,6 @@ print(f"probes {res.stats.probes}, outer iterations {res.stats.iterations_outer}
 t0 = time.time()
 res1 = approx_max_flow(g, part, SparsifierPlan("one-step"), 0, g.n - 1, eps,
                        RunConfig(eps=eps, r=32, seed=seed))
-print(f"one-step sparsifiers:  {res1.value:.4f}  ratio {res1.value / exact.value:.4f} "
+print(f"one-step sparsifiers: {res1.value:.4f}  ratio {res1.value / exact.value:.4f} "
       f"in {time.time() - t0:.1f}s ({res1.stats.sparsifier_builds} sparsifier builds)")
 
-# and through recursive sparsifiers guided by separator trees
-plan = SparsifierPlan(method="recursive",
-                      septrees=septrees_for_partition(GridSpec(size, size), part, g))
-t0 = time.time()
-res2 = approx_max_flow(g, part, plan, 0, g.n - 1, eps, RunConfig(eps=eps, r=32, seed=seed))
-print(f"recursive sparsifiers: {res2.value:.4f}  ratio {res2.value / exact.value:.4f} "
-      f"in {time.time() - t0:.1f}s")

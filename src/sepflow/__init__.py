@@ -5,9 +5,11 @@ small vertex boundaries; a multiplicative-weights grouped-L2-flow solver
 routes flows under per-group energy constraints; an outer flow-oracle loop
 turns grouped flows into an approximate maximum flow (or a cut certificate).
 By default grouped flow runs on the graph itself.  The paper's two-level
-routes replace each group by a spectral vertex sparsifier of its Schur
-complement, run grouped flow on the quotient graph, and convert flows back
-group-by-group through local electrical routings.
+route (``SparsifierPlan("one-step")``) replaces each group by a spectral
+vertex sparsifier of its Schur complement, runs grouped flow on the quotient
+graph, and converts flows back group-by-group through local electrical
+routings.  ``recursive_vertex_sparsify`` builds one such sparsifier along a
+separator tree, which pays off on one large Laplacian.
 """
 
 from .errors import (
@@ -61,10 +63,8 @@ from .partition import (
     SeparatorTree,
     grid_r_division,
     load_partition,
-    load_septree,
     partition_from_groups,
     save_partition,
-    save_septree,
     separator_tree_for_grid_block,
     septrees_for_partition,
     validate_partition,

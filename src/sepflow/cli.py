@@ -21,10 +21,8 @@ from .dimacs import load_dimacs
 from .errors import SepflowError
 from .grids import GridSpec, grid_graph, random_capacity_grid
 from .maxflow import exact_max_flow_oracle
-from .partition import (grid_r_division, load_partition, load_septree,
-                        septrees_for_partition)
-from .pipeline import (SparsifierPlan, approx_max_flow, cut_certificate, route_fixed_flow,
-                       success_target)
+from .partition import grid_r_division, load_partition
+from .pipeline import approx_max_flow, cut_certificate, route_fixed_flow, success_target
 
 
 def _parse_grid(spec_str):
@@ -36,8 +34,7 @@ def _parse_grid(spec_str):
 
 
 def _build_instance(args):
-    """Returns (graph, s, t, partition, plan)."""
-    config_terminals = None
+    """Returns (graph, s, t, partition)."""
     if args.input:
         g, s, t = load_dimacs(args.input, weights_path=args.weights)
         if args.source is not None:
@@ -66,17 +63,7 @@ def _build_instance(args):
                                terminals=(s, t), graph=g)
     else:
         raise SepflowError("non-grid input requires --partition FILE")
-
-    if args.septree:
-        trees = [load_septree(f"{args.septree}.{i}", g=g) for i in range(part.k)]
-        plan = SparsifierPlan(method="recursive", septrees=trees)
-    elif args.recursive:
-        if spec is None:
-            raise SepflowError("--recursive without --septree needs a grid instance")
-        plan = SparsifierPlan(method="recursive", septrees=septrees_for_partition(spec, part, g))
-    else:
-        plan = SparsifierPlan()
-    return g, s, t, part, plan
+    return g, s, t, part
 
 
 def _result_json(res, cut_value=None):
@@ -97,11 +84,11 @@ def _result_json(res, cut_value=None):
 
 
 def cmd_maxflow(args):
-    g, s, t, part, plan = _build_instance(args)
+    g, s, t, part = _build_instance(args)
     config = RunConfig(eps=args.eps, r=args.r, seed=args.seed, strict_paper=args.strict_paper)
 
     if args.flow is not None:
-        res, fail_ctx = route_fixed_flow(g, part, plan, s, t, args.flow, args.eps,
+        res, fail_ctx = route_fixed_flow(g, part, None, s, t, args.flow, args.eps,
                                          config=config, seed=args.seed)
         if fail_ctx is not None:
             inst, fail, d = fail_ctx
@@ -130,7 +117,7 @@ def cmd_maxflow(args):
                        requested_flow=args.flow)
     else:
         partial = False
-        res = approx_max_flow(g, part, plan, s, t, args.eps, config=config, seed=args.seed)
+        res = approx_max_flow(g, part, None, s, t, args.eps, config=config, seed=args.seed)
         payload = _result_json(res)
 
     _emit_json(payload, args.json)
@@ -210,9 +197,6 @@ def build_parser():
     mf.add_argument("--random-capacities", action="store_true",
                     help="seeded capacities in [1,10] for grid instances")
     mf.add_argument("--partition", help="partition file")
-    mf.add_argument("--septree", help="separator tree file prefix (one file per group)")
-    mf.add_argument("--recursive", action="store_true",
-                    help="use recursive vertex sparsifiers (generated trees)")
     mf.add_argument("--eps", type=float, default=0.1)
     mf.add_argument("--r", type=int, default=32)
     mf.add_argument("--seed", type=int, default=0)

@@ -27,28 +27,31 @@ def load_dimacs(path, weights_path=None):
             if not parts or parts[0] == "c":
                 continue
             kind = parts[0]
-            if kind == "p":
-                if len(parts) != 4 or parts[1] != "max":
-                    raise ParseError(f"line {lineno}: expected 'p max <n> <m>'")
-                n, m = int(parts[2]), int(parts[3])
-            elif kind == "n":
-                if len(parts) != 3 or parts[2] not in ("s", "t"):
-                    raise ParseError(f"line {lineno}: expected 'n <id> s|t'")
-                if parts[2] == "s":
-                    s = int(parts[1]) - 1
+            try:
+                if kind == "p":
+                    if len(parts) != 4 or parts[1] != "max":
+                        raise ParseError(f"line {lineno}: expected 'p max <n> <m>'")
+                    n, m = int(parts[2]), int(parts[3])
+                elif kind == "n":
+                    if len(parts) != 3 or parts[2] not in ("s", "t"):
+                        raise ParseError(f"line {lineno}: expected 'n <id> s|t'")
+                    if parts[2] == "s":
+                        s = int(parts[1]) - 1
+                    else:
+                        t = int(parts[1]) - 1
+                elif kind == "a":
+                    if len(parts) != 4:
+                        raise ParseError(f"line {lineno}: expected 'a <tail> <head> <capacity>'")
+                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                    c = float(parts[3])
+                    if c <= 0:
+                        raise ParseError(f"line {lineno}: capacity must be positive")
+                    edges.append((u, v))
+                    caps.append(c)
                 else:
-                    t = int(parts[1]) - 1
-            elif kind == "a":
-                if len(parts) != 4:
-                    raise ParseError(f"line {lineno}: expected 'a <tail> <head> <capacity>'")
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                c = float(parts[3])
-                if c <= 0:
-                    raise ParseError(f"line {lineno}: capacity must be positive")
-                edges.append((u, v))
-                caps.append(c)
-            else:
-                raise ParseError(f"line {lineno}: unknown record '{kind}'")
+                    raise ParseError(f"line {lineno}: unknown record '{kind}'")
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad number in '{raw.strip()}'") from None
     if n is None:
         raise ParseError("missing 'p max' header")
     if len(edges) != m:

@@ -1,9 +1,10 @@
 """r-divisions and recursive separator trees.
 
-Generators cover 2D and layered 3D grids; structures for arbitrary graphs are
-ingested from files and validated against every structural invariant (edge
-partition exactness, group size, boundary size, separator balance and the
-literal BFS separation property).  Designated terminals (s and t) are
+Generators cover 2D and layered 3D grids.  An r-division of an arbitrary
+graph is read from a partition file and validated against every structural
+invariant (edge partition exactness, group size and boundary size);
+``validate_septree`` checks a separator tree's balance, separator size and
+literal BFS separation property.  Designated terminals (s and t) are
 force-added to the boundary of every group they touch so that s-t demands
 stay boundary-supported.
 """
@@ -277,22 +278,6 @@ class SeparatorTree:
     def nodes(self):
         return list(self.root.preorder())
 
-    def relabel(self, mapping):
-        """New tree with every vertex id passed through ``mapping`` (an array)."""
-        mapping = np.asarray(mapping, dtype=np.int64)
-
-        def walk(node):
-            new = SeparatorNode(vertices=np.sort(mapping[node.vertices]),
-                                separator=np.sort(mapping[node.separator]))
-            if not node.is_leaf:
-                new.left = walk(node.left)
-                new.right = walk(node.right)
-            return new
-
-        return SeparatorTree(root=walk(self.root), alpha=self.alpha,
-                             leaf_cutoff=self.leaf_cutoff, c0=self.c0,
-                             convention=self.convention)
-
 
 def _grid_split(spec: GridSpec, verts, leaf_cutoff):
     """Axis-aligned median cut of a grid point set; returns (sep, left, right)."""
@@ -442,16 +427,20 @@ def load_partition(path, g: WeightedGraph, terminals=(), c_div=DEFAULT_C_DIV,
             parts = raw.split()
             if not parts or parts[0] == "c":
                 continue
-            if parts[0] == "k":
-                if len(parts) != 4 or parts[2] != "r":
-                    raise ParseError(f"line {lineno}: expected 'k <num_groups> r <r>'")
-                k, r = int(parts[1]), int(parts[3])
-            elif parts[0] == "g":
-                groups[int(parts[1])] = np.array([int(x) for x in parts[2:]], dtype=np.int64)
-            elif parts[0] == "b":
-                bdry[int(parts[1])] = np.array([int(x) for x in parts[2:]], dtype=np.int64)
-            else:
-                raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
+            try:
+                if parts[0] == "k":
+                    if len(parts) != 4 or parts[2] != "r":
+                        raise ParseError(f"line {lineno}: expected 'k <num_groups> r <r>'")
+                    k, r = int(parts[1]), int(parts[3])
+                elif parts[0] in ("g", "b"):
+                    if len(parts) < 2:
+                        raise ParseError(f"line {lineno}: expected '{parts[0]} <group> <ids...>'")
+                    dest = groups if parts[0] == "g" else bdry
+                    dest[int(parts[1])] = np.array([int(x) for x in parts[2:]], dtype=np.int64)
+                else:
+                    raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad number in '{raw.strip()}'") from None
     if k is None:
         raise ParseError("missing 'k ... r ...' header")
     if sorted(groups) != list(range(k)):
@@ -466,78 +455,3 @@ def load_partition(path, g: WeightedGraph, terminals=(), c_div=DEFAULT_C_DIV,
             raise ValidationError(f"boundary set of group {i} does not match its definition")
     validate_partition(part, g)
     return part
-
-
-def save_septree(tree: SeparatorTree, path):
-    with open(path, "w") as fh:
-        fh.write(f"c convention {tree.convention} alpha {float(tree.alpha)!r} "
-                 f"leaf {tree.leaf_cutoff} c0 {float(tree.c0)!r}\n")
-        ids = {}
-        for node in tree.root.preorder():
-            ids[id(node)] = len(ids)
-        for node in tree.root.preorder():
-            parent = -1
-            for other in tree.root.preorder():
-                if not other.is_leaf and (other.left is node or other.right is node):
-                    parent = ids[id(other)]
-                    break
-            fh.write(f"node {ids[id(node)]} {parent} sep "
-                     + " ".join(str(int(v)) for v in node.separator)
-                     + " verts " + " ".join(str(int(v)) for v in node.vertices) + "\n")
-
-
-def load_septree(path, g: WeightedGraph | None = None, expected_root=None) -> SeparatorTree:
-    """Parse and validate a separator tree file (validation is mandatory)."""
-    convention, alpha, leaf_cutoff, c0 = "halved", ALPHA, DEFAULT_LEAF_CUTOFF, None
-    records = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if parts[0] == "c":
-                if "convention" in parts:
-                    convention = parts[parts.index("convention") + 1]
-                if "alpha" in parts:
-                    alpha = float(parts[parts.index("alpha") + 1])
-                if "leaf" in parts:
-                    leaf_cutoff = int(parts[parts.index("leaf") + 1])
-                if "c0" in parts:
-                    c0 = float(parts[parts.index("c0") + 1])
-                continue
-            if parts[0] != "node" or "sep" not in parts or "verts" not in parts:
-                raise ParseError(f"line {lineno}: expected 'node <id> <parent> sep ... verts ...'")
-            si, vi = parts.index("sep"), parts.index("verts")
-            records.append((int(parts[1]), int(parts[2]),
-                            np.array([int(x) for x in parts[si + 1:vi]], dtype=np.int64),
-                            np.array([int(x) for x in parts[vi + 1:]], dtype=np.int64)))
-    if not records:
-        raise ParseError("no node records found")
-    nodes = {}
-    for nid, _parent, sep, verts in records:
-        nodes[nid] = SeparatorNode(vertices=np.sort(verts), separator=np.sort(sep))
-    root = None
-    children = {}
-    for nid, parent, _sep, _verts in records:
-        if parent < 0:
-            if root is not None:
-                raise ParseError("multiple root nodes")
-            root = nodes[nid]
-        else:
-            children.setdefault(parent, []).append(nid)
-    if root is None:
-        raise ParseError("no root node (parent -1) found")
-    for parent, kids in children.items():
-        if len(kids) != 2:
-            raise ParseError(f"node {parent} has {len(kids)} children, expected 2")
-        nodes[parent].left = nodes[kids[0]]
-        nodes[parent].right = nodes[kids[1]]
-    if c0 is None:
-        c0 = 1.0
-        for node in root.preorder():
-            if not node.is_leaf and node.vertices.size:
-                c0 = max(c0, node.separator.size / math.sqrt(node.vertices.size))
-    tree = SeparatorTree(root=root, alpha=alpha, leaf_cutoff=leaf_cutoff,
-                         c0=c0, convention=convention)
-    validate_septree(tree, g=g, expected_root=expected_root)
-    return tree

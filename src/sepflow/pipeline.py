@@ -6,16 +6,16 @@ Routes: a ``SparsifierPlan`` picks how each outer iteration solves its
 grouped-flow problem.  The default ``"direct"`` route runs grouped flow on
 G itself, at the oracle's edge weights and with the partition's groups, and
 takes its averaged flow as it is: no group is eliminated, no quotient is
-built and nothing is converted.  ``"one-step"`` and ``"recursive"`` run the
-paper's two-level scheme: grouped flow on a quotient of per-group vertex
-sparsifiers, converted back group by group.  Until ``sparsify`` samples
-(README "Notes on scale"), every quotient group is its group's exact Schur
-complement; grouped flow scales a group's resistances by one constant, which
-scales its Schur complement by the same constant, and conversion is the
-harmonic extension, so the two routes are the same algorithm in exact
-arithmetic (Kron reduction), and the quotient has more edges than G.  Either
-route hands on a ``SparsifiedInstance``; a direct one has G as its quotient,
-with identity vertex map and interior extension.
+built and nothing is converted.  ``"one-step"`` runs the paper's two-level
+scheme: grouped flow on a quotient of per-group vertex sparsifiers,
+converted back group by group.  Until ``sparsify`` samples (README "Notes on
+scale"), every quotient group is its group's exact Schur complement;
+grouped flow scales a group's resistances by one constant, which scales its
+Schur complement by the same constant, and conversion is the harmonic
+extension, so the two routes are the same algorithm in exact arithmetic
+(Kron reduction), and the quotient has more edges than G.  Either route
+hands on a ``SparsifiedInstance``; a direct one has G as its quotient, with
+identity vertex map and interior extension.
 
 A fixed-flow phase (``route_fixed_flow``) sweeps the quotient's electrical
 potentials once per outer iteration, lifted into every group interior; a
@@ -30,7 +30,7 @@ lives on its (global) boundary vertex set; the quotient graph concatenates all
 sparsifiers over the union of boundaries, with ``quotient_vertices`` mapping
 quotient-local ids back to global ones.
 
-Per-group elimination (two-level routes only): a partition's
+Per-group elimination (one-step route only): a partition's
 ``GroupTopology`` (local vertex ids, boundary/interior split, local
 incidence, BFS trees) is built on first use and cached on the ``Partition``.
 Each outer iteration then factors every group once (``GroupElimination``,
@@ -40,9 +40,7 @@ the conversion of quotient flows back to the group (``phi_b = S^+ d_b``,
 ``phi_int = X phi_b``) and the interior extension of the cut certificate.
 Sparsifiers are kept as per-shape-class arrays of boundary-pair
 conductances, and the quotient's edge set is cached with the topology, so an
-iteration refreshes only its weights.  A ``SparsifierPlan`` with
-``method="recursive"`` builds the sparsifiers one group at a time along its
-separator trees instead.
+iteration refreshes only its weights.
 
 Every grouped-flow electrical flow gets its solver handle from the run's one
 ``LaggedFactor``: above the dense cutoff, one factor of the Laplacian grouped
@@ -63,13 +61,12 @@ import numpy as np
 
 from .config import RunConfig, substream
 from .errors import GraphError, SolverConvergenceError
-from .graphs import (SparseLaplacian, WeightedGraph, edge_congestions, edge_group_ids,
-                     group_congestions, group_ids, st_demand, zero_sum_demand)
+from .graphs import (WeightedGraph, edge_congestions, edge_group_ids, group_congestions,
+                     group_ids, st_demand, zero_sum_demand)
 from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
 from .maxflow import widest_path_bottleneck
 from .partition import Partition
-from .schur import (SPARSIFY_EDGE_FACTOR, GroupElimination, GroupTopology, pair_weights,
-                    recursive_vertex_sparsify)
+from .schur import GroupElimination, GroupTopology
 from .solver import SOLVER_COUNTERS, LaggedFactor, SolverHandle, solve_sdd
 
 
@@ -126,10 +123,8 @@ class MaxFlowRunStats:
     ``route`` is the ``SparsifierPlan`` method the run took.  ``timings``
     holds one entry per name in ``STAGES`` plus ``total``; the stages add up
     to ``total`` up to loop bookkeeping (the direct route spends nothing in
-    ``sparsify``, ``quotient_assemble`` and ``convert``).  ``dense_groups`` and
-    ``recursive_groups`` count, over all sparsifier builds, the groups whose
-    sparsifier came from the batched elimination and those that took the
-    recursive route, one group at a time.
+    ``sparsify``, ``quotient_assemble`` and ``convert``).  ``sparsifier_builds``
+    counts, over all outer iterations, the groups whose sparsifier was built.
     ``inner_failures`` counts inner solves that raised ``SolverConvergenceError``
     and ended a probe, and ``inner_stalls`` those of them that grouped flow's
     stall exit ended before its cap (``stalled`` on the error);
@@ -148,8 +143,6 @@ class MaxFlowRunStats:
     probes: int = 0
     width_failures: int = 0
     sparsifier_builds: int = 0
-    dense_groups: int = 0
-    recursive_groups: int = 0
     topology_builds: int = 0
     inner_failures: int = 0
     inner_stalls: int = 0
@@ -164,8 +157,8 @@ class MaxFlowRunStats:
     def counters(self):
         return {name: getattr(self, name) for name in (
             "route", "iterations_outer", "iterations_inner_total", "probes", "width_failures",
-            "sparsifier_builds", "dense_groups", "recursive_groups", "topology_builds",
-            "inner_failures", "inner_stalls", "cut_verdicts") + SOLVER_COUNTERS}
+            "sparsifier_builds", "topology_builds", "inner_failures", "inner_stalls",
+            "cut_verdicts") + SOLVER_COUNTERS}
 
 
 class _stage:
@@ -191,27 +184,20 @@ class SparsifierPlan:
     """How an outer iteration solves its grouped-flow problem.
 
     ``"direct"`` (the default) runs grouped flow on G itself with the
-    partition's groups.  The two-level routes run it on a quotient of
-    per-group vertex sparsifiers and convert the flow back: ``"one-step"``
-    builds them by one batched elimination of every group, ``"recursive"``
-    along ``septrees`` (one ``SeparatorTree`` per group on global vertex
-    ids).  Below the scale where ``sparsify`` samples, the quotient is an
-    exact reformulation of G with more edges (see the module docstring), so
-    the two-level routes are for callers who want the paper's scheme itself.
+    partition's groups.  ``"one-step"`` runs it on a quotient of per-group
+    vertex sparsifiers, built by one batched elimination of every group, and
+    converts the flow back.  Below the scale where ``sparsify`` samples, the
+    quotient is an exact reformulation of G with more edges (see the module
+    docstring), so the one-step route is the paper's scheme itself and the
+    exact differential reference of the direct route.
     """
 
     method: str = "direct"
-    septrees: list | None = None
-    c_s: float = SPARSIFY_EDGE_FACTOR
 
     def __post_init__(self):
-        if self.method not in ("direct", "one-step", "recursive"):
-            raise GraphError("sparsifier method must be 'direct', 'one-step' or 'recursive', "
-                             f"not {self.method!r}")
-        if self.method == "recursive" and self.septrees is None:
-            raise GraphError("a recursive sparsifier plan needs septrees, one per group")
-        if self.c_s <= 0:
-            raise GraphError("c_s must be positive")
+        if self.method not in ("direct", "one-step"):
+            raise GraphError(
+                f"sparsifier method must be 'direct' or 'one-step', not {self.method!r}")
 
 
 @dataclass
@@ -247,22 +233,6 @@ class SparsifiedInstance:
         if interior.size:
             raise GraphError(f"demand is nonzero at interior vertex {int(interior[0])}")
         return d[self.quotient_vertices]
-
-
-def _recursive_sparsifier(g, part, weights, eps, plan, seed, i):
-    """Group i's sparsifier along ``plan.septrees[i]``, as conductances over
-    its boundary pairs (``pair_weights``)."""
-    grp = part.groups[i]
-    verts = part.group_vertices(g, i)
-    idx = np.searchsorted(verts, g.tails[grp])
-    jdx = np.searchsorted(verts, g.heads[grp])
-    lap = SparseLaplacian.from_edges(verts.size, idx, jdx, 1.0 / weights[grp])
-    bdry_local = np.searchsorted(verts, part.boundaries[i])
-    mapping = np.full(g.n, -1, dtype=np.int64)
-    mapping[verts] = np.arange(verts.size)
-    vs = recursive_vertex_sparsify(lap, bdry_local, plan.septrees[i].relabel(mapping), eps,
-                                   seed=substream(seed, "sparsify", i), c_s=plan.c_s)
-    return pair_weights(vs.laplacian)
 
 
 @dataclass
@@ -344,13 +314,9 @@ def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights, 
 def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
                               plan: SparsifierPlan | None = None, seed: int = 0,
                               stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
-    """Sparsify every group at error ``eps`` and assemble the quotient graph.
-
-    One-step sparsifiers (the default here) come from one batched
-    elimination; recursive ones are built one group at a time and written
-    into the same per-class boundary-pair arrays.  A direct plan builds no
-    sparsifiers and is rejected.
-    """
+    """Sparsify every group at error ``eps`` by one batched elimination and
+    assemble the quotient graph.  A direct plan builds no sparsifiers and is
+    rejected."""
     plan = plan or SparsifierPlan("one-step")
     if plan.method == "direct":
         raise GraphError("a direct plan builds no sparsifiers; its phases run on G itself")
@@ -368,18 +334,9 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
             raise GraphError(
                 f"group {int(split[0])} is disconnected; sparsifiers need connected groups")
         elim = GroupElimination(topo, 1.0 / weights)
-        recursive = plan.method == "recursive"
-        if recursive:
-            cond = [np.stack([_recursive_sparsifier(g, part, weights, eps, plan, seed, i)
-                              for i in cls.members.tolist()]) for cls in topo.classes]
-        else:
-            cond = elim.sparsify(eps, plan.c_s, seed_of=lambda i: substream(seed, "sparsify", i))
+        cond = elim.sparsify(eps, seed_of=lambda i: substream(seed, "sparsify", i))
         if stats is not None:
             stats.sparsifier_builds += part.k
-            if recursive:
-                stats.recursive_groups += part.k
-            else:
-                stats.dense_groups += part.k
 
     with _stage(stats, "quotient_assemble"):
         quotient, pattern = _cached_quotient(topo, cond)
@@ -617,7 +574,7 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
     exists.
 
     ``plan`` picks the route: a direct phase runs grouped flow on G at the
-    oracle's weights, a two-level phase on the quotient of sparsifiers built
+    oracle's weights, a one-step phase on the quotient of sparsifiers built
     at those weights.  ``group_of_edge`` is the partition's
     ``edge_group_ids``, computed once per run.
 
@@ -812,8 +769,11 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     eps, config)`` when the phase routed the request; below that the phase
     neither routed it nor proved it infeasible, and the result is partial
     (the CLI reports it as ``"partial"`` and exits 3).  A phase that found
-    no flow at all raises ``SolverConvergenceError``.
+    no flow at all raises ``SolverConvergenceError``.  An amount that is not
+    finite and positive raises ``GraphError`` before any work.
     """
+    if not (math.isfinite(flow_amount) and flow_amount > 0):
+        raise GraphError(f"flow amount must be finite and positive, not {flow_amount!r}")
     config = config or RunConfig(eps=eps)
     seed = config.seed if seed is None else seed
     plan = plan or SparsifierPlan()

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GraphError, SolverConvergenceError, ValidationError
+from .errors import GraphError, ParseError, SolverConvergenceError, ValidationError
 from .graphs import SparseLaplacian, WeightedGraph, group_ids
 from .partition import SeparatorTree, SeparatorNode
 from .solver import GAP_FLOOR, SolverHandle
@@ -739,29 +739,32 @@ def save_sparsifier(vs: VertexSparsifier, path):
 
 
 def load_sparsifier(path) -> VertexSparsifier:
-    from .errors import ParseError
-
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("vs "):
+        lines = [ln.split() for ln in fh if ln.strip()]
+    if not lines or len(lines[0]) != 4 or lines[0][0] != "vs":
         raise ParseError("line 1: expected 'vs <n_bdry> <eps> <provenance>' header")
-    _, nb, eps, prov = lines[0].split()
-    if not lines[1].startswith("ids "):
+    if len(lines) < 2 or lines[1][0] != "ids":
         raise ParseError("line 2: expected boundary id mapping")
-    boundary = np.array([int(x) for x in lines[1].split()[1:]], dtype=np.int64)
-    if boundary.size != int(nb):
-        raise ParseError(f"line 2: expected {nb} boundary ids, got {boundary.size}")
-    tails, heads, w = [], [], []
-    for i, ln in enumerate(lines[2:], start=3):
-        parts = ln.split()
-        if parts[0] != "e" or len(parts) != 4:
-            raise ParseError(f"line {i}: expected 'e <t> <h> <w>'")
-        tails.append(int(parts[1]))
-        heads.append(int(parts[2]))
-        w.append(float(parts[3]))
-    lap = SparseLaplacian.from_edges(int(nb), np.array(tails, dtype=np.int64),
+    lineno = 1
+    try:
+        _, nb, eps, prov = lines[0]
+        nb, eps = int(nb), float(eps)
+        lineno = 2
+        boundary = np.array([int(x) for x in lines[1][1:]], dtype=np.int64)
+        if boundary.size != nb:
+            raise ParseError(f"line 2: expected {nb} boundary ids, got {boundary.size}")
+        tails, heads, w = [], [], []
+        for lineno, parts in enumerate(lines[2:], start=3):
+            if parts[0] != "e" or len(parts) != 4:
+                raise ParseError(f"line {lineno}: expected 'e <t> <h> <w>'")
+            tails.append(int(parts[1]))
+            heads.append(int(parts[2]))
+            w.append(float(parts[3]))
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad number in '{' '.join(lines[lineno - 1])}'") from None
+    lap = SparseLaplacian.from_edges(nb, np.array(tails, dtype=np.int64),
                                      np.array(heads, dtype=np.int64), np.array(w))
     return VertexSparsifier(
-        laplacian=lap, boundary=boundary, eps=float(eps), provenance=prov,
-        source_weight_ratio=1.0, source_n=int(nb),
+        laplacian=lap, boundary=boundary, eps=eps, provenance=prov,
+        source_weight_ratio=1.0, source_n=nb,
     )

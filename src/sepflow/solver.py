@@ -232,22 +232,23 @@ class SolverHandle:
 
     # -- solves ------------------------------------------------------------------
 
-    def solve(self, b, delta=1e-8, x0=None, anorm2_floor=0.0):
+    def solve(self, b, delta=1e-8, x0=None):
         """Solve A x = b with ``|x - A^+ b|_A <= delta * |A^+ b|_A``.
 
-        A fresh handle solves exactly and ignores ``delta``, ``x0`` and
-        ``anorm2_floor``.  A rebound handle raises SolverConvergenceError
+        A fresh handle solves exactly, for one right-hand side or a matrix of
+        them (one per column), and ignores ``delta`` and ``x0``.  A rebound
+        handle takes one right-hand side and raises SolverConvergenceError
         (carrying the best iterate) if PCG reaches the iteration cap first.
         """
-        x, _ = self.solve_with_stats(b, delta=delta, x0=x0, anorm2_floor=anorm2_floor)
+        x, _ = self.solve_with_stats(b, delta=delta, x0=x0)
         return x
 
-    def solve_with_stats(self, b, delta=1e-8, x0=None, anorm2_floor=0.0):
+    def solve_with_stats(self, b, delta=1e-8, x0=None):
         b = np.asarray(b, dtype=float)
         if not self._exact_direct:
-            if b.ndim == 1:
-                return self._pcg(b, float(delta), x0, anorm2_floor)
-            return self._pcg_columns(b, float(delta), x0, anorm2_floor)
+            if b.ndim != 1:
+                raise GraphError("a rebound handle solves one right-hand side at a time")
+            return self._pcg(b, float(delta), x0)
         bmat = b[:, None] if b.ndim == 1 else b
         if self.is_laplacian:
             self._check_range(bmat)
@@ -255,31 +256,14 @@ class SolverHandle:
         x = self._project(self._factor.apply(bmat))
         return (x[:, 0] if b.ndim == 1 else x), SolveStats(iterations=1)
 
-    def _pcg_columns(self, b, delta, x0, anorm2_floor):
-        """PCG column by column; a cap hit carries every column's best iterate."""
-        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float).reshape(b.shape)
-        iterations, estimate = 0, 0.0
-        for j in range(b.shape[1]):
-            try:
-                x[:, j], st = self._pcg(np.ascontiguousarray(b[:, j]), delta,
-                                        None if x0 is None else x[:, j], anorm2_floor)
-            except SolverConvergenceError as exc:
-                x[:, j] = exc.best_iterate
-                raise SolverConvergenceError(str(exc), best_iterate=x,
-                                             achieved_residual=exc.achieved_residual) from exc
-            iterations += st.iterations
-            estimate = max(estimate, st.achieved_estimate)
-        return x, SolveStats(iterations=iterations, achieved_estimate=estimate)
-
-    def _pcg(self, b, delta, x0, anorm2_floor):
+    def _pcg(self, b, delta, x0):
         """Preconditioned CG on one right-hand side.
 
         Stops when the CG quadrature estimate of the squared A-norm error,
         summed over the last ``window`` steps, falls below
-        ``(delta / 2)^2 |x|_A^2`` (``|x|_A^2`` estimated from the steps so far,
-        floored at ``anorm2_floor``), after two consecutive steps far below
-        that target, or once the residual has sat at the float64 floor for a
-        whole window.
+        ``(delta / 2)^2 |x|_A^2`` (``|x|_A^2`` estimated from the steps so far),
+        after two consecutive steps far below that target, or once the
+        residual has sat at the float64 floor for a whole window.
         """
         if self.is_laplacian:
             self._check_range(b)
@@ -325,7 +309,7 @@ class SolverHandle:
             ring[it % window] = step
             it += 1
 
-            target = 0.25 * delta * delta * max(total + base, anorm2_floor, 1e-300)
+            target = 0.25 * delta * delta * max(total + base, 1e-300)
             # near-exact preconditioners collapse the error in a couple of
             # steps; two consecutive steps far below target end the solve
             tiny = tiny + 1 if abs(step) <= 1e-5 * target else 0

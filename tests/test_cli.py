@@ -103,12 +103,19 @@ class TestMaxflowCommand:
         header = tpath.read_text().splitlines()[0]
         assert header.startswith("probe,")
 
-    def test_recursive_sparsifiers(self, tmp_path):
+    @pytest.mark.parametrize("amount", ["-5", "0", "nan", "inf"])
+    def test_unusable_flow_amount_exits_one(self, tmp_path, capsys, amount):
         out = tmp_path / "r.json"
-        code = run(["maxflow", "--grid", "8x8", "--random-capacities", "--recursive",
-                    "--seed", "5", "--r", "32", "--json", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["flow_value"] > 0
+        code = run(["maxflow", "--grid", "8x8", "--flow", amount, "--json", str(out)])
+        assert code == 1 and not out.exists()
+        assert "finite and positive" in capsys.readouterr().err
+
+    def test_malformed_input_exits_one(self, tmp_path, capsys):
+        gpath = tmp_path / "bad.dimacs"
+        gpath.write_text("p max x 1\n")
+        code = run(["maxflow", "--input", str(gpath), "--json", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "error: line 1" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -45,6 +45,15 @@ class TestDimacs:
         with pytest.raises(ParseError, match="line 2"):
             load_dimacs(path)
 
+    @pytest.mark.parametrize("text, line", [("p max x 1\n", 1),
+                                            ("p max 2 1\na 1 x 3\n", 2),
+                                            ("p max 2 1\nn x s\n", 2)])
+    def test_bad_number_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}: "):
+            load_dimacs(path)
+
     def test_arc_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.dimacs"
         path.write_text("p max 2 2\na 1 2 1.0\n")

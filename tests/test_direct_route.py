@@ -57,8 +57,8 @@ def test_max_flow_routes_agree(spec):
     assert min(direct.value, two_level.value) >= (1 - EPS) * exact
     # the direct route eliminates, sparsifies and converts nothing
     assert cd["route"] == "direct" and c2["route"] == "one-step"
-    assert cd["sparsifier_builds"] == cd["dense_groups"] == cd["topology_builds"] == 0
-    assert c2["dense_groups"] == c2["sparsifier_builds"] == part.k * c2["iterations_outer"]
+    assert cd["sparsifier_builds"] == cd["topology_builds"] == 0
+    assert c2["sparsifier_builds"] == part.k * c2["iterations_outer"]
     t = direct.stats.timings
     assert t["sparsify"] == t["quotient_assemble"] == t["convert"] == 0.0
     assert cd["iterations_inner_total"] == cd["electrical_flows"]

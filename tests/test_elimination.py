@@ -13,6 +13,7 @@ from sepflow import (GraphError, RunConfig, SolverHandle, SparseLaplacian, Spars
                      grid_r_division, one_step_vertex_sparsify, optimum_energy,
                      partition_from_groups, random_capacity_grid, residual_of_vector,
                      route_fixed_flow)
+from sepflow import pipeline, schur
 from sepflow.grids import GridSpec
 from sepflow.partition import _boundary_sets
 from sepflow.pipeline import STAGES
@@ -105,20 +106,28 @@ class TestDenseSchur:
             assert np.allclose(1.0 / q.weight[qg], c, rtol=1e-12)
 
 
-    def test_over_budget_groups_go_through_sparsify(self, rng):
+    def test_over_budget_groups_go_through_sparsify(self, rng, monkeypatch):
         # a tiny c_s puts every Schur complement over the edge budget of sparsify
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
         cached = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan("one-step"), seed=1)
-        sampled = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan("one-step", c_s=1e-3),
-                                            seed=1)
-        assert sampled.quotient_graph is not cached.quotient_graph
+        topo = part.topology(g)
+        sampled_groups, real = [], schur.sparsify
+
+        def spy(lap, eps, seed, c_s):
+            sampled_groups.append(seed)
+            return real(lap, eps, seed, c_s=c_s)
+
+        monkeypatch.setattr(schur, "sparsify", spy)
+        cond = GroupElimination(topo, 1.0 / w).sparsify(0.3, 1e-3, seed_of=lambda i: i)
+        assert sorted(sampled_groups) == list(range(part.k))
+        sampled, _ = pipeline._cached_quotient(topo, cond)
+        assert sampled is not cached.quotient_graph
         # same edge set as the unsampled build, so the cached pattern is reused
-        assert sampled.quotient_graph._structure is cached.quotient_graph._structure
-        assert np.array_equal(sampled.quotient_graph.edges, cached.quotient_graph.edges)
-        assert np.allclose(sampled.quotient_graph.weight, cached.quotient_graph.weight,
-                           rtol=1e-12)
+        assert sampled._structure is cached.quotient_graph._structure
+        assert np.array_equal(sampled.edges, cached.quotient_graph.edges)
+        assert np.allclose(sampled.weight, cached.quotient_graph.weight, rtol=1e-12)
 
 
 class TestConversion:
@@ -313,15 +322,14 @@ class TestRunStats:
         assert set(t) == set(STAGES) | {"total"}
         assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
         c = res.stats.counters()
-        assert c["dense_groups"] == c["sparsifier_builds"] == part.k * c["iterations_outer"]
-        assert c["recursive_groups"] == 0
+        assert c["sparsifier_builds"] == part.k * c["iterations_outer"]
 
         direct = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=2))
         t = direct.stats.timings
         assert abs(sum(t[s] for s in STAGES) - t["total"]) <= 0.05 * t["total"]
         c = direct.stats.counters()
         assert c["route"] == "direct"
-        assert c["sparsifier_builds"] == c["dense_groups"] == c["topology_builds"] == 0
+        assert c["sparsifier_builds"] == c["topology_builds"] == 0
         assert t["sparsify"] == t["quotient_assemble"] == t["convert"] == 0.0
 
     def test_certificate_time_joins_the_run(self):
@@ -343,12 +351,12 @@ class TestRunStats:
         payloads = []
         for tag in ("a", "b"):
             path = tmp_path / f"res{tag}.json"
-            assert main(["maxflow", "--grid", "6x6", "--random-capacities", "--recursive",
+            assert main(["maxflow", "--grid", "6x6", "--random-capacities",
                          "--r", "16", "--seed", "3", "--json", str(path)]) == 0
             payloads.append(json.loads(path.read_text()))
         counters = [p["counters"] for p in payloads]
         assert counters[0] == counters[1]
-        assert counters[0]["recursive_groups"] == counters[0]["sparsifier_builds"] > 0
+        assert counters[0]["route"] == "direct" and counters[0]["electrical_flows"] > 0
         assert set(payloads[0]["timings"]) == set(STAGES) | {"total"}
 
 
@@ -361,12 +369,12 @@ class TestLargeGroup:
         res = approx_max_flow(g, part, plan, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
         assert res.value >= 0.9 * exact
         c = res.stats.counters()
-        assert c["dense_groups"] == c["sparsifier_builds"] > 0 and c["recursive_groups"] == 0
+        assert c["sparsifier_builds"] > 0
 
         direct = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, seed=1))
         assert direct.value >= 0.9 * exact
         c = direct.stats.counters()
-        assert c["sparsifier_builds"] == c["dense_groups"] == c["recursive_groups"] == 0
+        assert c["sparsifier_builds"] == 0
 
         _, fail_ctx = route_fixed_flow(g, part, plan, 0, g.n - 1, 4 * exact, 0.1,
                                        RunConfig(eps=0.1, seed=1))

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GridSpec, ValidationError, grid_graph, grid_r_division,
-                     load_partition, load_septree, partition_from_groups,
-                     save_partition, save_septree, separator_tree_for_grid_block,
-                     septrees_for_partition, validate_partition, validate_septree)
+from sepflow import (GridSpec, ParseError, SeparatorNode, SeparatorTree, ValidationError,
+                     grid_graph, grid_r_division, load_partition, partition_from_groups,
+                     save_partition, separator_tree_for_grid_block, septrees_for_partition,
+                     validate_partition, validate_septree)
 
 
 class TestGridRDivision:
@@ -121,6 +121,13 @@ class TestPartitionFiles:
         with pytest.raises(ValidationError, match="boundary set of group 0"):
             load_partition(path, g)
 
+    @pytest.mark.parametrize("line", ["g", "b", "k a r 32", "g 0 x"])
+    def test_malformed_line_names_its_number(self, tmp_path, line):
+        path = tmp_path / "bad.part"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ParseError, match="line 1: "):
+            load_partition(path, grid_graph(3, 3))
+
 
 class TestSeparatorTree:
     def test_small_path_is_leaf(self):
@@ -154,9 +161,7 @@ class TestSeparatorTree:
 
     def test_separation_violation_detected(self):
         # hand-build a tree whose "separator" does not separate
-        from sepflow import SeparatorNode, SeparatorTree
-
-        g = grid_graph(2, 3)  # vertices 0..5
+        g =grid_graph(2, 3)  # vertices 0..5
         root = SeparatorNode(vertices=np.arange(6), separator=np.array([0]))
         root.left = SeparatorNode(vertices=np.array([0, 1, 2]), separator=np.array([], dtype=np.int64))
         root.right = SeparatorNode(vertices=np.array([0, 3, 4, 5]), separator=np.array([], dtype=np.int64))
@@ -172,6 +177,15 @@ class TestSeparatorTree:
         tree = separator_tree_for_grid_block(spec, np.arange(g.n), g=g)
         validate_septree(tree, g=g, expected_root=np.arange(g.n))
 
+    def test_unbalanced_tree_rejected(self):
+        # 20-vertex root split into 19+sep vs 0+sep: violates alpha = 9/10
+        empty = np.array([], dtype=np.int64)
+        root = SeparatorNode(vertices=np.arange(20), separator=np.array([19]))
+        root.left = SeparatorNode(vertices=np.arange(20), separator=empty)
+        root.right = SeparatorNode(vertices=np.array([19]), separator=empty)
+        with pytest.raises(ValidationError, match="unbalanced"):
+            validate_septree(SeparatorTree(root=root))
+
     def test_partition_trees(self):
         g = grid_graph(16, 16)
         part = grid_r_division(16, 16, 1, 32, terminals=(0, 255), graph=g)
@@ -179,28 +193,3 @@ class TestSeparatorTree:
         assert len(trees) == part.k
         for i, tree in enumerate(trees):
             validate_septree(tree, g=g, expected_root=part.group_vertices(g, i))
-
-
-class TestSeptreeFiles:
-    def test_round_trip(self, tmp_path):
-        g = grid_graph(8, 8)
-        tree = separator_tree_for_grid_block(GridSpec(8, 8), np.arange(64), g=g)
-        path = tmp_path / "t.tree"
-        save_septree(tree, path)
-        loaded = load_septree(path, g=g, expected_root=np.arange(64))
-        assert loaded.depth() == tree.depth()
-        assert loaded.convention == "halved"
-        for a, b in zip(tree.nodes(), loaded.nodes()):
-            assert np.array_equal(a.vertices, b.vertices)
-            assert np.array_equal(a.separator, b.separator)
-
-    def test_unbalanced_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.tree"
-        # 20-vertex root split into 19+sep vs 1+sep: violates alpha = 9/10
-        left = " ".join(str(v) for v in range(19)) + " 19"
-        path.write_text(
-            "node 0 -1 sep 19 verts " + " ".join(str(v) for v in range(20)) + "\n"
-            f"node 1 0 sep verts {left}\n"
-            "node 2 0 sep verts 19\n")
-        with pytest.raises(ValidationError, match="unbalanced"):
-            load_septree(path)

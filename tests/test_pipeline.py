@@ -177,8 +177,8 @@ class TestSparsifierPlan:
         with pytest.raises(GraphError, match="one-step"):
             SparsifierPlan(method="two-step")
 
-    def test_recursive_without_septrees_rejected(self):
-        with pytest.raises(GraphError, match="septrees"):
+    def test_recursive_rejected(self):
+        with pytest.raises(GraphError, match="'direct' or 'one-step'"):
             SparsifierPlan(method="recursive")
 
 
@@ -533,6 +533,18 @@ class TestSweptCutVerdict:
         assert base_ctx is None
         assert res.value == base.value and np.array_equal(res.flow, base.flow)
         assert res.stats.counters() == base.stats.counters()
+
+    @pytest.mark.parametrize("amount", [0.0, -5.0, float("nan"), float("inf")])
+    def test_unusable_amount_rejected_before_any_work(self, monkeypatch, amount):
+        g = random_capacity_grid(8, 8, seed=3)
+        part = grid_r_division(8, 8, 1, 16, terminals=(0, g.n - 1), graph=g)
+
+        def no_phase(*args, **kwargs):
+            raise AssertionError("a phase ran")
+
+        monkeypatch.setattr(pipeline, "_oracle_phase", no_phase)
+        with pytest.raises(GraphError, match="finite and positive"):
+            route_fixed_flow(g, part, None, 0, g.n - 1, amount, 0.1)
 
 
 class TestDeterminism:

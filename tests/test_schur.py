@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sepflow import (GraphError, GridSpec, SparseLaplacian, ValidationError, approx_schur,
-                     exact_schur, grid_graph, load_sparsifier, one_step_vertex_sparsify,
-                     recursive_vertex_sparsify, save_sparsifier, separator_tree_for_grid_block,
-                     sparsify, spectral_bounds, weight_floor)
+from sepflow import (GraphError, GridSpec, ParseError, SparseLaplacian, ValidationError,
+                     approx_schur, exact_schur, grid_graph, load_sparsifier,
+                     one_step_vertex_sparsify, recursive_vertex_sparsify, save_sparsifier,
+                     separator_tree_for_grid_block, sparsify, spectral_bounds, weight_floor)
 
 from conftest import gen_eig_range, partial_elimination_schur, random_connected_graph
 
@@ -331,3 +331,13 @@ class TestSerialization:
         assert loaded.provenance == "one-step"
         assert np.array_equal(loaded.boundary, vs.boundary)
         assert np.allclose(loaded.laplacian.dense(), vs.laplacian.dense())
+
+    @pytest.mark.parametrize("text, line", [("vs 2 0.1 one-step\n", 2),
+                                            ("vs 2 0.1\nids 0 1\n", 1),
+                                            ("vs x 0.1 one-step\nids 0 1\n", 1),
+                                            ("vs 2 0.1 one-step\nids 0 1\ne 0 y 1.0\n", 3)])
+    def test_malformed_file_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.vs"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}: "):
+            load_sparsifier(path)

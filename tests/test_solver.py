@@ -76,28 +76,9 @@ class TestSolveSdd:
         assert err.value.best_iterate is not None
         assert err.value.best_iterate.shape == d.shape
         assert err.value.achieved_residual is not None
-        b = np.column_stack([d, -d])
-        with pytest.raises(SolverConvergenceError) as err:
-            rebound.solve(b, delta=1e-12)
-        assert err.value.best_iterate.shape == b.shape
-
-    def test_rebound_columns_match_vector_solves(self, rng):
-        # a 2-D right-hand side on a rebound handle runs the one-vector PCG
-        # column by column, warm start included
-        g = random_connected_graph(rng, 90, 120)
-        c = rng.uniform(0.5, 2.0, g.m)
-        rebound = SolverHandle.for_graph(g, c).rebind(
-            g.laplacian_csr(c * rng.uniform(0.8, 1.25, g.m)))
-        b = rng.normal(size=(g.n, 3))
-        b -= b.mean(axis=0)
-        x0 = rng.normal(size=(g.n, 3))
-        for start in (None, x0):
-            x, st = rebound.solve_with_stats(b, delta=1e-8, x0=start)
-            cols = [rebound.solve_with_stats(b[:, j].copy(), delta=1e-8,
-                                             x0=None if start is None else start[:, j].copy())
-                    for j in range(3)]
-            assert np.array_equal(x, np.column_stack([xj for xj, _ in cols]))
-            assert st.iterations == sum(sj.iterations for _, sj in cols)
+        # PCG takes one right-hand side at a time
+        with pytest.raises(GraphError, match="one right-hand side"):
+            rebound.solve(np.column_stack([d, -d]), delta=1e-12)
 
     def test_rebind_keeps_csr_and_rejects_wrong_shape(self, rng):
         g = random_connected_graph(rng, 70, 40)
