@@ -21,17 +21,12 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (
-    FlowState,
     SparseLaplacian,
     WeightedGraph,
-    edge_congestion,
     edge_congestions,
     edge_group_ids,
-    energy,
-    group_congestion,
     group_congestions,
     laplacian_from_resistances,
-    residual,
     residual_of_vector,
     st_demand,
     zero_sum_demand,
@@ -73,7 +68,6 @@ from .partition import (
 from .pipeline import (
     ApproxMaxFlowResult,
     CutCertificate,
-    OracleWeights,
     SparsifiedInstance,
     SparsifierPlan,
     SweptCutFail,
@@ -92,10 +86,8 @@ from .schur import (
     VertexSparsifier,
     approx_schur,
     exact_schur,
-    load_sparsifier,
     one_step_vertex_sparsify,
     recursive_vertex_sparsify,
-    save_sparsifier,
     sparsify,
     spectral_bounds,
     weight_floor,

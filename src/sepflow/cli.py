@@ -88,8 +88,7 @@ def cmd_maxflow(args):
     config = RunConfig(eps=args.eps, r=args.r, seed=args.seed, strict_paper=args.strict_paper)
 
     if args.flow is not None:
-        res, fail_ctx = route_fixed_flow(g, part, None, s, t, args.flow, args.eps,
-                                         config=config, seed=args.seed)
+        res, fail_ctx = route_fixed_flow(g, part, None, s, t, args.flow, args.eps, config=config)
         if fail_ctx is not None:
             inst, fail, d = fail_ctx
             cert = cut_certificate(inst, fail, args.eps)
@@ -112,12 +111,12 @@ def cmd_maxflow(args):
                 with open(args.emit_cut, "w") as fh:
                     fh.write(" ".join(str(int(v)) for v in cert.cut_side) + "\n")
             return 2
-        partial = res.value < success_target(args.flow, args.eps, config)
+        partial = res.value < success_target(args.flow, args.eps)
         payload = dict(_result_json(res), status="partial" if partial else "ok",
                        requested_flow=args.flow)
     else:
         partial = False
-        res = approx_max_flow(g, part, None, s, t, args.eps, config=config, seed=args.seed)
+        res = approx_max_flow(g, part, None, s, t, args.eps, config=config)
         payload = _result_json(res)
 
     _emit_json(payload, args.json)
@@ -154,7 +153,7 @@ def cmd_bench(args):
         part = grid_r_division(size, size, args.layers, r, terminals=(0, g.n - 1), graph=g)
         t0 = time.perf_counter()
         res = approx_max_flow(g, part, None, 0, g.n - 1, args.eps,
-                              config=RunConfig(eps=args.eps, r=r, seed=seed), seed=seed)
+                              config=RunConfig(eps=args.eps, r=r, seed=seed))
         wall = time.perf_counter() - t0
         if g.m <= args.exact_cutoff:
             exact = exact_max_flow_oracle(g, 0, g.n - 1).value

@@ -1,4 +1,4 @@
-"""Run configuration, constant overrides, and deterministic seed substreams."""
+"""Run configuration and deterministic seed substreams."""
 
 from __future__ import annotations
 
@@ -29,30 +29,26 @@ def substream(seed: int, *tags) -> int:
 
 @dataclass
 class RunConfig:
-    """Knobs for the end-to-end solver; the defaults match the library constants."""
+    """What a caller sets for one end-to-end run.
+
+    ``eps`` must equal the ``eps`` passed to ``approx_max_flow`` or
+    ``route_fixed_flow``, which reject a mismatch.  ``r`` is only validated:
+    the partition's own ``r`` sets the outer width.  ``seed`` roots every
+    random substream of the run, ``strict_paper`` switches to the paper's
+    fixed widths and iteration counts, and ``max_outer_iterations`` and
+    ``max_probes`` cap the outer loop and the flow-amount search.  The
+    algorithm's other constants live in ``pipeline``.
+    """
 
     eps: float = 0.1
     r: int = 32
     seed: int = 0
     strict_paper: bool = False
-
-    # outer oracle loop
-    c_w: float = 10.0
     max_outer_iterations: int = 40
     max_probes: int = 16
-    probe_slack: float = 1.0 / 3.0  # probe succeeds at value >= (1 - slack*eps) * F
-    update_width_floor: float = 1.2  # adaptive update width = max(iterate congestion, floor)
-    outer_stagnation_limit: int = 6
-
-    # inner grouped flow
-    max_inner_iterations: int = 80
-    inner_budget_units: int = 200_000  # ~iterations * quotient size per oracle call
-    inner_iteration_ceiling: int = 4000
 
     def __post_init__(self):
         if not (0 < self.eps < 0.5):
             raise GraphError("config requires 0 < eps < 1/2")
         if self.r < 4:
             raise GraphError("config requires r >= 4")
-        if self.c_w <= 0:
-            raise GraphError("c_w must be positive")

@@ -16,10 +16,15 @@ from .graphs import WeightedGraph
 
 
 def load_dimacs(path, weights_path=None):
-    """Parse a DIMACS file; returns (graph, s, t)."""
+    """Parse a DIMACS file; returns (graph, s, t).
+
+    A vertex id outside ``1..n`` on an ``n`` or ``a`` line raises
+    ``ParseError`` naming that line, wherever the ``p`` line stands.
+    """
     n = m = None
     edges = []
     caps = []
+    ids = []  # (line number, 0-based vertex id) of every n and a record
     s = t = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -35,10 +40,12 @@ def load_dimacs(path, weights_path=None):
                 elif kind == "n":
                     if len(parts) != 3 or parts[2] not in ("s", "t"):
                         raise ParseError(f"line {lineno}: expected 'n <id> s|t'")
+                    v = int(parts[1]) - 1
                     if parts[2] == "s":
-                        s = int(parts[1]) - 1
+                        s = v
                     else:
-                        t = int(parts[1]) - 1
+                        t = v
+                    ids.append((lineno, v))
                 elif kind == "a":
                     if len(parts) != 4:
                         raise ParseError(f"line {lineno}: expected 'a <tail> <head> <capacity>'")
@@ -48,12 +55,16 @@ def load_dimacs(path, weights_path=None):
                         raise ParseError(f"line {lineno}: capacity must be positive")
                     edges.append((u, v))
                     caps.append(c)
+                    ids.extend([(lineno, u), (lineno, v)])
                 else:
                     raise ParseError(f"line {lineno}: unknown record '{kind}'")
             except ValueError:
                 raise ParseError(f"line {lineno}: bad number in '{raw.strip()}'") from None
     if n is None:
         raise ParseError("missing 'p max' header")
+    for lineno, v in ids:
+        if not 0 <= v < n:
+            raise ParseError(f"line {lineno}: vertex id {v + 1} is outside 1..{n}")
     if len(edges) != m:
         raise ParseError(f"header declares {m} arcs, file has {len(edges)}")
     weight = None

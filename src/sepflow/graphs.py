@@ -1,10 +1,11 @@
-"""Core graph, Laplacian, flow and congestion types.
+"""Core graph and Laplacian types, and vector forms of demands, congestions
+and residuals.
 
 An undirected graph is stored with a fixed arbitrary orientation per edge
 (tail < head by vertex index; parallel edges keep insertion order), so flow
 signs are deterministic and serializable.  The incidence convention is
-+1 at the tail and -1 at the head, hence ``residual(f) = B^T f`` and an s-t
-demand has +F at the source and -F at the sink.
++1 at the tail and -1 at the head, hence ``residual_of_vector(f, g) = B^T f``
+and an s-t demand has +F at the source and -F at the sink.
 """
 
 from __future__ import annotations
@@ -290,25 +291,6 @@ def csr_matvec(indptr, indices, data, ncols, x, out):
     return out
 
 
-@dataclass
-class FlowState:
-    """A flow vector on oriented edges together with the demand it targets.
-
-    The flow is the single mutable array in the library; everything else is
-    frozen after construction (single-writer rule).
-    """
-
-    flow: np.ndarray
-    demand: np.ndarray
-
-    def __post_init__(self):
-        self.flow = np.asarray(self.flow, dtype=float)
-        self.demand = np.asarray(self.demand, dtype=float)
-
-    def residual(self, g: WeightedGraph):
-        return residual(self, g)
-
-
 def zero_sum_demand(d, n=None, tol=1e-9):
     """Validate and return a demand vector; entries must sum to ~0."""
     d = np.asarray(d, dtype=float)
@@ -330,26 +312,12 @@ def st_demand(n, s, t, amount):
     return d
 
 
-# -- congestion and energy --------------------------------------------------
-
-
-def edge_congestion(f: FlowState, g: WeightedGraph, e: int):
-    """|f(e)| / u(e) for a single edge."""
-    return abs(f.flow[e]) / g.capacity[e]
+# -- congestion and residuals ------------------------------------------------
 
 
 def edge_congestions(flow, capacity):
     """Vector of |f(e)| / u(e)."""
     return np.abs(flow) / capacity
-
-
-def group_congestion(f: FlowState, g: WeightedGraph, group):
-    """sqrt(sum_{e in group} w(e) f(e)^2) under the graph's weight vector."""
-    idx = np.asarray(group, dtype=np.int64)
-    if idx.size == 0:
-        raise GraphError("group congestion of an empty group is undefined")
-    fe = f.flow[idx]
-    return float(np.sqrt(np.sum(g.weight[idx] * fe * fe)))
 
 
 def group_ids(groups):
@@ -408,13 +376,9 @@ def group_congestions(flow, weight, groups):
     return np.sqrt(np.bincount(owner, weights=weight[edges] * fe * fe, minlength=len(groups)))
 
 
-def residual(f: FlowState, g: WeightedGraph):
-    """B^T f: net outflow at each vertex."""
-    return residual_of_vector(f.flow, g)
-
-
 def residual_of_vector(flow, g: WeightedGraph, edge_ids=None):
-    """B^T f restricted to the given edge ids (all edges if None)."""
+    """B^T f, the net outflow at each vertex, restricted to the given edge
+    ids (all edges if None)."""
     flow = np.asarray(flow, dtype=float)
     if edge_ids is None:
         tails, heads, fe = g.tails, g.heads, flow
@@ -425,38 +389,20 @@ def residual_of_vector(flow, g: WeightedGraph, edge_ids=None):
             - np.bincount(heads, weights=fe, minlength=g.n))
 
 
-def energy(f: FlowState | np.ndarray, r):
-    """Electrical energy sum_e r(e) f(e)^2."""
-    flow = f.flow if isinstance(f, FlowState) else np.asarray(f, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise GraphError("resistances must be strictly positive")
-    return float(np.sum(r * flow * flow))
-
-
 # -- sparse Laplacians -------------------------------------------------------
 
 
 @dataclass
 class SparseLaplacian:
-    """Symmetric graph Laplacian in CSR form with an optional boundary split.
-
-    ``boundary`` (sorted vertex ids) induces the block partition used by
-    Schur-complement routines.
-    """
+    """Symmetric graph Laplacian in CSR form."""
 
     matrix: sp.csr_matrix
-    boundary: np.ndarray | None = None
     _edge_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = sp.csr_matrix(self.matrix)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise GraphError("Laplacian must be square")
-        if self.boundary is not None:
-            self.boundary = np.unique(np.asarray(self.boundary, dtype=np.int64))
-            if self.boundary.size and (self.boundary[0] < 0 or self.boundary[-1] >= self.n):
-                raise GraphError("boundary vertex out of range")
 
     @property
     def n(self):
@@ -516,7 +462,7 @@ class SparseLaplacian:
         return self
 
     @staticmethod
-    def from_edges(n, tails, heads, conductance, boundary=None):
+    def from_edges(n, tails, heads, conductance):
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         c = np.asarray(conductance, dtype=float)
@@ -525,14 +471,14 @@ class SparseLaplacian:
         vals = np.concatenate([c, c, -c, -c])
         mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         mat.sum_duplicates()
-        return SparseLaplacian(mat, boundary=boundary)
+        return SparseLaplacian(mat)
 
 
-def laplacian_from_resistances(g: WeightedGraph, r=None, boundary=None) -> SparseLaplacian:
+def laplacian_from_resistances(g: WeightedGraph, r=None) -> SparseLaplacian:
     """Graph Laplacian with conductances 1/r(e); L = B^T R^{-1} B."""
     r = g.resistance if r is None else np.asarray(r, dtype=float)
     if r is None:
         raise GraphError("graph has no resistance vector and none was supplied")
     if np.any(r <= 0) or not np.all(np.isfinite(r)):
         raise GraphError("resistances must be strictly positive and finite")
-    return SparseLaplacian(g.laplacian_csr(1.0 / r), boundary=boundary)
+    return SparseLaplacian(g.laplacian_csr(1.0 / r))

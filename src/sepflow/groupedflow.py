@@ -94,9 +94,7 @@ class GroupedFlowDiagnostics:
     iterations: int = 0
     accepted: int = 0
     early_exit: bool = False
-    width_exceeded_events: int = 0
     max_group_congestion: float = float("nan")
-    mu_final: float = float("nan")
     trace: list = field(default_factory=list)
 
 
@@ -204,7 +202,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
         hint = ef.potentials
         diag.iterations = t
         if ef.energy > mu:
-            diag.mu_final = mu
             fail = GroupedFlowFail(
                 iteration=t, mu=mu, w_grp=w_grp.copy(), resistances=r,
                 potentials=ef.potentials, energy=ef.energy, demand=d.copy(), eps=eps)
@@ -223,8 +220,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
         if accepted:
             flow_sum += ef.flow
             n_accepted += 1
-        else:
-            diag.width_exceeded_events += 1
 
         width = rho if strict else max(float(cong.max(initial=0.0)), 1.0)
         w_new = w_grp * (1.0 + (eps / width) * cong)
@@ -252,7 +247,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     diag.accepted = n_accepted
     if strict:  # otherwise measured at the average's last change
         diag.max_group_congestion = float(group_congestions(avg, w, gid).max())
-    diag.mu_final = float(w_grp.sum())
     if budget < n_iter and diag.max_group_congestion > target:
         raise _not_converged(avg, diag.max_group_congestion,
                              f"hit the iteration cap {budget}", target)

@@ -44,7 +44,6 @@ class Partition:
     terminals: tuple = ()
     c_div: float = DEFAULT_C_DIV
     c_bdry: float = DEFAULT_C_BDRY
-    blocks: list = field(default_factory=list, repr=False)
     _topology: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -226,12 +225,7 @@ def grid_r_division(rows, cols, layers, r, terminals=(), c_div=DEFAULT_C_DIV,
     cuts = np.searchsorted(owner[order], np.arange(p_r * p_c + 1))
     groups = [order[cuts[b]:cuts[b + 1]] for b in range(p_r * p_c) if cuts[b + 1] > cuts[b]]
 
-    part = partition_from_groups(g, groups, r, terminals=terminals, c_div=c_div, c_bdry=c_bdry)
-    part.blocks = [
-        (int(row_edges[i]), int(row_edges[i + 1]), int(col_edges[j]), int(col_edges[j + 1]))
-        for i in range(p_r) for j in range(p_c)
-    ]
-    return part
+    return partition_from_groups(g, groups, r, terminals=terminals, c_div=c_div, c_bdry=c_bdry)
 
 
 # -- separator trees -----------------------------------------------------------
@@ -263,20 +257,16 @@ class SeparatorNode:
 @dataclass
 class SeparatorTree:
     """Recursive alpha-separator hierarchy; separator edges belong to both
-    children at half weight (the ``halved`` convention), so child Laplacians
-    sum back to the parent exactly."""
+    children at half weight, so child Laplacians sum back to the parent
+    exactly."""
 
     root: SeparatorNode
     alpha: float = ALPHA
     leaf_cutoff: int = DEFAULT_LEAF_CUTOFF
     c0: float = 1.0
-    convention: str = "halved"
 
     def depth(self):
         return self.root.depth()
-
-    def nodes(self):
-        return list(self.root.preorder())
 
 
 def _grid_split(spec: GridSpec, verts, leaf_cutoff):

@@ -73,23 +73,7 @@ from .solver import SOLVER_COUNTERS, LaggedFactor, SolverHandle, solve_sdd
 # -- oracle edge weights -------------------------------------------------------
 
 
-@dataclass
-class OracleWeights:
-    """Per-edge multiplicative-weights state of the outer flow oracle."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values < 1.0 - 1e-12):
-            raise GraphError("oracle weights must stay >= 1")
-
-    @property
-    def total(self):
-        return float(self.values.sum())
-
-
-def oracle_edge_weights(w_oracle: OracleWeights | np.ndarray, capacity, groups, eps) -> np.ndarray:
+def oracle_edge_weights(w_oracle, capacity, groups, eps) -> np.ndarray:
     """Grouped-flow edge weights derived from oracle weights:
 
     w(e) = (1 - eps/2) / u(e)^2 * (w_oracle(e) / w_oracle(S_i) + eps / (4 |S_i|)).
@@ -97,7 +81,7 @@ def oracle_edge_weights(w_oracle: OracleWeights | np.ndarray, capacity, groups, 
     ``groups`` is a list of edge-id arrays that covers every edge exactly
     once, or the group id of every edge (``edge_group_ids``).
     """
-    values = w_oracle.values if isinstance(w_oracle, OracleWeights) else np.asarray(w_oracle, dtype=float)
+    values = np.asarray(w_oracle, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
     if eps >= 0.5 or eps <= 0:
         raise GraphError("oracle weights require 0 < eps < 1/2")
@@ -139,7 +123,6 @@ class MaxFlowRunStats:
 
     route: str = ""
     iterations_outer: int = 0
-    iterations_inner_total: int = 0
     probes: int = 0
     width_failures: int = 0
     sparsifier_builds: int = 0
@@ -153,6 +136,10 @@ class MaxFlowRunStats:
     pcg_iterations: int = 0
     timings: dict = field(default_factory=lambda: dict.fromkeys(STAGES + ("total",), 0.0))
     trace_rows: list = field(default_factory=list)
+
+    @property
+    def iterations_inner_total(self):
+        return self.electrical_flows
 
     def counters(self):
         return {name: getattr(self, name) for name in (
@@ -462,9 +449,6 @@ class ApproxGroupedFlowResult:
     status: str  # "ok" | "fail"
     flow: np.ndarray | None
     fail: GroupedFlowFail | None
-    quotient_flow: np.ndarray | None
-    inner_iterations: int
-    instance: SparsifiedInstance
     max_group_congestion: float = float("nan")
 
     @property
@@ -472,8 +456,7 @@ class ApproxGroupedFlowResult:
         return self.status == "fail"
 
 
-def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
-                        max_iterations=200, runtime_checks=True,
+def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False, max_iterations=200,
                         lag: LaggedFactor | None = None) -> ApproxGroupedFlowResult:
     """Grouped flow on the quotient graph at eps/2, converted back to the
     original graph at eps/10; on a direct instance the flow is on the
@@ -485,12 +468,9 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
         prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
                                   instance.quotient_demand(d), eps / 2.0,
                                   group_of_edge=instance.quotient_group_of_edge)
-        res = grouped_flow(prob, strict=strict, runtime_checks=runtime_checks,
-                           max_iterations=max_iterations, lag=lag)
+        res = grouped_flow(prob, strict=strict, max_iterations=max_iterations, lag=lag)
     if res.failed:
-        return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail, quotient_flow=None,
-                                       inner_iterations=res.diagnostics.iterations,
-                                       instance=instance)
+        return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail)
     # on a direct instance grouped flow measured this flow at these weights already
     f, max_cong = res.flow, res.diagnostics.max_group_congestion
     if instance.elimination is not None:
@@ -503,9 +483,7 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False,
                              elimination=instance.elimination)
             max_cong = float(group_congestions(f, instance.weights,
                                                instance.group_of_edge).max(initial=0.0))
-    return ApproxGroupedFlowResult(status="ok", flow=f, fail=None, quotient_flow=res.flow,
-                                   inner_iterations=res.diagnostics.iterations,
-                                   instance=instance, max_group_congestion=max_cong)
+    return ApproxGroupedFlowResult(status="ok", flow=f, fail=None, max_group_congestion=max_cong)
 
 
 # -- approximate max flow -----------------------------------------------------------
@@ -519,9 +497,6 @@ class ApproxMaxFlowResult:
     max_edge_congestion: float
     per_group_congestion_max: float
     stats: MaxFlowRunStats
-    # (instance, GroupedFlowFail, demand) of the first probe whose energy test
-    # fired, for cut_certificate
-    fail_context: tuple | None = None
     seed: int = 0
 
 
@@ -553,10 +528,29 @@ def _swept_cut(inst: SparsifiedInstance, d, s, t):
     return sweep_cut(inst.graph, inst.extend(phi), s, t)
 
 
-def success_target(flow_amount, eps, config: RunConfig):
+# Constants of the outer oracle loop and of its inner grouped-flow calls.
+C_W = 10.0  # theoretical outer width C_W sqrt(r / eps)
+PROBE_SLACK = 1.0 / 3.0  # a phase succeeds at value >= (1 - PROBE_SLACK eps) F
+UPDATE_WIDTH_FLOOR = 1.2  # adaptive update width = max(iterate congestion, floor)
+OUTER_STAGNATION_LIMIT = 6  # outer iterations without a better flow before a phase stops
+MAX_INNER_ITERATIONS = 80  # inner cap floor
+INNER_BUDGET_UNITS = 200_000  # ~ inner iterations * quotient size per grouped-flow call
+INNER_ITERATION_CEILING = 4000  # inner cap ceiling
+
+
+def success_target(flow_amount, eps):
     """Value at which a fixed-flow phase counts ``flow_amount`` as routed:
-    ``(1 - probe_slack eps) F``."""
-    return (1.0 - config.probe_slack * eps) * flow_amount
+    ``(1 - PROBE_SLACK eps) F``."""
+    return (1.0 - PROBE_SLACK * eps) * flow_amount
+
+
+def _run_config(config, eps):
+    """``config``, or the default one at ``eps``; a config at another eps is an error."""
+    if config is None:
+        return RunConfig(eps=eps)
+    if config.eps != eps:
+        raise GraphError(f"eps = {eps!r} but config.eps = {config.eps!r}; pass equal values")
+    return config
 
 
 def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, seed, stats,
@@ -565,7 +559,7 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
 
     Returns (success, best_value, best_flow, fail, w_oracle).  The update
     width is the iterate's own max congestion (floored), which converges in
-    practical iteration counts; the theoretical width c_w sqrt(r/eps) is
+    practical iteration counts; the theoretical width C_W sqrt(r/eps) is
     still enforced as the output check on every returned flow.
 
     With ``sweep``, every outer iteration first sweeps the quotient's
@@ -581,16 +575,15 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
     ``lag`` is the run's ``LaggedFactor``; its counters are copied into
     ``stats``.  An inner ``SolverConvergenceError`` ends the phase as an
     unproductive probe (counted in ``inner_failures``, and in ``inner_stalls``
-    when grouped flow's stall exit raised it; its electrical flows in
-    ``iterations_inner_total``); a ``ValidationError`` is a broken invariant
-    and propagates.
+    when grouped flow's stall exit raised it; its electrical flows still
+    count); a ``ValidationError`` is a broken invariant and propagates.
     """
     m = g.m
     with _stage(stats, "oracle_update"):
-        rho_outer = math.ceil(config.c_w * math.sqrt(part.r) / math.sqrt(eps))
+        rho_outer = math.ceil(C_W * math.sqrt(part.r) / math.sqrt(eps))
         n_outer = max(int(math.ceil(20.0 * rho_outer * math.log(max(m, 2)) * eps**-2)), 1)
         limit = n_outer if config.strict_paper else min(n_outer, config.max_outer_iterations)
-        target = success_target(flow_amount, eps, config)
+        target = success_target(flow_amount, eps)
         w_oracle = np.ones(m) if w_oracle_init is None else np.array(w_oracle_init, dtype=float)
         d = st_demand(g.n, s, t, flow_amount)
         flow_sum = np.zeros(m)
@@ -618,19 +611,13 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
                 fail = (inst, SweptCutFail(side, cut, d), d)
                 break
         qsize = inst.quotient_graph.m + inst.quotient_graph.n
-        inner_cap = min(max(config.max_inner_iterations,
-                            config.inner_budget_units // max(qsize, 1)),
-                        config.inner_iteration_ceiling)
-        flows_before = lag.electrical_flows
+        inner_cap = min(max(MAX_INNER_ITERATIONS, INNER_BUDGET_UNITS // max(qsize, 1)),
+                        INNER_ITERATION_CEILING)
         try:
             res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap,
                                       strict=config.strict_paper, lag=lag)
         except SolverConvergenceError as exc:
-            res = None
             stats.inner_stalls += exc.stalled
-        # one inner iteration per electrical flow, also when a cap hit ends the probe
-        stats.iterations_inner_total += lag.electrical_flows - flows_before
-        if res is None:
             stats.inner_failures += 1
             break  # the inner solver could not certify this F; unproductive probe
         with _stage(stats, "oracle_update"):
@@ -660,9 +647,9 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
             if best_value >= target:
                 break
             stagnant = 0 if improved else stagnant + 1
-            if not config.strict_paper and stagnant >= config.outer_stagnation_limit:
+            if not config.strict_paper and stagnant >= OUTER_STAGNATION_LIMIT:
                 break
-            width = rho_outer if config.strict_paper else max(mc, config.update_width_floor)
+            width = rho_outer if config.strict_paper else max(mc, UPDATE_WIDTH_FLOOR)
             w_oracle = w_oracle * (1.0 + (eps / width) * cong)
     with _stage(stats, "oracle_update"):
         for name, value in lag.counters().items():
@@ -672,18 +659,18 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
 
 
 def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
-                    s: int, t: int, eps: float, config: RunConfig | None = None,
-                    seed: int | None = None) -> ApproxMaxFlowResult:
+                    s: int, t: int, eps: float,
+                    config: RunConfig | None = None) -> ApproxMaxFlowResult:
     """(1 - O(eps))-approximate maximum s-t flow via the grouped-flow oracle.
 
     The flow amount F is located by doubling plus binary search over oracle
     success; every candidate flow is made strictly feasible by dividing by its
     maximum edge congestion, and the best feasible value seen is returned.
     A search in which no probe produced a flow raises
-    ``SolverConvergenceError``.
+    ``SolverConvergenceError``.  A ``config`` at another ``eps`` raises
+    ``GraphError`` before any work.
     """
-    config = config or RunConfig(eps=eps)
-    seed = config.seed if seed is None else seed
+    config = _run_config(config, eps)
     plan = plan or SparsifierPlan()
     g.require_connected("approximate max flow")
     bdry_union = np.unique(np.concatenate([b for b in part.boundaries]))
@@ -702,22 +689,19 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         f_lo = widest_path_bottleneck(g, s, t)
         f_hi = float(g.capacity[(g.tails == s) | (g.heads == s)].sum())
     best_value, best_flow = 0.0, None
-    fail_ctx = None
     warm = {"w": None}
 
     def probe(flow_amount):
-        nonlocal best_value, best_flow, fail_ctx
+        nonlocal best_value, best_flow
         stats.probes += 1
         w_init = None if config.strict_paper else warm["w"]
         with _stage(stats, "oracle_update"):
-            probe_seed = substream(seed, "F", stats.probes)
-        ok, val, flow, fail, w_final = _oracle_phase(
+            probe_seed = substream(config.seed, "F", stats.probes)
+        ok, val, flow, _, w_final = _oracle_phase(
             g, part, group_of_edge, plan, s, t, flow_amount, eps, config, probe_seed, stats,
             lag, w_oracle_init=w_init)
         if not config.strict_paper:
             warm["w"] = w_final
-        if fail is not None and fail_ctx is None:
-            fail_ctx = fail
         if flow is not None and val > best_value:
             best_value, best_flow = val, flow
         return ok
@@ -752,33 +736,33 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
         value=best_value, flow=best_flow, eps=eps,
         max_edge_congestion=float(cong.max(initial=0.0)),
         per_group_congestion_max=float(gcong.max(initial=0.0)),
-        stats=stats, fail_context=fail_ctx, seed=seed)
+        stats=stats, seed=config.seed)
 
 
 def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
                      s: int, t: int, flow_amount: float, eps: float,
-                     config: RunConfig | None = None, seed: int | None = None):
-    """Route a fixed amount; returns (result | None, fail_context | None).
+                     config: RunConfig | None = None):
+    """Route a fixed amount; returns (result | None, verdict | None).
 
-    ``fail_context`` is ``(instance, fail, demand)``, ready for
+    ``verdict`` is ``(instance, fail, demand)``, ready for
     ``cut_certificate``.  ``fail`` is a ``SweptCutFail`` when a swept cut
-    below ``(1 - probe_slack eps) F`` decided the request (no request that
+    below ``(1 - PROBE_SLACK eps) F`` decided the request (no request that
     could succeed is decided this way), or the ``GroupedFlowFail`` of an
     energy test that fired.  Otherwise ``result`` carries the best feasible
     flow the phase found.  Its value reaches ``success_target(flow_amount,
-    eps, config)`` when the phase routed the request; below that the phase
+    eps)`` when the phase routed the request; below that the phase
     neither routed it nor proved it infeasible, and the result is partial
     (the CLI reports it as ``"partial"`` and exits 3).  A phase that found
     no flow at all raises ``SolverConvergenceError``.  An amount that is not
-    finite and positive raises ``GraphError`` before any work.
+    finite and positive, or a ``config`` at another ``eps``, raises
+    ``GraphError`` before any work.
     """
     if not (math.isfinite(flow_amount) and flow_amount > 0):
         raise GraphError(f"flow amount must be finite and positive, not {flow_amount!r}")
-    config = config or RunConfig(eps=eps)
-    seed = config.seed if seed is None else seed
+    config = _run_config(config, eps)
     plan = plan or SparsifierPlan()
     stats = MaxFlowRunStats(route=plan.method)
-    phase_seed, lag = substream(seed, "fixed"), LaggedFactor()
+    phase_seed, lag = substream(config.seed, "fixed"), LaggedFactor()
     group_of_edge = edge_group_ids(part.groups, g.m)
     t_start = time.perf_counter()
     ok, val, flow, fail, _ = _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps,
@@ -792,7 +776,7 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     result = ApproxMaxFlowResult(
         value=val, flow=flow, eps=eps,
         max_edge_congestion=float(cong.max(initial=0.0)),
-        per_group_congestion_max=float("nan"), stats=stats, seed=seed)
+        per_group_congestion_max=float("nan"), stats=stats, seed=config.seed)
     return result, None
 
 

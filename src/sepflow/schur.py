@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GraphError, ParseError, SolverConvergenceError, ValidationError
+from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import SparseLaplacian, WeightedGraph, group_ids
 from .partition import SeparatorTree, SeparatorNode
 from .solver import GAP_FLOOR, SolverHandle
@@ -68,7 +68,7 @@ def weight_floor(lap: SparseLaplacian, lam_min: float) -> SparseLaplacian:
     """Add lam_min / n^2 to every existing edge; L <= L' <= (1 + 1/n) L."""
     tails, heads, w = lap.edge_list()
     bump = lam_min / lap.n**2
-    return SparseLaplacian.from_edges(lap.n, tails, heads, w + bump, boundary=lap.boundary)
+    return SparseLaplacian.from_edges(lap.n, tails, heads, w + bump)
 
 
 # -- Schur complements --------------------------------------------------------
@@ -124,7 +124,7 @@ def exact_schur(lap: SparseLaplacian, v_bdry) -> SparseLaplacian:
             schur = 0.5 * (schur + schur.T)
         rows = [pos[int(verts[j])] for j in lb]
         out[np.ix_(rows, rows)] += schur
-    return SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]), boundary=None)
+    return SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]))
 
 
 def _clean_stack(a, tol=1e-13):
@@ -724,47 +724,3 @@ def _positive_definite(a):
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-# -- serialization ----------------------------------------------------------------
-
-
-def save_sparsifier(vs: VertexSparsifier, path):
-    tails, heads, w = vs.laplacian.edge_list()
-    with open(path, "w") as fh:
-        fh.write(f"vs {vs.n_boundary} {float(vs.eps)!r} {vs.provenance}\n")
-        fh.write("ids " + " ".join(str(int(v)) for v in vs.boundary) + "\n")
-        for t, h, ww in zip(tails, heads, w):
-            fh.write(f"e {t} {h} {float(ww)!r}\n")
-
-
-def load_sparsifier(path) -> VertexSparsifier:
-    with open(path) as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
-    if not lines or len(lines[0]) != 4 or lines[0][0] != "vs":
-        raise ParseError("line 1: expected 'vs <n_bdry> <eps> <provenance>' header")
-    if len(lines) < 2 or lines[1][0] != "ids":
-        raise ParseError("line 2: expected boundary id mapping")
-    lineno = 1
-    try:
-        _, nb, eps, prov = lines[0]
-        nb, eps = int(nb), float(eps)
-        lineno = 2
-        boundary = np.array([int(x) for x in lines[1][1:]], dtype=np.int64)
-        if boundary.size != nb:
-            raise ParseError(f"line 2: expected {nb} boundary ids, got {boundary.size}")
-        tails, heads, w = [], [], []
-        for lineno, parts in enumerate(lines[2:], start=3):
-            if parts[0] != "e" or len(parts) != 4:
-                raise ParseError(f"line {lineno}: expected 'e <t> <h> <w>'")
-            tails.append(int(parts[1]))
-            heads.append(int(parts[2]))
-            w.append(float(parts[3]))
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad number in '{' '.join(lines[lineno - 1])}'") from None
-    lap = SparseLaplacian.from_edges(nb, np.array(tails, dtype=np.int64),
-                                     np.array(heads, dtype=np.int64), np.array(w))
-    return VertexSparsifier(
-        laplacian=lap, boundary=boundary, eps=eps, provenance=prov,
-        source_weight_ratio=1.0, source_n=nb,
-    )

@@ -52,7 +52,6 @@ DENSE_CUTOFF = 64
 @dataclass
 class SolveStats:
     iterations: int = 0
-    achieved_estimate: float = 0.0
     refinements: int = 0
 
 
@@ -322,8 +321,7 @@ class SolverHandle:
             p += z
             gamma = gamma_new
 
-        stats = SolveStats(iterations=it, achieved_estimate=math.sqrt(max(sum(ring), 0.0)))
-        return self._project(x), stats
+        return self._project(x), SolveStats(iterations=it)
 
 
 SOLVER_COUNTERS = ("electrical_flows", "factorizations", "rebinds", "pcg_iterations")
@@ -404,9 +402,6 @@ class ElectricalFlowResult:
     optimum_estimate: float
     stats: SolveStats = field(default_factory=SolveStats)
 
-    def recompute_energy(self, r):
-        return float(np.sum(np.asarray(r) * self.flow * self.flow))
-
 
 def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hint=None,
                     handle: SolverHandle | None = None):
@@ -453,8 +448,7 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
         lin = float(d @ phi)
         lower = lin * lin / quad if quad > 0 else 0.0
         if lower > 0 and e_flow <= (1.0 + gap_target) * lower:
-            stats = SolveStats(iterations=total_iters, achieved_estimate=st.achieved_estimate,
-                               refinements=attempt)
+            stats = SolveStats(iterations=total_iters, refinements=attempt)
             return ElectricalFlowResult(flow, phi - phi.mean(), e_flow, lower, stats)
         delta_a = max(delta_a / 8.0, 1e-9)
     raise SolverConvergenceError(

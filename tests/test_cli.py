@@ -52,6 +52,15 @@ class TestMaxflowCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_range_dimacs_vertex_exits_one(self, tmp_path, capsys):
+        gpath, ppath = tmp_path / "g.dimacs", tmp_path / "g.part"
+        gpath.write_text("p max 2 1\nn 9 s\nn 2 t\na 1 2 3.0\n")
+        ppath.write_text("k 1 r 16\ng 0 0\n")
+        code = run(["maxflow", "--input", str(gpath), "--partition", str(ppath),
+                    "--json", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "error: line 2" in capsys.readouterr().err
+
     def test_run_without_a_flow_exits_one(self, tmp_path, capsys, monkeypatch):
         def capped(*args, **kwargs):
             raise SolverConvergenceError("planted cap hit")

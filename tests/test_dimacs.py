@@ -47,7 +47,12 @@ class TestDimacs:
 
     @pytest.mark.parametrize("text, line", [("p max x 1\n", 1),
                                             ("p max 2 1\na 1 x 3\n", 2),
-                                            ("p max 2 1\nn x s\n", 2)])
+                                            ("p max 2 1\nn x s\n", 2),
+                                            # vertex ids outside 1..n, also before the p line
+                                            ("p max 2 1\nn 9 s\n", 2),
+                                            ("p max 2 1\nn 0 s\n", 2),
+                                            ("p max 2 1\na 1 9 3.0\n", 2),
+                                            ("c p comes last\na 1 3 1.0\np max 2 1\n", 2)])
     def test_bad_number_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "bad.dimacs"
         path.write_text(text)

@@ -12,9 +12,10 @@ instances; with the floor removed they agree to about 3e-13).
 import numpy as np
 import pytest
 
-from sepflow import (GraphError, GroupedFlowFail, RunConfig, SparsifierPlan, SweptCutFail,
-                     approx_grouped_flow, approx_max_flow, cut_certificate,
-                     exact_max_flow_oracle, grid_r_division, oracle_edge_weights,
+from sepflow import (GraphError, GroupedFlowFail, GroupedFlowProblem, RunConfig,
+                     SparsifierPlan, SweptCutFail, approx_grouped_flow, approx_max_flow,
+                     cut_certificate, exact_max_flow_oracle, grid_r_division, grouped_flow,
+                     oracle_edge_weights,
                      partition_from_groups, random_capacity_grid, route_fixed_flow, st_demand)
 from sepflow import edge_group_ids, pipeline
 
@@ -139,7 +140,10 @@ def test_direct_flow_meets_the_group_contract():
     inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w, EPS / 10)
     d = st_demand(g.n, 0, g.n - 1, 0.3 * exact_max_flow_oracle(g, 0, g.n - 1).value)
     res = approx_grouped_flow(inst, d, EPS / 10)
-    assert res.status == "ok" and res.flow is res.quotient_flow
+    # grouped flow on G at these weights, at half the error, gives the same bits
+    ref = grouped_flow(GroupedFlowProblem(g.reweighted(w), part.groups, d, EPS / 20),
+                       max_iterations=200)
+    assert res.status == "ok" and np.array_equal(res.flow, ref.flow)
     net = (np.bincount(g.tails, weights=res.flow, minlength=g.n)
            - np.bincount(g.heads, weights=res.flow, minlength=g.n))
     assert np.abs(net - d).max() <= 1e-9

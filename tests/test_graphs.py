@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepflow import (FlowState, GraphError, WeightedGraph, edge_congestion, energy,
-                     group_congestion, laplacian_from_resistances, residual,
+from sepflow import (GraphError, WeightedGraph, edge_congestions, edge_group_ids,
+                     electrical_flow, group_congestions, laplacian_from_resistances,
                      residual_of_vector, st_demand, zero_sum_demand)
 from sepflow.graphs import csr_matvec
 
@@ -46,67 +46,65 @@ class TestConstruction:
 
 class TestCongestion:
     def test_zero_flow(self):
-        f = FlowState(np.zeros(2), np.zeros(3))
-        assert edge_congestion(f, path3(), 0) == 0.0
+        assert edge_congestions(np.zeros(2), path3().capacity).tolist() == [0.0, 0.0]
 
     def test_sign_absolute(self):
         g = WeightedGraph(2, [(0, 1)], capacity=[3.0])
-        f = FlowState(np.array([-3.0]), np.zeros(2))
-        assert edge_congestion(f, g, 0) == 1.0
+        assert edge_congestions(np.array([-3.0]), g.capacity).tolist() == [1.0]
 
     def test_direct_ratio(self):
         g = WeightedGraph(2, [(0, 1)], capacity=[8.0])
-        f = FlowState(np.array([2.0]), np.zeros(2))
-        assert edge_congestion(f, g, 0) == 0.25
+        assert edge_congestions(np.array([2.0]), g.capacity).tolist() == [0.25]
 
 
 class TestGroupCongestion:
     def test_zero_flow(self):
-        g = WeightedGraph(3, [(0, 1), (1, 2)], weight=[1.0, 2.0])
-        f = FlowState(np.zeros(2), np.zeros(3))
-        assert group_congestion(f, g, [0, 1]) == 0.0
+        cong = group_congestions(np.zeros(2), np.array([1.0, 2.0]), [np.array([0]), np.array([1])])
+        assert cong.tolist() == [0.0, 0.0]
 
     def test_three_four_five(self):
-        g = WeightedGraph(3, [(0, 1), (1, 2)], weight=[1.0, 1.0])
-        f = FlowState(np.array([3.0, 4.0]), np.zeros(3))
-        assert group_congestion(f, g, [0, 1]) == pytest.approx(5.0)
+        # two groups over three edges; the edge-list and group-id forms agree
+        flow, weight = np.array([3.0, 1.0, 4.0]), np.ones(3)
+        groups = [np.array([0, 2]), np.array([1])]
+        assert group_congestions(flow, weight, groups).tolist() == pytest.approx([5.0, 1.0])
+        assert np.array_equal(group_congestions(flow, weight, groups),
+                              group_congestions(flow, weight, edge_group_ids(groups, 3)))
 
     def test_weighted(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)], weight=[2.0, 1.0])
-        f = FlowState(np.array([1.0, 2.0]), np.zeros(3))
-        assert group_congestion(f, g, [0, 1]) == pytest.approx(np.sqrt(6.0))
+        cong = group_congestions(np.array([1.0, -2.0]), g.weight, [np.arange(2)])
+        assert cong.tolist() == pytest.approx([np.sqrt(6.0)])
 
-    def test_empty_group_rejected(self):
-        f = FlowState(np.zeros(2), np.zeros(3))
-        with pytest.raises(GraphError, match="empty group"):
-            group_congestion(f, path3(), [])
+    def test_empty_group_is_zero(self):
+        cong = group_congestions(np.ones(2), np.ones(2), [np.arange(2), np.zeros(0, np.int64)])
+        assert cong.tolist() == pytest.approx([np.sqrt(2.0), 0.0])
 
     def test_dominates_single_edge(self, rng):
         # max_i group congestion >= sqrt(w(e)) |f(e)| for every e
         g = random_connected_graph(rng, 12, 10)
         flow = rng.normal(size=g.m)
         groups = [np.arange(0, g.m, 2), np.arange(1, g.m, 2)]
-        f = FlowState(flow, np.zeros(g.n))
-        best = max(group_congestion(f, g, grp) for grp in groups)
+        best = group_congestions(flow, g.weight, groups).max()
         assert best >= np.max(np.sqrt(g.weight) * np.abs(flow)) - 1e-12
 
 
 class TestResidual:
     def test_unit_path_flow(self):
         # orientation a->b, b->c with tail +1 / head -1: source gets +1
-        g = path3()
-        f = FlowState(np.array([1.0, 1.0]), np.zeros(3))
-        assert residual(f, g).tolist() == [1.0, 0.0, -1.0]
+        assert residual_of_vector(np.array([1.0, 1.0]), path3()).tolist() == [1.0, 0.0, -1.0]
 
     def test_zero_flow(self):
-        g = path3()
-        assert residual(FlowState(np.zeros(2), np.zeros(3)), g).tolist() == [0, 0, 0]
+        assert residual_of_vector(np.zeros(2), path3()).tolist() == [0, 0, 0]
 
     def test_circulation(self):
         g = WeightedGraph(3, [(0, 1), (1, 2), (0, 2)])
         # cyclic circulation: 0->1->2->0 means flow -1 on stored (0,2)
-        f = FlowState(np.array([1.0, 1.0, -1.0]), np.zeros(3))
-        assert np.abs(residual(f, g)).max() == 0.0
+        assert np.abs(residual_of_vector(np.array([1.0, 1.0, -1.0]), g)).max() == 0.0
+
+    def test_edge_subset(self):
+        g = WeightedGraph(3, [(0, 1), (1, 2), (0, 2)])
+        flow = np.array([1.0, 2.0, 4.0])
+        assert residual_of_vector(flow, g, [1, 2]).tolist() == [4.0, 2.0, -6.0]
 
     def test_linear(self, rng):
         g = random_connected_graph(rng, 10, 8)
@@ -160,14 +158,26 @@ class TestLaplacian:
 
 
 class TestEnergy:
+    """The energy an electrical flow reports is sum_e r(e) f(e)^2 of its flow,
+    on paths, where the flow is fixed by the demand."""
+
     def test_zero(self):
-        assert energy(np.zeros(2), [1.0, 1.0]) == 0.0
+        g = WeightedGraph(3, [(0, 1), (1, 2)], resistance=[1.0, 1.0])
+        res = electrical_flow(g, np.zeros(3), 1e-6)
+        assert res.energy == 0.0 and not res.flow.any()
 
     def test_unit(self):
-        assert energy(np.ones(2), [1.0, 1.0]) == 2.0
+        g = WeightedGraph(3, [(0, 1), (1, 2)], resistance=[1.0, 1.0])
+        res = electrical_flow(g, st_demand(3, 0, 2, 1.0), 1e-6)
+        assert res.flow.tolist() == pytest.approx([1.0, 1.0])
+        assert res.energy == pytest.approx(2.0)
 
     def test_signed(self):
-        assert energy(np.array([1.0, -1.0]), [2.0, 3.0]) == 5.0
+        # stored (0, 2) and (1, 2): the path 0 -> 2 -> 1 runs against the second
+        g = WeightedGraph(3, [(0, 2), (2, 1)], resistance=[2.0, 3.0])
+        res = electrical_flow(g, st_demand(3, 0, 1, 1.0), 1e-6)
+        assert res.flow.tolist() == pytest.approx([1.0, -1.0])
+        assert res.energy == pytest.approx(5.0)
 
 
 class TestDemand:

@@ -338,6 +338,16 @@ class TestApproxMaxFlow:
             approx_max_flow(g, part, None, int(interior[0]), 15, 0.1,
                             RunConfig(eps=0.1, r=8))
 
+    @pytest.mark.parametrize("entry", ["approx_max_flow", "route_fixed_flow"])
+    def test_config_at_another_eps_rejected(self, entry, monkeypatch):
+        g = random_capacity_grid(8, 8, seed=1)
+        part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g)
+        monkeypatch.setattr(pipeline, "_oracle_phase", lambda *a, **k: pytest.fail("phase ran"))
+        amount = (1.0,) if entry == "route_fixed_flow" else ()
+        with pytest.raises(GraphError, match=r"eps = 0\.2 but config\.eps = 0\.1"):
+            getattr(pipeline, entry)(g, part, None, 0, 63, *amount, 0.2,
+                                     RunConfig(eps=0.1, seed=1))
+
 
 class TestCutCertificate:
     def run_fail(self, g, part, amount, eps=0.1, seed=1):

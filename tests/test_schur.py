@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sepflow import (GraphError, GridSpec, ParseError, SparseLaplacian, ValidationError,
-                     approx_schur, exact_schur, grid_graph, load_sparsifier,
-                     one_step_vertex_sparsify, recursive_vertex_sparsify, save_sparsifier,
-                     separator_tree_for_grid_block, sparsify, spectral_bounds, weight_floor)
+from sepflow import (GraphError, GridSpec, SparseLaplacian, ValidationError, approx_schur,
+                     exact_schur, grid_graph, one_step_vertex_sparsify,
+                     recursive_vertex_sparsify, separator_tree_for_grid_block, sparsify,
+                     spectral_bounds, weight_floor)
 
 from conftest import gen_eig_range, partial_elimination_schur, random_connected_graph
 
@@ -318,26 +318,3 @@ class TestSchurIdentities:
             se = np.linalg.eigvalsh(schur)
             assert se[1] >= le[1] - 1e-9
             assert se[-1] <= n * le[-1] + 1e-9
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        lap, _ = block_lap(5, 5)
-        perim = np.array([v for v in range(25) if v // 5 in (0, 4) or v % 5 in (0, 4)])
-        vs = one_step_vertex_sparsify(lap, perim, 0.2, seed=7)
-        path = tmp_path / "vs.txt"
-        save_sparsifier(vs, path)
-        loaded = load_sparsifier(path)
-        assert loaded.provenance == "one-step"
-        assert np.array_equal(loaded.boundary, vs.boundary)
-        assert np.allclose(loaded.laplacian.dense(), vs.laplacian.dense())
-
-    @pytest.mark.parametrize("text, line", [("vs 2 0.1 one-step\n", 2),
-                                            ("vs 2 0.1\nids 0 1\n", 1),
-                                            ("vs x 0.1 one-step\nids 0 1\n", 1),
-                                            ("vs 2 0.1 one-step\nids 0 1\ne 0 y 1.0\n", 3)])
-    def test_malformed_file_names_its_line(self, tmp_path, text, line):
-        path = tmp_path / "bad.vs"
-        path.write_text(text)
-        with pytest.raises(ParseError, match=f"line {line}: "):
-            load_sparsifier(path)
