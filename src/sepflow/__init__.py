@@ -26,7 +26,6 @@ from .graphs import (
     edge_congestions,
     edge_group_ids,
     group_congestions,
-    laplacian_from_resistances,
     residual_of_vector,
     st_demand,
     zero_sum_demand,
@@ -37,7 +36,6 @@ from .solver import (
     SolverHandle,
     electrical_flow,
     optimum_energy,
-    solve_sdd,
 )
 from .config import RunConfig, substream
 from .dimacs import load_dimacs, save_dimacs

@@ -36,7 +36,7 @@ def _parse_grid(spec_str):
 def _build_instance(args):
     """Returns (graph, s, t, partition)."""
     if args.input:
-        g, s, t = load_dimacs(args.input, weights_path=args.weights)
+        g, s, t = load_dimacs(args.input)
         if args.source is not None:
             s = args.source
         if args.sink is not None:
@@ -66,8 +66,8 @@ def _build_instance(args):
     return g, s, t, part
 
 
-def _result_json(res, cut_value=None):
-    out = {
+def _result_json(res):
+    return {
         "flow_value": res.value,
         "eps": res.eps,
         "iterations_outer": res.stats.iterations_outer,
@@ -78,9 +78,6 @@ def _result_json(res, cut_value=None):
         "counters": res.stats.counters(),
         "seed": res.seed,
     }
-    if cut_value is not None:
-        out["cut_value"] = cut_value
-    return out
 
 
 def cmd_maxflow(args):
@@ -190,7 +187,6 @@ def build_parser():
 
     mf = sub.add_parser("maxflow", help="compute an approximate maximum s-t flow")
     mf.add_argument("--input", help="extended DIMACS file")
-    mf.add_argument("--weights", help="sidecar per-edge weights file")
     mf.add_argument("--grid", help="ROWSxCOLS grid instance")
     mf.add_argument("--layers", type=int, default=1)
     mf.add_argument("--random-capacities", action="store_true",

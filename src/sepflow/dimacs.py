@@ -2,9 +2,7 @@
 
 Header ``p max <n> <m>``; node lines ``n <id> s|t``; arc lines
 ``a <tail> <head> <capacity>`` read as undirected edges.  Vertex ids are
-1-based in files (the DIMACS convention) and 0-based in memory.  An optional
-sidecar weights file carries one positive real per edge in arc-line order;
-absent weights default to 1.
+1-based in files (the DIMACS convention) and 0-based in memory.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from .errors import ParseError
 from .graphs import WeightedGraph
 
 
-def load_dimacs(path, weights_path=None):
+def load_dimacs(path):
     """Parse a DIMACS file; returns (graph, s, t).
 
     A vertex id outside ``1..n`` on an ``n`` or ``a`` line raises
@@ -67,25 +65,12 @@ def load_dimacs(path, weights_path=None):
             raise ParseError(f"line {lineno}: vertex id {v + 1} is outside 1..{n}")
     if len(edges) != m:
         raise ParseError(f"header declares {m} arcs, file has {len(edges)}")
-    weight = None
-    if weights_path is not None:
-        vals = []
-        with open(weights_path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                for tok in raw.split():
-                    try:
-                        vals.append(float(tok))
-                    except ValueError as exc:
-                        raise ParseError(f"weights line {lineno}: bad value '{tok}'") from exc
-        if len(vals) != len(edges):
-            raise ParseError(f"weights file has {len(vals)} entries for {len(edges)} edges")
-        weight = np.asarray(vals)
     g = WeightedGraph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                      capacity=np.asarray(caps), weight=weight)
+                      capacity=np.asarray(caps))
     return g, s, t
 
 
-def save_dimacs(g: WeightedGraph, path, s=None, t=None, weights_path=None):
+def save_dimacs(g: WeightedGraph, path, s=None, t=None):
     """Write the graph as extended DIMACS (1-based ids)."""
     with open(path, "w") as fh:
         fh.write(f"p max {g.n} {g.m}\n")
@@ -95,7 +80,3 @@ def save_dimacs(g: WeightedGraph, path, s=None, t=None, weights_path=None):
             fh.write(f"n {int(t) + 1} t\n")
         for a, b, c in zip(g.tails, g.heads, g.capacity):
             fh.write(f"a {int(a) + 1} {int(b) + 1} {float(c)!r}\n")
-    if weights_path is not None:
-        with open(weights_path, "w") as fh:
-            for w in g.weight:
-                fh.write(f"{float(w)!r}\n")

@@ -408,11 +408,10 @@ class SparseLaplacian:
     def n(self):
         return self.matrix.shape[0]
 
-    def edge_list(self, drop_tol=0.0):
+    def edge_list(self):
         """Off-diagonal structure as (tails, heads, weights), weights = -L(u,v).
 
-        Entries with weight <= drop_tol * max_weight are dropped (exact zeros
-        from clamping, and float dust when a tolerance is given).  The raw
+        Entries with weight <= 0 (exact zeros from clamping) are dropped.  The
         triple is cached; instances are treated as immutable.
         """
         if self._edge_cache is None:
@@ -420,11 +419,7 @@ class SparseLaplacian:
             w = -coo.data
             keep = w > 0
             object.__setattr__(self, "_edge_cache", (coo.row[keep], coo.col[keep], w[keep]))
-        row, col, w = self._edge_cache
-        if drop_tol > 0 and w.size:
-            keep = w > drop_tol * w.max(initial=0.0)
-            return row[keep], col[keep], w[keep]
-        return row, col, w
+        return self._edge_cache
 
     def weights(self):
         _, _, w = self.edge_list()
@@ -472,13 +467,3 @@ class SparseLaplacian:
         mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         mat.sum_duplicates()
         return SparseLaplacian(mat)
-
-
-def laplacian_from_resistances(g: WeightedGraph, r=None) -> SparseLaplacian:
-    """Graph Laplacian with conductances 1/r(e); L = B^T R^{-1} B."""
-    r = g.resistance if r is None else np.asarray(r, dtype=float)
-    if r is None:
-        raise GraphError("graph has no resistance vector and none was supplied")
-    if np.any(r <= 0) or not np.all(np.isfinite(r)):
-        raise GraphError("resistances must be strictly positive and finite")
-    return SparseLaplacian(g.laplacian_csr(1.0 / r))

@@ -67,7 +67,7 @@ from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
 from .maxflow import widest_path_bottleneck
 from .partition import Partition
 from .schur import GroupElimination, GroupTopology
-from .solver import SOLVER_COUNTERS, LaggedFactor, SolverHandle, solve_sdd
+from .solver import SOLVER_COUNTERS, LaggedFactor, SolverHandle
 
 
 # -- oracle edge weights -------------------------------------------------------
@@ -513,19 +513,24 @@ class SweptCutFail:
     demand: np.ndarray  # the requested s-t demand, on global ids
 
 
+def _lifted_potentials(inst: SparsifiedInstance, resistances, d_q):
+    """Potentials of the quotient demand ``d_q`` on the quotient at
+    ``resistances``, by one exact solve, lifted harmonically into every group
+    interior (on the direct route, G's own potentials)."""
+    phi = np.zeros(inst.graph.n)
+    phi[inst.quotient_vertices] = SolverHandle(inst.quotient_graph, 1.0 / resistances).solve(d_q)
+    return inst.extend(phi)
+
+
 def _swept_cut(inst: SparsifiedInstance, d, s, t):
     """Sweep of the quotient's electrical potentials at its grouped-flow
-    weights, lifted harmonically into every group interior (on the direct
-    route, G's own potentials).
+    weights.
 
     Grouped flow's first iterate routes ``d`` under these resistances times
     one constant, so this is the ordering its first electrical flow gives.
     """
-    q = inst.quotient_graph
-    phi = np.zeros(inst.graph.n)
-    phi[inst.quotient_vertices] = SolverHandle.for_graph(q, 1.0 / q.weight).solve(
-        inst.quotient_demand(d))
-    return sweep_cut(inst.graph, inst.extend(phi), s, t)
+    phi = _lifted_potentials(inst, inst.quotient_graph.weight, inst.quotient_demand(d))
+    return sweep_cut(inst.graph, phi, s, t)
 
 
 # Constants of the outer oracle loop and of its inner grouped-flow calls.
@@ -755,11 +760,13 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     (the CLI reports it as ``"partial"`` and exits 3).  A phase that found
     no flow at all raises ``SolverConvergenceError``.  An amount that is not
     finite and positive, or a ``config`` at another ``eps``, raises
-    ``GraphError`` before any work.
+    ``GraphError``, and a disconnected ``g`` ``DisconnectedGraphError``,
+    before any work.
     """
     if not (math.isfinite(flow_amount) and flow_amount > 0):
         raise GraphError(f"flow amount must be finite and positive, not {flow_amount!r}")
     config = _run_config(config, eps)
+    g.require_connected("fixed-flow routing")
     plan = plan or SparsifierPlan()
     stats = MaxFlowRunStats(route=plan.method)
     phase_seed, lag = substream(config.seed, "fixed"), LaggedFactor()
@@ -834,16 +841,10 @@ def _energy_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps
     d = np.zeros(g.n)
     d[instance.quotient_vertices] = fail.demand
 
-    # high-accuracy potentials of the failing electrical problem on the quotient
-    q = instance.quotient_graph
-    lap_q = q.laplacian_csr(1.0 / fail.resistances)
-    phi_q = solve_sdd(lap_q, d[instance.quotient_vertices], delta=1e-10)
-
-    phi = np.zeros(g.n)
-    phi[instance.quotient_vertices] = phi_q
-    # the failing resistances (w_grp(i) + (eps/k) mu) * weights scale each
-    # group by one constant, which leaves its harmonic extension unchanged
-    phi = instance.extend(phi)
+    # exact potentials of the failing electrical problem on the quotient; the
+    # failing resistances (w_grp(i) + (eps/k) mu) * weights scale each group
+    # by one constant, which leaves its harmonic extension unchanged
+    phi = _lifted_potentials(instance, fail.resistances, fail.demand)
 
     grad = np.abs(phi[g.tails] - phi[g.heads])
     a_total = float(g.capacity @ grad)

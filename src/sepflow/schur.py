@@ -23,7 +23,7 @@ reference by ``np.linalg.solve``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,8 +141,9 @@ def _clean_stack(a, tol=1e-13):
 
 
 def _check_clamp(a, eps):
-    """Positive off-diagonal mass of each matrix of a stack; raises ValidationError
-    when it exceeds eps/10 of the trace, so the cost of the clamp stays observable."""
+    """Raise ValidationError when the positive off-diagonal mass of a matrix of
+    the stack exceeds eps/10 of its trace, so the cost of the clamp stays
+    observable."""
     diag = np.arange(a.shape[1])
     trace = a[:, diag, diag].sum(axis=1)
     off = a.copy()
@@ -153,7 +154,6 @@ def _check_clamp(a, eps):
         i = bad[0]
         raise ValidationError(
             f"clamped positive off-diagonal mass {clamp[i]:.3e} exceeds eps/10 of trace {trace[i]:.3e}")
-    return clamp
 
 
 def _eliminate(lap, nb):
@@ -207,10 +207,8 @@ def approx_schur(lap: SparseLaplacian, v_bdry, eps: float) -> SparseLaplacian:
             raise GraphError("interior block is not positive definite") from exc
         rows = np.searchsorted(bdry, verts[local_bdry])
         out[np.ix_(rows, rows)] += schur[0]
-    clamp_mass = float(_check_clamp(out[None], eps)[0])
-    result = SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]))
-    result.meta = {"clamp_mass": clamp_mass}
-    return result
+    _check_clamp(out[None], eps)
+    return SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]))
 
 
 # -- spectral edge sparsification ---------------------------------------------
@@ -225,7 +223,7 @@ def _effective_resistances(lap: SparseLaplacian, tails, heads, eps, rng):
         return d[tails] + d[heads] - 2.0 * pinv[tails, heads]
     k = max(8, int(math.ceil(SKETCH_OVERSAMPLE * math.log(n))))
     w = lap.weights()
-    handle = SolverHandle(lap.matrix)
+    handle = SolverHandle(WeightedGraph(n, np.column_stack([tails, heads])), w)
     sqw = np.sqrt(w)
     m = tails.size
     proj = rng.choice([-1.0, 1.0], size=(m, k)) / math.sqrt(k)
@@ -291,11 +289,9 @@ class VertexSparsifier:
     laplacian: SparseLaplacian
     boundary: np.ndarray  # sorted global vertex ids; row i <-> boundary[i]
     eps: float
-    provenance: str  # "one-step" | "recursive"
     source_weight_ratio: float
     source_n: int
     c_s: float = SPARSIFY_EDGE_FACTOR
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_boundary(self):
@@ -347,11 +343,9 @@ def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int
         laplacian=floored,
         boundary=bdry,
         eps=eps,
-        provenance="one-step",
         source_weight_ratio=u_in,
         source_n=lap.n,
         c_s=c_s,
-        meta={"kappa": bounds.kappa, "lam_min": bounds.lam_min},
     )
 
 
@@ -410,11 +404,9 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
         laplacian=floored,
         boundary=out_bdry,
         eps=eps,
-        provenance="recursive",
         source_weight_ratio=u_in,
         source_n=lap.n,
         c_s=c_s,
-        meta={"kappa": bounds.kappa, "eps_step": eps_step, "depth": depth},
     )
 
 

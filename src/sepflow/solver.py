@@ -1,14 +1,14 @@
-"""SDD / Laplacian linear solves and demand-exact approximate electrical flows.
+"""Laplacian linear solves and demand-exact approximate electrical flows.
 
-A ``SolverHandle`` factors its matrix exactly, with each component's root
-row and column removed (dense Cholesky up to ``DENSE_CUTOFF`` unknowns,
-sparse LU above), so a fresh handle meets the contract
-``|x - A^+ b|_A <= delta * |A^+ b|_A`` with one factor application.  A
-handle rebound to a nearby matrix of the same structure keeps the old factor
-as the preconditioner of conjugate gradients on one right-hand side at a
-time, whose stopping rule is the standard CG quadrature estimate of the
-A-norm error, so the contract is targeted directly rather than through a
-2-norm residual proxy.
+A ``SolverHandle`` factors the Laplacian of one graph at given conductances
+exactly, with each component's root row and column removed (dense Cholesky
+up to ``DENSE_CUTOFF`` unknowns, sparse LU above), so a fresh handle meets
+the contract ``|x - A^+ b|_A <= delta * |A^+ b|_A`` with one factor
+application.  A handle rebound to new conductances on the same graph keeps
+the old factor as the preconditioner of conjugate gradients on one
+right-hand side at a time, whose stopping rule is the standard CG
+quadrature estimate of the A-norm error, so the contract is targeted
+directly rather than through a 2-norm residual proxy.
 
 A ``LaggedFactor`` carries one such factor across a whole sequence of nearby
 Laplacians on one graph structure (lagged preconditioning), refreshing it
@@ -34,12 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import GraphError, SolverConvergenceError
-from .graphs import (SparseLaplacian, WeightedGraph, csr_matvec, laplacian_from_resistances,
-                     zero_sum_demand)
+from .graphs import WeightedGraph, _as_float_vector, csr_matvec, zero_sum_demand
 
 _EPS = np.finfo(float).eps
 
@@ -63,13 +61,13 @@ def _as_slice(idx):
 
 
 class _Factor:
-    """Exact factor of a matrix with each component's root row and column
-    removed (none for a non-Laplacian): dense Cholesky up to ``DENSE_CUTOFF``
-    unknowns, sparse LU above.  Applies as zeros at the roots.
+    """Exact factor of a Laplacian with each component's root row and column
+    removed: dense Cholesky up to ``DENSE_CUTOFF`` unknowns, sparse LU above.
+    Applies as zeros at the roots.
 
     Kept vertices that form one contiguous range (a connected Laplacian with
-    its root at vertex 0, or a non-Laplacian) are grounded and applied by
-    slicing rather than fancy indexing.
+    its root at vertex 0) are grounded and applied by slicing rather than
+    fancy indexing.
 
     The grounded matrix is symmetric positive definite, so the LU takes a
     symmetric fill-reducing ordering (minimum degree on ``A^T + A``) and
@@ -102,121 +100,71 @@ class _Factor:
 
 
 class SolverHandle:
-    """Shareable solver state for one fixed symmetric diagonally dominant matrix.
+    """Shareable solver state for the Laplacian of one graph at fixed
+    per-edge conductances.
 
-    A fresh handle solves exactly, with one application of its factor.  A
-    handle made by ``rebind`` runs PCG on one right-hand side at a time,
-    preconditioned by the factor of the handle it was rebound from;
-    ``iteration_cap`` caps that PCG.  Its products with the matrix run on
-    the CSR arrays directly (``matvec``), into preallocated vectors.
+    ``SolverHandle(g, conductance)`` builds the Laplacian on ``g``'s cached
+    pattern (``laplacian_csr``), grounds each of
+    ``g.components()`` at its first vertex, and factors it; a fresh handle
+    solves exactly, with one application of that factor.  A handle made by
+    ``rebind`` runs PCG on one right-hand side at a time, preconditioned by
+    the factor of the handle it was rebound from; ``iteration_cap`` caps that
+    PCG.  Its products with the matrix run on the CSR arrays directly
+    (``matvec``), into preallocated vectors.
 
     Immutable after construction; each solve allocates private workspace, so
     concurrent solves against one handle are safe.  Repeated solves with the
     same right-hand side and arguments are bit-identical.
     """
 
-    def __init__(self, matrix, iteration_cap=None, _components=None):
-        if isinstance(matrix, SparseLaplacian):
-            matrix = matrix.matrix
-        a = sp.csr_matrix(matrix).astype(float)
-        if a.shape[0] != a.shape[1]:
-            raise GraphError("matrix must be square")
-        self._set_matrix(a)
-        self.n = n = a.shape[0]
+    def __init__(self, g: WeightedGraph, conductance, iteration_cap=None):
+        a = g.laplacian_csr(_as_float_vector(conductance, g.m, "conductance"))
+        self._indptr, self._indices, self._data = a.indptr, a.indices, a.data
+        self.n = n = g.n
 
         diag = a.diagonal()
         if np.any(diag <= 0):
-            raise GraphError("matrix diagonal must be strictly positive")
-        rows = np.repeat(np.arange(n), np.diff(a.indptr))
-        if np.any(a.data[rows != a.indices] > 0):
-            raise GraphError("matrix has positive off-diagonal entries; not SDD")
-
-        rowsum = np.asarray(a.sum(axis=1)).ravel()
-        no_excess = np.abs(rowsum) <= 1e-9 * max(diag.max(initial=1.0), 1.0)
-        self.is_laplacian = bool(no_excess.all())
-        if no_excess.any() and _components is None:
-            _components = sp.csgraph.connected_components(a, directed=False)
-        if self.is_laplacian:
-            nc, labels = _components
-            comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
-            self._comp_index = [_as_slice(idx) for idx in comp_index]
-            keep = np.ones(n, dtype=bool)
-            keep[[idx[0] for idx in comp_index]] = False
-            keep = np.flatnonzero(keep)
-        else:
-            if no_excess.any():
-                # an SDD component without diagonal excess is singular
-                nc, labels = _components
-                if np.any(np.bincount(labels[~no_excess], minlength=nc) == 0):
-                    raise GraphError("matrix is singular: a component has no diagonal excess")
-            self._comp_index = []
-            keep = np.arange(n)
-        self._factor = _Factor(a, keep)
+            raise GraphError(f"vertex {int(np.argmax(diag <= 0))} is isolated; "
+                             "every vertex needs an edge")
+        nc, labels = g.components()
+        comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
+        self._comp_index = [_as_slice(idx) for idx in comp_index]
+        keep = np.ones(n, dtype=bool)
+        keep[[idx[0] for idx in comp_index]] = False
+        self._factor = _Factor(a, np.flatnonzero(keep))
         self._exact_direct = True
 
         kappa_est = 4.0 * n ** 2 * diag.max() / diag.min()
         self.iteration_cap = iteration_cap if iteration_cap is not None else int(20 * np.sqrt(kappa_est) + 1000)
-
-    @classmethod
-    def for_graph(cls, g: WeightedGraph, conductance):
-        """Laplacian handle reusing the graph's cached components."""
-        return cls(g.laplacian_csr(conductance), _components=g.components())
-
-    def _set_matrix(self, a):
-        self._matrix = a
-        self._indptr, self._indices, self._data = a.indptr, a.indices, a.data
-
-    @property
-    def matrix(self):
-        """The matrix as a scipy CSR matrix (built on first use for a handle
-        rebound to values alone)."""
-        if self._matrix is None:
-            self._matrix = sp.csr_matrix((self._data, self._indices, self._indptr),
-                                         shape=(self.n, self.n))
-        return self._matrix
 
     def matvec(self, x, out=None):
         """``A @ x`` for a vector ``x``, written into ``out`` when given."""
         return csr_matvec(self._indptr, self._indices, self._data, self.n, np.asarray(x),
                           np.empty(self.n) if out is None else out)
 
-    def rebind(self, matrix):
-        """Handle for a same-structure matrix whose solves run PCG,
-        preconditioned by this handle's factor (lagged preconditioning).
+    def rebind(self, values):
+        """Handle for the same graph at new conductances whose solves run
+        PCG, preconditioned by this handle's factor (lagged preconditioning).
 
-        ``matrix`` is the new matrix, or a 1-D float64 array of its values
-        over this handle's sparsity pattern (the ``data`` of a CSR matrix
-        with this handle's ``indices`` and ``indptr``, as
-        ``WeightedGraph.laplacian_data`` gives for a handle made by
-        ``for_graph``); then no scipy matrix is built.  A float64 CSR matrix
-        of the handle's shape is kept as it is, not copied, so it must not
-        change afterwards; anything else is converted.  Rebinding a rebound
-        handle keeps the original factor.
+        ``values`` is the new Laplacian's ``data`` over the graph's cached
+        pattern, as ``WeightedGraph.laplacian_data`` gives it: a 1-D float64
+        array, kept as it is, not copied, so it must not change afterwards.
+        Rebinding a rebound handle keeps the original factor.
         """
+        if not (isinstance(values, np.ndarray) and values.shape == self._data.shape
+                and values.dtype == np.float64):
+            raise GraphError(f"rebound values must be {self._data.size} float64 entries, "
+                             "one per stored entry of the pattern")
         clone = object.__new__(SolverHandle)
         clone.__dict__.update(self.__dict__)
         clone._exact_direct = False
-        if isinstance(matrix, np.ndarray) and matrix.ndim == 1:
-            if matrix.shape != self._data.shape or matrix.dtype != np.float64:
-                raise GraphError(f"rebound values must be {self._data.size} float64 entries, "
-                                 "one per stored entry of the pattern")
-            clone._matrix, clone._data = None, matrix
-            return clone
-        if isinstance(matrix, SparseLaplacian):
-            matrix = matrix.matrix
-        if not (sp.issparse(matrix) and matrix.format == "csr" and matrix.dtype == np.float64):
-            matrix = sp.csr_matrix(matrix, dtype=float)
-        if matrix.shape != (self.n, self.n):
-            raise GraphError(f"rebound matrix must have shape {(self.n, self.n)}, not {matrix.shape}")
-        clone._set_matrix(matrix)
+        clone._data = values
         return clone
 
     # -- helpers ---------------------------------------------------------------
 
     def _project(self, v):
         """Remove per-component constant part (Laplacian null space)."""
-        if not self.is_laplacian:
-            return v
         out = np.array(v, dtype=float)
         for idx in self._comp_index:
             out[idx] -= out[idx].mean(axis=0)
@@ -249,10 +197,8 @@ class SolverHandle:
                 raise GraphError("a rebound handle solves one right-hand side at a time")
             return self._pcg(b, float(delta), x0)
         bmat = b[:, None] if b.ndim == 1 else b
-        if self.is_laplacian:
-            self._check_range(bmat)
-            bmat = self._project(bmat)
-        x = self._project(self._factor.apply(bmat))
+        self._check_range(bmat)
+        x = self._project(self._factor.apply(self._project(bmat)))
         return (x[:, 0] if b.ndim == 1 else x), SolveStats(iterations=1)
 
     def _pcg(self, b, delta, x0):
@@ -264,9 +210,8 @@ class SolverHandle:
         after two consecutive steps far below that target, or once the
         residual has sat at the float64 floor for a whole window.
         """
-        if self.is_laplacian:
-            self._check_range(b)
-            b = self._project(b)
+        self._check_range(b)
+        b = self._project(b)
         matvec, precondition = self.matvec, self._factor.apply
         # z is the preconditioned residual, rewritten in place every step
         ap, work, z = np.empty(self.n), np.empty(self.n), np.zeros(self.n)
@@ -369,7 +314,7 @@ class LaggedFactor:
             return self.handle.rebind(g.laplacian_data(conductance))
         self.factorizations += 1
         self.handle = None  # free the old factor first: less heap to grow
-        handle = SolverHandle.for_graph(g, conductance)
+        handle = SolverHandle(g, conductance)
         if g.n > DENSE_CUTOFF:
             self.handle, self.structure, self.age = handle, g._structure, 0
         return handle
@@ -386,12 +331,6 @@ class LaggedFactor:
         return {name: getattr(self, name) for name in SOLVER_COUNTERS}
 
 
-def solve_sdd(a, b, delta, x0=None):
-    """One-shot strictly-SDD / Laplacian solve meeting the A-norm contract."""
-    handle = a if isinstance(a, SolverHandle) else SolverHandle(a)
-    return handle.solve(b, delta=delta, x0=x0)
-
-
 @dataclass
 class ElectricalFlowResult:
     """Demand-exact approximate electrical flow with its potentials."""
@@ -401,6 +340,14 @@ class ElectricalFlowResult:
     energy: float
     optimum_estimate: float
     stats: SolveStats = field(default_factory=SolveStats)
+
+
+def _resistances(g: WeightedGraph, resistances):
+    """``resistances``, or the graph's own when None, as a checked vector."""
+    r = g.resistance if resistances is None else resistances
+    if r is None:
+        raise GraphError("no resistances on graph and none supplied")
+    return _as_float_vector(r, g.m, "resistance")
 
 
 def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hint=None,
@@ -415,18 +362,14 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
     """
     g.require_connected("electrical flow")
     d = zero_sum_demand(d, g.n)
-    r = g.resistance if resistances is None else np.asarray(resistances, dtype=float)
-    if r is None:
-        raise GraphError("no resistances on graph and none supplied")
-    if np.any(r <= 0) or not np.all(np.isfinite(r)):
-        raise GraphError("resistances must be strictly positive and finite")
+    r = _resistances(g, resistances)
     delta = float(delta)
     if delta <= 0:
         raise GraphError("delta must be positive")
 
     cond = 1.0 / r
     if handle is None:
-        handle = SolverHandle.for_graph(g, cond)
+        handle = SolverHandle(g, cond)
 
     if not np.any(d):
         return ElectricalFlowResult(np.zeros(g.m), np.zeros(g.n), 0.0, 0.0)
@@ -462,6 +405,4 @@ def optimum_energy(g: WeightedGraph, d, resistances=None):
     """d^T L^+ d via an exact solve."""
     g.require_connected("optimum energy")
     d = zero_sum_demand(d, g.n)
-    lap = laplacian_from_resistances(g, resistances)
-    x = solve_sdd(lap.matrix, d, delta=1e-10)
-    return float(d @ x)
+    return float(d @ SolverHandle(g, 1.0 / _resistances(g, resistances)).solve(d))

@@ -61,6 +61,17 @@ class TestMaxflowCommand:
         assert code == 1
         assert "error: line 2" in capsys.readouterr().err
 
+    def test_disconnected_fixed_flow_exits_one(self, tmp_path, capsys):
+        # two triangles, s in one and t in the other, in one group
+        gpath, ppath = tmp_path / "g.dimacs", tmp_path / "g.part"
+        gpath.write_text("p max 6 6\nn 1 s\nn 6 t\na 1 2 1.0\na 2 3 1.0\na 1 3 1.0\n"
+                         "a 4 5 1.0\na 5 6 1.0\na 4 6 1.0\n")
+        ppath.write_text("k 1 r 16\ng 0 0 1 2 3 4 5\n")
+        code = run(["maxflow", "--input", str(gpath), "--partition", str(ppath),
+                    "--flow", "1", "--json", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "requires a connected graph" in capsys.readouterr().err
+
     def test_run_without_a_flow_exits_one(self, tmp_path, capsys, monkeypatch):
         def capped(*args, **kwargs):
             raise SolverConvergenceError("planted cap hit")

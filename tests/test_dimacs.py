@@ -24,21 +24,6 @@ class TestDimacs:
         assert g.capacity.tolist() == [4.5, 2.0]
         assert np.all(g.weight == 1.0)  # absent weights default to 1
 
-    def test_sidecar_weights(self, tmp_path):
-        path = tmp_path / "g.dimacs"
-        path.write_text("p max 2 1\nn 1 s\nn 2 t\na 1 2 3.0\n")
-        wpath = tmp_path / "g.weights"
-        wpath.write_text("0.25\n")
-        g, _, _ = load_dimacs(path, weights_path=wpath)
-        assert g.weight.tolist() == [0.25]
-
-    def test_weights_round_trip(self, tmp_path):
-        g = random_capacity_grid(4, 4, seed=1)
-        gpath, wpath = tmp_path / "g.dimacs", tmp_path / "g.w"
-        save_dimacs(g, gpath, weights_path=wpath)
-        g2, _, _ = load_dimacs(gpath, weights_path=wpath)
-        assert np.array_equal(g2.weight, g.weight)
-
     def test_header_line_numbered_errors(self, tmp_path):
         path = tmp_path / "bad.dimacs"
         path.write_text("p max 2 1\na 1 2\n")
@@ -70,11 +55,3 @@ class TestDimacs:
         path.write_text("p max 2 1\na 1 2 0\n")
         with pytest.raises(ParseError, match="line 2.*positive"):
             load_dimacs(path)
-
-    def test_weights_count_mismatch(self, tmp_path):
-        path = tmp_path / "g.dimacs"
-        path.write_text("p max 2 1\na 1 2 1.0\n")
-        wpath = tmp_path / "g.w"
-        wpath.write_text("1.0\n2.0\n")
-        with pytest.raises(ParseError, match="entries"):
-            load_dimacs(path, weights_path=wpath)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GraphError, WeightedGraph, edge_congestions, edge_group_ids,
-                     electrical_flow, group_congestions, laplacian_from_resistances,
-                     residual_of_vector, st_demand, zero_sum_demand)
+from sepflow import (GraphError, SparseLaplacian, WeightedGraph, edge_congestions,
+                     edge_group_ids, electrical_flow, group_congestions, residual_of_vector,
+                     st_demand, zero_sum_demand)
 from sepflow.graphs import csr_matvec
 
 from conftest import dense_laplacian, random_connected_graph
@@ -119,29 +119,34 @@ class TestResidual:
         assert abs(residual_of_vector(f, g).sum()) <= g.n * np.finfo(float).eps * np.abs(f).max()
 
 
+def laplacian_of_resistances(g):
+    """Dense Laplacian with conductances 1/r(e) of the graph's resistances."""
+    return g.laplacian_csr(1.0 / g.resistance).toarray()
+
+
 class TestLaplacian:
     def test_single_edge(self):
         g = WeightedGraph(2, [(0, 1)], resistance=[2.0])
-        lap = laplacian_from_resistances(g).dense()
+        lap = laplacian_of_resistances(g)
         assert np.allclose(lap, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_path(self):
-        lap = laplacian_from_resistances(path3()).dense()
+        lap = laplacian_of_resistances(path3())
         assert np.allclose(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_parallel_conductances_add(self):
         g = WeightedGraph(2, [(0, 1), (0, 1)], resistance=[1.0, 1.0])
-        assert np.allclose(laplacian_from_resistances(g).dense(), [[2, -2], [-2, 2]])
+        assert np.allclose(laplacian_of_resistances(g), [[2, -2], [-2, 2]])
 
     def test_nonpositive_resistance_rejected(self):
         g = WeightedGraph(2, [(0, 1)])
         with pytest.raises(GraphError):
-            laplacian_from_resistances(g, r=np.array([-1.0]))
+            electrical_flow(g, st_demand(2, 0, 1, 1.0), 1e-6, resistances=np.array([-1.0]))
 
     def test_row_sums_and_offdiagonals(self, rng):
         for _ in range(20):
             g = random_connected_graph(rng, 9, 6)
-            lap = laplacian_from_resistances(g)
+            lap = SparseLaplacian(g.laplacian_csr(1.0 / g.resistance))
             lap.validate()
             mat = lap.dense()
             degree = np.diag(mat)
@@ -150,7 +155,7 @@ class TestLaplacian:
     def test_quadratic_form_identity(self, rng):
         # x^T L x = sum_e (x_u - x_v)^2 / r(e), 100 random x, n <= 8
         g = random_connected_graph(rng, 8, 6)
-        mat = laplacian_from_resistances(g).dense()
+        mat = laplacian_of_resistances(g)
         for _ in range(100):
             x = rng.normal(size=g.n)
             direct = np.sum((x[g.tails] - x[g.heads]) ** 2 / g.resistance)
@@ -191,7 +196,7 @@ class TestDemand:
 
     def test_matches_dense_laplacian(self, rng):
         g = random_connected_graph(rng, 7, 5)
-        ours = laplacian_from_resistances(g).dense()
+        ours = laplacian_of_resistances(g)
         ref = dense_laplacian(g.n, g.tails, g.heads, 1.0 / g.resistance)
         assert np.allclose(ours, ref, atol=1e-14)
 

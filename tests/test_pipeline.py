@@ -3,9 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GraphError, GroupedFlowFail, GroupedFlowProblem, LaggedFactor, RunConfig,
-                     SolverConvergenceError, SparseLaplacian, SparsifierPlan, SweptCutFail,
-                     ValidationError, WeightedGraph, approx_grouped_flow, approx_max_flow,
+from sepflow import (DisconnectedGraphError, GraphError, GroupedFlowFail, GroupedFlowProblem,
+                     LaggedFactor, RunConfig, SolverConvergenceError, SparseLaplacian,
+                     SparsifierPlan, SweptCutFail, ValidationError, WeightedGraph,
+                     approx_grouped_flow, approx_max_flow,
                      build_sparsified_instance, convert_flow, cut_certificate,
                      edge_congestions, edge_group_ids, exact_max_flow_oracle, exact_schur, grid_graph,
                      grid_r_division, group_congestions, grouped_flow,
@@ -555,6 +556,18 @@ class TestSweptCutVerdict:
         monkeypatch.setattr(pipeline, "_oracle_phase", no_phase)
         with pytest.raises(GraphError, match="finite and positive"):
             route_fixed_flow(g, part, None, 0, g.n - 1, amount, 0.1)
+
+    def test_disconnected_graph_rejected_before_any_work(self, monkeypatch):
+        # two triangles, s in one and t in the other, in one group
+        g = WeightedGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        part = partition_from_groups(g, [np.arange(g.m)], r=16, terminals=(0, 5))
+
+        def no_phase(*args, **kwargs):
+            raise AssertionError("a phase ran")
+
+        monkeypatch.setattr(pipeline, "_oracle_phase", no_phase)
+        with pytest.raises(DisconnectedGraphError, match="requires a connected graph"):
+            route_fixed_flow(g, part, None, 0, 5, 1.0, 0.1)
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sepflow import (GraphError, GridSpec, SparseLaplacian, ValidationError, approx_schur,
                      exact_schur, grid_graph, one_step_vertex_sparsify,
@@ -109,12 +110,13 @@ class TestApproxSchur:
         with pytest.raises(GraphError):
             approx_schur(lap, [0, 2], 0.7)
 
-    def test_clamp_mass_recorded(self, rng):
-        g = random_connected_graph(rng, 20, 15)
-        lap = lap_of(g)
-        s = approx_schur(lap, np.arange(5), 0.2)
-        assert "clamp_mass" in s.meta
-        assert s.meta["clamp_mass"] >= 0.0
+    def test_clamp_beyond_a_tenth_of_eps_raises(self):
+        # the path 0 - 2 - 1 plus a positive (0, 1) entry of 1: the Schur
+        # complement onto {0, 1} is 0.5 everywhere, so the clamped mass
+        # equals its trace
+        a = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
+        with pytest.raises(ValidationError, match="clamped positive off-diagonal mass"):
+            approx_schur(SparseLaplacian(sp.csr_matrix(a)), [0, 1], 0.2)
 
 
 class TestSparsify:
