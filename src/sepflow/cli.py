@@ -82,7 +82,7 @@ def _result_json(res):
 
 def cmd_maxflow(args):
     g, s, t, part = _build_instance(args)
-    config = RunConfig(eps=args.eps, r=args.r, seed=args.seed, strict_paper=args.strict_paper)
+    config = RunConfig(eps=args.eps, r=args.r, seed=args.seed)
 
     if args.flow is not None:
         res, fail_ctx = route_fixed_flow(g, part, None, s, t, args.flow, args.eps, config=config)
@@ -198,7 +198,6 @@ def build_parser():
     mf.add_argument("--source", type=int)
     mf.add_argument("--sink", type=int)
     mf.add_argument("--flow", type=float, help="fixed-flow mode: route this amount or emit a cut")
-    mf.add_argument("--strict-paper", action="store_true")
     mf.add_argument("--trace", help="write outer-iteration trace CSV here")
     mf.add_argument("--emit-flow", help="write the flow vector CSV here")
     mf.add_argument("--emit-cut", help="write the cut vertex set here")

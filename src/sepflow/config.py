@@ -34,16 +34,14 @@ class RunConfig:
     ``eps`` must equal the ``eps`` passed to ``approx_max_flow`` or
     ``route_fixed_flow``, which reject a mismatch.  ``r`` is only validated:
     the partition's own ``r`` sets the outer width.  ``seed`` roots every
-    random substream of the run, ``strict_paper`` switches to the paper's
-    fixed widths and iteration counts, and ``max_outer_iterations`` and
-    ``max_probes`` cap the outer loop and the flow-amount search.  The
-    algorithm's other constants live in ``pipeline``.
+    random substream of the run, and ``max_outer_iterations`` and
+    ``max_probes`` cap each phase's outer loop and the flow-amount search.
+    The algorithm's other constants live in ``pipeline``.
     """
 
     eps: float = 0.1
     r: int = 32
     seed: int = 0
-    strict_paper: bool = False
     max_outer_iterations: int = 40
     max_probes: int = 16
 

@@ -302,8 +302,17 @@ def zero_sum_demand(d, n=None, tol=1e-9):
     return d
 
 
+def check_terminals(n, terminals):
+    """Raise ``GraphError`` naming the first terminal that is not a vertex id in ``0..n-1``."""
+    for v in terminals:
+        if not 0 <= v < n:
+            raise GraphError(f"terminal {v} is not a vertex id in 0..{n - 1}")
+
+
 def st_demand(n, s, t, amount):
-    """Demand vector routing ``amount`` units from s (+) to t (-)."""
+    """Demand vector routing ``amount`` units from s (+) to t (-); s and t
+    must be distinct vertex ids in ``0..n-1``."""
+    check_terminals(n, (s, t))
     if s == t:
         raise GraphError("source and sink coincide")
     d = np.zeros(n)

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphError, ParseError, ValidationError
-from .graphs import WeightedGraph, edge_group_ids, group_ids
+from .graphs import WeightedGraph, check_terminals, edge_group_ids, group_ids
 from .grids import GridSpec, grid_graph
 
 DEFAULT_C_DIV = 4.0
@@ -70,6 +70,7 @@ def _boundary_sets(g: WeightedGraph, groups, terminals):
     """Per-group boundary/interior per the definition: a vertex is boundary of a
     group iff it touches the group and also touches another group (or is a
     designated terminal)."""
+    check_terminals(g.n, terminals)
     try:
         gid = edge_group_ids(groups, g.m)
     except GraphError as exc:
@@ -79,8 +80,7 @@ def _boundary_sets(g: WeightedGraph, groups, terminals):
     keys = np.unique(np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads]))
     owner, verts = np.divmod(keys, g.n)
     is_bdry = np.bincount(verts, minlength=g.n) > 1
-    term = np.asarray(terminals, dtype=np.int64)
-    is_bdry[term[(term >= 0) & (term < g.n)]] = True
+    is_bdry[np.asarray(terminals, dtype=np.int64)] = True
     on_bdry = is_bdry[verts]
     cuts = np.searchsorted(owner, np.arange(k + 1))
     boundaries, interiors = [], []

@@ -196,7 +196,6 @@ class SparsifiedInstance:
     graph: WeightedGraph
     partition: Partition
     weights: np.ndarray  # grouped-flow weights on original edges
-    eps: float
     quotient_graph: WeightedGraph
     quotient_groups: list
     quotient_vertices: np.ndarray  # quotient-local -> global id
@@ -286,12 +285,12 @@ def _identity(n):
     return np.lib.stride_tricks.as_strided(np.arange(n), writeable=False)
 
 
-def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights, eps,
+def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights,
                      stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """A phase's grouped-flow problem on G itself: G at ``weights`` with the
     partition's groups (``group_of_edge`` from ``edge_group_ids``), identity
     vertex map, nothing eliminated."""
-    return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
+    return SparsifiedInstance(graph=g, partition=part, weights=weights,
                               quotient_graph=g.reweighted(weights), quotient_groups=part.groups,
                               quotient_vertices=_identity(g.n), elimination=None,
                               group_of_edge=group_of_edge, quotient_group_of_edge=group_of_edge,
@@ -327,7 +326,7 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
 
     with _stage(stats, "quotient_assemble"):
         quotient, pattern = _cached_quotient(topo, cond)
-        return SparsifiedInstance(graph=g, partition=part, weights=weights, eps=eps,
+        return SparsifiedInstance(graph=g, partition=part, weights=weights,
                                   quotient_graph=quotient, quotient_groups=pattern.groups,
                                   quotient_vertices=pattern.vertices, elimination=elim,
                                   group_of_edge=topo.group_of_edge,
@@ -456,19 +455,19 @@ class ApproxGroupedFlowResult:
         return self.status == "fail"
 
 
-def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, strict=False, max_iterations=200,
+def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, max_iterations=200,
                         lag: LaggedFactor | None = None) -> ApproxGroupedFlowResult:
     """Grouped flow on the quotient graph at eps/2, converted back to the
     original graph at eps/10; on a direct instance the flow is on the
     original graph already and is returned as it is.  ``max_iterations``
-    and ``lag`` are passed on to ``grouped_flow``, which returns (unless
-    ``strict``) once its running average meets its contract."""
+    and ``lag`` are passed on to ``grouped_flow``, which returns once its
+    running average meets its contract."""
     stats = instance.stats
     with _stage(stats, "grouped_flow"):
         prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
                                   instance.quotient_demand(d), eps / 2.0,
                                   group_of_edge=instance.quotient_group_of_edge)
-        res = grouped_flow(prob, strict=strict, max_iterations=max_iterations, lag=lag)
+        res = grouped_flow(prob, max_iterations=max_iterations, lag=lag)
     if res.failed:
         return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail)
     # on a direct instance grouped flow measured this flow at these weights already
@@ -549,20 +548,65 @@ def success_target(flow_amount, eps):
     return (1.0 - PROBE_SLACK * eps) * flow_amount
 
 
-def _run_config(config, eps):
-    """``config``, or the default one at ``eps``; a config at another eps is an error."""
-    if config is None:
-        return RunConfig(eps=eps)
-    if config.eps != eps:
-        raise GraphError(f"eps = {eps!r} but config.eps = {config.eps!r}; pass equal values")
-    return config
+class _Run:
+    """One ``approx_max_flow`` or ``route_fixed_flow`` call: its inputs, the
+    state its phases share, and the search's best flow.
+
+    The constructor runs every check the two entries share before any work:
+    ``config`` (the default one when None) at ``eps``, ``g`` connected, and
+    ``s`` and ``t`` distinct vertices on the partition's boundaries.
+    ``w_oracle`` holds the oracle weights the last phase ended with (None
+    before the first), from which the next phase starts.
+    """
+
+    def __init__(self, g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
+                 s, t, eps, config: RunConfig | None, what):
+        if config is None:
+            config = RunConfig(eps=eps)
+        elif config.eps != eps:
+            raise GraphError(f"eps = {eps!r} but config.eps = {config.eps!r}; pass equal values")
+        g.require_connected(what)
+        if s == t:
+            raise GraphError("source and sink coincide")
+        bdry_union = np.concatenate(part.boundaries)
+        for v, name in ((s, "s"), (t, "t")):
+            if v not in bdry_union:
+                raise GraphError(f"{name} = {v} is not a boundary vertex of the partition")
+        self.g, self.part, self.plan = g, part, plan or SparsifierPlan()
+        self.s, self.t, self.eps, self.config = s, t, eps, config
+        self.stats = MaxFlowRunStats(route=self.plan.method)
+        self.lag, self.group_of_edge = LaggedFactor(), edge_group_ids(part.groups, g.m)
+        self.w_oracle, self.best_value, self.best_flow = None, 0.0, None
+
+    def probe(self, flow_amount):
+        """One search phase at ``flow_amount``; keeps the best flow, returns its success."""
+        self.stats.probes += 1
+        with _stage(self.stats, "oracle_update"):
+            seed = substream(self.config.seed, "F", self.stats.probes)
+        ok, value, flow, _ = _oracle_phase(self, self.stats, flow_amount, seed)
+        if flow is not None and value > self.best_value:
+            self.best_value, self.best_flow = value, flow
+        return ok
+
+    def result(self, value, flow) -> ApproxMaxFlowResult:
+        """The result for a feasible ``flow`` of ``value``; no flow at all
+        raises ``SolverConvergenceError``."""
+        if flow is None:
+            raise SolverConvergenceError("no probe produced a flow")
+        g, gid = self.g, self.group_of_edge
+        w = oracle_edge_weights(np.ones(g.m), g.capacity, gid, self.eps)
+        return ApproxMaxFlowResult(
+            value=value, flow=flow, eps=self.eps,
+            max_edge_congestion=float(edge_congestions(flow, g.capacity).max(initial=0.0)),
+            per_group_congestion_max=float(group_congestions(flow, w, gid).max(initial=0.0)),
+            stats=self.stats, seed=self.config.seed)
 
 
-def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, seed, stats,
-                  lag, w_oracle_init=None, sweep=False):
-    """One fixed-F multiplicative-weights phase.
+def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, seed, sweep=False):
+    """One fixed-F multiplicative-weights phase of ``run`` (``stats`` is ``run.stats``).
 
-    Returns (success, best_value, best_flow, fail, w_oracle).  The update
+    Returns (success, best_value, best_flow, fail).  It starts from the
+    oracle weights ``run.w_oracle`` and leaves its last ones there.  The update
     width is the iterate's own max congestion (floored), which converges in
     practical iteration counts; the theoretical width C_W sqrt(r/eps) is
     still enforced as the output check on every returned flow.
@@ -572,45 +616,42 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
     ends the phase with a ``SweptCutFail``, since no flow of ``flow_amount``
     exists.
 
-    ``plan`` picks the route: a direct phase runs grouped flow on G at the
-    oracle's weights, a one-step phase on the quotient of sparsifiers built
-    at those weights.  ``group_of_edge`` is the partition's
-    ``edge_group_ids``, computed once per run.
+    The run's plan picks the route: a direct phase runs grouped flow on G at
+    the oracle's weights, a one-step phase on the quotient of sparsifiers
+    built at those weights, seeded from ``seed``.
 
-    ``lag`` is the run's ``LaggedFactor``; its counters are copied into
-    ``stats``.  An inner ``SolverConvergenceError`` ends the phase as an
-    unproductive probe (counted in ``inner_failures``, and in ``inner_stalls``
-    when grouped flow's stall exit raised it; its electrical flows still
-    count); a ``ValidationError`` is a broken invariant and propagates.
+    The run's ``LaggedFactor`` counters are copied into ``stats``.  An inner
+    ``SolverConvergenceError`` ends the phase as an unproductive probe
+    (counted in ``inner_failures``, and in ``inner_stalls`` when grouped
+    flow's stall exit raised it; its electrical flows still count); a
+    ``ValidationError`` is a broken invariant and propagates.
     """
-    m = g.m
+    g, part, eps = run.g, run.part, run.eps
     with _stage(stats, "oracle_update"):
         rho_outer = math.ceil(C_W * math.sqrt(part.r) / math.sqrt(eps))
-        n_outer = max(int(math.ceil(20.0 * rho_outer * math.log(max(m, 2)) * eps**-2)), 1)
-        limit = n_outer if config.strict_paper else min(n_outer, config.max_outer_iterations)
+        n_outer = max(int(math.ceil(20.0 * rho_outer * math.log(max(g.m, 2)) * eps**-2)), 1)
+        limit = min(n_outer, run.config.max_outer_iterations)
         target = success_target(flow_amount, eps)
-        w_oracle = np.ones(m) if w_oracle_init is None else np.array(w_oracle_init, dtype=float)
-        d = st_demand(g.n, s, t, flow_amount)
-        flow_sum = np.zeros(m)
-    accepted = 0
-    best_value, best_flow = -np.inf, None
-    fail = None
-    stagnant = 0
+        w_oracle = np.ones(g.m) if run.w_oracle is None else run.w_oracle
+        d = st_demand(g.n, run.s, run.t, flow_amount)
+        flow_sum = np.zeros(g.m)
+    accepted = stagnant = 0
+    best_value, best_flow, fail = -np.inf, None, None
     for it in range(1, limit + 1):
         stats.iterations_outer += 1
         with _stage(stats, "oracle_update"):
-            w = oracle_edge_weights(w_oracle, g.capacity, group_of_edge, eps)
-        if plan.method == "direct":
+            w = oracle_edge_weights(w_oracle, g.capacity, run.group_of_edge, eps)
+        if run.plan.method == "direct":
             with _stage(stats, "grouped_flow"):
-                inst = _direct_instance(g, part, group_of_edge, w, eps / 10.0, stats)
+                inst = _direct_instance(g, part, run.group_of_edge, w, stats)
         else:
             with _stage(stats, "sparsify"):
                 phase_seed = substream(seed, "phase", it)
-            inst = build_sparsified_instance(g, part, w, eps / 10.0, plan, seed=phase_seed,
+            inst = build_sparsified_instance(g, part, w, eps / 10.0, run.plan, seed=phase_seed,
                                              stats=stats)
         if sweep:
             with _stage(stats, "grouped_flow"):
-                side, cut = _swept_cut(inst, d, s, t)
+                side, cut = _swept_cut(inst, d, run.s, run.t)
             if cut < target:
                 stats.cut_verdicts += 1
                 fail = (inst, SweptCutFail(side, cut, d), d)
@@ -619,8 +660,7 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
         inner_cap = min(max(MAX_INNER_ITERATIONS, INNER_BUDGET_UNITS // max(qsize, 1)),
                         INNER_ITERATION_CEILING)
         try:
-            res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap,
-                                      strict=config.strict_paper, lag=lag)
+            res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap, lag=run.lag)
         except SolverConvergenceError as exc:
             stats.inner_stalls += exc.stalled
             stats.inner_failures += 1
@@ -652,15 +692,14 @@ def _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps, config, 
             if best_value >= target:
                 break
             stagnant = 0 if improved else stagnant + 1
-            if not config.strict_paper and stagnant >= OUTER_STAGNATION_LIMIT:
+            if stagnant >= OUTER_STAGNATION_LIMIT:
                 break
-            width = rho_outer if config.strict_paper else max(mc, UPDATE_WIDTH_FLOOR)
-            w_oracle = w_oracle * (1.0 + (eps / width) * cong)
+            w_oracle = w_oracle * (1.0 + (eps / max(mc, UPDATE_WIDTH_FLOOR)) * cong)
     with _stage(stats, "oracle_update"):
-        for name, value in lag.counters().items():
+        for name, value in run.lag.counters().items():
             setattr(stats, name, value)
-    success = best_value >= target
-    return success, best_value, best_flow, fail, w_oracle
+        run.w_oracle = w_oracle
+    return best_value >= target, best_value, best_flow, fail
 
 
 def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
@@ -672,76 +711,40 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
     success; every candidate flow is made strictly feasible by dividing by its
     maximum edge congestion, and the best feasible value seen is returned.
     A search in which no probe produced a flow raises
-    ``SolverConvergenceError``.  A ``config`` at another ``eps`` raises
-    ``GraphError`` before any work.
+    ``SolverConvergenceError``.  A ``config`` at another ``eps``, or an
+    ``s`` or ``t`` that is not a vertex on the partition's boundaries (or
+    ``s == t``), raises ``GraphError`` before any work.
     """
-    config = _run_config(config, eps)
-    plan = plan or SparsifierPlan()
-    g.require_connected("approximate max flow")
-    bdry_union = np.unique(np.concatenate([b for b in part.boundaries]))
-    for v, name in ((s, "s"), (t, "t")):
-        if v not in bdry_union:
-            raise GraphError(f"{name} = {v} is not a boundary vertex of the partition")
+    run = _Run(g, part, plan, s, t, eps, config, "approximate max flow")
     u_ratio = float(g.capacity.max() / g.capacity.min())
     if u_ratio > g.m / eps:
         warnings.warn(f"capacity ratio U(u) = {u_ratio:.3e} exceeds m/eps = {g.m / eps:.3e}",
                       stacklevel=2)
-
-    stats = MaxFlowRunStats(route=plan.method)
-    lag, group_of_edge = LaggedFactor(), edge_group_ids(part.groups, g.m)
-    t_start = time.perf_counter()
-    with _stage(stats, "oracle_update"):
-        f_lo = widest_path_bottleneck(g, s, t)
-        f_hi = float(g.capacity[(g.tails == s) | (g.heads == s)].sum())
-    best_value, best_flow = 0.0, None
-    warm = {"w": None}
-
-    def probe(flow_amount):
-        nonlocal best_value, best_flow
-        stats.probes += 1
-        w_init = None if config.strict_paper else warm["w"]
+    stats, max_probes = run.stats, run.config.max_probes
+    with _stage(stats, "total"):
         with _stage(stats, "oracle_update"):
-            probe_seed = substream(config.seed, "F", stats.probes)
-        ok, val, flow, _, w_final = _oracle_phase(
-            g, part, group_of_edge, plan, s, t, flow_amount, eps, config, probe_seed, stats,
-            lag, w_oracle_init=w_init)
-        if not config.strict_paper:
-            warm["w"] = w_final
-        if flow is not None and val > best_value:
-            best_value, best_flow = val, flow
-        return ok
-
-    # doubling phase from the widest-path bottleneck, then binary refinement
-    lo, hi = f_lo, f_hi
-    if probe(f_lo):
-        while lo < hi * 0.999 and stats.probes < config.max_probes:
-            nxt = min(lo * 2.0, hi * 0.999)
-            if probe(nxt):
-                lo = nxt
-            else:
-                hi = nxt
-                break
-    else:
-        lo = 0.0
-    resolution = max(eps * f_lo, 1e-12)
-    while hi - lo > resolution and stats.probes < config.max_probes:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
+            f_lo = widest_path_bottleneck(g, s, t)
+            f_hi = float(g.capacity[(g.tails == s) | (g.heads == s)].sum())
+        # doubling phase from the widest-path bottleneck, then binary refinement
+        lo, hi = f_lo, f_hi
+        if run.probe(f_lo):
+            while lo < hi * 0.999 and stats.probes < max_probes:
+                nxt = min(lo * 2.0, hi * 0.999)
+                if run.probe(nxt):
+                    lo = nxt
+                else:
+                    hi = nxt
+                    break
         else:
-            hi = mid
-    stats.timings["total"] = time.perf_counter() - t_start
-    if best_flow is None:
-        raise SolverConvergenceError("no probe produced a flow")
-
-    cong = edge_congestions(best_flow, g.capacity)
-    gcong = group_congestions(best_flow, oracle_edge_weights(np.ones(g.m), g.capacity,
-                                                             group_of_edge, eps), group_of_edge)
-    return ApproxMaxFlowResult(
-        value=best_value, flow=best_flow, eps=eps,
-        max_edge_congestion=float(cong.max(initial=0.0)),
-        per_group_congestion_max=float(gcong.max(initial=0.0)),
-        stats=stats, seed=config.seed)
+            lo = 0.0
+        resolution = max(eps * f_lo, 1e-12)
+        while hi - lo > resolution and stats.probes < max_probes:
+            mid = 0.5 * (lo + hi)
+            if run.probe(mid):
+                lo = mid
+            else:
+                hi = mid
+    return run.result(run.best_value, run.best_flow)
 
 
 def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
@@ -758,33 +761,20 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     eps)`` when the phase routed the request; below that the phase
     neither routed it nor proved it infeasible, and the result is partial
     (the CLI reports it as ``"partial"`` and exits 3).  A phase that found
-    no flow at all raises ``SolverConvergenceError``.  An amount that is not
-    finite and positive, or a ``config`` at another ``eps``, raises
-    ``GraphError``, and a disconnected ``g`` ``DisconnectedGraphError``,
-    before any work.
+    no flow at all raises ``SolverConvergenceError``.  The terminals follow
+    ``approx_max_flow``'s rule on either route: an ``s`` or ``t`` that is
+    not a vertex on the partition's boundaries, or ``s == t``, raises
+    ``GraphError`` before any work, as do an amount that is not finite and
+    positive and a ``config`` at another ``eps``; a disconnected ``g``
+    raises ``DisconnectedGraphError``.
     """
     if not (math.isfinite(flow_amount) and flow_amount > 0):
         raise GraphError(f"flow amount must be finite and positive, not {flow_amount!r}")
-    config = _run_config(config, eps)
-    g.require_connected("fixed-flow routing")
-    plan = plan or SparsifierPlan()
-    stats = MaxFlowRunStats(route=plan.method)
-    phase_seed, lag = substream(config.seed, "fixed"), LaggedFactor()
-    group_of_edge = edge_group_ids(part.groups, g.m)
-    t_start = time.perf_counter()
-    ok, val, flow, fail, _ = _oracle_phase(g, part, group_of_edge, plan, s, t, flow_amount, eps,
-                                           config, phase_seed, stats, lag, sweep=True)
-    stats.timings["total"] = time.perf_counter() - t_start
-    if fail is not None:
-        return None, fail
-    if flow is None:
-        raise SolverConvergenceError("no usable flow produced at the requested amount")
-    cong = edge_congestions(flow, g.capacity)
-    result = ApproxMaxFlowResult(
-        value=val, flow=flow, eps=eps,
-        max_edge_congestion=float(cong.max(initial=0.0)),
-        per_group_congestion_max=float("nan"), stats=stats, seed=config.seed)
-    return result, None
+    run = _Run(g, part, plan, s, t, eps, config, "fixed-flow routing")
+    seed = substream(run.config.seed, "fixed")
+    with _stage(run.stats, "total"):
+        _, value, flow, fail = _oracle_phase(run, run.stats, flow_amount, seed, sweep=True)
+    return (None, fail) if fail is not None else (run.result(value, flow), None)
 
 
 # -- cut certificate ------------------------------------------------------------------

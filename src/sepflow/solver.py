@@ -382,12 +382,14 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
     for attempt in range(8):
         phi, st = handle.solve_with_stats(d, delta=delta_a, x0=phi)
         total_iters += st.iterations
-        f_pot = (phi[g.tails] - phi[g.heads]) * cond
+        dphi = phi[g.tails] - phi[g.heads]
+        f_pot = dphi * cond
         q = d - (np.bincount(g.tails, weights=f_pot, minlength=g.n)
                  - np.bincount(g.heads, weights=f_pot, minlength=g.n))
         flow = f_pot + g.route_on_tree(q)
         e_flow = float(np.sum(r * flow * flow))
-        quad = float(phi @ handle.matvec(phi))
+        # edge by edge: phi @ (L phi) cancels away the gap when conductances span decades
+        quad = float(dphi @ f_pot)
         lin = float(d @ phi)
         lower = lin * lin / quad if quad > 0 else 0.0
         if lower > 0 and e_flow <= (1.0 + gap_target) * lower:

@@ -130,6 +130,14 @@ class TestMaxflowCommand:
         assert code == 1 and not out.exists()
         assert "finite and positive" in capsys.readouterr().err
 
+    def test_out_of_range_terminal_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(["maxflow", "--grid", "8x8", "--r", "16", "--source", "64", "--flow", "1",
+                    "--json", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert "terminal 64 is not a vertex id in 0..63" in err and "Traceback" not in err
+
     def test_malformed_input_exits_one(self, tmp_path, capsys):
         gpath = tmp_path / "bad.dimacs"
         gpath.write_text("p max x 1\n")

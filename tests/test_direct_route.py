@@ -118,7 +118,7 @@ def test_direct_energy_certificate():
     s, t = 0, g.n - 1
     exact = exact_max_flow_oracle(g, s, t).value
     w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
-    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w, EPS / 10)
+    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w)
     assert inst.quotient_graph.m == g.m and inst.elimination is None
     res = approx_grouped_flow(inst, st_demand(g.n, s, t, 4 * exact), EPS / 10)
     assert res.failed and isinstance(res.fail, GroupedFlowFail)
@@ -137,7 +137,7 @@ def test_direct_flow_meets_the_group_contract():
     # a feasible demand: the averaged flow on G is returned as it is, demand-exact
     g, part, _ = _instance(10, 10, 1, 16, 4)
     w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
-    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w, EPS / 10)
+    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w)
     d = st_demand(g.n, 0, g.n - 1, 0.3 * exact_max_flow_oracle(g, 0, g.n - 1).value)
     res = approx_grouped_flow(inst, d, EPS / 10)
     # grouped flow on G at these weights, at half the error, gives the same bits

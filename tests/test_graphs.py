@@ -189,6 +189,10 @@ class TestDemand:
     def test_st_demand(self):
         d = st_demand(4, 0, 3, 2.5)
         assert d.tolist() == [2.5, 0.0, 0.0, -2.5]
+        # a negative id would wrap around to the last vertex
+        for s, t in ((-1, 0), (0, 4)):
+            with pytest.raises(GraphError, match="not a vertex id in 0..3"):
+                st_demand(4, s, t, 1.0)
 
     def test_rejects_nonzero_sum(self):
         with pytest.raises(GraphError, match="sum to zero"):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GridSpec, ParseError, SeparatorNode, SeparatorTree, ValidationError,
-                     grid_graph, grid_r_division, load_partition, partition_from_groups,
-                     save_partition, separator_tree_for_grid_block, septrees_for_partition,
-                     validate_partition, validate_septree)
+from sepflow import (GraphError, GridSpec, ParseError, SeparatorNode, SeparatorTree,
+                     ValidationError, grid_graph, grid_r_division, load_partition,
+                     partition_from_groups, save_partition, separator_tree_for_grid_block,
+                     septrees_for_partition, validate_partition, validate_septree)
 
 
 class TestGridRDivision:
@@ -44,6 +44,9 @@ class TestGridRDivision:
                     if 0 in part.group_vertices(g, i)]
         for i in touching:
             assert 0 in part.boundaries[i]
+        for bad in (-1, 36):
+            with pytest.raises(GraphError, match=f"terminal {bad} is not a vertex id"):
+                grid_r_division(6, 6, 1, 12, terminals=(0, bad), graph=g)
 
     def test_layers(self):
         g = grid_graph(6, 6, layers=2)

@@ -331,13 +331,22 @@ class TestApproxMaxFlow:
         # every probe's first grouped flow hit the planted cap and ended it
         assert calls["grouped_flow"] == calls["phase"] >= 1
 
-    def test_nonboundary_terminal_rejected(self):
+    def test_nonboundary_terminal_rejected(self, monkeypatch):
+        # both entries, on both routes, check their terminals before any work
         g = grid_graph(4, 4)
         part = grid_r_division(4, 4, 1, 8, terminals=(0, 15), graph=g)
-        interior = np.setdiff1d(np.arange(16), np.concatenate(part.boundaries))
-        with pytest.raises(GraphError, match="not a boundary"):
-            approx_max_flow(g, part, None, int(interior[0]), 15, 0.1,
-                            RunConfig(eps=0.1, r=8))
+        interior = int(np.setdiff1d(np.arange(16), np.concatenate(part.boundaries))[0])
+        monkeypatch.setattr(pipeline, "_oracle_phase", lambda *a, **k: pytest.fail("phase ran"))
+        cases = [(interior, 15, "s = .* is not a boundary vertex"),
+                 (0, interior, "t = .* is not a boundary vertex"),
+                 (-1, 15, "s = -1 is not a boundary vertex"),
+                 (0, 16, "t = 16 is not a boundary vertex"),
+                 (0, 0, "source and sink coincide")]
+        for entry, amount in ((approx_max_flow, ()), (route_fixed_flow, (1.0,))):
+            for plan in (None, SparsifierPlan("one-step")):
+                for s, t, message in cases:
+                    with pytest.raises(GraphError, match=message):
+                        entry(g, part, plan, s, t, *amount, 0.1, RunConfig(eps=0.1, r=8))
 
     @pytest.mark.parametrize("entry", ["approx_max_flow", "route_fixed_flow"])
     def test_config_at_another_eps_rejected(self, entry, monkeypatch):
@@ -345,9 +354,10 @@ class TestApproxMaxFlow:
         part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g)
         monkeypatch.setattr(pipeline, "_oracle_phase", lambda *a, **k: pytest.fail("phase ran"))
         amount = (1.0,) if entry == "route_fixed_flow" else ()
-        with pytest.raises(GraphError, match=r"eps = 0\.2 but config\.eps = 0\.1"):
-            getattr(pipeline, entry)(g, part, None, 0, 63, *amount, 0.2,
-                                     RunConfig(eps=0.1, seed=1))
+        for plan in (None, SparsifierPlan("one-step")):
+            with pytest.raises(GraphError, match=r"eps = 0\.2 but config\.eps = 0\.1"):
+                getattr(pipeline, entry)(g, part, plan, 0, 63, *amount, 0.2,
+                                         RunConfig(eps=0.1, seed=1))
 
 
 class TestCutCertificate:

@@ -3,8 +3,8 @@ import pytest
 
 from sepflow import (GraphError, LaggedFactor, SolverConvergenceError, SolverHandle,
                      WeightedGraph, electrical_flow, grid_graph, optimum_energy,
-                     residual_of_vector, st_demand)
-from sepflow.solver import SolveStats
+                     random_capacity_grid, residual_of_vector, st_demand)
+from sepflow.solver import GAP_FLOOR, SolveStats
 
 from conftest import dense_electrical, random_connected_graph
 
@@ -294,6 +294,15 @@ class TestElectricalFlow:
         d -= d.mean()
         res = electrical_flow(g, d, 1e-4)
         assert float(np.sum(g.resistance * res.flow**2)) == pytest.approx(res.energy, rel=1e-10)
+
+    def test_certifies_when_conductances_span_six_decades(self):
+        # phi @ (L phi) loses ~1e-11 to cancellation here, above the gap floor
+        g = random_capacity_grid(24, 24, seed=0)
+        r = 10 ** np.random.default_rng(0).uniform(0, 6, g.m)
+        d = st_demand(g.n, 0, g.n - 1, 1.0)
+        res = electrical_flow(g, d, 1e-10, resistances=r)
+        assert res.energy <= (1 + GAP_FLOOR) * res.optimum_estimate
+        assert np.abs(residual_of_vector(res.flow, g) - d).max() <= 1e-9
 
 
 class TestOptimumEnergy:
