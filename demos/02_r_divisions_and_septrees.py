@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from sepflow import (GridSpec, grid_graph, grid_r_division, load_partition, save_partition,
-                     separator_tree_for_grid_block, septrees_for_partition,
-                     validate_partition, validate_septree)
+                     separator_tree_for_grid_block, validate_partition, validate_septree)
 
 g = grid_graph(9, 9)
 part = grid_r_division(9, 9, 1, 32, terminals=(0, 80), graph=g)
@@ -25,9 +24,10 @@ tree = separator_tree_for_grid_block(GridSpec(5, 5), np.arange(25), leaf_cutoff=
 print("5x5 block root separator (middle column):", tree.root.separator)
 print("tree depth:", tree.depth())
 
-trees = septrees_for_partition(GridSpec(9, 9), part, g)
-for i, t in enumerate(trees):
-    validate_septree(t, g=g, expected_root=part.group_vertices(g, i))
+for i in range(part.k):
+    verts = part.group_vertices(g, i)
+    validate_septree(separator_tree_for_grid_block(GridSpec(9, 9), verts, g=g), g=g,
+                     expected_root=verts)
 print("all group trees validate")
 
 with tempfile.TemporaryDirectory() as td:

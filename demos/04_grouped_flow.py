@@ -23,16 +23,13 @@ ef = electrical_flow(g, st_demand(36, 0, 35, 1.0), 1e-8, resistances=w)
 witness_cong = group_congestions(ef.flow, w, part.groups).max()
 d = st_demand(36, 0, 35, 0.8 / witness_cong)
 
-res = grouped_flow(GroupedFlowProblem(g, part.groups, d, eps=0.1), trace=True)
+res = grouped_flow(GroupedFlowProblem(g, part.groups, d, eps=0.1))
 print(f"status: {res.status}")
 print(f"max group congestion: {res.diagnostics.max_group_congestion:.4f} (<= 2.0)")
 # the running average is checked from the first iteration on: here the first
 # electrical flow already meets the contract, so the solver returns at once
 print(f"iterations: {res.diagnostics.iterations}, accepted: {res.diagnostics.accepted},"
       f" early exit: {res.diagnostics.early_exit}")
-print("trace rows (t, mu, energy, max congestion, accepted):")
-for row in res.diagnostics.trace:
-    print("  ", row)
 
 # over-demand: the energy certificate fires on the first iteration
 overloaded = GroupedFlowProblem(g, part.groups, d * 50, eps=0.1)

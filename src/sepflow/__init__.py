@@ -59,7 +59,6 @@ from .partition import (
     partition_from_groups,
     save_partition,
     separator_tree_for_grid_block,
-    septrees_for_partition,
     validate_partition,
     validate_septree,
 )

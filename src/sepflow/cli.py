@@ -99,10 +99,9 @@ def cmd_maxflow(args):
                     "cut_value": cert.cut_capacity,
                 },
                 "seed": args.seed,
+                "timings": inst.stats.timings,
+                "counters": inst.stats.counters(),
             }
-            if inst.stats is not None:
-                payload["timings"] = inst.stats.timings
-                payload["counters"] = inst.stats.counters()
             _emit_json(payload, args.json)
             if args.emit_cut and cert.cut_side is not None:
                 with open(args.emit_cut, "w") as fh:
@@ -121,10 +120,15 @@ def cmd_maxflow(args):
         np.savetxt(args.emit_flow, res.flow, delimiter=",")
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write("probe,outer_iteration,flow_target,best_value,max_edge_congestion\n")
-            for row in res.stats.trace_rows:
-                fh.write(",".join(str(x) for x in row) + "\n")
+            _write_trace(fh, res.stats)
     return 3 if partial else 0
+
+
+def _write_trace(fh, stats):
+    """The run's ``trace_rows`` as CSV: one row per outer iteration that produced a flow."""
+    fh.write("probe,outer_iteration,flow_target,best_value,max_edge_congestion\n")
+    for row in stats.trace_rows:
+        fh.write(",".join(str(x) for x in row) + "\n")
 
 
 def _emit_json(payload, path):
@@ -144,8 +148,8 @@ def cmd_bench(args):
         name = f"grid{size}x{size}" + (f"x{args.layers}" if args.layers > 1 else "")
         seed = substream(args.seed, "bench", size)
         g = random_capacity_grid(size, size, args.layers, seed=seed)
-        # auto r ~ m^(2/5), floored: below ~12 the groups have no interior
-        # left to eliminate and the two-level scheme degenerates
+        # auto r ~ m^(2/5), floored at 12 so that small grids still get
+        # groups of several edges
         r = args.r if args.r else max(12, int(round(g.m ** 0.4)))
         part = grid_r_division(size, size, args.layers, r, terminals=(0, g.n - 1), graph=g)
         t0 = time.perf_counter()
@@ -162,9 +166,7 @@ def cmd_bench(args):
                 with open(bundle, "w") as fh:
                     fh.write(f"instance {name} seed {seed} r {r} eps {args.eps}\n")
                     fh.write(f"value {res.value!r} exact {exact!r}\n")
-                    fh.write("probe,outer_iteration,flow_target,best_value,max_edge_congestion\n")
-                    for row in res.stats.trace_rows:
-                        fh.write(",".join(str(x) for x in row) + "\n")
+                    _write_trace(fh, res.stats)
         else:
             exact_s, ratio_s = "", ""
         wall_s = "-" if args.no_timing else f"{wall:.3f}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,12 +81,9 @@ class GroupedFlowFail:
 
     iteration: int
     mu: float
-    w_grp: np.ndarray
     resistances: np.ndarray
-    potentials: np.ndarray
     energy: float
     demand: np.ndarray
-    eps: float = 0.0
 
 
 @dataclass
@@ -95,7 +92,6 @@ class GroupedFlowDiagnostics:
     accepted: int = 0
     early_exit: bool = False
     max_group_congestion: float = float("nan")
-    trace: list = field(default_factory=list)
 
 
 @dataclass
@@ -131,8 +127,7 @@ def check_mwu_step(w_before, w_after, congestions, eps, rho, tol=1e-9):
 
 
 def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=True,
-                 trace=False, max_iterations=None,
-                 lag: LaggedFactor | None = None) -> GroupedFlowResult:
+                 max_iterations=None, lag: LaggedFactor | None = None) -> GroupedFlowResult:
     """Multiplicative weights over groups around electrical flows.
 
     Returns a flow whose group congestions are at most ``1 + 10 eps``
@@ -202,11 +197,8 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
         hint = ef.potentials
         diag.iterations = t
         if ef.energy > mu:
-            fail = GroupedFlowFail(
-                iteration=t, mu=mu, w_grp=w_grp.copy(), resistances=r,
-                potentials=ef.potentials, energy=ef.energy, demand=d.copy(), eps=eps)
-            if trace:
-                diag.trace.append((t, mu, ef.energy, float("nan"), False))
+            fail = GroupedFlowFail(iteration=t, mu=mu, resistances=r, energy=ef.energy,
+                                   demand=d.copy())
             return GroupedFlowResult(status="fail", flow=None, fail=fail, diagnostics=diag)
 
         cong = group_congestions(ef.flow, w, gid)
@@ -226,8 +218,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
         if runtime_checks:
             check_mwu_step(w_grp, w_new, cong, eps, width)
         w_grp = w_new
-        if trace:
-            diag.trace.append((t, mu, ef.energy, float(cong.max()), accepted))
 
         if not strict and accepted:  # the average moves only when an iterate is accepted
             diag.max_group_congestion = group_congestions(flow_sum / n_accepted, w, gid).max()

@@ -22,8 +22,8 @@ from .errors import GraphError, ParseError, ValidationError
 from .graphs import WeightedGraph, check_terminals, edge_group_ids, group_ids
 from .grids import GridSpec, grid_graph
 
-DEFAULT_C_DIV = 4.0
-DEFAULT_C_BDRY = 8.0
+C_DIV = 4.0  # group-count bound k <= C_DIV n / r
+C_BDRY = 8.0  # boundary-size bound |V_bdry(S_i)| <= C_BDRY sqrt(r)
 DEFAULT_LEAF_CUTOFF = 16
 ALPHA = 0.9
 
@@ -42,8 +42,6 @@ class Partition:
     n: int
     m: int
     terminals: tuple = ()
-    c_div: float = DEFAULT_C_DIV
-    c_bdry: float = DEFAULT_C_BDRY
     _topology: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -91,8 +89,7 @@ def _boundary_sets(g: WeightedGraph, groups, terminals):
     return boundaries, interiors
 
 
-def partition_from_groups(g: WeightedGraph, groups, r, terminals=(),
-                          c_div=DEFAULT_C_DIV, c_bdry=DEFAULT_C_BDRY) -> Partition:
+def partition_from_groups(g: WeightedGraph, groups, r, terminals=()) -> Partition:
     """Build and validate a Partition from explicit edge groups."""
     groups = [np.unique(np.asarray(grp, dtype=np.int64)) for grp in groups]
     for i, grp in enumerate(groups):
@@ -100,8 +97,7 @@ def partition_from_groups(g: WeightedGraph, groups, r, terminals=(),
             raise ValidationError(f"group {i} is empty")
     boundaries, interiors = _boundary_sets(g, groups, terminals)
     part = Partition(groups=groups, boundaries=boundaries, interiors=interiors,
-                     r=int(r), n=g.n, m=g.m, terminals=tuple(terminals),
-                     c_div=c_div, c_bdry=c_bdry)
+                     r=int(r), n=g.n, m=g.m, terminals=tuple(terminals))
     # the sets were just derived from the definition; only the size clauses remain
     _check_sizes(part, g)
     return part
@@ -114,11 +110,11 @@ def _check_sizes(part: Partition, g: WeightedGraph):
     if over.size:
         i = int(over[0])
         raise ValidationError(f"group {i} has {sizes[i]} edges > r = {part.r}")
-    k_bound = max(part.c_div * g.n / part.r, 1.0)
+    k_bound = max(C_DIV * g.n / part.r, 1.0)
     if part.k > k_bound:
         raise ValidationError(f"k = {part.k} exceeds c_div * n / r = {k_bound:.2f}")
 
-    bdry_bound = part.c_bdry * math.sqrt(part.r)
+    bdry_bound = C_BDRY * math.sqrt(part.r)
     bsizes = np.fromiter((len(b) for b in part.boundaries), dtype=np.int64,
                          count=len(part.boundaries))
     over = np.flatnonzero(bsizes > bdry_bound)
@@ -172,8 +168,8 @@ def _block_edge_count(a, b, layers, owns_east, owns_south):
     return internal + cuts
 
 
-def grid_r_division(rows, cols, layers, r, terminals=(), c_div=DEFAULT_C_DIV,
-                    c_bdry=DEFAULT_C_BDRY, graph: WeightedGraph | None = None) -> Partition:
+def grid_r_division(rows, cols, layers, r, terminals=(),
+                    graph: WeightedGraph | None = None) -> Partition:
     """Axis-aligned r-division of a grid built by ``grids.grid_graph``.
 
     Blocks are balanced vertex tiles; each block owns its internal edges plus
@@ -198,7 +194,7 @@ def grid_r_division(rows, cols, layers, r, terminals=(), c_div=DEFAULT_C_DIV,
     # blocks of side ~ sqrt(r / 2) in 2D, ~ sqrt(r / (3*layers - 1)) with layers
     side = max(1, math.isqrt(r // 2 if layers == 1 else r // (3 * layers - 1)))
     p_r, p_c = math.ceil(rows / side), math.ceil(cols / side)
-    k_bound = max(c_div * spec.n / r, 1.0)
+    k_bound = max(C_DIV * spec.n / r, 1.0)
     if not feasible(p_r, p_c) or p_r * p_c > k_bound:
         # fall back to the smallest feasible k for small or ragged grids
         best = None
@@ -225,7 +221,7 @@ def grid_r_division(rows, cols, layers, r, terminals=(), c_div=DEFAULT_C_DIV,
     cuts = np.searchsorted(owner[order], np.arange(p_r * p_c + 1))
     groups = [order[cuts[b]:cuts[b + 1]] for b in range(p_r * p_c) if cuts[b + 1] > cuts[b]]
 
-    return partition_from_groups(g, groups, r, terminals=terminals, c_div=c_div, c_bdry=c_bdry)
+    return partition_from_groups(g, groups, r, terminals=terminals)
 
 
 # -- separator trees -----------------------------------------------------------
@@ -325,13 +321,6 @@ def separator_tree_for_grid_block(spec: GridSpec, vertices, leaf_cutoff=DEFAULT_
                          c0=max(max_sep[0], 1.0))
 
 
-def septrees_for_partition(spec: GridSpec, part: Partition, g: WeightedGraph,
-                           leaf_cutoff=DEFAULT_LEAF_CUTOFF):
-    """One separator tree per group, on global vertex ids."""
-    return [separator_tree_for_grid_block(spec, part.group_vertices(g, i), leaf_cutoff, g=g)
-            for i in range(part.k)]
-
-
 def _induced_labels(g: WeightedGraph, verts):
     """Component labels of the subgraph induced on sorted ``verts``, by position."""
     inside = np.zeros(g.n, dtype=bool)
@@ -406,8 +395,7 @@ def save_partition(part: Partition, path):
             fh.write(f"b {i} " + " ".join(str(int(v)) for v in b) + "\n")
 
 
-def load_partition(path, g: WeightedGraph, terminals=(), c_div=DEFAULT_C_DIV,
-                   c_bdry=DEFAULT_C_BDRY) -> Partition:
+def load_partition(path, g: WeightedGraph, terminals=()) -> Partition:
     """Parse and validate a partition file (validation is mandatory)."""
     groups = {}
     bdry = {}
@@ -438,8 +426,7 @@ def load_partition(path, g: WeightedGraph, terminals=(), c_div=DEFAULT_C_DIV,
     glist = [groups[i] for i in range(k)]
     boundaries, interiors = _boundary_sets(g, glist, terminals)
     part = Partition(groups=glist, boundaries=boundaries, interiors=interiors,
-                     r=r, n=g.n, m=g.m, terminals=tuple(terminals),
-                     c_div=c_div, c_bdry=c_bdry)
+                     r=r, n=g.n, m=g.m, terminals=tuple(terminals))
     for i in range(k):
         if i in bdry and not np.array_equal(np.sort(bdry[i]), boundaries[i]):
             raise ValidationError(f"boundary set of group {i} does not match its definition")

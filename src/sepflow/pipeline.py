@@ -63,7 +63,7 @@ from .config import RunConfig, substream
 from .errors import GraphError, SolverConvergenceError
 from .graphs import (WeightedGraph, edge_congestions, edge_group_ids, group_congestions,
                      group_ids, st_demand, zero_sum_demand)
-from .groupedflow import GroupedFlowFail, GroupedFlowProblem, grouped_flow
+from .groupedflow import GroupedFlowFail, GroupedFlowProblem, GroupedFlowResult, grouped_flow
 from .maxflow import widest_path_bottleneck
 from .partition import Partition
 from .schur import GroupElimination, GroupTopology
@@ -119,6 +119,9 @@ class MaxFlowRunStats:
     handles that served them, and the PCG iterations on the rebound ones.
     ``iterations_inner_total`` counts one inner iteration per electrical
     flow, including those of a probe that a ``SolverConvergenceError`` ended.
+    ``trace_rows`` holds ``(probe, outer_iteration, flow_target, best_value,
+    max_edge_congestion)`` for each outer iteration that produced a flow;
+    probes count from 1, and a fixed-flow run's one phase is probe 1.
     """
 
     route: str = ""
@@ -443,46 +446,34 @@ def convert_flow(src_graph: WeightedGraph, src_groups, dst_graph: WeightedGraph,
 # -- two-level grouped flow --------------------------------------------------------
 
 
-@dataclass
-class ApproxGroupedFlowResult:
-    status: str  # "ok" | "fail"
-    flow: np.ndarray | None
-    fail: GroupedFlowFail | None
-    max_group_congestion: float = float("nan")
-
-    @property
-    def failed(self):
-        return self.status == "fail"
-
-
 def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, max_iterations=200,
-                        lag: LaggedFactor | None = None) -> ApproxGroupedFlowResult:
+                        lag: LaggedFactor | None = None) -> GroupedFlowResult:
     """Grouped flow on the quotient graph at eps/2, converted back to the
-    original graph at eps/10; on a direct instance the flow is on the
-    original graph already and is returned as it is.  ``max_iterations``
-    and ``lag`` are passed on to ``grouped_flow``, which returns once its
-    running average meets its contract."""
+    original graph at eps/10.  On a direct instance grouped flow's result is
+    returned as it is; on a one-step instance an ok result carries the
+    converted flow and that flow's ``diagnostics.max_group_congestion`` at
+    ``instance.weights``.  ``max_iterations`` and ``lag`` are passed on to
+    ``grouped_flow``, which returns once its running average meets its
+    contract."""
     stats = instance.stats
     with _stage(stats, "grouped_flow"):
         prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
                                   instance.quotient_demand(d), eps / 2.0,
                                   group_of_edge=instance.quotient_group_of_edge)
         res = grouped_flow(prob, max_iterations=max_iterations, lag=lag)
-    if res.failed:
-        return ApproxGroupedFlowResult(status="fail", flow=None, fail=res.fail)
-    # on a direct instance grouped flow measured this flow at these weights already
-    f, max_cong = res.flow, res.diagnostics.max_group_congestion
-    if instance.elimination is not None:
-        with _stage(stats, "convert"):
-            f = convert_flow(instance.quotient_graph, instance.quotient_groups,
-                             instance.graph, instance.partition.groups, res.flow, eps / 10.0,
-                             dst_weights=instance.weights,
-                             src_vertex_map=instance.quotient_vertices,
-                             check_boundaries=instance.partition.boundaries,
-                             elimination=instance.elimination)
-            max_cong = float(group_congestions(f, instance.weights,
-                                               instance.group_of_edge).max(initial=0.0))
-    return ApproxGroupedFlowResult(status="ok", flow=f, fail=None, max_group_congestion=max_cong)
+    if res.failed or instance.elimination is None:
+        return res
+    with _stage(stats, "convert"):
+        # the elimination's topology was built from the partition's
+        # boundaries, so conversion checks the residual against them
+        res.flow = convert_flow(instance.quotient_graph, instance.quotient_groups,
+                                instance.graph, instance.partition.groups, res.flow,
+                                eps / 10.0, dst_weights=instance.weights,
+                                src_vertex_map=instance.quotient_vertices,
+                                elimination=instance.elimination)
+        res.diagnostics.max_group_congestion = float(group_congestions(
+            res.flow, instance.weights, instance.group_of_edge).max(initial=0.0))
+    return res
 
 
 # -- approximate max flow -----------------------------------------------------------
@@ -772,6 +763,7 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
         raise GraphError(f"flow amount must be finite and positive, not {flow_amount!r}")
     run = _Run(g, part, plan, s, t, eps, config, "fixed-flow routing")
     seed = substream(run.config.seed, "fixed")
+    run.stats.probes = 1
     with _stage(run.stats, "total"):
         _, value, flow, fail = _oracle_phase(run, run.stats, flow_amount, seed, sweep=True)
     return (None, fail) if fail is not None else (run.result(value, flow), None)

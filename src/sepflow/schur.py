@@ -499,12 +499,11 @@ class GroupTopology:
 
     A group's local vertex ids list its sorted boundary first, then its
     sorted interior.  A *slot* is one (group, local id) pair; the slots of
-    group i are ``voff[i]:voff[i + 1]`` and its union edges
-    ``eoff[i]:eoff[i + 1]``.  ``union`` is the disjoint union of the group
-    subgraphs on the slots, with union edge j standing for graph edge
-    ``edges[j]``; its BFS forest has one tree per connected group.  Groups
-    with a boundary are stacked into shape classes for the batched
-    elimination.
+    group i are ``voff[i]:voff[i + 1]``.  ``union`` is the disjoint union of
+    the group subgraphs on the slots, with union edge j standing for graph
+    edge ``edges[j]`` of group ``edge_group[j]``; its BFS forest has one
+    tree per connected group.  Groups with a boundary are stacked into shape
+    classes for the batched elimination.
     """
 
     def __init__(self, g: WeightedGraph, groups, boundaries):
@@ -516,7 +515,6 @@ class GroupTopology:
             raise GraphError("groups have no edges")
         self.group_of_edge = np.full(g.m, -1, dtype=np.int64)  # -1: in no group
         self.group_of_edge[self.edges] = self.edge_group
-        self.eoff = np.searchsorted(self.edge_group, np.arange(k + 1))
         keys = np.unique(np.concatenate([self.edge_group * n + g.tails[self.edges],
                                          self.edge_group * n + g.heads[self.edges]]))
         b_verts, b_owner = group_ids(boundaries)

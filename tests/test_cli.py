@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from sepflow import (SolverConvergenceError, exact_max_flow_oracle, grid_r_division, pipeline,
-                     random_capacity_grid, save_dimacs, save_partition)
+from sepflow import (SolverConvergenceError, cli, exact_max_flow_oracle, grid_r_division,
+                     pipeline, random_capacity_grid, save_dimacs, save_partition)
 from sepflow.cli import main
 
 
@@ -110,18 +110,39 @@ class TestMaxflowCommand:
             if status == "partial":
                 assert payload["flow_value"] < (1 - 0.1 / 3) * factor * exact
 
-    def test_emit_flow_and_trace(self, tmp_path):
-        out = tmp_path / "r.json"
-        fpath = tmp_path / "flow.csv"
-        tpath = tmp_path / "trace.csv"
-        code = run(["maxflow", "--grid", "5x5", "--random-capacities", "--seed", "3",
-                    "--r", "16", "--json", str(out), "--emit-flow", str(fpath),
-                    "--trace", str(tpath)])
-        assert code == 0
-        flow = np.loadtxt(fpath, delimiter=",")
-        assert flow.size == 40  # 5x5 grid edge count
-        header = tpath.read_text().splitlines()[0]
-        assert header.startswith("probe,")
+    def test_emit_flow_and_trace(self, tmp_path, monkeypatch):
+        results = []
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                results.append(out[0] if isinstance(out, tuple) else out)
+                return out
+            return call
+
+        monkeypatch.setattr(cli, "approx_max_flow", recorded(cli.approx_max_flow))
+        monkeypatch.setattr(cli, "route_fixed_flow", recorded(cli.route_fixed_flow))
+        for mode in ([], ["--flow", "1"]):
+            out = tmp_path / "r.json"
+            fpath = tmp_path / "flow.csv"
+            tpath = tmp_path / "trace.csv"
+            code = run(["maxflow", "--grid", "5x5", "--random-capacities", "--seed", "3",
+                        "--r", "16", "--json", str(out), "--emit-flow", str(fpath),
+                        "--trace", str(tpath)] + mode)
+            assert code == 0
+            flow = np.loadtxt(fpath, delimiter=",")
+            assert flow.size == 40  # 5x5 grid edge count
+            header, *lines = tpath.read_text().splitlines()
+            assert header == "probe,outer_iteration,flow_target,best_value,max_edge_congestion"
+            # one row per entry of the run's trace, every number as the run holds it
+            stats = results[-1].stats
+            rows = [tuple(float(x) for x in line.split(",")) for line in lines]
+            assert rows and rows == [tuple(float(x) for x in row) for row in stats.trace_rows]
+            probes = {int(row[0]) for row in rows}
+            assert probes <= set(range(1, stats.probes + 1))
+            assert stats.probes == json.loads(out.read_text())["counters"]["probes"]
+            if mode:
+                assert probes == {1} and stats.probes == 1
 
     @pytest.mark.parametrize("amount", ["-5", "0", "nan", "inf"])
     def test_unusable_flow_amount_exits_one(self, tmp_path, capsys, amount):

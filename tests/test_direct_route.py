@@ -147,7 +147,7 @@ def test_direct_flow_meets_the_group_contract():
     net = (np.bincount(g.tails, weights=res.flow, minlength=g.n)
            - np.bincount(g.heads, weights=res.flow, minlength=g.n))
     assert np.abs(net - d).max() <= 1e-9
-    assert res.max_group_congestion <= 1 + 10 * EPS / 20
+    assert res.diagnostics.max_group_congestion <= 1 + 10 * EPS / 20
 
 
 def test_build_sparsified_instance_rejects_a_direct_plan():

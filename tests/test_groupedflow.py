@@ -155,14 +155,6 @@ class TestGroupedFlow:
         assert res.diagnostics.iterations == n_iter
         assert not res.diagnostics.early_exit
 
-    def test_trace_rows(self):
-        g = WeightedGraph(2, [(0, 1)], weight=[1.0])
-        prob = GroupedFlowProblem(g, [[0]], st_demand(2, 0, 1, 0.5), 0.1)
-        res = grouped_flow(prob, trace=True)
-        assert len(res.diagnostics.trace) == res.diagnostics.iterations
-        t, mu, energy, max_cong, accepted = res.diagnostics.trace[0]
-        assert t == 1 and mu == 1.0 and accepted
-
     def test_accepted_fraction_on_feasible(self):
         # N_1 >= (1 - eps) * iterations on comfortably feasible instances
         g0 = grid_graph(4, 4)
@@ -200,7 +192,7 @@ class TestGroupedFlow:
         # every per-edge resistance (w_grp + (eps/k) mu) w(e) stays positive
         g = WeightedGraph(3, [(0, 1), (1, 2)], weight=[0.3, 2.0])
         prob = GroupedFlowProblem(g, [[0], [1]], st_demand(3, 0, 2, 0.2), 0.2)
-        res = grouped_flow(prob, trace=True)
+        res = grouped_flow(prob)
         assert res.status == "ok"
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sepflow import (GraphError, GridSpec, ParseError, SeparatorNode, SeparatorTree,
                      ValidationError, grid_graph, grid_r_division, load_partition,
                      partition_from_groups, save_partition, separator_tree_for_grid_block,
-                     septrees_for_partition, validate_partition, validate_septree)
+                     validate_partition, validate_septree)
+from sepflow import partition
 
 
 class TestGridRDivision:
@@ -84,10 +85,10 @@ class TestPartitionValidation:
         with pytest.raises(ValidationError, match="> r"):
             partition_from_groups(g, [np.arange(g.m)], r=4)
 
-    def test_boundary_bound_clause(self):
+    def test_boundary_bound_clause(self, monkeypatch):
         g = grid_graph(9, 9)
         part = grid_r_division(9, 9, 1, 32, graph=g)
-        part.c_bdry = 0.1
+        monkeypatch.setattr(partition, "C_BDRY", 0.1)
         with pytest.raises(ValidationError, match="c_bdry"):
             validate_partition(part, g)
 
@@ -192,7 +193,7 @@ class TestSeparatorTree:
     def test_partition_trees(self):
         g = grid_graph(16, 16)
         part = grid_r_division(16, 16, 1, 32, terminals=(0, 255), graph=g)
-        trees = septrees_for_partition(GridSpec(16, 16), part, g)
-        assert len(trees) == part.k
-        for i, tree in enumerate(trees):
-            validate_septree(tree, g=g, expected_root=part.group_vertices(g, i))
+        for i in range(part.k):
+            verts = part.group_vertices(g, i)
+            tree = separator_tree_for_grid_block(GridSpec(16, 16), verts, g=g)
+            validate_septree(tree, g=g, expected_root=verts)

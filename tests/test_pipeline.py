@@ -201,6 +201,9 @@ class TestApproxGroupedFlow:
         c2 = group_congestions(two_level.flow, w, part.groups).max()
         c1 = group_congestions(direct.flow, w, part.groups).max()
         assert c2 <= (1 + eps) * max(c1, 1.0) + 1e-9
+        # the result measures the converted flow, not the quotient's
+        assert two_level.diagnostics.max_group_congestion == group_congestions(
+            two_level.flow, inst.weights, inst.group_of_edge).max()
 
     def test_residual_exact(self):
         g, part, w, inst = small_instance()
@@ -554,6 +557,21 @@ class TestSweptCutVerdict:
         assert base_ctx is None
         assert res.value == base.value and np.array_equal(res.flow, base.flow)
         assert res.stats.counters() == base.stats.counters()
+
+    def test_fixed_flow_phase_is_probe_one(self):
+        # a routed and an overloaded request each run one phase, numbered 1
+        # as approx_max_flow numbers its first probe
+        g = random_capacity_grid(12, 12, seed=3)
+        part = grid_r_division(12, 12, 1, 16, terminals=(0, g.n - 1), graph=g)
+        exact = exact_max_flow_oracle(g, 0, g.n - 1).value
+        for factor in (0.5, 3.0):
+            res, fail_ctx = route_fixed_flow(g, part, None, 0, g.n - 1, factor * exact, 0.1,
+                                             RunConfig(eps=0.1, r=16, seed=3))
+            stats = res.stats if fail_ctx is None else fail_ctx[0].stats
+            assert (fail_ctx is None) == (factor < 1)
+            assert stats.probes == 1
+            assert all(row[0] == 1 for row in stats.trace_rows)
+            assert len(stats.trace_rows) == (stats.iterations_outer if factor < 1 else 0)
 
     @pytest.mark.parametrize("amount", [0.0, -5.0, float("nan"), float("inf")])
     def test_unusable_amount_rejected_before_any_work(self, monkeypatch, amount):
