@@ -84,51 +84,50 @@ def cmd_maxflow(args):
     g, s, t, part = _build_instance(args)
     config = RunConfig(eps=args.eps, r=args.r, seed=args.seed)
 
-    if args.flow is not None:
-        res, fail_ctx = route_fixed_flow(g, part, None, s, t, args.flow, args.eps, config=config)
-        if fail_ctx is not None:
-            inst, fail, d = fail_ctx
-            cert = cut_certificate(inst, fail, args.eps)
-            payload = {
-                "status": "fail",
-                "eps": args.eps,
-                "requested_flow": args.flow,
-                "certificate": {
-                    "gradient_capacity": cert.gradient_capacity,
-                    "demand_value": cert.demand_value,
-                    "cut_value": cert.cut_capacity,
-                },
-                "seed": args.seed,
-                "timings": inst.stats.timings,
-                "counters": inst.stats.counters(),
-            }
-            _emit_json(payload, args.json)
-            if args.emit_cut and cert.cut_side is not None:
-                with open(args.emit_cut, "w") as fh:
-                    fh.write(" ".join(str(int(v)) for v in cert.cut_side) + "\n")
-            return 2
-        partial = res.value < success_target(args.flow, args.eps)
-        payload = dict(_result_json(res), status="partial" if partial else "ok",
-                       requested_flow=args.flow)
+    if args.flow is None:
+        res, fail_ctx = approx_max_flow(g, part, None, s, t, args.eps, config=config), None
     else:
-        partial = False
-        res = approx_max_flow(g, part, None, s, t, args.eps, config=config)
-        payload = _result_json(res)
-
+        res, fail_ctx = route_fixed_flow(g, part, None, s, t, args.flow, args.eps, config=config)
+    if args.trace:
+        with open(args.trace, "w") as fh:
+            _write_trace(fh, (res or fail_ctx[0]).stats)
+    if fail_ctx is not None:
+        inst, fail, d = fail_ctx
+        cert = cut_certificate(inst, fail, args.eps)
+        payload = {
+            "status": "fail",
+            "eps": args.eps,
+            "requested_flow": args.flow,
+            "certificate": {
+                "gradient_capacity": cert.gradient_capacity,
+                "demand_value": cert.demand_value,
+                "cut_value": cert.cut_capacity,
+            },
+            "seed": args.seed,
+            "timings": inst.stats.timings,
+            "counters": inst.stats.counters(),
+        }
+        _emit_json(payload, args.json)
+        if args.emit_cut and cert.cut_side is not None:
+            with open(args.emit_cut, "w") as fh:
+                fh.write(" ".join(str(int(v)) for v in cert.cut_side) + "\n")
+        return 2
+    payload = _result_json(res)
+    partial = args.flow is not None and res.value < success_target(args.flow, args.eps)
+    if args.flow is not None:
+        payload.update(status="partial" if partial else "ok", requested_flow=args.flow)
     _emit_json(payload, args.json)
     if args.emit_flow:
         np.savetxt(args.emit_flow, res.flow, delimiter=",")
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            _write_trace(fh, res.stats)
     return 3 if partial else 0
 
 
 def _write_trace(fh, stats):
-    """The run's ``trace_rows`` as CSV: one row per outer iteration that produced a flow."""
+    """The run's ``trace_rows`` as CSV, one row per outer iteration; a value
+    the iteration does not have is left empty."""
     fh.write("probe,outer_iteration,flow_target,best_value,max_edge_congestion\n")
     for row in stats.trace_rows:
-        fh.write(",".join(str(x) for x in row) + "\n")
+        fh.write(",".join("" if x is None else str(x) for x in row) + "\n")
 
 
 def _emit_json(payload, path):

@@ -33,8 +33,9 @@ class RunConfig:
 
     ``eps`` must equal the ``eps`` passed to ``approx_max_flow`` or
     ``route_fixed_flow``, which reject a mismatch.  ``r`` is only validated:
-    the partition's own ``r`` sets the outer width.  ``seed`` roots every
-    random substream of the run, and ``max_outer_iterations`` and
+    the partition's own ``r`` sets the outer width.  ``seed`` seeds the
+    one-step route's edge sampling, which fires only above the sampling
+    scale (README "Notes on scale"), and ``max_outer_iterations`` and
     ``max_probes`` cap each phase's outer loop and the flow-amount search.
     The algorithm's other constants live in ``pipeline``.
     """

@@ -34,11 +34,6 @@ class GridSpec:
     def vertex(self, layer, row, col):
         return (layer * self.rows + row) * self.cols + col
 
-    def coords(self, v):
-        layer, rem = divmod(v, self.rows * self.cols)
-        row, col = divmod(rem, self.cols)
-        return layer, row, col
-
     def coord_arrays(self, verts):
         verts = np.asarray(verts, dtype=np.int64)
         layer, rem = np.divmod(verts, self.rows * self.cols)
@@ -67,9 +62,8 @@ class GridSpec:
 def grid_graph(rows, cols, layers=1, capacity=None, weight=None, resistance=None) -> WeightedGraph:
     """Unit-capacity grid graph unless per-edge vectors are supplied."""
     spec = GridSpec(rows, cols, layers)
-    g = WeightedGraph(spec.n, spec.edges(), capacity=capacity, weight=weight, resistance=resistance)
-    g.grid = spec
-    return g
+    return WeightedGraph(spec.n, spec.edges(), capacity=capacity, weight=weight,
+                         resistance=resistance)
 
 
 def random_capacity_grid(rows, cols, layers=1, seed=0, low=1.0, high=10.0) -> WeightedGraph:
@@ -77,6 +71,4 @@ def random_capacity_grid(rows, cols, layers=1, seed=0, low=1.0, high=10.0) -> We
     spec = GridSpec(rows, cols, layers)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 0xC2)))
     cap = rng.uniform(low, high, spec.m)
-    g = WeightedGraph(spec.n, spec.edges(), capacity=cap)
-    g.grid = spec
-    return g
+    return WeightedGraph(spec.n, spec.edges(), capacity=cap)

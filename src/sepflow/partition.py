@@ -33,11 +33,11 @@ ALPHA = 0.9
 
 @dataclass
 class Partition:
-    """An r-division: edge groups with per-group boundary/interior vertex sets."""
+    """An r-division: edge groups with per-group boundary vertex sets."""
 
     groups: list  # list of np.ndarray edge ids
     boundaries: list  # list of np.ndarray vertex ids (sorted)
-    interiors: list  # list of np.ndarray vertex ids (sorted)
+    is_boundary: np.ndarray  # per vertex: on some group's boundary (connected graph)
     r: int
     n: int
     m: int
@@ -65,9 +65,9 @@ class Partition:
 
 
 def _boundary_sets(g: WeightedGraph, groups, terminals):
-    """Per-group boundary/interior per the definition: a vertex is boundary of a
-    group iff it touches the group and also touches another group (or is a
-    designated terminal)."""
+    """Per-group boundaries by the definition (a vertex is boundary of a group
+    iff it touches the group and also touches another group, or is a
+    designated terminal), and the per-vertex mask of the second clause."""
     check_terminals(g.n, terminals)
     try:
         gid = edge_group_ids(groups, g.m)
@@ -81,12 +81,8 @@ def _boundary_sets(g: WeightedGraph, groups, terminals):
     is_bdry[np.asarray(terminals, dtype=np.int64)] = True
     on_bdry = is_bdry[verts]
     cuts = np.searchsorted(owner, np.arange(k + 1))
-    boundaries, interiors = [], []
-    for i in range(k):
-        vs, mask = verts[cuts[i]:cuts[i + 1]], on_bdry[cuts[i]:cuts[i + 1]]
-        boundaries.append(vs[mask])
-        interiors.append(vs[~mask])
-    return boundaries, interiors
+    boundaries = [verts[cuts[i]:cuts[i + 1]][on_bdry[cuts[i]:cuts[i + 1]]] for i in range(k)]
+    return boundaries, is_bdry
 
 
 def partition_from_groups(g: WeightedGraph, groups, r, terminals=()) -> Partition:
@@ -95,8 +91,8 @@ def partition_from_groups(g: WeightedGraph, groups, r, terminals=()) -> Partitio
     for i, grp in enumerate(groups):
         if grp.size == 0:
             raise ValidationError(f"group {i} is empty")
-    boundaries, interiors = _boundary_sets(g, groups, terminals)
-    part = Partition(groups=groups, boundaries=boundaries, interiors=interiors,
+    boundaries, is_boundary = _boundary_sets(g, groups, terminals)
+    part = Partition(groups=groups, boundaries=boundaries, is_boundary=is_boundary,
                      r=int(r), n=g.n, m=g.m, terminals=tuple(terminals))
     # the sets were just derived from the definition; only the size clauses remain
     _check_sizes(part, g)
@@ -145,14 +141,13 @@ def validate_partition(part: Partition, g: WeightedGraph):
     """Enforce every r-division invariant; raises ValidationError naming the clause."""
     if g.n != part.n or g.m != part.m:
         raise ValidationError("partition does not match graph dimensions")
-    ref_b, ref_i = _boundary_sets(g, part.groups, part.terminals)
+    ref_b, ref_mask = _boundary_sets(g, part.groups, part.terminals)
     _check_sizes(part, g)
     bad_b = _first_mismatch(part.boundaries, ref_b, g.n)
-    bad_i = _first_mismatch(part.interiors, ref_i, g.n)
-    if bad_b is not None and (bad_i is None or bad_b <= bad_i):
+    if bad_b is not None:
         raise ValidationError(f"boundary set of group {bad_b} does not match its definition")
-    if bad_i is not None:
-        raise ValidationError(f"interior set of group {bad_i} does not match its definition")
+    if not np.array_equal(part.is_boundary, ref_mask):
+        raise ValidationError("boundary mask does not match its definition")
     return part
 
 
@@ -265,7 +260,7 @@ class SeparatorTree:
         return self.root.depth()
 
 
-def _grid_split(spec: GridSpec, verts, leaf_cutoff):
+def _grid_split(spec: GridSpec, verts):
     """Axis-aligned median cut of a grid point set; returns (sep, left, right)."""
     layer, row, col = spec.coord_arrays(verts)
     axes = [(col, "col"), (row, "row"), (layer, "layer")]
@@ -306,7 +301,7 @@ def separator_tree_for_grid_block(spec: GridSpec, vertices, leaf_cutoff=DEFAULT_
     def build(vs):
         if vs.size <= leaf_cutoff:
             return SeparatorNode(vertices=vs, separator=np.array([], dtype=np.int64))
-        split = _grid_split(spec, vs, leaf_cutoff)
+        split = _grid_split(spec, vs)
         if split is None:
             return SeparatorNode(vertices=vs, separator=np.array([], dtype=np.int64))
         sep, left, right = split
@@ -424,8 +419,8 @@ def load_partition(path, g: WeightedGraph, terminals=()) -> Partition:
     if sorted(groups) != list(range(k)):
         raise ParseError(f"expected groups 0..{k - 1}, got {sorted(groups)}")
     glist = [groups[i] for i in range(k)]
-    boundaries, interiors = _boundary_sets(g, glist, terminals)
-    part = Partition(groups=glist, boundaries=boundaries, interiors=interiors,
+    boundaries, is_boundary = _boundary_sets(g, glist, terminals)
+    part = Partition(groups=glist, boundaries=boundaries, is_boundary=is_boundary,
                      r=r, n=g.n, m=g.m, terminals=tuple(terminals))
     for i in range(k):
         if i in bdry and not np.array_equal(np.sort(bdry[i]), boundaries[i]):

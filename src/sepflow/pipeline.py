@@ -31,16 +31,14 @@ sparsifiers over the union of boundaries, with ``quotient_vertices`` mapping
 quotient-local ids back to global ones.
 
 Per-group elimination (one-step route only): a partition's
-``GroupTopology`` (local vertex ids, boundary/interior split, local
-incidence, BFS trees) is built on first use and cached on the ``Partition``.
-Each outer iteration then factors every group once (``GroupElimination``,
-dense Cholesky batched over groups of equal shape).  That one factor gives
-the group's sparsifier (its exact Schur complement, cleaned and floored),
-the conversion of quotient flows back to the group (``phi_b = S^+ d_b``,
-``phi_int = X phi_b``) and the interior extension of the cut certificate.
-Sparsifiers are kept as per-shape-class arrays of boundary-pair
-conductances, and the quotient's edge set is cached with the topology, so an
-iteration refreshes only its weights.
+``GroupTopology`` is built on first use and cached on the ``Partition``.
+Each outer iteration then factors every group once (``GroupElimination``).
+That one factor gives the group's sparsifier (its exact Schur complement,
+cleaned and floored), the conversion of quotient flows back to the group
+and the interior extension of the cut certificate.  The group layout is
+``schur``'s alone: the sparsifiers go to ``GroupTopology.quotient``, which
+caches the quotient's edge set so an iteration refreshes only its weights,
+and conversion hands ``route_residual`` a residual keyed by group and vertex.
 
 Every grouped-flow electrical flow gets its solver handle from the run's one
 ``LaggedFactor``: above the dense cutoff, one factor of the Laplacian grouped
@@ -120,8 +118,10 @@ class MaxFlowRunStats:
     ``iterations_inner_total`` counts one inner iteration per electrical
     flow, including those of a probe that a ``SolverConvergenceError`` ended.
     ``trace_rows`` holds ``(probe, outer_iteration, flow_target, best_value,
-    max_edge_congestion)`` for each outer iteration that produced a flow;
-    probes count from 1, and a fixed-flow run's one phase is probe 1.
+    max_edge_congestion)`` for every outer iteration, however it ended, with
+    None for a best value the phase does not have yet or an iterate the
+    iteration did not produce; probes count from 1, a fixed-flow run's one
+    phase is probe 1.
     """
 
     route: str = ""
@@ -224,56 +224,6 @@ class SparsifiedInstance:
         return d[self.quotient_vertices]
 
 
-@dataclass
-class _QuotientPattern:
-    """The quotient's fixed edge set, built from one set of per-class edge masks."""
-
-    masks: list  # per shape class, (G, P) booleans over np.triu_indices pairs
-    dest: list  # per shape class, quotient edge id of each True mask entry
-    graph: WeightedGraph  # template; iterations share its structure caches
-    groups: list
-    group_of_edge: np.ndarray
-    vertices: np.ndarray
-
-
-def _quotient_pattern(topo: GroupTopology, masks) -> _QuotientPattern:
-    qverts = np.unique(topo.slot_vertex[topo.on_boundary])
-    counts = np.zeros(topo.k, dtype=np.int64)
-    for cls, mask in zip(topo.classes, masks):
-        counts[cls.members] = mask.sum(axis=1)
-    if np.any(counts == 0):
-        raise GraphError("a group sparsifier has no edges; boundary too small")
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    tails = np.empty(offsets[-1], dtype=np.int64)
-    heads = np.empty(offsets[-1], dtype=np.int64)
-    dest = []
-    for cls, mask in zip(topo.classes, masks):
-        iu = np.triu_indices(cls.nb, k=1)
-        qb = np.searchsorted(qverts, topo.slot_vertex[cls.slots[:, :cls.nb]])
-        where = (offsets[cls.members][:, None] + np.cumsum(mask, axis=1) - 1)[mask]
-        tails[where] = qb[:, iu[0]][mask]
-        heads[where] = qb[:, iu[1]][mask]
-        dest.append(where)
-    quotient = WeightedGraph(qverts.size, np.column_stack([tails, heads]))
-    if not quotient.is_connected:
-        raise GraphError("quotient graph is disconnected; sparsification failed")
-    groups = [np.arange(offsets[i], offsets[i + 1]) for i in range(topo.k)]
-    return _QuotientPattern(masks=masks, dest=dest, graph=quotient, groups=groups,
-                            group_of_edge=np.repeat(np.arange(topo.k), counts), vertices=qverts)
-
-
-def _cached_quotient(topo: GroupTopology, weights):
-    """Quotient from per-class sparsifier weights, reusing the cached edge set."""
-    masks = [w > 0 for w in weights]
-    pattern = topo.quotient
-    if pattern is None or not all(np.array_equal(a, b) for a, b in zip(masks, pattern.masks)):
-        pattern = topo.quotient = _quotient_pattern(topo, masks)
-    wq = np.empty(pattern.graph.m)
-    for w, mask, where in zip(weights, masks, pattern.dest):
-        wq[where] = 1.0 / w[mask]  # quotient grouped-flow weight = inverse conductance
-    return pattern.graph.reweighted(wq), pattern
-
-
 def _group_topology(part: Partition, g: WeightedGraph, stats=None) -> GroupTopology:
     cached = part._topology
     topo = part.topology(g)
@@ -300,58 +250,39 @@ def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights,
                               stats=stats)
 
 
-def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps,
-                              plan: SparsifierPlan | None = None, seed: int = 0,
+def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps, *, seed: int = 0,
                               stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
-    """Sparsify every group at error ``eps`` by one batched elimination and
-    assemble the quotient graph.  A direct plan builds no sparsifiers and is
-    rejected."""
-    plan = plan or SparsifierPlan("one-step")
-    if plan.method == "direct":
-        raise GraphError("a direct plan builds no sparsifiers; its phases run on G itself")
+    """The one-step route's instance: every group sparsified at error ``eps``
+    by one batched elimination at grouped-flow ``weights``, and the quotient
+    assembled.  Groups must be connected with two or more boundary vertices
+    (checked before any factor).  ``seed`` seeds only the edge sampling of a
+    group over its budget; the two steps add to ``stats``' ``sparsify`` and
+    ``quotient_assemble`` timings."""
     with _stage(stats, "sparsify"):
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (g.m,) or np.any(weights <= 0):
             raise GraphError("need one positive weight per edge")
         topo = _group_topology(part, g, stats)
-        small = np.flatnonzero(topo.n_boundary < 2)
-        if small.size:
-            i = int(small[0])
-            raise GraphError(f"group {i} has boundary of size {topo.n_boundary[i]}; need >= 2")
-        split = np.flatnonzero(~topo.connected)
-        if split.size:
-            raise GraphError(
-                f"group {int(split[0])} is disconnected; sparsifiers need connected groups")
+        topo.require_sparsifiable()
         elim = GroupElimination(topo, 1.0 / weights)
         cond = elim.sparsify(eps, seed_of=lambda i: substream(seed, "sparsify", i))
         if stats is not None:
             stats.sparsifier_builds += part.k
 
     with _stage(stats, "quotient_assemble"):
-        quotient, pattern = _cached_quotient(topo, cond)
+        quotient, groups, quotient_group_of_edge, vertices = topo.quotient(cond)
         return SparsifiedInstance(graph=g, partition=part, weights=weights,
-                                  quotient_graph=quotient, quotient_groups=pattern.groups,
-                                  quotient_vertices=pattern.vertices, elimination=elim,
+                                  quotient_graph=quotient, quotient_groups=groups,
+                                  quotient_vertices=vertices, elimination=elim,
                                   group_of_edge=topo.group_of_edge,
-                                  quotient_group_of_edge=pattern.group_of_edge, stats=stats)
+                                  quotient_group_of_edge=quotient_group_of_edge, stats=stats)
 
 
 # -- flow conversion -------------------------------------------------------------
 
 
-def _group_max(values, owner, k):
-    """Per-group maximum of ``values`` (0 for groups without entries); owner sorted."""
-    out = np.zeros(k)
-    if values.size:
-        starts = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1]]))
-        out[owner[starts]] = np.maximum.reduceat(values, starts)
-    return out
-
-
 def convert_flow(src_graph: WeightedGraph, src_groups, dst_graph: WeightedGraph, dst_groups,
-                 f_src, eps, *, dst_weights=None,
-                 src_vertex_map=None, dst_vertex_map=None, check_boundaries=None,
-                 elimination: GroupElimination | None = None):
+                 f_src, eps, *, src_vertex_map=None, elimination: GroupElimination | None = None):
     """Re-route a flow group-by-group through local electrical routings.
 
     For each group the boundary residual of the source flow is routed
@@ -360,87 +291,38 @@ def convert_flow(src_graph: WeightedGraph, src_groups, dst_graph: WeightedGraph,
     are (1 +- eps)-close.  Boundary demands are preserved exactly; interior
     residuals are zero.
 
-    The destination groups must be disjoint.  A destination group's boundary
-    is ``check_boundaries[i]`` when given, else its vertices that the source
-    group also touches.  ``elimination`` supplies the destination groups
-    already factored at ``dst_weights`` (the pipeline passes the one its
-    sparsifiers came from); without it they are factored here.
+    ``src_vertex_map`` sends source vertices to destination vertex ids
+    (identity when None).  The destination groups must be disjoint.
+    ``elimination`` supplies them already factored (the pipeline passes the
+    one its sparsifiers came from); without it they are factored here at
+    ``dst_graph.weight``, with the vertices the source group also touches as
+    boundary.  ``GroupElimination.route_residual`` places and checks the
+    residual.
     """
     if len(src_groups) != len(dst_groups):
         raise GraphError("group counts differ")
-    k = len(dst_groups)
+    k, n = len(dst_groups), dst_graph.n
     f_src = np.asarray(f_src, dtype=float)
-    dst_w = dst_graph.weight if dst_weights is None else np.asarray(dst_weights, dtype=float)
     smap = np.arange(src_graph.n) if src_vertex_map is None else np.asarray(src_vertex_map)
-    dmap = np.arange(dst_graph.n) if dst_vertex_map is None else np.asarray(dst_vertex_map)
-    nglob = int(max(smap.max(initial=0), dmap.max(initial=0))) + 1
+    if smap.size and (smap.min() < 0 or smap.max() >= n):
+        raise GraphError(f"source vertex map has an entry outside 0..{n - 1}")
 
-    # residual of the source flow on each group, keyed by (group, global vertex)
+    # residual of the source flow on each group, keyed by (group, destination vertex)
     s_edges, s_owner = group_ids(src_groups)
     fe = f_src[s_edges]
-    keys, inverse = np.unique(np.concatenate([
-        s_owner * nglob + smap[src_graph.tails[s_edges]],
-        s_owner * nglob + smap[src_graph.heads[s_edges]]]), return_inverse=True)
+    keys, inverse = np.unique(np.concatenate([s_owner * n + smap[src_graph.tails[s_edges]],
+                                              s_owner * n + smap[src_graph.heads[s_edges]]]),
+                              return_inverse=True)
     res = np.bincount(inverse, weights=np.concatenate([fe, -fe]), minlength=keys.size)
-    owner = keys // nglob
-    tol = 1e-9 * np.maximum(_group_max(np.abs(res), owner, k), 1.0)[owner]
-    live = np.abs(res) > tol
 
-    bkeys = None
-    if check_boundaries is not None:
-        b_verts, b_owner = group_ids(check_boundaries)
-        bkeys = b_owner * nglob + b_verts
     if elimination is None:
         d_edges, d_owner = group_ids(dst_groups)
-        dkeys = np.unique(np.concatenate([d_owner * dst_graph.n + dst_graph.tails[d_edges],
-                                          d_owner * dst_graph.n + dst_graph.heads[d_edges]]))
-        d_grp, d_vert = np.divmod(dkeys, dst_graph.n)
-        on_bdry = np.isin(d_grp * nglob + dmap[d_vert], keys if bkeys is None else bkeys)
-        cuts = np.searchsorted(d_grp, np.arange(k + 1))
-        boundaries = [d_vert[cuts[i]:cuts[i + 1]][on_bdry[cuts[i]:cuts[i + 1]]] for i in range(k)]
+        b_grp, b_vert = np.divmod(np.intersect1d(keys, np.concatenate([
+            d_owner * n + dst_graph.tails[d_edges], d_owner * n + dst_graph.heads[d_edges]])), n)
+        boundaries = np.split(b_vert, np.searchsorted(b_grp, np.arange(1, k)))
         elimination = GroupElimination(GroupTopology(dst_graph, dst_groups, boundaries),
-                                       1.0 / dst_w)
-    topo = elimination.topology
-
-    # place the residual on the destination boundary slots
-    slot_keys = topo.slot_group * nglob + dmap[topo.slot_vertex]
-    order = np.argsort(slot_keys)
-    pos = np.minimum(np.searchsorted(slot_keys, keys, sorter=order), order.size - 1)
-    slot = order[pos]
-    found = slot_keys[slot] == keys
-    on_slot_bdry = found & topo.on_boundary[slot]
-    off_bdry = live & found & ~on_slot_bdry
-    if bkeys is not None:
-        off_bdry |= live & ~np.isin(keys, bkeys)
-    missing = live & ~found
-    bad = np.flatnonzero(off_bdry | missing)
-    if bad.size:
-        i = owner[bad[0]]
-        first = bad[owner[bad] == i]
-        v = keys[first] % nglob
-        if off_bdry[first].any():
-            raise GraphError(f"group {i}: source residual at non-boundary vertex "
-                             f"{int(v[off_bdry[first]][0])}")
-        raise GraphError(f"group {i}: boundary vertex {int(v[0])} missing from destination group")
-    demand = np.zeros(topo.slot_group.size)
-    demand[slot[on_slot_bdry]] = res[on_slot_bdry]
-
-    # rounding dust in a group's total is spread over its boundary
-    bslot = topo.on_boundary
-    total = np.bincount(topo.slot_group, weights=demand, minlength=k)
-    peak = _group_max(np.abs(demand), topo.slot_group, k)
-    unbalanced = np.flatnonzero(np.abs(total) > 1e-9 * np.maximum(peak, 1.0))
-    if unbalanced.size:
-        i = unbalanced[0]
-        raise GraphError(f"group {i}: boundary demand does not sum to zero (sum={total[i]:.3e})")
-    demand[bslot] -= (total / np.maximum(topo.n_boundary, 1))[topo.slot_group[bslot]]
-    split = np.flatnonzero(~topo.connected)
-    if split.size:
-        raise GraphError(f"group {int(split[0])}: destination group subgraph is disconnected")
-
-    f_dst = np.zeros(dst_graph.m)
-    f_dst[topo.edges] = elimination.route(demand, eps)
-    return f_dst
+                                       1.0 / dst_graph.weight)
+    return elimination.route_residual(keys, res, eps)
 
 
 # -- two-level grouped flow --------------------------------------------------------
@@ -464,12 +346,9 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, max_iterations=
     if res.failed or instance.elimination is None:
         return res
     with _stage(stats, "convert"):
-        # the elimination's topology was built from the partition's
-        # boundaries, so conversion checks the residual against them
         res.flow = convert_flow(instance.quotient_graph, instance.quotient_groups,
                                 instance.graph, instance.partition.groups, res.flow,
-                                eps / 10.0, dst_weights=instance.weights,
-                                src_vertex_map=instance.quotient_vertices,
+                                eps / 10.0, src_vertex_map=instance.quotient_vertices,
                                 elimination=instance.elimination)
         res.diagnostics.max_group_congestion = float(group_congestions(
             res.flow, instance.weights, instance.group_of_edge).max(initial=0.0))
@@ -559,9 +438,8 @@ class _Run:
         g.require_connected(what)
         if s == t:
             raise GraphError("source and sink coincide")
-        bdry_union = np.concatenate(part.boundaries)
         for v, name in ((s, "s"), (t, "t")):
-            if v not in bdry_union:
+            if not (0 <= v < part.is_boundary.size and part.is_boundary[v]):
                 raise GraphError(f"{name} = {v} is not a boundary vertex of the partition")
         self.g, self.part, self.plan = g, part, plan or SparsifierPlan()
         self.s, self.t, self.eps, self.config = s, t, eps, config
@@ -572,9 +450,7 @@ class _Run:
     def probe(self, flow_amount):
         """One search phase at ``flow_amount``; keeps the best flow, returns its success."""
         self.stats.probes += 1
-        with _stage(self.stats, "oracle_update"):
-            seed = substream(self.config.seed, "F", self.stats.probes)
-        ok, value, flow, _ = _oracle_phase(self, self.stats, flow_amount, seed)
+        ok, value, flow, _ = _oracle_phase(self, self.stats, flow_amount)
         if flow is not None and value > self.best_value:
             self.best_value, self.best_flow = value, flow
         return ok
@@ -593,7 +469,7 @@ class _Run:
             stats=self.stats, seed=self.config.seed)
 
 
-def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, seed, sweep=False):
+def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
     """One fixed-F multiplicative-weights phase of ``run`` (``stats`` is ``run.stats``).
 
     Returns (success, best_value, best_flow, fail).  It starts from the
@@ -609,7 +485,11 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, seed, sweep=Fa
 
     The run's plan picks the route: a direct phase runs grouped flow on G at
     the oracle's weights, a one-step phase on the quotient of sparsifiers
-    built at those weights, seeded from ``seed``.
+    built at those weights, their sampling seeded by
+    ``substream(config.seed, "phase", probe, iteration)``.
+
+    Every outer iteration, however it ends, appends one row to
+    ``stats.trace_rows``.
 
     The run's ``LaggedFactor`` counters are copied into ``stats``.  An inner
     ``SolverConvergenceError`` ends the phase as an unproductive probe
@@ -630,62 +510,67 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, seed, sweep=Fa
     best_value, best_flow, fail = -np.inf, None, None
     for it in range(1, limit + 1):
         stats.iterations_outer += 1
-        with _stage(stats, "oracle_update"):
-            w = oracle_edge_weights(w_oracle, g.capacity, run.group_of_edge, eps)
-        if run.plan.method == "direct":
-            with _stage(stats, "grouped_flow"):
-                inst = _direct_instance(g, part, run.group_of_edge, w, stats)
-        else:
-            with _stage(stats, "sparsify"):
-                phase_seed = substream(seed, "phase", it)
-            inst = build_sparsified_instance(g, part, w, eps / 10.0, run.plan, seed=phase_seed,
-                                             stats=stats)
-        if sweep:
-            with _stage(stats, "grouped_flow"):
-                side, cut = _swept_cut(inst, d, run.s, run.t)
-            if cut < target:
-                stats.cut_verdicts += 1
-                fail = (inst, SweptCutFail(side, cut, d), d)
-                break
-        qsize = inst.quotient_graph.m + inst.quotient_graph.n
-        inner_cap = min(max(MAX_INNER_ITERATIONS, INNER_BUDGET_UNITS // max(qsize, 1)),
-                        INNER_ITERATION_CEILING)
+        mc = None
         try:
-            res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap, lag=run.lag)
-        except SolverConvergenceError as exc:
-            stats.inner_stalls += exc.stalled
-            stats.inner_failures += 1
-            break  # the inner solver could not certify this F; unproductive probe
-        with _stage(stats, "oracle_update"):
-            if res.failed:
-                fail = (inst, res.fail, d)
-                break
-            f = res.flow
-            cong = edge_congestions(f, g.capacity)
-            mc = float(cong.max())
-            # oracle output contract checks (weighted average and width conditions)
-            wsum = float(w_oracle @ cong)
-            if wsum > (1.0 + eps) * w_oracle.sum() * (1.0 + 1e-6) or mc > rho_outer * (1.0 + 1e-6):
-                stats.width_failures += 1
-                break
-            improved = False
-            if mc > 0 and flow_amount / mc > best_value:
-                best_value, best_flow = flow_amount / mc, f / mc
-                improved = True
-            flow_sum += f
-            accepted += 1
-            avg = flow_sum / accepted
-            amc = float(edge_congestions(avg, g.capacity).max())
-            if amc > 0 and flow_amount / amc > best_value:
-                best_value, best_flow = flow_amount / amc, avg / amc
-                improved = True
-            stats.trace_rows.append((stats.probes, it, flow_amount, best_value, mc))
-            if best_value >= target:
-                break
-            stagnant = 0 if improved else stagnant + 1
-            if stagnant >= OUTER_STAGNATION_LIMIT:
-                break
-            w_oracle = w_oracle * (1.0 + (eps / max(mc, UPDATE_WIDTH_FLOOR)) * cong)
+            with _stage(stats, "oracle_update"):
+                w = oracle_edge_weights(w_oracle, g.capacity, run.group_of_edge, eps)
+            if run.plan.method == "direct":
+                with _stage(stats, "grouped_flow"):
+                    inst = _direct_instance(g, part, run.group_of_edge, w, stats)
+            else:
+                inst = build_sparsified_instance(
+                    g, part, w, eps / 10.0, stats=stats,
+                    seed=substream(run.config.seed, "phase", stats.probes, it))
+            if sweep:
+                with _stage(stats, "grouped_flow"):
+                    side, cut = _swept_cut(inst, d, run.s, run.t)
+                if cut < target:
+                    stats.cut_verdicts += 1
+                    fail = (inst, SweptCutFail(side, cut, d), d)
+                    break
+            qsize = inst.quotient_graph.m + inst.quotient_graph.n
+            inner_cap = min(max(MAX_INNER_ITERATIONS, INNER_BUDGET_UNITS // max(qsize, 1)),
+                            INNER_ITERATION_CEILING)
+            try:
+                res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap,
+                                          lag=run.lag)
+            except SolverConvergenceError as exc:
+                stats.inner_stalls += exc.stalled
+                stats.inner_failures += 1
+                break  # the inner solver could not certify this F; unproductive probe
+            with _stage(stats, "oracle_update"):
+                if res.failed:
+                    fail = (inst, res.fail, d)
+                    break
+                f = res.flow
+                cong = edge_congestions(f, g.capacity)
+                mc = float(cong.max())
+                # oracle output contract checks (weighted average and width conditions)
+                wsum = float(w_oracle @ cong)
+                if (wsum > (1.0 + eps) * w_oracle.sum() * (1.0 + 1e-6)
+                        or mc > rho_outer * (1.0 + 1e-6)):
+                    stats.width_failures += 1
+                    break
+                improved = False
+                if mc > 0 and flow_amount / mc > best_value:
+                    best_value, best_flow = flow_amount / mc, f / mc
+                    improved = True
+                flow_sum += f
+                accepted += 1
+                avg = flow_sum / accepted
+                amc = float(edge_congestions(avg, g.capacity).max())
+                if amc > 0 and flow_amount / amc > best_value:
+                    best_value, best_flow = flow_amount / amc, avg / amc
+                    improved = True
+                if best_value >= target:
+                    break
+                stagnant = 0 if improved else stagnant + 1
+                if stagnant >= OUTER_STAGNATION_LIMIT:
+                    break
+                w_oracle = w_oracle * (1.0 + (eps / max(mc, UPDATE_WIDTH_FLOOR)) * cong)
+        finally:  # one trace row per outer iteration, however it ends
+            stats.trace_rows.append((stats.probes, it, flow_amount,
+                                     None if best_flow is None else best_value, mc))
     with _stage(stats, "oracle_update"):
         for name, value in run.lag.counters().items():
             setattr(stats, name, value)
@@ -762,10 +647,9 @@ def route_fixed_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | N
     if not (math.isfinite(flow_amount) and flow_amount > 0):
         raise GraphError(f"flow amount must be finite and positive, not {flow_amount!r}")
     run = _Run(g, part, plan, s, t, eps, config, "fixed-flow routing")
-    seed = substream(run.config.seed, "fixed")
     run.stats.probes = 1
     with _stage(run.stats, "total"):
-        _, value, flow, fail = _oracle_phase(run, run.stats, flow_amount, seed, sweep=True)
+        _, value, flow, fail = _oracle_phase(run, run.stats, flow_amount, sweep=True)
     return (None, fail) if fail is not None else (run.result(value, flow), None)
 
 

@@ -282,6 +282,10 @@ def sparsify(lap: SparseLaplacian, eps: float, seed: int, c_s: float = SPARSIFY_
 # -- vertex sparsifiers ----------------------------------------------------------
 
 
+def _weight_ratio(w):
+    return float(w.max() / w.min()) if w.size else 1.0
+
+
 @dataclass
 class VertexSparsifier:
     """Sparse Laplacian on boundary vertices, spectrally close to the Schur complement."""
@@ -291,7 +295,6 @@ class VertexSparsifier:
     eps: float
     source_weight_ratio: float
     source_n: int
-    c_s: float = SPARSIFY_EDGE_FACTOR
 
     @property
     def n_boundary(self):
@@ -299,11 +302,10 @@ class VertexSparsifier:
 
     def edge_budget(self):
         nb = max(self.n_boundary, 2)
-        return self.c_s * nb * math.log(nb) / self.eps**2
+        return SPARSIFY_EDGE_FACTOR * nb * math.log(nb) / self.eps**2
 
     def weight_ratio(self):
-        w = self.laplacian.weights()
-        return float(w.max() / w.min()) if w.size else 1.0
+        return _weight_ratio(self.laplacian.weights())
 
     def validate(self):
         self.laplacian.validate(tol=1e-9)
@@ -318,12 +320,8 @@ class VertexSparsifier:
         return self
 
 
-def _weight_ratio(w):
-    return float(w.max() / w.min()) if w.size else 1.0
-
-
-def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int = 0,
-                             c_s: float = SPARSIFY_EDGE_FACTOR) -> VertexSparsifier:
+def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float,
+                             seed: int = 0) -> VertexSparsifier:
     """ApproxSchur(eps/3), Sparsify(eps/3), then a lam_min/n^2 weight floor.
 
     The Schur complement comes from the dense elimination that
@@ -337,7 +335,7 @@ def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int
     bounds = spectral_bounds(lap)
     u_in = _weight_ratio(lap.weights())
     schur = approx_schur(lap, bdry, eps / 3.0)
-    sparse = sparsify(schur, eps / 3.0, seed, c_s=c_s)
+    sparse = sparsify(schur, eps / 3.0, seed)
     floored = weight_floor(sparse, bounds.lam_min)
     return VertexSparsifier(
         laplacian=floored,
@@ -345,7 +343,6 @@ def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float, seed: int
         eps=eps,
         source_weight_ratio=u_in,
         source_n=lap.n,
-        c_s=c_s,
     )
 
 
@@ -371,7 +368,7 @@ def _node_seed(seed, path):
 
 
 def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree, eps: float,
-                              seed: int = 0, c_s: float = SPARSIFY_EDGE_FACTOR) -> VertexSparsifier:
+                              seed: int = 0) -> VertexSparsifier:
     """Recursive sparsification along a separator tree.
 
     Each level spends ``eps_step = eps / (2 * depth)``: children are
@@ -396,8 +393,7 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
     if missing.size:
         raise ValidationError(f"separator tree does not cover graph vertices {missing[:5]}")
 
-    out_bdry, ot, oh, ow = _sparsify_node(tree.root, tails, heads, w, bdry, eps_step, seed, c_s,
-                                          path=())
+    out_bdry, ot, oh, ow = _sparsify_node(tree.root, tails, heads, w, bdry, eps_step, seed, path=())
     lap_out = _local_lap(out_bdry, ot, oh, ow)
     floored = weight_floor(lap_out, bounds.lam_min)
     return VertexSparsifier(
@@ -406,11 +402,10 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
         eps=eps,
         source_weight_ratio=u_in,
         source_n=lap.n,
-        c_s=c_s,
     )
 
 
-def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, c_s, path):
+def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, path):
     """Returns (boundary ids, tails, heads, weights) of the node's sparsifier."""
     verts = np.unique(np.asarray(node.vertices, dtype=np.int64))
     bdry = np.intersect1d(bdry, verts)
@@ -418,8 +413,7 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, c
         raise GraphError("node has no boundary vertices")
 
     if node.is_leaf or verts.size <= 2 * bdry.size:
-        return _reduce_node(verts, tails, heads, w, bdry, eps_step,
-                            _node_seed(seed, path + (0xF,)), c_s)
+        return _reduce_node(verts, tails, heads, w, bdry, eps_step, _node_seed(seed, path + (0xF,)))
 
     sep = np.unique(np.asarray(node.separator, dtype=np.int64))
     child_parts = []
@@ -439,7 +433,7 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, c
         ew = np.concatenate([w[own], 0.5 * w[shared]])
         child_bdry = np.union1d(np.intersect1d(cverts, bdry), sep)
         child_parts.append(
-            _sparsify_node(child, et, eh, ew, child_bdry, eps_step, seed, c_s, path + (ci,)))
+            _sparsify_node(child, et, eh, ew, child_bdry, eps_step, seed, path + (ci,)))
     if not covered.all():
         raise ValidationError(
             "separator does not cover the node: an edge joins the two child components")
@@ -448,15 +442,15 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, c
     ch = np.concatenate([p[2] for p in child_parts])
     cw = np.concatenate([p[3] for p in child_parts])
     union = np.union1d(child_parts[0][0], child_parts[1][0])
-    return _reduce_node(union, ct, ch, cw, bdry, eps_step, _node_seed(seed, path + (0xA,)), c_s)
+    return _reduce_node(union, ct, ch, cw, bdry, eps_step, _node_seed(seed, path + (0xA,)))
 
 
-def _reduce_node(verts, tails, heads, w, bdry, eps_step, seed, c_s):
+def _reduce_node(verts, tails, heads, w, bdry, eps_step, seed):
     """ApproxSchur(eps_step/3) onto ``bdry``, then Sparsify(eps_step/3), of the
     edges on ``verts``; the same step for a leaf and for an inner node."""
     lap = _local_lap(verts, tails, heads, w)
     schur = approx_schur(lap, np.searchsorted(verts, bdry), eps_step / 3.0)
-    t, h, ww = sparsify(schur, eps_step / 3.0, seed, c_s=c_s).edge_list()
+    t, h, ww = sparsify(schur, eps_step / 3.0, seed).edge_list()
     return bdry, bdry[t], bdry[h], ww
 
 
@@ -497,26 +491,28 @@ class _ShapeClass:
 class GroupTopology:
     """The weight-independent structure of a list of edge groups.
 
-    A group's local vertex ids list its sorted boundary first, then its
-    sorted interior.  A *slot* is one (group, local id) pair; the slots of
-    group i are ``voff[i]:voff[i + 1]``.  ``union`` is the disjoint union of
-    the group subgraphs on the slots, with union edge j standing for graph
-    edge ``edges[j]`` of group ``edge_group[j]``; its BFS forest has one
-    tree per connected group.  Groups with a boundary are stacked into shape
-    classes for the batched elimination.
+    It and ``GroupElimination`` own the group layout.  A group's local
+    vertex ids list its sorted boundary first, then its sorted interior.  A
+    *slot* is one (group, local id) pair; the slots of group i are
+    ``voff[i]:voff[i + 1]``, and key ``group * n + vertex`` (sorted in
+    ``keys``) is at slot ``slot_of_key``.  ``union`` is the disjoint union
+    of the group subgraphs on the slots, with union edge j standing for
+    graph edge ``edges[j]`` of group ``edge_group[j]``; its BFS forest has
+    one tree per connected group.  Groups with a boundary are stacked into
+    shape classes for the batched elimination.
     """
 
     def __init__(self, g: WeightedGraph, groups, boundaries):
         self.tails, self.heads = g.tails, g.heads
         k = self.k = len(groups)
-        n = g.n
+        n = self.n = g.n
         self.edges, self.edge_group = group_ids(groups)
         if self.edges.size == 0:
             raise GraphError("groups have no edges")
         self.group_of_edge = np.full(g.m, -1, dtype=np.int64)  # -1: in no group
         self.group_of_edge[self.edges] = self.edge_group
-        keys = np.unique(np.concatenate([self.edge_group * n + g.tails[self.edges],
-                                         self.edge_group * n + g.heads[self.edges]]))
+        keys = self.keys = np.unique(np.concatenate([self.edge_group * n + g.tails[self.edges],
+                                                     self.edge_group * n + g.heads[self.edges]]))
         b_verts, b_owner = group_ids(boundaries)
         bkeys = np.unique(b_owner * n + b_verts)
         is_bdry = np.isin(keys, bkeys)
@@ -529,7 +525,7 @@ class GroupTopology:
         self.voff = np.searchsorted(self.slot_group, np.arange(k + 1))
         self.n_vertices = np.diff(self.voff)
         self.n_boundary = np.bincount(owner[is_bdry], minlength=k)
-        slot_of_key = np.empty(keys.size, dtype=np.int64)
+        slot_of_key = self.slot_of_key = np.empty(keys.size, dtype=np.int64)
         slot_of_key[order] = np.arange(keys.size)
         base = self.edge_group * n
         self.slot_tail = slot_of_key[np.searchsorted(keys, base + g.tails[self.edges])]
@@ -545,7 +541,7 @@ class GroupTopology:
         stray = labels != labels[self.voff[self.slot_group]]
         self.connected = np.bincount(self.slot_group[stray], minlength=k) == 0
         self.classes = self._shape_classes()  # groups without a boundary have nothing to factor
-        self.quotient = None  # the pipeline's cached quotient pattern
+        self._quotient = None  # the quotient's edge set, from the last ``quotient`` call
 
     def _shape_classes(self):
         # ascending (n, n_b) order: n_b <= n, so this key sorts by n, then n_b
@@ -578,6 +574,71 @@ class GroupTopology:
             return True
         return np.array_equal(g.tails, self.tails) and np.array_equal(g.heads, self.heads)
 
+    def require_sparsifiable(self):
+        """Raise ``GraphError`` unless every group is connected with two or more
+        boundary vertices, as its vertex sparsifier needs."""
+        small = np.flatnonzero(self.n_boundary < 2)
+        if small.size:
+            i = int(small[0])
+            raise GraphError(f"group {i} has boundary of size {self.n_boundary[i]}; need >= 2")
+        split = np.flatnonzero(~self.connected)
+        if split.size:
+            raise GraphError(
+                f"group {int(split[0])} is disconnected; sparsifiers need connected groups")
+
+    def quotient(self, weights):
+        """The quotient of the sparsifiers ``GroupElimination.sparsify``
+        returned: its graph at grouped-flow weights (inverse conductances),
+        per-group edge lists, each edge's group and each vertex's graph id.
+        The edge set is cached until the sparsifiers' pattern changes, so
+        successive graphs share their structure caches."""
+        masks = [w > 0 for w in weights]
+        pattern = self._quotient
+        if pattern is None or not all(np.array_equal(a, b) for a, b in zip(masks, pattern.masks)):
+            pattern = self._quotient = self._quotient_pattern(masks)
+        wq = np.empty(pattern.graph.m)
+        for w, mask, where in zip(weights, masks, pattern.dest):
+            wq[where] = 1.0 / w[mask]  # quotient grouped-flow weight = inverse conductance
+        return pattern.graph.reweighted(wq), pattern.groups, pattern.group_of_edge, pattern.vertices
+
+    def _quotient_pattern(self, masks):
+        qverts = np.unique(self.slot_vertex[self.on_boundary])
+        counts = np.zeros(self.k, dtype=np.int64)
+        for cls, mask in zip(self.classes, masks):
+            counts[cls.members] = mask.sum(axis=1)
+        if np.any(counts == 0):
+            raise GraphError("a group sparsifier has no edges; boundary too small")
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        tails = np.empty(offsets[-1], dtype=np.int64)
+        heads = np.empty(offsets[-1], dtype=np.int64)
+        dest = []
+        for cls, mask in zip(self.classes, masks):
+            iu = np.triu_indices(cls.nb, k=1)
+            qb = np.searchsorted(qverts, self.slot_vertex[cls.slots[:, :cls.nb]])
+            where = (offsets[cls.members][:, None] + np.cumsum(mask, axis=1) - 1)[mask]
+            tails[where] = qb[:, iu[0]][mask]
+            heads[where] = qb[:, iu[1]][mask]
+            dest.append(where)
+        quotient = WeightedGraph(qverts.size, np.column_stack([tails, heads]))
+        if not quotient.is_connected:
+            raise GraphError("quotient graph is disconnected; sparsification failed")
+        groups = [np.arange(offsets[i], offsets[i + 1]) for i in range(self.k)]
+        return _QuotientPattern(masks=masks, dest=dest, graph=quotient, groups=groups,
+                                group_of_edge=np.repeat(np.arange(self.k), counts),
+                                vertices=qverts)
+
+
+@dataclass
+class _QuotientPattern:
+    """The quotient's fixed edge set, built from one set of per-class edge masks."""
+
+    masks: list  # per shape class, (G, P) booleans over np.triu_indices pairs
+    dest: list  # per shape class, quotient edge id of each True mask entry
+    graph: WeightedGraph  # template; calls share its structure caches
+    groups: list
+    group_of_edge: np.ndarray
+    vertices: np.ndarray
+
 
 class GroupElimination:
     """Every group eliminated at one set of edge conductances.
@@ -585,8 +646,8 @@ class GroupElimination:
     Per shape class, one batched Cholesky factor of the interior blocks
     gives the Schur complements ``S`` onto the boundaries and the harmonic
     extensions ``X = -L_ii^-1 L_ib``.  Those serve the vertex sparsifiers
-    (``sparsify``), flow conversion (``route``) and the cut certificate
-    (``extend``).
+    (``sparsify``), flow conversion (``route_residual``) and the cut
+    certificate (``extend``).
     """
 
     def __init__(self, topo: GroupTopology, conductance):
@@ -615,7 +676,7 @@ class GroupElimination:
                 return s[j]
         raise GraphError(f"group {i} has no boundary")
 
-    def sparsify(self, eps, c_s=SPARSIFY_EDGE_FACTOR, seed_of=None):
+    def sparsify(self, eps, c_s=SPARSIFY_EDGE_FACTOR, *, seed_of):
         """One-step vertex sparsifiers of every group at error ``eps``.
 
         The same steps as ``one_step_vertex_sparsify``: the clamp check and
@@ -623,7 +684,7 @@ class GroupElimination:
         edge count exceeds its budget (seeded by ``seed_of(group id)``), and
         the ``lam_min / n_b^2`` weight floor.  Returns per shape class a
         (G, P) array of conductances over the boundary pairs in
-        ``np.triu_indices`` order (0 where there is no edge).
+        ``np.triu_indices`` order (0 where there is no edge), for ``quotient``.
         """
         weights = []
         for cls, s, w_min in zip(self.topology.classes, self.schur, self.w_min):
@@ -641,6 +702,49 @@ class GroupElimination:
                 cond[j] = pair_weights(weight_floor(thin, lam_min[j]))
             weights.append(cond)
         return weights
+
+    def route_residual(self, keys, res, delta):
+        """Flow on the graph's edges routing each group's residual ``res`` at
+        sorted keys ``group * n + vertex`` by ``route`` at ``delta``.  A
+        residual above 1e-9 of its group's largest must sit on the group's
+        boundary and sum there to zero; the rounding dust of the sum is
+        spread over the boundary."""
+        topo = self.topology
+        k = topo.k
+        owner = keys // topo.n
+        tol = 1e-9 * np.maximum(_group_max(np.abs(res), owner, k), 1.0)[owner]
+        live = np.abs(res) > tol
+        pos = np.minimum(np.searchsorted(topo.keys, keys), topo.keys.size - 1)
+        slot = topo.slot_of_key[pos]
+        found = topo.keys[pos] == keys
+        on_bdry = found & topo.on_boundary[slot]
+        off_bdry = live & found & ~on_bdry
+        missing = live & ~found
+        bad = np.flatnonzero(off_bdry | missing)
+        if bad.size:
+            i = owner[bad[0]]
+            first = bad[owner[bad] == i]
+            v = keys[first] % topo.n
+            if off_bdry[first].any():
+                raise GraphError(f"group {i}: source residual at non-boundary vertex "
+                                 f"{int(v[off_bdry[first]][0])}")
+            raise GraphError(f"group {i}: boundary vertex {int(v[0])} missing from destination group")
+        demand = np.zeros(topo.slot_group.size)
+        demand[slot[on_bdry]] = res[on_bdry]
+        total = np.bincount(topo.slot_group, weights=demand, minlength=k)
+        peak = _group_max(np.abs(demand), topo.slot_group, k)
+        unbalanced = np.flatnonzero(np.abs(total) > 1e-9 * np.maximum(peak, 1.0))
+        if unbalanced.size:
+            i = unbalanced[0]
+            raise GraphError(f"group {i}: boundary demand does not sum to zero (sum={total[i]:.3e})")
+        bslot = topo.on_boundary
+        demand[bslot] -= (total / np.maximum(topo.n_boundary, 1))[topo.slot_group[bslot]]
+        split = np.flatnonzero(~topo.connected)
+        if split.size:
+            raise GraphError(f"group {int(split[0])}: destination group subgraph is disconnected")
+        flow = np.zeros(topo.group_of_edge.size)
+        flow[topo.edges] = self.route(demand, delta)
+        return flow
 
     def route(self, demand, delta):
         """Per-group electrical flows routing a boundary demand exactly.
@@ -705,6 +809,15 @@ def pair_weights(lap: SparseLaplacian):
     t, h, c = lap.edge_list()
     out = np.zeros(n * (n - 1) // 2)
     out[t * (2 * n - t - 1) // 2 + h - t - 1] = c
+    return out
+
+
+def _group_max(values, owner, k):
+    """Per-group maximum of ``values`` (0 for groups without entries); owner sorted."""
+    out = np.zeros(k)
+    if values.size:
+        starts = np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1]]))
+        out[owner[starts]] = np.maximum.reduceat(values, starts)
     return out
 
 

@@ -134,15 +134,34 @@ class TestMaxflowCommand:
             assert flow.size == 40  # 5x5 grid edge count
             header, *lines = tpath.read_text().splitlines()
             assert header == "probe,outer_iteration,flow_target,best_value,max_edge_congestion"
-            # one row per entry of the run's trace, every number as the run holds it
+            # one row per entry of the run's trace, every number as the run
+            # holds it and an empty field for a value it does not have
             stats = results[-1].stats
-            rows = [tuple(float(x) for x in line.split(",")) for line in lines]
-            assert rows and rows == [tuple(float(x) for x in row) for row in stats.trace_rows]
+            rows = [tuple(float(x) if x else None for x in line.split(",")) for line in lines]
+            assert rows and rows == [tuple(None if x is None else float(x) for x in row)
+                                     for row in stats.trace_rows]
             probes = {int(row[0]) for row in rows}
             assert probes <= set(range(1, stats.probes + 1))
             assert stats.probes == json.loads(out.read_text())["counters"]["probes"]
             if mode:
                 assert probes == {1} and stats.probes == 1
+
+    @pytest.mark.parametrize("mode, code", [([], 0), (["--flow", "1000"], 2)])
+    def test_trace_has_a_row_per_outer_iteration(self, tmp_path, mode, code):
+        # 16x16 r=16 capacity seed 3: max-flow probes end by fail certificates
+        # and an inner failure, and 1000 is decided by a swept cut (exit 2)
+        out, tpath = tmp_path / "r.json", tmp_path / "trace.csv"
+        assert run(["maxflow", "--grid", "16x16", "--random-capacities", "--r", "16",
+                    "--seed", "3", "--json", str(out), "--trace", str(tpath)] + mode) == code
+        header, *lines = tpath.read_text().splitlines()
+        assert header == "probe,outer_iteration,flow_target,best_value,max_edge_congestion"
+        counters = json.loads(out.read_text())["counters"]
+        assert len(lines) == counters["iterations_outer"]
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == sorted(int(r[0]) for r in rows)
+        assert {int(r[0]) for r in rows} == set(range(1, counters["probes"] + 1))
+        if mode:  # the swept cut ends the phase before its iterate exists
+            assert rows[-1][3:] == ["", ""]
 
     @pytest.mark.parametrize("amount", ["-5", "0", "nan", "inf"])
     def test_unusable_flow_amount_exits_one(self, tmp_path, capsys, amount):

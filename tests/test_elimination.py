@@ -13,7 +13,7 @@ from sepflow import (GraphError, RunConfig, SparseLaplacian, SparsifierPlan,
                      grid_r_division, one_step_vertex_sparsify, optimum_energy,
                      partition_from_groups, random_capacity_grid, residual_of_vector,
                      route_fixed_flow)
-from sepflow import pipeline, schur
+from sepflow import schur
 from sepflow.grids import GridSpec
 from sepflow.partition import _boundary_sets
 from sepflow.pipeline import STAGES
@@ -93,7 +93,7 @@ class TestDenseSchur:
         g0 = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g0)
         w = rng.uniform(0.5, 2.0, g0.m)
-        inst = build_sparsified_instance(g0, part, w, 0.05, SparsifierPlan("one-step"), seed=1)
+        inst = build_sparsified_instance(g0, part, w, 0.05, seed=1)
         qv = inst.quotient_vertices
         for i, grp in enumerate(part.groups):
             verts, lap = group_laplacian(g0, grp, 1.0 / w)
@@ -111,7 +111,7 @@ class TestDenseSchur:
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
-        cached = build_sparsified_instance(g, part, w, 0.3, SparsifierPlan("one-step"), seed=1)
+        cached = build_sparsified_instance(g, part, w, 0.3, seed=1)
         topo = part.topology(g)
         sampled_groups, real = [], schur.sparsify
 
@@ -122,7 +122,7 @@ class TestDenseSchur:
         monkeypatch.setattr(schur, "sparsify", spy)
         cond = GroupElimination(topo, 1.0 / w).sparsify(0.3, 1e-3, seed_of=lambda i: i)
         assert sorted(sampled_groups) == list(range(part.k))
-        sampled, _ = pipeline._cached_quotient(topo, cond)
+        sampled, *_ = topo.quotient(cond)
         assert sampled is not cached.quotient_graph
         # same edge set as the unsampled build, so the cached pattern is reused
         assert sampled._structure is cached.quotient_graph._structure
@@ -178,12 +178,12 @@ class TestCertificateExtension:
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
-        inst = build_sparsified_instance(g, part, w, 0.01, SparsifierPlan("one-step"), seed=3)
+        inst = build_sparsified_instance(g, part, w, 0.01, seed=3)
         phi = np.zeros(g.n)
         phi[inst.quotient_vertices] = rng.normal(size=inst.quotient_vertices.size)
         ours = inst.elimination.extend(phi)
         for i, grp in enumerate(part.groups):
-            interior = part.interiors[i]
+            interior = np.setdiff1d(part.group_vertices(g, i), part.boundaries[i])
             if interior.size == 0:
                 continue
             r = np.ones(g.m)
@@ -225,10 +225,9 @@ class TestQuotientPattern:
     def test_same_pattern_reuses_structure(self):
         g, part = dust_instance()
         a = build_sparsified_instance(g, part, np.ones(g.m), 0.01)
-        cached = part.topology(g).quotient
         w = np.linspace(1.0, 2.0, g.m)
         b = build_sparsified_instance(g, part, w, 0.01)
-        assert part.topology(g).quotient is cached
+        assert b.quotient_graph is not a.quotient_graph
         assert b.quotient_graph._structure is a.quotient_graph._structure
         self.assert_quotient(b, self.expected_quotient(g, part, w, 0.01))
 
@@ -236,33 +235,52 @@ class TestQuotientPattern:
         g, part = dust_instance()
         ones = np.ones(g.m)
         a = build_sparsified_instance(g, part, ones, 0.01)
-        first = part.topology(g).quotient
         # a huge resistance on edge 0-3 turns the Schur entry (0, 1) into dust
         w = ones.copy()
         w[0] = 1e16
         b = build_sparsified_instance(g, part, w, 0.01)
-        assert part.topology(g).quotient is not first
+        assert b.quotient_graph._structure is not a.quotient_graph._structure
         assert b.quotient_graph.m == a.quotient_graph.m - 1
         self.assert_quotient(b, self.expected_quotient(g, part, w, 0.01))
         c = build_sparsified_instance(g, part, ones, 0.01)
+        assert c.quotient_graph._structure is not b.quotient_graph._structure
         assert c.quotient_graph.m == a.quotient_graph.m
         self.assert_quotient(c, self.expected_quotient(g, part, ones, 0.01))
 
 
+class TestBuildPreconditions:
+    def test_boundary_of_one_vertex_rejected(self):
+        # group 1 is the pendant edge 2-3, whose only boundary vertex is 2
+        g = WeightedGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        part = partition_from_groups(g, [np.arange(3), np.array([3])], r=4, terminals=(0, 1))
+        with pytest.raises(GraphError, match=r"group 1 has boundary of size 1; need >= 2"):
+            build_sparsified_instance(g, part, np.ones(g.m), 0.01)
+
+    def test_disconnected_group_named_before_any_factor(self):
+        # group 1 holds edge 1-2 and the stray edge 3-4, whose component has no
+        # boundary vertex, so factoring it would find a singular interior block
+        g = WeightedGraph(5, [(0, 1), (1, 2), (3, 4)])
+        part = partition_from_groups(g, [np.array([0]), np.array([1, 2])], r=4, terminals=(0, 2))
+        with pytest.raises(GraphError, match="group 1 is disconnected; sparsifiers need connected"):
+            build_sparsified_instance(g, part, np.ones(g.m), 0.01)
+        with pytest.raises(GraphError, match="interior block is not positive definite"):
+            GroupElimination(part.topology(g), np.ones(g.m))
+
+
 def loop_boundary_sets(g, groups, terminals):
-    """The boundary definition, one edge at a time."""
+    """The boundary definition, one edge at a time: per-group boundaries and
+    the vertices that touch two groups or are terminals."""
     touch = [set() for _ in range(g.n)]
     for i, grp in enumerate(groups):
         for e in grp:
             touch[g.tails[e]].add(i)
             touch[g.heads[e]].add(i)
     term = set(int(t) for t in terminals)
-    boundaries, interiors = [], []
+    boundaries = []
     for grp in groups:
         verts = sorted(set(g.tails[grp].tolist()) | set(g.heads[grp].tolist()))
         boundaries.append([v for v in verts if len(touch[v]) > 1 or v in term])
-        interiors.append([v for v in verts if not (len(touch[v]) > 1 or v in term)])
-    return boundaries, interiors
+    return boundaries, [len(touch[v]) > 1 or v in term for v in range(g.n)]
 
 
 class TestSetupPath:
@@ -277,10 +295,12 @@ class TestSetupPath:
         owner[:k] = np.arange(k)
         groups = [np.flatnonzero(owner == i) for i in range(k)]
         terminals = tuple(rng.choice(n, size=min(n_term, n), replace=False).tolist())
-        got_b, got_i = _boundary_sets(g, groups, terminals)
-        ref_b, ref_i = loop_boundary_sets(g, groups, terminals)
+        got_b, got_mask = _boundary_sets(g, groups, terminals)
+        ref_b, ref_mask = loop_boundary_sets(g, groups, terminals)
         assert [b.tolist() for b in got_b] == ref_b
-        assert [x.tolist() for x in got_i] == ref_i
+        assert got_mask.tolist() == ref_mask
+        # on a connected graph the mask is the union of the boundaries
+        assert np.array_equal(np.flatnonzero(got_mask), np.unique(np.concatenate(got_b)))
 
     @pytest.mark.parametrize("dims", [(2, 2, 1), (3, 5, 1), (4, 3, 3), (2, 2, 2)])
     def test_grid_edges_keep_scan_order(self, dims):
