@@ -6,6 +6,11 @@ grouped flows on the graph itself.  The paper's two-level route runs them on
 a quotient of per-group one-step spectral vertex sparsifiers and converts
 each flow back; at this scale the quotient is an exact reformulation of the
 graph (no sampling fires), so the routes agree.
+
+Every phase also sweeps the potentials of its last electrical flow for an s-t
+cut.  By weak duality the least such cut bounds the max flow from above, so
+the search never probes an amount it cannot reach, and the run certifies its
+own ratio, value / cut, without the exact oracle.
 """
 
 import time
@@ -27,6 +32,8 @@ t0 = time.time()
 res = approx_max_flow(g, part, None, 0, g.n - 1, eps, RunConfig(eps=eps, r=32, seed=seed))
 print(f"direct route:   {res.value:.4f}  ratio {res.value / exact.value:.4f} "
       f"in {time.time() - t0:.1f}s")
+print(f"least swept cut: {res.cut_upper_bound:.4f}  certified ratio "
+      f"{res.certified_ratio:.4f} (at most the true ratio)")
 print(f"max edge congestion of the returned flow: "
       f"{edge_congestions(res.flow, g.capacity).max():.6f} (feasible)")
 print(f"probes {res.stats.probes}, outer iterations {res.stats.iterations_outer}, "

@@ -3,14 +3,19 @@
 Exit codes for ``maxflow``: 0 on success, 2 when a fixed-flow run returns the
 fail certificate (the cut is emitted), 3 when a fixed-flow run ends partial
 (its best flow is below ``(1 - eps/3) F`` and no cut proves ``F``
-infeasible), 1 on input or validation errors.  The fixed-flow JSON carries
-``status`` (``"ok"``, ``"partial"`` or ``"fail"``) and ``requested_flow``.
+infeasible), 4 when a max-flow run is uncertified (its flow is below
+``1 - eps`` times the least cut its phases swept, so the run cannot show
+that it is within ``1 - eps`` of the max flow), 1 on input or validation
+errors.  The result JSON carries ``status``: ``"ok"`` or ``"uncertified"``
+for a max-flow run, ``"ok"``, ``"partial"`` or ``"fail"`` (with
+``requested_flow``) for a fixed-flow run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -74,6 +79,9 @@ def _result_json(res):
         "iterations_inner_total": res.stats.iterations_inner_total,
         "max_edge_congestion": res.max_edge_congestion,
         "per_group_congestion_max": res.per_group_congestion_max,
+        # inf (no sweep separated s from t) is not JSON
+        "cut_upper_bound": res.cut_upper_bound if math.isfinite(res.cut_upper_bound) else None,
+        "certified_ratio": res.certified_ratio,
         "timings": res.stats.timings,
         "counters": res.stats.counters(),
         "seed": res.seed,
@@ -113,13 +121,16 @@ def cmd_maxflow(args):
                 fh.write(" ".join(str(int(v)) for v in cert.cut_side) + "\n")
         return 2
     payload = _result_json(res)
-    partial = args.flow is not None and res.value < success_target(args.flow, args.eps)
-    if args.flow is not None:
-        payload.update(status="partial" if partial else "ok", requested_flow=args.flow)
+    if args.flow is None:
+        status = "uncertified" if res.certified_ratio < 1.0 - args.eps else "ok"
+    else:
+        status = "partial" if res.value < success_target(args.flow, args.eps) else "ok"
+        payload["requested_flow"] = args.flow
+    payload["status"] = status
     _emit_json(payload, args.json)
     if args.emit_flow:
         np.savetxt(args.emit_flow, res.flow, delimiter=",")
-    return 3 if partial else 0
+    return {"ok": 0, "partial": 3, "uncertified": 4}[status]
 
 
 def _write_trace(fh, stats):

@@ -100,6 +100,7 @@ class GroupedFlowResult:
     flow: np.ndarray | None
     fail: GroupedFlowFail | None
     diagnostics: GroupedFlowDiagnostics
+    potentials: np.ndarray | None = None  # of the last electrical flow, when "ok"
 
     @property
     def failed(self):
@@ -148,11 +149,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     1, so that the energy test cannot end the loop either, the loop raises at
     once the ``SolverConvergenceError`` the cap would raise (same best
     iterate and residual), flagged ``stalled``.  The average's fall slows as
-    it settles, so a stalled loop would have hit its cap too.  On the
-    16x16x3 r=128 benchmark grid the three cap-hit calls of a max-flow run
-    each fell by at most 1e-4 over their 80 flows; the exit ends each after
-    a few flows, and the run's electrical flows fall from 381 to 156 with
-    the same probes and value.
+    it settles, so a stalled loop would have hit its cap too.  In a
+    max-flow run on a 16x16 grid with r=16 (capacity seed 4) the exit ends
+    two such loops early, and the run's electrical flows fall from 2372 to
+    1840 with the same probes and value.
 
     ``lag`` supplies each iteration's solver handle and keeps its counters;
     a run passes one through all its calls so the quotient's factor carries
@@ -240,7 +240,7 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     if budget < n_iter and diag.max_group_congestion > target:
         raise _not_converged(avg, diag.max_group_congestion,
                              f"hit the iteration cap {budget}", target)
-    return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag)
+    return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag, potentials=hint)
 
 
 def _stalls(recent, left, target):

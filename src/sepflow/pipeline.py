@@ -25,6 +25,13 @@ Otherwise a phase fails when grouped flow's energy test fires
 (``GroupedFlowFail``).  ``cut_certificate`` turns either record into vertex
 potentials and an explicit cut.
 
+Every phase, in either entry, ends by sweeping the potentials of its last
+ok grouped flow (lifted the same way, at no extra solve), and the run keeps
+the least cut.  By weak duality it bounds the max flow from above:
+``approx_max_flow`` probes no amount above ``cut / (1 - PROBE_SLACK eps)``,
+where no probe can reach its success target, and reports the cut as
+``cut_upper_bound`` with ``certified_ratio = value / cut``.
+
 Vertex id spaces: the original graph uses global ids; each group's sparsifier
 lives on its (global) boundary vertex set; the quotient graph concatenates all
 sparsifiers over the union of boundaries, with ``quotient_vertices`` mapping
@@ -207,11 +214,14 @@ class SparsifiedInstance:
     quotient_group_of_edge: np.ndarray  # each quotient edge's index in ``quotient_groups``
     stats: MaxFlowRunStats | None = None  # the run that built it, if any
 
-    def extend(self, phi):
-        """``phi`` (graph vertex ids) with every group interior set to the
-        harmonic extension of its boundary values (the identity when direct)."""
+    def lift(self, phi_q):
+        """Quotient potentials ``phi_q`` on every graph vertex: every group
+        interior gets the harmonic extension of its boundary values (on a
+        direct instance, ``phi_q`` as it is)."""
         if self.elimination is None:
-            return np.asarray(phi, dtype=float)
+            return np.asarray(phi_q, dtype=float)  # the quotient is G
+        phi = np.zeros(self.graph.n)
+        phi[self.quotient_vertices] = phi_q
         return self.elimination.extend(phi)
 
     def quotient_demand(self, d):
@@ -360,6 +370,12 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, max_iterations=
 
 @dataclass
 class ApproxMaxFlowResult:
+    """A run's feasible flow of ``value``, with the least s-t cut its phases
+    swept (``cut_upper_bound``, inf when no sweep separated s from t).  By
+    weak duality the max flow lies in ``[value, cut_upper_bound]``, so
+    ``certified_ratio = value / cut_upper_bound`` is a lower bound on the
+    flow's ratio to the max flow that needs no exact oracle."""
+
     value: float
     flow: np.ndarray
     eps: float
@@ -367,6 +383,11 @@ class ApproxMaxFlowResult:
     per_group_congestion_max: float
     stats: MaxFlowRunStats
     seed: int = 0
+    cut_upper_bound: float = math.inf
+
+    @property
+    def certified_ratio(self):
+        return self.value / self.cut_upper_bound
 
 
 @dataclass
@@ -386,9 +407,7 @@ def _lifted_potentials(inst: SparsifiedInstance, resistances, d_q):
     """Potentials of the quotient demand ``d_q`` on the quotient at
     ``resistances``, by one exact solve, lifted harmonically into every group
     interior (on the direct route, G's own potentials)."""
-    phi = np.zeros(inst.graph.n)
-    phi[inst.quotient_vertices] = SolverHandle(inst.quotient_graph, 1.0 / resistances).solve(d_q)
-    return inst.extend(phi)
+    return inst.lift(SolverHandle(inst.quotient_graph, 1.0 / resistances).solve(d_q))
 
 
 def _swept_cut(inst: SparsifiedInstance, d, s, t):
@@ -426,7 +445,9 @@ class _Run:
     ``config`` (the default one when None) at ``eps``, ``g`` connected, and
     ``s`` and ``t`` distinct vertices on the partition's boundaries.
     ``w_oracle`` holds the oracle weights the last phase ended with (None
-    before the first), from which the next phase starts.
+    before the first), from which the next phase starts.  ``cut_bound`` is
+    the least s-t cut swept so far (``sweep_phase``), an upper bound on the
+    max flow.
     """
 
     def __init__(self, g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
@@ -446,6 +467,7 @@ class _Run:
         self.stats = MaxFlowRunStats(route=self.plan.method)
         self.lag, self.group_of_edge = LaggedFactor(), edge_group_ids(part.groups, g.m)
         self.w_oracle, self.best_value, self.best_flow = None, 0.0, None
+        self.cut_bound = math.inf
 
     def probe(self, flow_amount):
         """One search phase at ``flow_amount``; keeps the best flow, returns its success."""
@@ -454,6 +476,22 @@ class _Run:
         if flow is not None and value > self.best_value:
             self.best_value, self.best_flow = value, flow
         return ok
+
+    def probe_cap(self):
+        """The largest amount whose success target ``cut_bound`` allows; no
+        probe above it can succeed."""
+        return self.cut_bound / (1.0 - PROBE_SLACK * self.eps)
+
+    def sweep_phase(self, inst: SparsifiedInstance, phi_q):
+        """Lower ``cut_bound`` to the sweep of quotient potentials ``phi_q``
+        of ``inst``, lifted into every group interior.  Tied terminals leave
+        it as it is."""
+        phi = inst.lift(phi_q)
+        try:
+            _, cut = sweep_cut(self.g, phi, self.s, self.t)
+        except GraphError:
+            return
+        self.cut_bound = min(self.cut_bound, cut)
 
     def result(self, value, flow) -> ApproxMaxFlowResult:
         """The result for a feasible ``flow`` of ``value``; no flow at all
@@ -466,7 +504,7 @@ class _Run:
             value=value, flow=flow, eps=self.eps,
             max_edge_congestion=float(edge_congestions(flow, g.capacity).max(initial=0.0)),
             per_group_congestion_max=float(group_congestions(flow, w, gid).max(initial=0.0)),
-            stats=self.stats, seed=self.config.seed)
+            stats=self.stats, seed=self.config.seed, cut_upper_bound=self.cut_bound)
 
 
 def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
@@ -489,7 +527,10 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
     ``substream(config.seed, "phase", probe, iteration)``.
 
     Every outer iteration, however it ends, appends one row to
-    ``stats.trace_rows``.
+    ``stats.trace_rows``.  At the end, the potentials of the last electrical
+    flow of the last outer iteration whose grouped flow was ok are swept
+    (``_Run.sweep_phase``) to lower the run's cut bound; one sweep per
+    phase, since the bound rarely moves within one.
 
     The run's ``LaggedFactor`` counters are copied into ``stats``.  An inner
     ``SolverConvergenceError`` ends the phase as an unproductive probe
@@ -507,7 +548,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
         d = st_demand(g.n, run.s, run.t, flow_amount)
         flow_sum = np.zeros(g.m)
     accepted = stagnant = 0
-    best_value, best_flow, fail = -np.inf, None, None
+    best_value, best_flow, fail, last_ok = -np.inf, None, None, None
     for it in range(1, limit + 1):
         stats.iterations_outer += 1
         mc = None
@@ -542,6 +583,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
                 if res.failed:
                     fail = (inst, res.fail, d)
                     break
+                last_ok = (inst, res.potentials)
                 f = res.flow
                 cong = edge_congestions(f, g.capacity)
                 mc = float(cong.max())
@@ -572,6 +614,8 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
             stats.trace_rows.append((stats.probes, it, flow_amount,
                                      None if best_flow is None else best_value, mc))
     with _stage(stats, "oracle_update"):
+        if last_ok is not None:
+            run.sweep_phase(*last_ok)
         for name, value in run.lag.counters().items():
             setattr(stats, name, value)
         run.w_oracle = w_oracle
@@ -586,6 +630,13 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
     The flow amount F is located by doubling plus binary search over oracle
     success; every candidate flow is made strictly feasible by dividing by its
     maximum edge congestion, and the best feasible value seen is returned.
+    After every probe the search's upper end is capped at
+    ``cut / (1 - PROBE_SLACK eps)``, for the least cut the phases swept so
+    far: a probe above it cannot succeed.  A search that ends with its flow
+    below ``1 - eps`` times that cut (uncertified) spends the probes it has
+    left at the cap, as long as each raises the best value; they cannot
+    succeed, but they carry the oracle weights on.  The result carries the
+    cut as ``cut_upper_bound``.
     A search in which no probe produced a flow raises
     ``SolverConvergenceError``.  A ``config`` at another ``eps``, or an
     ``s`` or ``t`` that is not a vertex on the partition's boundaries (or
@@ -603,23 +654,38 @@ def approx_max_flow(g: WeightedGraph, part: Partition, plan: SparsifierPlan | No
             f_hi = float(g.capacity[(g.tails == s) | (g.heads == s)].sum())
         # doubling phase from the widest-path bottleneck, then binary refinement
         lo, hi = f_lo, f_hi
-        if run.probe(f_lo):
+
+        def probe(flow_amount):
+            nonlocal hi
+            ok = run.probe(flow_amount)
+            hi = min(hi, run.probe_cap())
+            return ok
+
+        if probe(f_lo):
             while lo < hi * 0.999 and stats.probes < max_probes:
                 nxt = min(lo * 2.0, hi * 0.999)
-                if run.probe(nxt):
+                if probe(nxt):
                     lo = nxt
                 else:
-                    hi = nxt
+                    hi = min(hi, nxt)
                     break
         else:
             lo = 0.0
         resolution = max(eps * f_lo, 1e-12)
         while hi - lo > resolution and stats.probes < max_probes:
             mid = 0.5 * (lo + hi)
-            if run.probe(mid):
+            if probe(mid):
                 lo = mid
             else:
-                hi = mid
+                hi = min(hi, mid)
+        # an uncertified search spends its last probes at the cap: they cannot
+        # succeed, but carry the oracle weights on and may raise the best flow
+        while (math.isfinite(run.cut_bound) and run.best_value / run.cut_bound < 1.0 - eps
+               and stats.probes < max_probes):
+            before = run.best_value
+            run.probe(run.probe_cap())
+            if run.best_value <= before:
+                break
     return run.result(run.best_value, run.best_flow)
 
 

@@ -479,13 +479,14 @@ class _ShapeClass:
                            minlength=self.members.size * self.n * self.n
                            ).reshape(self.members.size, self.n, self.n)
 
-    def least_merged_weights(self, conductance):
-        """Per member, the least total conductance between two adjacent
-        vertices, without the stack.  A graph orients its parallel edges
-        alike, so ``laplacians`` also sums a pair's edges in edge order: the
-        result is bitwise the negated off-diagonal."""
+    def merged_weight_range(self, conductance):
+        """Per member, the least and the greatest total conductance between
+        two adjacent vertices, without the stack.  A graph orients its
+        parallel edges alike, so ``laplacians`` also sums a pair's edges in
+        edge order: the results are bitwise negated off-diagonals."""
         merged = np.bincount(self.pair_of, weights=conductance, minlength=self.pairs.size)
-        return np.minimum.reduceat(merged, self.pair_starts)
+        return (np.minimum.reduceat(merged, self.pair_starts),
+                np.maximum.reduceat(merged, self.pair_starts))
 
 
 class GroupTopology:
@@ -653,11 +654,14 @@ class GroupElimination:
     def __init__(self, topo: GroupTopology, conductance):
         self.topology = topo
         self.conductance = np.asarray(conductance, dtype=float)[topo.edges]  # per union edge
-        self.schur, self.extension, self.w_min = [], [], []
+        self.schur, self.extension, self.w_min, self.w_max = [], [], [], []
         for cls in topo.classes:
             c = self.conductance[cls.edges]
-            # least merged edge weight, for the lam_min = w_min / n^2 floor
-            self.w_min.append(cls.least_merged_weights(c))
+            # merged edge weight range: w_min for the lam_min = w_min / n^2
+            # floor, and U = w_max / w_min for the sparsifier weight-ratio check
+            w_min, w_max = cls.merged_weight_range(c)
+            self.w_min.append(w_min)
+            self.w_max.append(w_max)
             try:
                 # the stack goes in unnamed, so _eliminate frees it before its solves
                 s, x = _eliminate(cls.laplacians(c), cls.nb)
@@ -685,9 +689,13 @@ class GroupElimination:
         the ``lam_min / n_b^2`` weight floor.  Returns per shape class a
         (G, P) array of conductances over the boundary pairs in
         ``np.triu_indices`` order (0 where there is no edge), for ``quotient``.
+        As ``VertexSparsifier.validate`` does, it raises ``ValidationError``
+        when a sparsifier's weight ratio exceeds ``10 n^5 U``, for a group of
+        n vertices whose merged edge weights span a ratio U.
         """
         weights = []
-        for cls, s, w_min in zip(self.topology.classes, self.schur, self.w_min):
+        for cls, s, w_min, w_max in zip(self.topology.classes, self.schur, self.w_min,
+                                        self.w_max):
             _check_clamp(s, eps / 3.0)
             clean = _clean_stack(s)
             iu = np.triu_indices(cls.nb, k=1)
@@ -700,6 +708,14 @@ class GroupElimination:
                 thin = sparsify(SparseLaplacian(sp.csr_matrix(clean[j])), eps / 3.0,
                                 seed_of(int(cls.members[j])), c_s=c_s)
                 cond[j] = pair_weights(weight_floor(thin, lam_min[j]))
+            least = np.where(cond > 0, cond, np.inf).min(axis=1, initial=np.inf)
+            ratio = cond.max(axis=1, initial=0.0) / least
+            bound = 10.0 * cls.n**5 * (w_max / w_min)
+            bad = np.flatnonzero(ratio > bound)
+            if bad.size:
+                j = bad[0]
+                raise ValidationError(
+                    f"sparsifier weight ratio {ratio[j]:.3e} exceeds 10 n^5 U = {bound[j]:.3e}")
             weights.append(cond)
         return weights
 

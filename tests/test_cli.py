@@ -110,6 +110,19 @@ class TestMaxflowCommand:
             if status == "partial":
                 assert payload["flow_value"] < (1 - 0.1 / 3) * factor * exact
 
+    def test_uncertified_run_exits_four(self, tmp_path):
+        # 16x16 r=16: at capacity seed 4 the best flow stays below 1 - eps of
+        # the least swept cut; at seed 3 it does not
+        for seed, code, status in (("4", 4, "uncertified"), ("3", 0, "ok")):
+            out = tmp_path / f"{status}.json"
+            assert run(["maxflow", "--grid", "16x16", "--random-capacities", "--r", "16",
+                        "--seed", seed, "--json", str(out)]) == code
+            payload = json.loads(out.read_text())
+            assert payload["status"] == status
+            ratio = payload["certified_ratio"]
+            assert ratio == payload["flow_value"] / payload["cut_upper_bound"]
+            assert (ratio < 0.9) == (status == "uncertified")
+
     def test_emit_flow_and_trace(self, tmp_path, monkeypatch):
         results = []
 

@@ -69,9 +69,9 @@ PINNED = {  # value and counters of the default route at RunConfig seed 7
     (24, 24, 1, 12, 0): (11.078388658283995, dict(
         probes=3, iterations_outer=37, iterations_inner_total=37, electrical_flows=37,
         factorizations=5, rebinds=32, pcg_iterations=280)),
-    (16, 16, 3, 128, 0): (13.058843234413537, dict(
-        probes=7, iterations_outer=144, iterations_inner_total=156, electrical_flows=156,
-        factorizations=20, rebinds=136, pcg_iterations=1218)),
+    (16, 16, 3, 128, 0): (12.973819682822734, dict(
+        probes=4, iterations_outer=79, iterations_inner_total=79, electrical_flows=79,
+        factorizations=12, rebinds=67, pcg_iterations=621)),
 }
 
 
@@ -159,11 +159,11 @@ def test_build_sparsified_instance_rejects_a_direct_plan():
 
 
 def test_inner_iterations_count_a_probe_ended_by_a_cap_hit():
-    # 16x16 r=16 capacity seed 3: one probe ends in SolverConvergenceError
-    g = random_capacity_grid(16, 16, seed=3)
+    # 16x16 r=16 capacity seed 4: probes end in SolverConvergenceError
+    g = random_capacity_grid(16, 16, seed=4)
     part = grid_r_division(16, 16, 1, 16, terminals=(0, g.n - 1), graph=g)
     for plan in (None, SparsifierPlan("one-step")):
-        res = approx_max_flow(g, part, plan, 0, g.n - 1, EPS, RunConfig(eps=EPS, r=16, seed=3))
+        res = approx_max_flow(g, part, plan, 0, g.n - 1, EPS, RunConfig(eps=EPS, r=16, seed=4))
         c = res.stats.counters()
         assert c["inner_failures"] > 0
         assert c["iterations_inner_total"] == c["electrical_flows"]

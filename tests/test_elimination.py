@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GraphError, RunConfig, SparseLaplacian, SparsifierPlan,
+from sepflow import (GraphError, RunConfig, SparseLaplacian, SparsifierPlan, ValidationError,
                      WeightedGraph, approx_max_flow, build_sparsified_instance, convert_flow,
                      cut_certificate, exact_max_flow_oracle, exact_schur, grid_graph,
                      grid_r_division, one_step_vertex_sparsify, optimum_energy,
@@ -105,6 +105,21 @@ class TestDenseSchur:
             assert np.array_equal(qv[q.heads[qg]], verts[vs.boundary][h])
             assert np.allclose(1.0 / q.weight[qg], c, rtol=1e-12)
 
+
+    def test_sparsifier_weight_ratio_checked(self):
+        # a planted Schur complement with one boundary pair 1e12 times
+        # stronger than the group's unit edges spans far more than 10 n^5 U
+        g = grid_graph(6, 6)
+        part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
+        elim = GroupElimination(part.topology(g), np.ones(g.m))
+        elim.sparsify(0.1, seed_of=lambda i: i)  # the unplanted groups pass
+        s = elim.schur[-1][0]
+        s[0, 1] -= 1e12
+        s[1, 0] -= 1e12
+        s[0, 0] += 1e12
+        s[1, 1] += 1e12
+        with pytest.raises(ValidationError, match=r"sparsifier weight ratio .* exceeds 10 n\^5 U"):
+            elim.sparsify(0.1, seed_of=lambda i: i)
 
     def test_over_budget_groups_go_through_sparsify(self, rng, monkeypatch):
         # a tiny c_s puts every Schur complement over the edge budget of sparsify

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sepflow import (DisconnectedGraphError, GraphError, GroupedFlowFail, GroupedFlowProblem,
@@ -364,6 +364,51 @@ class TestApproxMaxFlow:
             with pytest.raises(GraphError, match=r"eps = 0\.2 but config\.eps = 0\.1"):
                 getattr(pipeline, entry)(g, part, plan, 0, 63, *amount, 0.2,
                                          RunConfig(eps=0.1, seed=1))
+
+    def test_probes_stay_under_the_swept_cut_cap(self):
+        # 16x16x3 r=128 capacity seed 0: the first probe's potentials sweep
+        # the least cut, and no later probe asks more than it allows
+        g = random_capacity_grid(16, 16, 3, seed=0)
+        part = grid_r_division(16, 16, 3, 128, terminals=(0, g.n - 1), graph=g)
+        res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=128, seed=7))
+        cap = res.cut_upper_bound / (1 - pipeline.PROBE_SLACK * 0.1)
+        assert all(flow_target <= cap for _, _, flow_target, _, _ in res.stats.trace_rows)
+
+
+def side_terminal_grid(rows, cols, layers, seed):
+    """Random-capacity grid whose edges inside its first and last columns
+    have capacity 1000, so that s = 0 and t = n - 1 act as whole opposite
+    sides and the min cut crosses the grid."""
+    g = random_capacity_grid(rows, cols, layers, seed=seed)
+    col = np.arange(g.n) % cols
+    cap = g.capacity.copy()
+    for c in (0, cols - 1):
+        cap[(col[g.tails] == c) & (col[g.heads] == c)] = 1000.0
+    return WeightedGraph(g.n, g.edges, capacity=cap)
+
+
+CORNER_GRIDS = [(10, 10, 1, 16), (12, 12, 1, 16), (8, 8, 2, 32), (6, 6, 3, 48)]
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(spec=st.tuples(st.just("corner"), st.sampled_from(CORNER_GRIDS),
+                      st.integers(0, 2**16)),
+       method=st.sampled_from(["direct", "one-step"]))
+@example(spec=("side", (12, 12, 1, 16), 1), method="direct")
+@example(spec=("side", (12, 12, 1, 16), 1), method="one-step")
+def test_cut_upper_bound_bounds_the_max_flow(spec, method):
+    # weak duality: every swept cut is at least the max flow, so the
+    # certified ratio never claims more than the flow's ratio to it
+    kind, (rows, cols, layers, r), seed = spec
+    grid = side_terminal_grid if kind == "side" else random_capacity_grid
+    g = grid(rows, cols, layers, seed=seed)
+    part = grid_r_division(rows, cols, layers, r, terminals=(0, g.n - 1), graph=g)
+    res = approx_max_flow(g, part, SparsifierPlan(method), 0, g.n - 1, 0.1,
+                          RunConfig(eps=0.1, r=r, seed=seed))
+    exact = exact_max_flow_oracle(g, 0, g.n - 1).value
+    # 1e-12: the oracle's value and the cut are sums in different orders
+    assert res.cut_upper_bound >= exact * (1 - 1e-12)
+    assert res.certified_ratio <= res.value / exact * (1 + 1e-12)
 
 
 class TestCutCertificate:
