@@ -155,8 +155,8 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     1840 with the same probes and value.
 
     ``lag`` supplies each iteration's solver handle and keeps its counters;
-    a run passes one through all its calls so the quotient's factor carries
-    across outer iterations.  Without one the call makes its own.
+    a run passes one through all its calls so a wide-band graph's factor
+    carries across outer iterations.  Without one the call makes its own.
     """
     g = problem.graph
     g.require_connected("grouped flow")
@@ -177,9 +177,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     n_accepted = 0
     diag = GroupedFlowDiagnostics()
     hint = None
-    # lagged preconditioner: resistances drift slowly between iterations (and
-    # between the calls of one run), so above the dense cutoff one factor of
-    # the quotient preconditions PCG on later iterations and is refreshed only
+    # each iteration's handle: a fresh banded factor where the graph's band is
+    # narrow; where it is wide, a lagged preconditioner, since resistances
+    # drift slowly between iterations (and between the calls of one run): one
+    # LU factor preconditions PCG on later iterations and is refreshed only
     # when solves start taking long; a failed solve drops it.  No local keeps
     # the handle past its flow, so a refresh can free the old factor first.
     lag = LaggedFactor() if lag is None else lag

@@ -48,8 +48,10 @@ caches the quotient's edge set so an iteration refreshes only its weights,
 and conversion hands ``route_residual`` a residual keyed by group and vertex.
 
 Every grouped-flow electrical flow gets its solver handle from the run's one
-``LaggedFactor``: above the dense cutoff, one factor of the Laplacian grouped
-flow runs on (G's, or the quotient's) preconditions PCG across inner
+``LaggedFactor``.  Where the Laplacian grouped flow runs on (G's, or the
+quotient's) has a reverse Cuthill-McKee band of at most 64, as every grid of
+the benchmark has, each flow gets a fresh, exact banded Cholesky factor.
+Where the band is wider, one sparse LU factor preconditions PCG across inner
 iterations, outer iterations and probes alike, and is refreshed when PCG
 slows down or the quotient's edge pattern is rebuilt.
 """

@@ -1,30 +1,36 @@
 """Laplacian linear solves and demand-exact approximate electrical flows.
 
 A ``SolverHandle`` factors the Laplacian of one graph at given conductances
-exactly, with each component's root row and column removed (dense Cholesky
-up to ``DENSE_CUTOFF`` unknowns, sparse LU above), so a fresh handle meets
-the contract ``|x - A^+ b|_A <= delta * |A^+ b|_A`` with one factor
-application.  A handle rebound to new conductances on the same graph keeps
-the old factor as the preconditioner of conjugate gradients on one
-right-hand side at a time, whose stopping rule is the standard CG
-quadrature estimate of the A-norm error, so the contract is targeted
-directly rather than through a 2-norm residual proxy.
+exactly, with each component's root row and column removed, so a fresh
+handle meets the contract ``|x - A^+ b|_A <= delta * |A^+ b|_A`` with one
+factor application.  The kept vertices are numbered in reverse
+Cuthill-McKee order, computed once per graph structure; separable graphs
+have small separators, so that order gives a narrow band (24 on a 24x24
+grid, 47 on 16x16x3).  Up to a band of ``BAND_CUTOFF`` the factor is a
+LAPACK banded Cholesky (``dpbtrf``) of a matrix scattered straight into
+band storage; a wider band gets a sparse LU.  A handle rebound to new
+conductances on the same graph keeps the old factor as the preconditioner
+of conjugate gradients on one right-hand side at a time, whose stopping rule
+is the standard CG quadrature estimate of the A-norm error, so the contract
+is targeted directly rather than through a 2-norm residual proxy.
 
-A ``LaggedFactor`` carries one such factor across a whole sequence of nearby
-Laplacians on one graph structure (lagged preconditioning), refreshing it
-when PCG starts to take long; grouped flow serves every inner electrical
-flow of a run from one.
+A ``LaggedFactor`` serves a whole sequence of nearby Laplacians on one graph
+structure: a fresh banded factor for each where the band is narrow, since it
+costs less than one PCG solve, and one carried sparse LU factor (lagged
+preconditioning) where it is wide, refreshed when PCG starts to take long;
+grouped flow serves every inner electrical flow of a run from one.
 
 Electrical flows refine the solve until a computable duality gap certifies
 the energy bounds; the flow residual is then repaired exactly on a BFS
 spanning tree, which makes the demand constraint unconditional.
 
-An inner electrical flow on a carried factor costs its factor applications
-and a few vector operations: the rebound handle takes only the Laplacian's
-new values over the graph's cached pattern (no scipy matrix is built), PCG
-multiplies by the matrix into a preallocated vector through one CSR kernel
-(``graphs.csr_matvec``), a connected Laplacian is grounded and projected by
-slicing, and the tree repair is one prefix sum (``route_on_tree``).
+An inner electrical flow costs its factor applications and a few vector
+operations: a banded factor takes one ``bincount`` of the conductances and
+one LAPACK call, and builds no scipy matrix; a rebound handle takes only the
+Laplacian's new values over the graph's cached pattern, PCG multiplies by
+the matrix into a preallocated vector through one CSR kernel
+(``graphs.csr_matvec``), and the tree repair is one prefix sum
+(``route_on_tree``).
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import GraphError, SolverConvergenceError
 from .graphs import WeightedGraph, _as_float_vector, csr_matvec, zero_sum_demand
@@ -44,7 +51,8 @@ _EPS = np.finfo(float).eps
 # Below this relative duality gap, float64 roundoff dominates the certificate.
 GAP_FLOOR = 5e-13
 
-DENSE_CUTOFF = 64
+# Widest band factored by banded Cholesky; band storage grows as n * band.
+BAND_CUTOFF = 64
 
 
 @dataclass
@@ -60,40 +68,110 @@ def _as_slice(idx):
     return idx
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """How the grounded Laplacian of one graph structure is stored.
+
+    ``comp_index`` lists each component's vertices (a slice when
+    contiguous); ``keep`` the vertices other than the component roots (the
+    smallest id of each component), sorted; ``order`` the same vertices in
+    reverse Cuthill-McKee order, whose band is ``band``.  Up to a band of
+    ``BAND_CUTOFF``, ``slot``, ``edge`` and ``sign`` scatter the
+    conductances into LAPACK lower band storage, column-major
+    ``(band + 1, keep.size)``: entry ``i`` adds ``sign[i] * c[edge[i]]`` at
+    flat position ``slot[i]``.  Above it they are None.
+    """
+
+    comp_index: list
+    keep: np.ndarray | slice
+    order: np.ndarray
+    band: int
+    slot: np.ndarray | None
+    edge: np.ndarray | None
+    sign: np.ndarray | None
+
+    @property
+    def banded(self):
+        return self.slot is not None
+
+
+def _layout(g: WeightedGraph) -> _Layout:
+    """The ``_Layout`` of ``g``'s structure, computed on first use and cached
+    in ``g._structure``, which ``reweighted`` copies share."""
+    layout = g._structure.get("band_layout")
+    if layout is not None:
+        return layout
+    n = g.n
+    degree = np.bincount(g.tails, minlength=n) + np.bincount(g.heads, minlength=n)
+    if not degree.all():
+        raise GraphError(f"vertex {int(np.argmin(degree))} is isolated; every vertex needs an edge")
+    nc, labels = g.components()
+    comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
+    root = np.zeros(n, dtype=bool)
+    root[[idx[0] for idx in comp_index]] = True
+    perm = reverse_cuthill_mckee(g.adjacency(), symmetric_mode=True)
+    order = perm[~root[perm]]
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    pt, ph = pos[g.tails], pos[g.heads]
+    lo, width = np.minimum(pt, ph), np.abs(pt - ph)
+    both = lo >= 0
+    band = int(width[both].max(initial=0))
+    slot = edge = sign = None
+    if band <= BAND_CUTOFF:
+        # column j of band storage holds A[j, j] at row 0 and A[j + r, j] at row r
+        ld, eid = band + 1, np.arange(g.m)
+        kt, kh = pt >= 0, ph >= 0
+        slot = np.concatenate([pt[kt] * ld, ph[kh] * ld, lo[both] * ld + width[both]])
+        edge = np.concatenate([eid[kt], eid[kh], eid[both]])
+        sign = np.concatenate([np.ones(kt.sum() + kh.sum()), -np.ones(both.sum())])
+    layout = _Layout([_as_slice(idx) for idx in comp_index], _as_slice(np.flatnonzero(~root)),
+                     order, band, slot, edge, sign)
+    g._structure["band_layout"] = layout
+    return layout
+
+
 class _Factor:
     """Exact factor of a Laplacian with each component's root row and column
-    removed: dense Cholesky up to ``DENSE_CUTOFF`` unknowns, sparse LU above.
+    removed, on the graph's ``_Layout``: banded Cholesky in reverse
+    Cuthill-McKee order up to a band of ``BAND_CUTOFF``, sparse LU above.
     Applies as zeros at the roots.
 
-    Kept vertices that form one contiguous range (a connected Laplacian with
-    its root at vertex 0) are grounded and applied by slicing rather than
-    fancy indexing.
-
-    The grounded matrix is symmetric positive definite, so the LU takes a
-    symmetric fill-reducing ordering (minimum degree on ``A^T + A``) and
+    The banded factor is one ``bincount`` of the conductances into band
+    storage and one ``dpbtrf``; no matrix is built.  The LU factors the
+    grounded CSR matrix (kept vertices that form one contiguous range are
+    grounded by slicing), which is symmetric positive definite, so it takes
+    a symmetric fill-reducing ordering (minimum degree on ``A^T + A``) and
     pivots on the diagonal, which keeps L and U to one sparsity pattern."""
 
-    def __init__(self, a, keep):
-        keep = _as_slice(keep)
-        try:
-            if a.shape[0] <= DENSE_CUTOFF:
-                self._chol = scipy.linalg.cho_factor(a.toarray()[keep][:, keep], lower=True,
-                                                     check_finite=False)
-                self._lu = None
-            else:
-                self._lu = spla.splu(a[keep][:, keep].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        except (scipy.linalg.LinAlgError, RuntimeError) as exc:
-            raise GraphError("matrix is singular after grounding") from exc
-        self.keep = keep
+    def __init__(self, g: WeightedGraph, conductance, layout: _Layout):
+        self.banded = layout.banded
+        if self.banded:
+            self.order = layout.order
+            ab = np.bincount(layout.slot, weights=conductance[layout.edge] * layout.sign,
+                             minlength=(layout.band + 1) * layout.order.size)
+            self._band, info = dpbtrf(ab.reshape((layout.band + 1, -1), order="F"), lower=1,
+                                      overwrite_ab=1)
+            if info:
+                raise GraphError("matrix is singular after grounding")
+        else:
+            self.keep = keep = layout.keep
+            try:
+                self._lu = spla.splu(g.laplacian_csr(conductance)[keep][:, keep].tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                     options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise GraphError("matrix is singular after grounding") from exc
 
     def apply(self, y, out=None):
         """The factor's solve of ``y``, written into ``out`` when given; an
         ``out`` must hold zeros at the roots, which are never written."""
         if out is None:
             out = np.zeros_like(y)
-        if self._lu is None:
-            out[self.keep] = scipy.linalg.cho_solve(self._chol, y[self.keep], check_finite=False)
+        if self.banded:
+            # the gathered copy is solved in place: one allocation per application
+            x, _ = dpbtrs(self._band, y[self.order], lower=1, overwrite_b=1)
+            out[self.order] = x
         else:
             out[self.keep] = self._lu.solve(y[self.keep])
         return out
@@ -103,43 +181,49 @@ class SolverHandle:
     """Shareable solver state for the Laplacian of one graph at fixed
     per-edge conductances.
 
-    ``SolverHandle(g, conductance)`` builds the Laplacian on ``g``'s cached
-    pattern (``laplacian_csr``), grounds each of
-    ``g.components()`` at its first vertex, and factors it; a fresh handle
-    solves exactly, with one application of that factor.  A handle made by
+    ``SolverHandle(g, conductance)`` grounds each of ``g.components()`` at
+    its first vertex and factors the Laplacian on ``g``'s cached layout
+    (``_Factor``): banded Cholesky where the reverse Cuthill-McKee band is
+    at most ``BAND_CUTOFF``, sparse LU above.  A fresh handle solves
+    exactly, with one application of that factor.  A handle made by
     ``rebind`` runs PCG on one right-hand side at a time, preconditioned by
-    the factor of the handle it was rebound from; ``iteration_cap`` caps that
-    PCG.  Its products with the matrix run on the CSR arrays directly
-    (``matvec``), into preallocated vectors.
+    the factor of the handle it was rebound from; ``iteration_cap`` caps
+    that PCG.  Its products with the matrix run on the CSR arrays of the
+    graph's cached pattern directly (``matvec``), into preallocated vectors;
+    a fresh handle computes its CSR data only when ``matvec`` first needs it.
 
-    Immutable after construction; each solve allocates private workspace, so
-    concurrent solves against one handle are safe.  Repeated solves with the
-    same right-hand side and arguments are bit-identical.
+    Immutable after construction, apart from that cached data; each solve
+    allocates private workspace, so concurrent solves against one handle are
+    safe.  Repeated solves with the same right-hand side and arguments are
+    bit-identical.
     """
 
     def __init__(self, g: WeightedGraph, conductance, iteration_cap=None):
-        a = g.laplacian_csr(_as_float_vector(conductance, g.m, "conductance"))
-        self._indptr, self._indices, self._data = a.indptr, a.indices, a.data
+        c = _as_float_vector(conductance, g.m, "conductance")
+        layout = _layout(g)
         self.n = n = g.n
-
-        diag = a.diagonal()
-        if np.any(diag <= 0):
-            raise GraphError(f"vertex {int(np.argmax(diag <= 0))} is isolated; "
-                             "every vertex needs an edge")
-        nc, labels = g.components()
-        comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
-        self._comp_index = [_as_slice(idx) for idx in comp_index]
-        keep = np.ones(n, dtype=bool)
-        keep[[idx[0] for idx in comp_index]] = False
-        self._factor = _Factor(a, np.flatnonzero(keep))
+        self._graph, self._conductance, self._data = g, c, None
+        self._comp_index = layout.comp_index
+        self._factor = _Factor(g, c, layout)
         self._exact_direct = True
 
+        diag = np.bincount(g.tails, weights=c, minlength=n)
+        diag += np.bincount(g.heads, weights=c, minlength=n)
         kappa_est = 4.0 * n ** 2 * diag.max() / diag.min()
         self.iteration_cap = iteration_cap if iteration_cap is not None else int(20 * np.sqrt(kappa_est) + 1000)
 
+    def _csr(self):
+        """``(indptr, indices, data)`` of the Laplacian over the graph's
+        cached pattern; a fresh handle computes ``data`` on first use."""
+        indptr, indices, _ = self._graph.laplacian_pattern()
+        if self._data is None:
+            self._data = self._graph.laplacian_data(self._conductance)
+        return indptr, indices, self._data
+
     def matvec(self, x, out=None):
         """``A @ x`` for a vector ``x``, written into ``out`` when given."""
-        return csr_matvec(self._indptr, self._indices, self._data, self.n, np.asarray(x),
+        indptr, indices, data = self._csr()
+        return csr_matvec(indptr, indices, data, self.n, np.asarray(x),
                           np.empty(self.n) if out is None else out)
 
     def rebind(self, values):
@@ -151,9 +235,10 @@ class SolverHandle:
         array, kept as it is, not copied, so it must not change afterwards.
         Rebinding a rebound handle keeps the original factor.
         """
-        if not (isinstance(values, np.ndarray) and values.shape == self._data.shape
+        _, indices, _ = self._graph.laplacian_pattern()
+        if not (isinstance(values, np.ndarray) and values.shape == indices.shape
                 and values.dtype == np.float64):
-            raise GraphError(f"rebound values must be {self._data.size} float64 entries, "
+            raise GraphError(f"rebound values must be {indices.size} float64 entries, "
                              "one per stored entry of the pattern")
         clone = object.__new__(SolverHandle)
         clone.__dict__.update(self.__dict__)
@@ -273,18 +358,19 @@ SOLVER_COUNTERS = ("electrical_flows", "factorizations", "rebinds", "pcg_iterati
 
 
 class LaggedFactor:
-    """One Laplacian factor carried across a sequence of nearby solves.
+    """The solver handles of a sequence of nearby solves, with one sparse LU
+    factor carried across them where the band is wide.
 
     ``handle_for(g, conductance)`` gives the handle for the next electrical
-    flow on ``g``.  At most ``DENSE_CUTOFF`` vertices that is a fresh dense
-    factor every time, which costs less than PCG solves.  Above it, the
-    carried factor is rebound to the new conductances (PCG preconditioned by
-    the old factor) and refreshed when the last solve took more than
-    ``REFRESH_ITERATIONS`` iterations, after ``MAX_AGE`` rebinds, or when
-    ``g`` no longer shares the structure the factor was built on (graphs
-    made by ``reweighted`` share it; a rebuilt quotient pattern does not).
-    ``record`` takes each solve's stats; ``drop`` forgets the factor after a
-    failed solve.
+    flow on ``g``.  Where ``g``'s band is at most ``BAND_CUTOFF`` that is a
+    fresh banded factor every time, exact and cheaper than one PCG solve on
+    a carried factor.  Above it, the carried LU factor is rebound to the new
+    conductances (PCG preconditioned by the old factor) and refreshed when
+    the last solve took more than ``REFRESH_ITERATIONS`` iterations, after
+    ``MAX_AGE`` rebinds, or when ``g`` no longer shares the structure the
+    factor was built on (graphs made by ``reweighted`` share it; a rebuilt
+    quotient pattern does not).  ``record`` takes each solve's stats;
+    ``drop`` forgets the factor after a failed solve.
 
     The counters cover every handle it gave: ``electrical_flows``,
     ``factorizations`` (fresh factors), ``rebinds`` and ``pcg_iterations``
@@ -305,9 +391,9 @@ class LaggedFactor:
 
     def handle_for(self, g: WeightedGraph, conductance):
         self.electrical_flows += 1
-        stale = (self.handle is None or self.structure is not g._structure
-                 or self.last_iterations > self.REFRESH_ITERATIONS or self.age >= self.MAX_AGE)
-        self.rebound = g.n > DENSE_CUTOFF and not stale
+        self.rebound = (self.handle is not None and self.structure is g._structure
+                        and self.last_iterations <= self.REFRESH_ITERATIONS
+                        and self.age < self.MAX_AGE)
         if self.rebound:
             self.age += 1
             self.rebinds += 1
@@ -315,7 +401,7 @@ class LaggedFactor:
         self.factorizations += 1
         self.handle = None  # free the old factor first: less heap to grow
         handle = SolverHandle(g, conductance)
-        if g.n > DENSE_CUTOFF:
+        if not handle._factor.banded:
             self.handle, self.structure, self.age = handle, g._structure, 0
         return handle
 

@@ -68,10 +68,10 @@ def test_max_flow_routes_agree(spec):
 PINNED = {  # value and counters of the default route at RunConfig seed 7
     (24, 24, 1, 12, 0): (11.078388658283995, dict(
         probes=3, iterations_outer=37, iterations_inner_total=37, electrical_flows=37,
-        factorizations=5, rebinds=32, pcg_iterations=280)),
+        factorizations=37, rebinds=0, pcg_iterations=0)),
     (16, 16, 3, 128, 0): (12.973819682822734, dict(
         probes=4, iterations_outer=79, iterations_inner_total=79, electrical_flows=79,
-        factorizations=12, rebinds=67, pcg_iterations=621)),
+        factorizations=79, rebinds=0, pcg_iterations=0)),
 }
 
 

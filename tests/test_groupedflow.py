@@ -172,14 +172,15 @@ class TestGroupedFlow:
         # next call's first solve with the old factor; the result is the
         # fresh call's up to the solve tolerance
         rng = np.random.default_rng(3)
-        g0 = grid_graph(10, 10)  # 100 vertices, above the dense cutoff
-        part = grid_r_division(10, 10, 1, 16, terminals=(0, 99), graph=g0)
+        g0 = grid_graph(12, 12, 6)  # band 66, above the band cutoff: the LU factor is carried
+        t = g0.n - 1
+        part = grid_r_division(12, 12, 6, 96, terminals=(0, t), graph=g0)
         g1 = WeightedGraph(g0.n, g0.edges, weight=rng.uniform(0.5, 2.0, g0.m))
         g2 = g1.reweighted(g1.weight * rng.uniform(0.8, 1.25, g0.m))
         lag = LaggedFactor()
-        grouped_flow(GroupedFlowProblem(g1, part.groups, st_demand(100, 0, 99, 0.3), 0.1), lag=lag)
+        grouped_flow(GroupedFlowProblem(g1, part.groups, st_demand(g0.n, 0, t, 0.3), 0.1), lag=lag)
         before = lag.counters()
-        prob = GroupedFlowProblem(g2, part.groups, st_demand(100, 0, 99, 0.35), 0.1)
+        prob = GroupedFlowProblem(g2, part.groups, st_demand(g0.n, 0, t, 0.35), 0.1)
         carried = grouped_flow(prob, lag=lag)
         fresh = grouped_flow(prob)
         assert lag.rebinds > before["rebinds"] and lag.handle is not None

@@ -241,15 +241,17 @@ class TestApproxGroupedFlow:
                 return handle
 
         eps = 0.1
-        g = random_capacity_grid(12, 12, seed=4)
-        part = grid_r_division(12, 12, 1, 16, terminals=(0, g.n - 1), graph=g)
+        g = random_capacity_grid(12, 12, 4, seed=4)
+        part = grid_r_division(12, 12, 4, 96, terminals=(0, g.n - 1), graph=g)
         w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, eps)
         d = st_demand(g.n, 0, g.n - 1, 0.5 * exact_max_flow_oracle(g, 0, g.n - 1).value)
         lag = Spy()
         lag.fresh = []
         first = build_sparsified_instance(g, part, w, eps / 10, seed=1)
-        assert first.quotient_graph.n > 64  # above the dense cutoff
+        assert first.quotient_graph.n > 64
         approx_grouped_flow(first, d, eps, lag=lag)
+        # a quotient of 298 vertices and band 89: the LU factor is carried
+        assert first.quotient_graph._structure["band_layout"].band > 64
         assert lag.fresh[0] and not any(lag.fresh[1:])
         same = build_sparsified_instance(g, part, 1.05 * w, eps / 10, seed=1)
         assert same.quotient_graph._structure is first.quotient_graph._structure
@@ -656,13 +658,13 @@ class TestDeterminism:
         assert np.array_equal(a.flow, b.flow)
 
     def test_same_seed_repeats_solver_counters(self):
-        # quotient of 97 vertices: the run carries one lagged factor
-        g = random_capacity_grid(12, 12, seed=4)
+        # a 12x12x6 grid has band 66: the run carries one lagged LU factor
+        g = random_capacity_grid(12, 12, 6, seed=4)
 
         def run():
-            part = grid_r_division(12, 12, 1, 16, terminals=(0, g.n - 1), graph=g)
+            part = grid_r_division(12, 12, 6, 96, terminals=(0, g.n - 1), graph=g)
             return approx_max_flow(g, part, None, 0, g.n - 1, 0.1,
-                                   RunConfig(eps=0.1, r=16, seed=4))
+                                   RunConfig(eps=0.1, r=96, seed=4))
 
         a, b = run(), run()
         ca = a.stats.counters()

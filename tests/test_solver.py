@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sepflow import (GraphError, LaggedFactor, SolverConvergenceError, SolverHandle,
-                     WeightedGraph, electrical_flow, grid_graph, optimum_energy,
+                     WeightedGraph, electrical_flow, grid_graph, grid_r_division, optimum_energy,
                      random_capacity_grid, residual_of_vector, st_demand)
+from sepflow import solver
 from sepflow.solver import GAP_FLOOR, SolveStats
 
 from conftest import dense_electrical, random_connected_graph
@@ -30,11 +31,12 @@ class TestSolveSdd:
 
     def test_anorm_contract(self, rng):
         # |x - A^+ b|_A <= delta |A^+ b|_A against the dense pseudoinverse, on
-        # both sides of the dense cutoff, for a fresh handle (one factor
-        # application) and for the same base handle rebound again and again
-        # to conductances that drift by U(0.8, 1.25) per step (PCG
-        # preconditioned by the old factor, as a carried ``LaggedFactor``
-        # uses it); the last one is rebound from a rebound handle
+        # banded factors and (the widest random graphs) LU factors, for a
+        # fresh handle (one factor application) and for the same base handle
+        # rebound again and again to conductances that drift by U(0.8, 1.25)
+        # per step (PCG preconditioned by the old factor, as a carried
+        # ``LaggedFactor`` uses it); the last one is rebound from a rebound
+        # handle
         deltas = (1e-2, 1e-4, 1e-6, 1e-10)
         for trial in range(300):
             n = int(rng.integers(10, 121))
@@ -79,7 +81,7 @@ class TestSolveSdd:
     def test_rejects_positive_off_diagonal(self, rng, n):
         # a negative conductance is a positive off-diagonal Laplacian entry;
         # zero, nan and inf conductances, and a vector that is not one entry
-        # per edge, are rejected alike, on both sides of the dense cutoff
+        # per edge, are rejected alike, before any factor
         g = random_connected_graph(rng, n, n)
         for bad in (0.0, -0.5, np.nan, np.inf):
             c = rng.uniform(0.5, 2.0, g.m)
@@ -193,7 +195,7 @@ class TestReboundValues:
 
 class TestLaggedFactor:
     def test_policy_and_counters(self):
-        g = grid_graph(9, 9)  # 81 vertices, above the dense cutoff
+        g = grid_graph(12, 12, 6)  # reverse Cuthill-McKee band 66: the LU factor is carried
         c = np.ones(g.m)
         lag = LaggedFactor()
         first = lag.handle_for(g, c)
@@ -208,7 +210,7 @@ class TestLaggedFactor:
                                   "pcg_iterations": slow}
 
     def test_rebuilt_pattern_factors_afresh(self):
-        g = grid_graph(9, 9)
+        g = grid_graph(12, 12, 6)
         lag = LaggedFactor()
         lag.handle_for(g, np.ones(g.m))
         lag.record(SolveStats(iterations=1))
@@ -220,19 +222,121 @@ class TestLaggedFactor:
         assert not lag.handle_for(rebuilt.reweighted(np.full(g.m, 3.0)), np.ones(g.m))._exact_direct
 
     def test_small_graphs_factor_every_time(self):
-        g = grid_graph(8, 8)  # 64 vertices: at the dense cutoff
+        g = grid_graph(8, 8)  # 64 vertices, band 8
         lag = LaggedFactor()
         for _ in range(3):
             assert lag.handle_for(g, np.ones(g.m))._exact_direct
             lag.record(SolveStats(iterations=1))
         assert lag.factorizations == 3 and lag.rebinds == 0 and lag.pcg_iterations == 0
 
-    def test_drop_forgets_the_factor(self):
+    def test_narrow_band_gets_an_exact_fresh_handle_every_time(self, rng):
+        # a 9x9 grid (81 vertices, band 9): every flow gets a fresh banded
+        # factor at its own conductances, even when PCG would have been quick
         g = grid_graph(9, 9)
+        c0 = rng.uniform(0.5, 2.0, g.m)
+        d = st_demand(g.n, 0, g.n - 1, 1.0)
+        lag = LaggedFactor()
+        for step in range(4):
+            c = c0 * rng.uniform(0.8, 1.25, g.m)
+            h = lag.handle_for(g.reweighted(np.full(g.m, 1.0 + step)), c)
+            assert h._exact_direct and h._factor.banded
+            x = h.solve(d)
+            assert np.array_equal(x, SolverHandle(g, c).solve(d))
+            lag.record(SolveStats(iterations=1))
+        assert lag.counters() == {"electrical_flows": 4, "factorizations": 4, "rebinds": 0,
+                                  "pcg_iterations": 0}
+        assert lag.handle is None
+
+    def test_drop_forgets_the_factor(self):
+        g = grid_graph(12, 12, 6)
         lag = LaggedFactor()
         lag.handle_for(g, np.ones(g.m))
         lag.drop()
         assert lag.handle_for(g, np.ones(g.m))._exact_direct
+
+
+def _pendant_pair(g, tiny):
+    """``g`` with a path root - a - b appended, whose edge to the root
+    (vertex 0) has conductance ``tiny``, absorbed in a's diagonal, and the
+    unit conductances of the rest: a and b then ground to an exactly
+    singular block."""
+    n = g.n
+    h = WeightedGraph(n + 2, np.vstack([g.edges, [[0, n], [n, n + 1]]]))
+    c = np.ones(h.m)
+    c[-2] = tiny
+    return h, c
+
+
+class TestFactorKinds:
+    """The banded Cholesky factor (reverse Cuthill-McKee band at most 64)
+    and the sparse LU factor (wider band) against the dense pseudoinverse."""
+
+    CASES = {  # name: (graph, expects a banded factor)
+        "24x24": (lambda rng: grid_graph(24, 24), True),
+        "16x16x3": (lambda rng: grid_graph(16, 16, 3), True),
+        "12x12x6": (lambda rng: grid_graph(12, 12, 6), False),
+        "multigraph": (lambda rng: WeightedGraph(40, np.vstack(
+            [random_connected_graph(rng, 40, 30).edges] * 2)), True),
+        "3-components": (lambda rng: _random_components(rng, 90, 3), True),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_pseudoinverse(self, rng, name):
+        make, banded = self.CASES[name]
+        g = make(rng)
+        c = rng.uniform(0.5, 2.0, g.m)
+        handle = SolverHandle(g, c)
+        assert handle._factor.banded == banded
+        _, labels = g.components()
+
+        def center(v):  # remove each component's mean
+            return v - (np.bincount(labels, weights=v) / np.bincount(labels))[labels]
+
+        d = np.column_stack([center(rng.normal(size=g.n)) for _ in range(2)])
+        ref = np.linalg.pinv(g.laplacian_csr(c).toarray()) @ d
+        # one right-hand side, and one per column
+        for x, r in ((handle.solve(d[:, 0]), ref[:, 0]), (handle.solve(d)[:, 1], ref[:, 1])):
+            assert np.linalg.norm(center(x - r)) <= 1e-9 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("base, banded", [(grid_graph(4, 4), True),
+                                              (grid_graph(12, 12, 6), False)],
+                             ids=["banded", "lu"])
+    def test_singular_and_isolated_raise(self, base, banded):
+        g, c = _pendant_pair(base, 2.0 ** -100)
+        with pytest.raises(GraphError, match="singular after grounding"):
+            SolverHandle(g, c)
+        assert g._structure["band_layout"].banded == banded
+        c[-2] = 1.0  # the same graph at a conductance a's diagonal keeps
+        assert SolverHandle(g, c)._factor.banded == banded
+        lone = WeightedGraph(base.n + 1, base.edges)
+        with pytest.raises(GraphError, match=f"vertex {base.n} is isolated"):
+            SolverHandle(lone, np.ones(lone.m))
+
+    def test_layout_is_computed_once_per_structure(self, monkeypatch):
+        calls = []
+        real = solver.reverse_cuthill_mckee
+        monkeypatch.setattr(solver, "reverse_cuthill_mckee",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        g = random_capacity_grid(12, 12, 6, seed=0)
+        grid_r_division(12, 12, 6, 96, terminals=(0, g.n - 1), graph=g)
+        assert not calls and "band_layout" not in g._structure  # built at the first factor
+        SolverHandle(g, g.capacity)
+        copy = g.reweighted(np.full(g.m, 2.0))
+        SolverHandle(copy, np.ones(g.m))
+        LaggedFactor().handle_for(copy, g.capacity)
+        assert len(calls) == 1
+        assert copy._structure["band_layout"] is g._structure["band_layout"]
+        SolverHandle(WeightedGraph(g.n, g.edges), np.ones(g.m))  # a rebuilt structure
+        assert len(calls) == 2
+
+    def test_fresh_handle_builds_its_csr_data_on_first_use(self, rng):
+        g = grid_graph(10, 10)
+        c = rng.uniform(0.5, 2.0, g.m)
+        handle = SolverHandle(g, c)
+        assert handle._data is None
+        x = rng.normal(size=g.n)
+        assert np.array_equal(handle.matvec(x), g.laplacian_csr(c) @ x)
+        assert handle._data is not None
 
 
 class TestElectricalFlow:
