@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import DisconnectedGraphError, GraphError
 
@@ -23,7 +24,8 @@ def _as_float_vector(x, m, name):
     v = np.asarray(x, dtype=float)
     if v.shape != (m,):
         raise GraphError(f"{name} must have one entry per edge ({m}), got shape {v.shape}")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0):
+    # a NaN fails both comparisons, since min and max propagate it
+    if not (v.min(initial=np.inf) > 0 and v.max(initial=1.0) < np.inf):
         raise GraphError(f"{name} entries must be strictly positive and finite")
     return v
 
@@ -99,25 +101,16 @@ class WeightedGraph:
         return np.column_stack([self.tails, self.heads])
 
     def adjacency(self):
-        """CSR adjacency with edge ids as data (lazily built)."""
+        """Symmetric CSR adjacency with sorted indices (lazily built).  Its
+        data is edge id + 1, summed over parallel edges, which collapse into
+        one entry: read it for its structure only."""
         if "adj" not in self._structure:
             rows = np.concatenate([self.tails, self.heads])
             cols = np.concatenate([self.heads, self.tails])
             eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
-            # parallel edges collapse in CSR; incident_edges lists them apart
             self._structure["adj"] = sp.csr_matrix((eids + 1, (rows, cols)),
                                                    shape=(self.n, self.n))
         return self._structure["adj"]
-
-    def incident_edges(self):
-        """Arrays (indptr, neighbor, edge_id) listing incidences per vertex."""
-        rows = np.concatenate([self.tails, self.heads])
-        cols = np.concatenate([self.heads, self.tails])
-        eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
-        order = np.lexsort((eids, cols, rows))
-        rows, cols, eids = rows[order], cols[order], eids[order]
-        indptr = np.searchsorted(rows, np.arange(self.n + 1))
-        return indptr, cols, eids
 
     def components(self):
         """Vertex component labels (cached)."""
@@ -140,37 +133,52 @@ class WeightedGraph:
     def bfs_tree(self):
         """Deterministic BFS forest: (parent, parent_edge, order, depth).
 
-        Roots are the smallest vertex id of each component; neighbors are
-        visited in ascending (vertex, edge-id) order.
+        Roots are the smallest vertex id of each component, and components
+        follow one another in ``order`` by their roots; neighbors are visited
+        in ascending (vertex, edge-id) order, so a vertex's parent edge is the
+        least edge id between it and its parent.  Roots have parent and
+        parent edge -1.
+
+        Computed by scipy's ``breadth_first_order`` on the sorted CSR
+        ``adjacency()`` (from one virtual vertex adjacent to every root when
+        there are several components) and cached; the parent edges are found
+        by one sorted lookup and the depths by pointer jumping.
         """
         if "bfs" not in self._structure:
-            indptr, nbr, eid = self.incident_edges()
-            parent = np.full(self.n, -1, dtype=np.int64)
-            parent_edge = np.full(self.n, -1, dtype=np.int64)
-            depth = np.full(self.n, -1, dtype=np.int64)
-            order = []
-            seen = np.zeros(self.n, dtype=bool)
-            for root in range(self.n):
-                if seen[root]:
-                    continue
-                seen[root] = True
-                depth[root] = 0
-                queue = [root]
-                order.append(root)
-                while queue:
-                    nxt = []
-                    for v in queue:
-                        for j in range(indptr[v], indptr[v + 1]):
-                            u = nbr[j]
-                            if not seen[u]:
-                                seen[u] = True
-                                parent[u] = v
-                                parent_edge[u] = eid[j]
-                                depth[u] = depth[v] + 1
-                                order.append(u)
-                                nxt.append(u)
-                    queue = nxt
-            self._structure["bfs"] = (parent, parent_edge, np.asarray(order), depth)
+            n = self.n
+            nc, labels = self.components()
+            adj = self.adjacency()
+            if nc == 1:
+                order, pred = breadth_first_order(adj, 0, directed=True,
+                                                  return_predecessors=True)
+            else:
+                root = np.unique(labels, return_index=True)[1]  # least vertex per label
+                aug = sp.csr_matrix((np.ones(adj.nnz + nc), np.append(adj.indices, np.sort(root)),
+                                     np.append(adj.indptr, adj.nnz + nc)), shape=(n + 1, n + 1))
+                order, pred = breadth_first_order(aug, n, directed=True,
+                                                  return_predecessors=True)
+                # one search interleaves the components level by level; a
+                # stable sort by root regroups them, each in its BFS order
+                order = order[1:][np.argsort(root[labels[order[1:]]], kind="stable")]
+                pred = pred[:n]
+            parent = np.where((pred >= 0) & (pred < n), pred, -1).astype(np.int64)
+            kids = np.flatnonzero(parent >= 0)
+            # the least edge id of each (tail, head) pair: a stable sort by pair
+            key = self.tails * n + self.heads
+            by_key = np.argsort(key, kind="stable")
+            lo, hi = np.minimum(kids, parent[kids]), np.maximum(kids, parent[kids])
+            parent_edge = np.full(n, -1, dtype=np.int64)
+            parent_edge[kids] = by_key[np.searchsorted(key[by_key], lo * n + hi)]
+            # pointer jumping: depth[v] is v's distance to jump[v], an ancestor
+            depth = (parent >= 0).astype(np.int64)
+            jump = np.where(parent >= 0, parent, np.arange(n))
+            while True:
+                up = jump[jump]
+                if np.array_equal(up, jump):
+                    break
+                depth += depth[jump]
+                jump = up
+            self._structure["bfs"] = (parent, parent_edge, order.astype(np.int64), depth)
         return self._structure["bfs"]
 
     def route_on_tree(self, q):
@@ -198,35 +206,48 @@ class WeightedGraph:
         positions ``lo:hi``, ``edge`` is its parent edge and ``sign`` is +1
         where pushing from ``v`` toward its parent runs along the edge's
         tail -> head orientation.
+
+        The positions come from the forest's Euler tour (enter a vertex, its
+        children's tours in BFS order, leave it), ranked by pointer jumping
+        in O(log n) vectorized rounds, however deep the tree: a subtree's
+        interval runs from the preorder position where the tour enters its
+        root to the one where it leaves it.
         """
         if "tree_intervals" not in self._structure:
             parent, parent_edge, order, depth = self.bfs_tree()
             n = self.n
-            # BFS order sorted by depth keeps each level's children grouped
-            # by parent, with the groups in their parents' order
+            # BFS order sorted by depth lists every family (a parent's
+            # children, or the roots) together and in order
             level = order[np.argsort(depth[order], kind="stable")]
-            cuts = np.searchsorted(depth[level], np.arange(int(depth.max()) + 2))
-            size = np.ones(n, dtype=np.int64)
-            for d in range(len(cuts) - 2, 0, -1):  # subtree sizes, deepest level first
-                kids = level[cuts[d]:cuts[d + 1]]
-                np.add.at(size, parent[kids], size[kids])
-            # a subtree starts after its parent and its earlier siblings' subtrees
-            up, sz = parent[level], size[level]
-            before = np.cumsum(sz) - sz
-            first = np.flatnonzero(np.concatenate([[True], up[1:] != up[:-1]]))
-            before -= np.repeat(before[first], np.diff(np.append(first, n)))
-            start = np.zeros(n, dtype=np.int64)
-            start[level] = before
-            for d in range(1, len(cuts) - 1):
-                kids = level[cuts[d]:cuts[d + 1]]
-                start[kids] += start[parent[kids]] + 1
-            preorder = np.empty(n, dtype=np.int64)
-            preorder[start] = np.arange(n)
-            tree = level[cuts[1]:]
+            up = parent[level]
+            sibling = up[1:] == up[:-1]
+            first_child = np.full(n, -1, dtype=np.int64)
+            heads = np.flatnonzero(np.append(True, ~sibling) & (up >= 0))
+            first_child[up[heads]] = level[heads]
+            next_sibling = np.full(n, -1, dtype=np.int64)
+            next_sibling[level[:-1][sibling]] = level[1:][sibling]
+            # Euler tour: event v enters v, event n + v leaves it, event 2n ends
+            succ = np.empty(2 * n + 1, dtype=np.int64)
+            succ[:n] = np.where(first_child >= 0, first_child, np.arange(n, 2 * n))
+            succ[n:2 * n] = np.where(next_sibling >= 0, next_sibling,
+                                     np.where(parent >= 0, n + parent, 2 * n))
+            succ[2 * n] = 2 * n
+            # list ranking by pointer jumping: steps from each event to the end
+            left = np.ones(2 * n + 1, dtype=np.int64)
+            left[2 * n] = 0
+            while not (succ == 2 * n).all():
+                left += left[succ]
+                succ = succ[succ]
+            tour = np.empty(2 * n, dtype=np.int64)
+            tour[2 * n - left[:2 * n]] = np.arange(2 * n)
+            entered = np.cumsum(tour < n)  # vertices entered up to each tour step
+            start = entered[2 * n - left[:n]] - 1  # preorder position
+            stop = entered[2 * n - left[n:2 * n]]  # end of the subtree's interval
+            preorder = tour[tour < n]
+            tree = level[up >= 0]
             edge = parent_edge[tree]
             sign = np.where(self.tails[edge] == tree, 1.0, -1.0)
-            self._structure["tree_intervals"] = (preorder, start[tree], start[tree] + size[tree],
-                                                 edge, sign)
+            self._structure["tree_intervals"] = (preorder, start[tree], stop[tree], edge, sign)
         return self._structure["tree_intervals"]
 
     # -- Laplacian ---------------------------------------------------------
@@ -331,8 +352,8 @@ def edge_congestions(flow, capacity):
 
 def group_ids(groups):
     """(ids, group of each id) of a list of id arrays, concatenated in order."""
-    sizes = np.fromiter((len(grp) for grp in groups), dtype=np.int64, count=len(groups))
-    ids = (np.concatenate([np.asarray(grp, dtype=np.int64) for grp in groups])
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    ids = (np.concatenate(groups, dtype=np.int64, casting="unsafe")
            if len(groups) else np.zeros(0, dtype=np.int64))
     return ids, np.repeat(np.arange(len(groups)), sizes)
 

@@ -74,6 +74,18 @@ class GroupedFlowProblem:
     def k(self):
         return len(self.groups)
 
+    def with_graph(self, graph: WeightedGraph):
+        """This problem on ``graph``, a reweighted copy of its graph: the
+        groups, demand and eps were checked when the problem was made and
+        depend on the graph's structure alone, which the copy shares, so
+        nothing is checked again."""
+        if graph._structure is not self.graph._structure:
+            raise GraphError("a problem moves only to a reweighted copy of its graph")
+        moved = object.__new__(GroupedFlowProblem)
+        moved.__dict__.update(self.__dict__)
+        moved.graph = graph
+        return moved
+
 
 @dataclass
 class GroupedFlowFail:
@@ -114,16 +126,16 @@ def check_mwu_step(w_before, w_after, congestions, eps, rho, tol=1e-9):
     are asserted; the conditional energy-growth statement for over-width
     groups is recorded, not asserted.
     """
-    mu_before = float(np.sum(w_before))
-    mu_after = float(np.sum(w_after))
+    mu_before = float(w_before.sum())
+    mu_after = float(w_after.sum())
     if mu_after > math.exp(eps / rho) * mu_before * (1.0 + tol):
         raise ValidationError(
             f"mu grew by {mu_after / mu_before:.12f} > exp(eps/rho) = {math.exp(eps / rho):.12f}")
-    if np.any(w_after < w_before * (1.0 - tol)):
+    if (w_after < w_before * (1.0 - tol)).any():
         raise ValidationError("a group weight decreased across an iteration")
     return {
         "mu_ratio": mu_after / mu_before,
-        "over_width": bool(np.any(congestions >= rho)),
+        "over_width": bool((congestions >= rho).any()),
     }
 
 

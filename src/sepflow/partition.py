@@ -80,17 +80,27 @@ def _boundary_sets(g: WeightedGraph, groups, terminals):
     is_bdry = np.bincount(verts, minlength=g.n) > 1
     is_bdry[np.asarray(terminals, dtype=np.int64)] = True
     on_bdry = is_bdry[verts]
+    owner, verts = owner[on_bdry], verts[on_bdry]
     cuts = np.searchsorted(owner, np.arange(k + 1))
-    boundaries = [verts[cuts[i]:cuts[i + 1]][on_bdry[cuts[i]:cuts[i + 1]]] for i in range(k)]
+    boundaries = [verts[cuts[i]:cuts[i + 1]] for i in range(k)]
     return boundaries, is_bdry
 
 
 def partition_from_groups(g: WeightedGraph, groups, r, terminals=()) -> Partition:
-    """Build and validate a Partition from explicit edge groups."""
-    groups = [np.unique(np.asarray(grp, dtype=np.int64)) for grp in groups]
-    for i, grp in enumerate(groups):
-        if grp.size == 0:
-            raise ValidationError(f"group {i} is empty")
+    """Build and validate a Partition from explicit edge groups; each group
+    is kept sorted and without repeats."""
+    # one sort over (group, edge) pairs sorts every group at once
+    ids, owner = group_ids(groups)
+    order = np.lexsort((ids, owner))
+    ids, owner = ids[order], owner[order]
+    repeat = np.zeros(ids.size, dtype=bool)
+    repeat[1:] = (ids[1:] == ids[:-1]) & (owner[1:] == owner[:-1])
+    ids, owner = ids[~repeat], owner[~repeat]
+    cuts = np.searchsorted(owner, np.arange(len(groups) + 1))
+    empty = np.flatnonzero(cuts[1:] == cuts[:-1])
+    if empty.size:
+        raise ValidationError(f"group {int(empty[0])} is empty")
+    groups = [ids[cuts[i]:cuts[i + 1]] for i in range(len(groups))]
     boundaries, is_boundary = _boundary_sets(g, groups, terminals)
     part = Partition(groups=groups, boundaries=boundaries, is_boundary=is_boundary,
                      r=int(r), n=g.n, m=g.m, terminals=tuple(terminals))

@@ -349,12 +349,34 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, max_iterations=
     ``instance.weights``.  ``max_iterations`` and ``lag`` are passed on to
     ``grouped_flow``, which returns once its running average meets its
     contract."""
+    with _stage(instance.stats, "grouped_flow"):
+        problem = _grouped_problem(instance, d, eps / 2.0)
+    return _solve_grouped(instance, problem, eps, max_iterations, lag)
+
+
+def _grouped_problem(instance: SparsifiedInstance, d, eps, previous=None):
+    """The grouped-flow problem of ``instance`` for the global demand ``d``.
+
+    ``previous`` is the problem of the same phase's last outer iteration
+    (same demand and ``eps``).  Where the quotient kept its structure and
+    groups, it moves to this instance's quotient as it is: its demand and
+    groups passed their checks when it was made and have not changed.
+    """
+    graph = instance.quotient_graph
+    if (previous is not None and previous.graph._structure is graph._structure
+            and previous.groups is instance.quotient_groups
+            and previous.group_of_edge is instance.quotient_group_of_edge):
+        return previous.with_graph(graph)
+    return GroupedFlowProblem(graph, instance.quotient_groups, instance.quotient_demand(d), eps,
+                              group_of_edge=instance.quotient_group_of_edge)
+
+
+def _solve_grouped(instance: SparsifiedInstance, problem: GroupedFlowProblem, eps,
+                   max_iterations, lag) -> GroupedFlowResult:
+    """``approx_grouped_flow`` on ``instance`` for its grouped-flow ``problem``."""
     stats = instance.stats
     with _stage(stats, "grouped_flow"):
-        prob = GroupedFlowProblem(instance.quotient_graph, instance.quotient_groups,
-                                  instance.quotient_demand(d), eps / 2.0,
-                                  group_of_edge=instance.quotient_group_of_edge)
-        res = grouped_flow(prob, max_iterations=max_iterations, lag=lag)
+        res = grouped_flow(problem, max_iterations=max_iterations, lag=lag)
     if res.failed or instance.elimination is None:
         return res
     with _stage(stats, "convert"):
@@ -526,7 +548,11 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
     The run's plan picks the route: a direct phase runs grouped flow on G at
     the oracle's weights, a one-step phase on the quotient of sparsifiers
     built at those weights, their sampling seeded by
-    ``substream(config.seed, "phase", probe, iteration)``.
+    ``substream(config.seed, "phase", probe, iteration)``.  The phase's
+    demand and groups are checked when its first grouped-flow problem is
+    made; later outer iterations move that problem to their new weights
+    (``_grouped_problem``), and check again only after a one-step quotient
+    changed its edge pattern.
 
     Every outer iteration, however it ends, appends one row to
     ``stats.trace_rows``.  At the end, the potentials of the last electrical
@@ -550,7 +576,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
         d = st_demand(g.n, run.s, run.t, flow_amount)
         flow_sum = np.zeros(g.m)
     accepted = stagnant = 0
-    best_value, best_flow, fail, last_ok = -np.inf, None, None, None
+    best_value, best_flow, fail, last_ok, problem = -np.inf, None, None, None, None
     for it in range(1, limit + 1):
         stats.iterations_outer += 1
         mc = None
@@ -571,12 +597,13 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
                     stats.cut_verdicts += 1
                     fail = (inst, SweptCutFail(side, cut, d), d)
                     break
+            with _stage(stats, "grouped_flow"):
+                problem = _grouped_problem(inst, d, eps / 20.0, problem)
             qsize = inst.quotient_graph.m + inst.quotient_graph.n
             inner_cap = min(max(MAX_INNER_ITERATIONS, INNER_BUDGET_UNITS // max(qsize, 1)),
                             INNER_ITERATION_CEILING)
             try:
-                res = approx_grouped_flow(inst, d, eps / 10.0, max_iterations=inner_cap,
-                                          lag=run.lag)
+                res = _solve_grouped(inst, problem, eps / 10.0, inner_cap, run.lag)
             except SolverConvergenceError as exc:
                 stats.inner_stalls += exc.stalled
                 stats.inner_failures += 1

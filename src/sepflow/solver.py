@@ -30,7 +30,13 @@ one LAPACK call, and builds no scipy matrix; a rebound handle takes only the
 Laplacian's new values over the graph's cached pattern, PCG multiplies by
 the matrix into a preallocated vector through one CSR kernel
 (``graphs.csr_matvec``), and the tree repair is one prefix sum
-(``route_on_tree``).
+(``route_on_tree``).  A fresh handle computes nothing that only PCG reads:
+its iteration cap waits for the first ``rebind``.  Each flow still checks
+what can change between flows: its conductances and resistances are
+positive and finite (they drift, and can overflow, as weights grow), its
+right-hand side is in the range, both projections run and its gap is
+certified.  The structure these rest on (layout, BFS tree, Laplacian
+pattern) is computed once per graph, by compiled scipy and numpy calls.
 """
 
 from __future__ import annotations
@@ -191,6 +197,10 @@ class SolverHandle:
     that PCG.  Its products with the matrix run on the CSR arrays of the
     graph's cached pattern directly (``matvec``), into preallocated vectors;
     a fresh handle computes its CSR data only when ``matvec`` first needs it.
+    Likewise it computes its iteration cap, unless one is given, only when
+    it is first read or the handle is first rebound: a fresh handle's exact
+    solve never reads it, and every rebound handle gets the cap of the
+    conductances the factor was built at.
 
     Immutable after construction, apart from that cached data; each solve
     allocates private workspace, so concurrent solves against one handle are
@@ -201,16 +211,26 @@ class SolverHandle:
     def __init__(self, g: WeightedGraph, conductance, iteration_cap=None):
         c = _as_float_vector(conductance, g.m, "conductance")
         layout = _layout(g)
-        self.n = n = g.n
+        self.n = g.n
         self._graph, self._conductance, self._data = g, c, None
         self._comp_index = layout.comp_index
         self._factor = _Factor(g, c, layout)
         self._exact_direct = True
+        self._iteration_cap = iteration_cap
 
-        diag = np.bincount(g.tails, weights=c, minlength=n)
-        diag += np.bincount(g.heads, weights=c, minlength=n)
-        kappa_est = 4.0 * n ** 2 * diag.max() / diag.min()
-        self.iteration_cap = iteration_cap if iteration_cap is not None else int(20 * np.sqrt(kappa_est) + 1000)
+    @property
+    def iteration_cap(self):
+        """The PCG iteration cap: the one given, else
+        ``int(20 sqrt(4 n^2 d_max / d_min) + 1000)`` for the weighted degrees
+        ``d`` at the conductances the handle was built with, computed on
+        first use (only PCG on a rebound handle reads it)."""
+        if self._iteration_cap is None:
+            g, c, n = self._graph, self._conductance, self.n
+            diag = np.bincount(g.tails, weights=c, minlength=n)
+            diag += np.bincount(g.heads, weights=c, minlength=n)
+            kappa_est = 4.0 * n ** 2 * diag.max() / diag.min()
+            self._iteration_cap = int(20 * np.sqrt(kappa_est) + 1000)
+        return self._iteration_cap
 
     def _csr(self):
         """``(indptr, indices, data)`` of the Laplacian over the graph's
@@ -242,6 +262,7 @@ class SolverHandle:
                              "one per stored entry of the pattern")
         clone = object.__new__(SolverHandle)
         clone.__dict__.update(self.__dict__)
+        clone._iteration_cap = self.iteration_cap  # computed once, on this handle
         clone._exact_direct = False
         clone._data = values
         return clone
@@ -256,10 +277,9 @@ class SolverHandle:
         return out
 
     def _check_range(self, bmat):
-        scale = np.abs(bmat).max(axis=0)
+        tol = 1e-6 * np.maximum(np.abs(bmat).max(axis=0), 1e-300) * self.n + 1e-300
         for idx in self._comp_index:
-            bad = np.abs(bmat[idx].sum(axis=0)) > 1e-6 * np.maximum(scale, 1e-300) * self.n + 1e-300
-            if np.any(bad):
+            if (np.abs(bmat[idx].sum(axis=0)) > tol).any():
                 raise GraphError("right-hand side is not orthogonal to the Laplacian null space")
 
     # -- solves ------------------------------------------------------------------
@@ -457,7 +477,7 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
     if handle is None:
         handle = SolverHandle(g, cond)
 
-    if not np.any(d):
+    if not d.any():
         return ElectricalFlowResult(np.zeros(g.m), np.zeros(g.n), 0.0, 0.0)
 
     gap_target = max(delta * delta / 4.5, GAP_FLOOR)
@@ -473,7 +493,7 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None, potentials_hin
         q = d - (np.bincount(g.tails, weights=f_pot, minlength=g.n)
                  - np.bincount(g.heads, weights=f_pot, minlength=g.n))
         flow = f_pot + g.route_on_tree(q)
-        e_flow = float(np.sum(r * flow * flow))
+        e_flow = float((r * flow * flow).sum())
         # edge by edge: phi @ (L phi) cancels away the gap when conductances span decades
         quad = float(dphi @ f_pot)
         lin = float(d @ phi)

@@ -9,6 +9,7 @@ spectral sandwiches.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import strategies as st
 
 from sepflow import WeightedGraph
 
@@ -78,6 +79,31 @@ def random_connected_graph(rng, n, extra_edges, weight_range=(0.5, 2.0)):
     w = rng.uniform(*weight_range, len(edges))
     return WeightedGraph(n, edges, weight=w, resistance=w,
                          capacity=rng.uniform(1.0, 10.0, len(edges)))
+
+
+@st.composite
+def multigraphs(draw, max_n=20):
+    """Small multigraphs with parallel edges and tied capacities; sparse
+    draws leave several components and isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=2 * n)) if n > 1 else []
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))  # parallel copies
+    capacity = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.01, 100.0),
+                             min_size=len(edges), max_size=len(edges)))
+    return WeightedGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                         capacity=capacity if edges else None)
+
+
+def incidences(g):
+    """Each vertex's (neighbor, edge id) pairs in ascending order, one pair
+    per edge end, so parallel edges are listed apart."""
+    adj = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    return [sorted(pairs) for pairs in adj]
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from sepflow import (GraphError, SparseLaplacian, WeightedGraph, edge_congestion
                      st_demand, zero_sum_demand)
 from sepflow.graphs import csr_matvec
 
-from conftest import dense_laplacian, random_connected_graph
+from conftest import dense_laplacian, incidences, multigraphs, random_connected_graph
 
 
 def path3():
@@ -228,6 +228,44 @@ def test_residual_matches_incidence_matrix(n, data):
         b[e, u] = 1.0
         b[e, v] = -1.0
     assert np.allclose(residual_of_vector(flow, g), b.T @ flow, atol=1e-9)
+
+
+def reference_bfs_tree(g):
+    """The BFS forest vertex at a time: a queue per component, roots in
+    ascending order, neighbors in ascending (vertex, edge id) order."""
+    adj = incidences(g)
+    parent, parent_edge, depth = [-1] * g.n, [-1] * g.n, [-1] * g.n
+    order = []
+    for root in range(g.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:  # grows while it is read: first in, first out
+            order.append(v)
+            for u, e in adj[v]:
+                if depth[u] < 0:
+                    parent[u], parent_edge[u], depth[u] = v, e, depth[v] + 1
+                    queue.append(u)
+    return tuple(np.array(a, dtype=np.int64) for a in (parent, parent_edge, order, depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=30))
+def test_bfs_tree_matches_the_queue_reference_exactly(g):
+    for ours, ref in zip(g.bfs_tree(), reference_bfs_tree(g)):
+        assert ours.dtype == np.int64
+        assert np.array_equal(ours, ref)
+
+
+def test_bfs_tree_of_components_and_isolated_vertices():
+    # components {0, 3, 5} and {1, 4}, isolated 2 and 6; a parallel pair 3-5
+    g = WeightedGraph(7, [(5, 3), (4, 1), (0, 5), (3, 5), (0, 3)])
+    parent, parent_edge, order, depth = g.bfs_tree()
+    assert order.tolist() == [0, 3, 5, 1, 4, 2, 6]
+    assert parent.tolist() == [-1, -1, -1, 0, 1, 0, -1]
+    assert parent_edge.tolist() == [-1, -1, -1, 4, 1, 2, -1]
+    assert depth.tolist() == [0, 0, 0, 1, 1, 1, 0]
 
 
 def reference_route_on_tree(g, q):

@@ -1,10 +1,36 @@
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepflow import (WeightedGraph, exact_max_flow_oracle, grid_graph,
+from sepflow import (GraphError, WeightedGraph, exact_max_flow_oracle, grid_graph,
                      random_capacity_grid, residual_of_vector, widest_path_bottleneck)
 
-from conftest import random_connected_graph
+from conftest import incidences, multigraphs, random_connected_graph
+
+
+def reference_widest_path(g, s, t):
+    """Heap Dijkstra on bottleneck widths, one vertex at a time; None when
+    no path joins s and t."""
+    adj = incidences(g)
+    best = [-np.inf] * g.n
+    best[s] = np.inf
+    heap, done = [(-np.inf, s)], [False] * g.n
+    while heap:
+        _, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        if v == t:
+            break
+        for u, e in adj[v]:
+            w = min(best[v], g.capacity[e])
+            if w > best[u]:
+                best[u] = w
+                heapq.heappush(heap, (-w, u))
+    return float(best[t]) if np.isfinite(best[t]) else None
 
 
 def brute_force_max_flow(g, s, t):
@@ -89,3 +115,33 @@ class TestWidestPath:
             wp = widest_path_bottleneck(g, 0, g.n - 1)
             mf = exact_max_flow_oracle(g, 0, g.n - 1).value
             assert wp <= mf + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_matches_the_heap_reference_exactly(self, g, data):
+        s = data.draw(st.integers(0, g.n - 1))
+        for t in range(g.n):
+            if t == s:
+                continue
+            ref = reference_widest_path(g, s, t)
+            if ref is None:
+                with pytest.raises(GraphError, match="no s-t path"):
+                    widest_path_bottleneck(g, s, t)
+            else:
+                assert widest_path_bottleneck(g, s, t) == ref
+
+    def test_parallel_edges_count_at_their_widest_copy(self):
+        # CSR would sum the copies (2 + 3 = 5 > 4); the widest copy is 3
+        g = WeightedGraph(3, [(0, 1), (0, 1), (1, 2)], capacity=[2.0, 3.0, 4.0])
+        assert widest_path_bottleneck(g, 0, 2) == 3.0
+
+    def test_no_path_across_components_and_no_path_to_oneself(self):
+        g = WeightedGraph(5, [(0, 1), (2, 3)], capacity=[1.0, 2.0])  # vertex 4 is isolated
+        for s, t in ((0, 2), (1, 3), (0, 4), (4, 3)):
+            with pytest.raises(GraphError, match="no s-t path"):
+                widest_path_bottleneck(g, s, t)
+        assert widest_path_bottleneck(g, 2, 3) == 2.0
+        with pytest.raises(GraphError, match="source equals sink"):
+            widest_path_bottleneck(g, 1, 1)
+        with pytest.raises(GraphError, match="source equals sink"):
+            widest_path_bottleneck(grid_graph(3, 3), 4, 4)

@@ -80,6 +80,22 @@ class TestPartitionValidation:
         with pytest.raises(ValidationError, match="belongs to no group"):
             partition_from_groups(g, [np.arange(g.m - 1)], r=20)
 
+    def test_groups_are_sorted_and_repeats_dropped(self):
+        g = grid_graph(3, 3)
+        groups = [[7, 3, 3, 0, 11], np.array([10, 1, 2, 1]), [4, 5, 6, 8, 9, 9]]
+        part = partition_from_groups(g, groups, r=8)
+        assert [grp.tolist() for grp in part.groups] == [sorted(set(grp)) for grp in groups]
+        assert all(grp.dtype == np.int64 for grp in part.groups)
+        validate_partition(part, g)
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_empty_group_named(self, empty):
+        g = grid_graph(3, 3)
+        groups = [np.arange(4), np.arange(4, 8), np.arange(8, g.m)]
+        groups.insert(empty, [])
+        with pytest.raises(ValidationError, match=f"^group {empty} is empty$"):
+            partition_from_groups(g, groups, r=20)
+
     def test_group_size_bound(self):
         g = grid_graph(4, 4)
         with pytest.raises(ValidationError, match="> r"):

@@ -15,7 +15,7 @@ from sepflow import (DisconnectedGraphError, GraphError, GroupedFlowFail, Groupe
                      sweep_cut)
 from sepflow import pipeline
 
-from conftest import dense_electrical, random_connected_graph
+from conftest import dense_electrical, incidences, random_connected_graph
 
 
 class TestOracleWeights:
@@ -490,12 +490,12 @@ def reference_sweep_cut(g, phi, s, t):
     in_side = np.zeros(g.n, dtype=bool)
     cut = 0.0
     best = (np.inf, None)
-    indptr, nbr, eid = g.incident_edges()
+    adj = incidences(g)
     for pos in range(hi):
         v = order[pos]
         in_side[v] = True
-        for j in range(indptr[v], indptr[v + 1]):
-            cut += -g.capacity[eid[j]] if in_side[nbr[j]] else g.capacity[eid[j]]
+        for u, e in adj[v]:
+            cut += -g.capacity[e] if in_side[u] else g.capacity[e]
         if pos >= lo:
             if cut < best[0]:
                 best = (cut, pos)

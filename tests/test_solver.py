@@ -77,6 +77,26 @@ class TestSolveSdd:
         with pytest.raises(GraphError, match="one right-hand side"):
             rebound.solve(np.column_stack([d, -d]), delta=1e-12)
 
+    def test_iteration_cap_is_set_by_the_original_conductances(self, rng):
+        g = random_connected_graph(rng, 60, 50)
+        c = rng.uniform(0.5, 2.0, g.m)
+        degree = np.bincount(g.tails, weights=c, minlength=g.n)
+        degree += np.bincount(g.heads, weights=c, minlength=g.n)
+        cap = int(20 * np.sqrt(4 * g.n ** 2 * degree.max() / degree.min()) + 1000)
+        values = g.laplacian_data(c * rng.uniform(0.1, 10.0, g.m))
+        read_first = SolverHandle(g, c)
+        assert read_first.iteration_cap == cap
+        assert read_first.rebind(values).iteration_cap == cap
+        # rebound before the cap was ever read, and rebound again
+        rebound = SolverHandle(g, c).rebind(values)
+        assert rebound.iteration_cap == cap
+        assert rebound.rebind(g.laplacian_data(c)).iteration_cap == cap
+        # an explicit cap is kept by every rebound handle
+        explicit = SolverHandle(g, c, iteration_cap=2)
+        assert explicit.iteration_cap == 2
+        assert explicit.rebind(values).iteration_cap == 2
+        assert explicit.rebind(values).rebind(values).iteration_cap == 2
+
     @pytest.mark.parametrize("n", [10, 100])
     def test_rejects_positive_off_diagonal(self, rng, n):
         # a negative conductance is a positive off-diagonal Laplacian entry;
