@@ -72,6 +72,10 @@ PINNED = {  # value and counters of the default route at RunConfig seed 7
     (16, 16, 3, 128, 0): (12.973819682822734, dict(
         probes=4, iterations_outer=79, iterations_inner_total=79, electrical_flows=79,
         factorizations=79, rebinds=0, pcg_iterations=0)),
+    # band 66, above the banded cutoff: one LU factor is carried across flows
+    (12, 12, 6, 96, 0): (18.3441790182446, dict(
+        probes=3, iterations_outer=32, iterations_inner_total=32, electrical_flows=32,
+        factorizations=5, rebinds=27, pcg_iterations=246)),
 }
 
 
