@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ class RunConfig:
     the partition's own ``r`` sets the outer width.  ``seed`` seeds the
     one-step route's edge sampling, which fires only above the sampling
     scale (README "Notes on scale"), and ``max_outer_iterations`` and
-    ``max_probes`` cap each phase's outer loop and the flow-amount search.
+    ``max_probes`` (integers >= 1) cap each phase's outer loop and the
+    flow-amount search.
     The algorithm's other constants live in ``pipeline``.
     """
 
@@ -51,3 +53,7 @@ class RunConfig:
             raise GraphError("config requires 0 < eps < 1/2")
         if self.r < 4:
             raise GraphError("config requires r >= 4")
+        for name in ("max_outer_iterations", "max_probes"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise GraphError(f"config requires {name} to be an integer >= 1, not {value!r}")

@@ -166,9 +166,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     two such loops early, and the run's electrical flows fall from 2372 to
     1840 with the same probes and value.
 
-    ``lag`` supplies each iteration's solver handle and keeps its counters;
-    a run passes one through all its calls so a wide-band graph's factor
-    carries across outer iterations.  Without one the call makes its own.
+    ``lag`` supplies each iteration's electrical-flow solve and keeps its
+    counters (``electrical_flow``); a run passes one through all its calls
+    so a wide-band graph's factor carries across outer iterations.  Without
+    one the call makes its own.
     """
     g = problem.graph
     g.require_connected("grouped flow")
@@ -188,26 +189,14 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     flow_sum = np.zeros(g.m)
     n_accepted = 0
     diag = GroupedFlowDiagnostics()
-    hint = None
-    # each iteration's handle: a fresh banded factor where the graph's band is
-    # narrow; where it is wide, a lagged preconditioner, since resistances
-    # drift slowly between iterations (and between the calls of one run): one
-    # LU factor preconditions PCG on later iterations and is refreshed only
-    # when solves start taking long; a failed solve drops it.  No local keeps
-    # the handle past its flow, so a refresh can free the old factor first.
+    # resistances drift slowly between iterations (and between the calls of
+    # one run), so where the band is wide one LU factor preconditions them all
     lag = LaggedFactor() if lag is None else lag
 
     for t in range(1, budget + 1):
         mu = float(w_grp.sum())
         r = (w_grp[gid] + (eps / k) * mu) * w
-        try:
-            ef = electrical_flow(g, d, delta_ef, resistances=r, potentials_hint=hint,
-                                 handle=lag.handle_for(g, 1.0 / r))
-        except SolverConvergenceError:
-            lag.drop()
-            raise
-        lag.record(ef.stats)
-        hint = ef.potentials
+        ef = electrical_flow(g, d, delta_ef, resistances=r, lag=lag)
         diag.iterations = t
         if ef.energy > mu:
             fail = GroupedFlowFail(iteration=t, mu=mu, resistances=r, energy=ef.energy,
@@ -253,7 +242,8 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     if budget < n_iter and diag.max_group_congestion > target:
         raise _not_converged(avg, diag.max_group_congestion,
                              f"hit the iteration cap {budget}", target)
-    return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag, potentials=hint)
+    return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag,
+                             potentials=ef.potentials)
 
 
 def _stalls(recent, left, target):

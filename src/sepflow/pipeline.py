@@ -47,13 +47,13 @@ and the interior extension of the cut certificate.  The group layout is
 caches the quotient's edge set so an iteration refreshes only its weights,
 and conversion hands ``route_residual`` a residual keyed by group and vertex.
 
-Every grouped-flow electrical flow gets its solver handle from the run's one
+Every grouped-flow electrical flow gets its solve from the run's one
 ``LaggedFactor``.  Where the Laplacian grouped flow runs on (G's, or the
 quotient's) has a reverse Cuthill-McKee band of at most 64, as every grid of
 the benchmark has, each flow gets a fresh, exact banded Cholesky factor.
 Where the band is wider, one sparse LU factor preconditions PCG across inner
-iterations, outer iterations and probes alike, and is refreshed when PCG
-slows down or the quotient's edge pattern is rebuilt.
+iterations, outer iterations and probes alike, and is refreshed when a
+flow's PCG slows down or the quotient's edge pattern is rebuilt.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ class MaxFlowRunStats:
     ``cut_verdicts`` counts fixed-flow phases decided by a swept cut.
     ``electrical_flows``, ``factorizations``, ``rebinds`` and
     ``pcg_iterations`` are the run's ``LaggedFactor`` counters: grouped flow's
-    electrical flows (on G or on the quotient), the fresh factors and rebound
-    handles that served them, and the PCG iterations on the rebound ones.
+    electrical flows (on G or on the quotient), the fresh factors that
+    served them and the flows solved by PCG on the carried factor, and
+    those flows' PCG iterations.
     ``iterations_inner_total`` counts one inner iteration per electrical
     flow, including those of a probe that a ``SolverConvergenceError`` ended.
     ``trace_rows`` holds ``(probe, outer_iteration, flow_target, best_value,

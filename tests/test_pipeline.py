@@ -235,10 +235,10 @@ class TestApproxGroupedFlow:
         # a LaggedFactor carried across calls rebinds while the quotient keeps
         # its edge pattern, and factors afresh once the pattern is rebuilt
         class Spy(LaggedFactor):
-            def handle_for(self, g, conductance):
-                handle = super().handle_for(g, conductance)
-                self.fresh.append(handle._exact_direct)
-                return handle
+            def solver(self, g, conductance):
+                solve = super().solver(g, conductance)
+                self.fresh.append(not self.rebound)
+                return solve
 
         eps = 0.1
         g = random_capacity_grid(12, 12, 4, seed=4)
@@ -280,6 +280,19 @@ class TestApproxGroupedFlow:
         res = approx_grouped_flow(inst, d, 0.1)
         assert res.status == "ok"
         assert group_congestions(res.flow, w, part.groups).max() <= 1 + 0.1 + 1e-6
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_outer_iterations", 0), ("max_outer_iterations", 2.5),
+        ("max_probes", 0), ("max_probes", -1)])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, field, value):
+        with pytest.raises(GraphError, match=f"{field} to be an integer >= 1"):
+            RunConfig(**{field: value})
+
+    def test_takes_integer_caps(self):
+        config = RunConfig(max_outer_iterations=np.int64(1), max_probes=1)
+        assert (config.max_outer_iterations, config.max_probes) == (1, 1)
 
 
 class TestApproxMaxFlow:
@@ -588,6 +601,26 @@ class TestSweptCutVerdict:
         assert res.failed and isinstance(res.fail, GroupedFlowFail)
         cert = cut_certificate(inst, res.fail, eps)
         assert_valid_certificate(g, s, t, cert, exact, eps)
+
+    @pytest.mark.parametrize("one_group", [False, True], ids=["edge-groups", "one-group"])
+    def test_energy_verdict_ends_a_fixed_flow_phase(self, one_group):
+        # a unit path at 1.02x its max flow: the swept cut (capacity 1) is
+        # above the success target, so no sweep decides, and the phase ends
+        # in grouped flow's energy test
+        eps = 0.1
+        g = WeightedGraph(10, [(i, i + 1) for i in range(9)])
+        if one_group:
+            part = partition_from_groups(g, [np.arange(g.m)], r=g.m, terminals=(0, 9))
+        else:
+            part = partition_from_groups(g, [[e] for e in range(g.m)], r=4, terminals=(0, 9))
+        res, fail_ctx = route_fixed_flow(g, part, None, 0, 9, 1.02, eps,
+                                         RunConfig(eps=eps, r=4))
+        assert res is None
+        inst, fail, _ = fail_ctx
+        assert isinstance(fail, GroupedFlowFail) and inst.stats.cut_verdicts == 0
+        cert = cut_certificate(inst, fail, eps)
+        assert_valid_certificate(g, 0, 9, cert, 1.0, eps)
+        assert cert.cut_capacity == 1.0
 
     def test_near_threshold_request_gets_no_verdict(self, monkeypatch):
         """At 1.02x the max flow no swept cut falls below the target, and the

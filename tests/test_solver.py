@@ -11,11 +11,12 @@ from conftest import dense_electrical, random_connected_graph
 
 
 class TestSolveSdd:
-    """Laplacian solves on a fresh or rebound ``SolverHandle``."""
+    """Exact Laplacian solves on a ``SolverHandle``, and PCG on the factor a
+    ``LaggedFactor`` carries."""
 
     def test_path_laplacian(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)])
-        x = SolverHandle(g, np.ones(g.m)).solve(np.array([1.0, 0.0, -1.0]), 1e-10)
+        x = SolverHandle(g, np.ones(g.m)).solve(np.array([1.0, 0.0, -1.0]))
         assert np.allclose(x, [1.0, 0.0, -1.0], atol=1e-9)
 
     def test_matches_dense_pseudoinverse(self, rng):
@@ -24,78 +25,73 @@ class TestSolveSdd:
             c = 1.0 / g.resistance
             d = rng.normal(size=g.n)
             d -= d.mean()
-            x = SolverHandle(g, c).solve(d, 1e-8)
+            x = SolverHandle(g, c).solve(d)
             ref = np.linalg.pinv(g.laplacian_csr(c).toarray()) @ d
             ref -= ref.mean()
             assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
 
     def test_anorm_contract(self, rng):
         # |x - A^+ b|_A <= delta |A^+ b|_A against the dense pseudoinverse, on
-        # banded factors and (the widest random graphs) LU factors, for a
-        # fresh handle (one factor application) and for the same base handle
-        # rebound again and again to conductances that drift by U(0.8, 1.25)
-        # per step (PCG preconditioned by the old factor, as a carried
-        # ``LaggedFactor`` uses it); the last one is rebound from a rebound
-        # handle
+        # random graphs whose band is above the banded cutoff: the first
+        # solve on a fresh LU factor, then PCG on that factor carried by a
+        # ``LaggedFactor`` to conductances that drift by U(0.8, 1.25) per step
         deltas = (1e-2, 1e-4, 1e-6, 1e-10)
-        for trial in range(300):
-            n = int(rng.integers(10, 121))
-            g = random_connected_graph(rng, n, int(rng.integers(0, 2 * n)))
+        for trial in range(40):
+            n = int(rng.integers(160, 221))
+            g = random_connected_graph(rng, n, 2 * n)
             conds = [rng.uniform(0.5, 2.0, g.m)]
             for _ in range(3):
                 conds.append(conds[-1] * rng.uniform(0.8, 1.25, g.m))
             d = rng.normal(size=n)
             d -= d.mean()
             delta = deltas[trial % len(deltas)]
-            fresh = SolverHandle(g, conds[0])
-            handles = [fresh] + [fresh.rebind(g.laplacian_data(c)) for c in conds[1:-1]]
-            handles.append(handles[-1].rebind(g.laplacian_data(conds[-1])))
-            for handle, cond in zip(handles, conds):
+            lag = LaggedFactor()
+            for cond in conds:
                 a = g.laplacian_csr(cond).toarray()
-                x = handle.solve(d, delta=delta)
+                x, _ = lag.solver(g, cond)(d, delta)
+                assert lag.handle is not None  # a wide band: the LU factor is carried
                 ref = np.linalg.pinv(a) @ d
                 err = x - ref
                 err -= err.mean()
                 anorm = np.sqrt(err @ a @ err)
                 ref_norm = np.sqrt(ref @ a @ ref)
-                assert anorm <= delta * ref_norm * 1.05, (n, delta, handle._exact_direct)
+                assert anorm <= delta * ref_norm * 1.05, (n, delta, lag.rebound)
+            assert lag.rebinds == 3
 
     def test_iteration_cap_errors_with_best_iterate(self, rng):
-        # only a rebound handle iterates, so only it can hit the cap
-        g = random_connected_graph(rng, 80, 60)
+        # only PCG on a carried factor iterates, so only it can hit the cap;
+        # the flow's error carries the best iterate and drops the factor
+        g = grid_graph(12, 12, 6)  # band 66: the LU factor is carried
         c = rng.uniform(0.5, 2.0, g.m)
-        handle = SolverHandle(g, c, iteration_cap=2)
-        rebound = handle.rebind(g.laplacian_data(c * rng.uniform(0.8, 1.25, g.m)))
-        d = rng.normal(size=g.n)
-        d -= d.mean()
-        with pytest.raises(SolverConvergenceError) as err:
-            rebound.solve(d, delta=1e-12)
+        d = st_demand(g.n, 0, g.n - 1, 1.0)
+        lag = LaggedFactor()
+        electrical_flow(g, d, 1e-3, resistances=1.0 / c, lag=lag)
+        lag.cap = 2
+        drifted = c * rng.uniform(0.8, 1.25, g.m)
+        with pytest.raises(SolverConvergenceError, match="iteration cap 2") as err:
+            electrical_flow(g, d, 1e-10, resistances=1.0 / drifted, lag=lag)
         assert err.value.best_iterate is not None
-        assert err.value.best_iterate.shape == d.shape
+        assert err.value.best_iterate.shape == (g.n,)
         assert err.value.achieved_residual is not None
-        # PCG takes one right-hand side at a time
-        with pytest.raises(GraphError, match="one right-hand side"):
-            rebound.solve(np.column_stack([d, -d]), delta=1e-12)
+        assert lag.rebinds == 1 and lag.handle is None
 
     def test_iteration_cap_is_set_by_the_original_conductances(self, rng):
-        g = random_connected_graph(rng, 60, 50)
+        # computed once per carried factor, from the conductances it was
+        # built at, and never on a narrow band
+        g = grid_graph(12, 12, 6)
         c = rng.uniform(0.5, 2.0, g.m)
         degree = np.bincount(g.tails, weights=c, minlength=g.n)
         degree += np.bincount(g.heads, weights=c, minlength=g.n)
         cap = int(20 * np.sqrt(4 * g.n ** 2 * degree.max() / degree.min()) + 1000)
-        values = g.laplacian_data(c * rng.uniform(0.1, 10.0, g.m))
-        read_first = SolverHandle(g, c)
-        assert read_first.iteration_cap == cap
-        assert read_first.rebind(values).iteration_cap == cap
-        # rebound before the cap was ever read, and rebound again
-        rebound = SolverHandle(g, c).rebind(values)
-        assert rebound.iteration_cap == cap
-        assert rebound.rebind(g.laplacian_data(c)).iteration_cap == cap
-        # an explicit cap is kept by every rebound handle
-        explicit = SolverHandle(g, c, iteration_cap=2)
-        assert explicit.iteration_cap == 2
-        assert explicit.rebind(values).iteration_cap == 2
-        assert explicit.rebind(values).rebind(values).iteration_cap == 2
+        lag = LaggedFactor()
+        lag.solver(g, c)
+        assert lag.cap == cap
+        d = st_demand(g.n, 0, g.n - 1, 1.0)
+        lag.solver(g, c * rng.uniform(0.1, 10.0, g.m))(d, 1e-6)
+        assert lag.rebinds == 1 and lag.cap == cap
+        narrow = LaggedFactor()
+        narrow.solver(grid_graph(9, 9), np.ones(144))
+        assert narrow.cap is None and narrow.handle is None
 
     @pytest.mark.parametrize("n", [10, 100])
     def test_rejects_positive_off_diagonal(self, rng, n):
@@ -122,15 +118,15 @@ class TestSolveSdd:
     def test_rejects_rhs_outside_range(self):
         g = WeightedGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError, match="null space"):
-            SolverHandle(g, np.ones(g.m)).solve(np.array([1.0, 1.0, 1.0]), 1e-8)
+            SolverHandle(g, np.ones(g.m)).solve(np.array([1.0, 1.0, 1.0]))
 
     def test_deterministic_repeat(self, rng):
         g = random_connected_graph(rng, 30, 25)
         handle = SolverHandle(g, 1.0 / g.resistance)
         d = rng.normal(size=g.n)
         d -= d.mean()
-        x1 = handle.solve(d, delta=1e-8)
-        x2 = handle.solve(d, delta=1e-8)
+        x1 = handle.solve(d)
+        x2 = handle.solve(d)
         assert np.array_equal(x1, x2)
 
 
@@ -145,20 +141,31 @@ def _random_components(rng, n, parts):
     return WeightedGraph(n, edges)
 
 
+def _disjoint_union(graphs):
+    """The graphs side by side, the vertices of each after those of the last."""
+    offsets = np.cumsum([0] + [h.n for h in graphs])
+    edges = np.vstack([h.edges + o for h, o in zip(graphs, offsets)])
+    return WeightedGraph(int(offsets[-1]), edges)
+
+
 class TestReboundValues:
+    """PCG on the factor a ``LaggedFactor`` carries to new conductances."""
+
     def test_rebind_on_several_components(self, rng):
-        # each component is grounded at its first vertex: fresh and rebound
-        # handles meet the A-norm contract against the dense pseudoinverse,
-        # with and without a starting iterate, and the fresh one also solves
-        # one right-hand side per column
+        # each component is grounded at its first vertex: the fresh factor
+        # and PCG on the carried one meet the A-norm contract against the
+        # dense pseudoinverse, and the fresh handle also solves one
+        # right-hand side per column
         delta = 1e-8
-        for trial in range(24):
-            n = int(rng.integers(10, 301))
-            g = _random_components(rng, n, 1 + trial % 3)
+        for trial in range(12):
+            parts = [random_connected_graph(rng, int(rng.integers(160, 201)), 400)]
+            parts += [random_connected_graph(rng, int(rng.integers(2, 60)), 30)
+                      for _ in range(trial % 3)]
+            g = _disjoint_union(parts)
+            n = g.n
             c0 = rng.uniform(0.5, 2.0, g.m)
             c = c0 * rng.uniform(0.8, 1.25, g.m)
             fresh = SolverHandle(g, c0)
-            rebound = fresh.rebind(g.laplacian_data(c))
             _, labels = g.components()
             d = rng.normal(size=(n, 2))
             d -= (np.bincount(labels, weights=d[:, 0]) / np.bincount(labels))[labels][:, None]
@@ -166,51 +173,37 @@ class TestReboundValues:
             cols = fresh.solve(d)
             assert np.array_equal(cols[:, 0], cols[:, 1])
             assert np.allclose(cols[:, 0], fresh.solve(d[:, 0]), rtol=1e-12, atol=1e-12)
-            for handle, cond in ((fresh, c0), (rebound, c)):
+            lag = LaggedFactor()
+            for cond in (c0, c):
                 a = g.laplacian_csr(cond).toarray()
                 ref = np.linalg.pinv(a) @ d[:, 0]
-                for x0 in (None, rng.normal(size=n)):
-                    err = handle.solve(d[:, 0], delta=delta, x0=x0) - ref
-                    err -= (np.bincount(labels, weights=err) / np.bincount(labels))[labels]
-                    assert np.sqrt(err @ a @ err) <= delta * np.sqrt(ref @ a @ ref) * 1.05
+                x, _ = lag.solver(g, cond)(d[:, 0], delta)
+                err = x - ref
+                err -= (np.bincount(labels, weights=err) / np.bincount(labels))[labels]
+                assert np.sqrt(err @ a @ err) <= delta * np.sqrt(ref @ a @ ref) * 1.05
+            assert lag.rebinds == 1
 
-    def test_lagged_factor_rebinds_match_matrix_rebinds(self, rng):
-        # electrical flows on a carried factor equal those on a handle
-        # rebound by hand from a fresh factor at the first conductances
-        g = random_connected_graph(rng, 150, 200)
+    def test_lagged_factor_flows_match_exact_flows(self, rng):
+        # electrical flows by PCG on a carried factor, on reweighted copies
+        # of the graph, route the demand exactly at the energy of flows on
+        # an exact factor at the same conductances, up to delta
+        g = grid_graph(12, 12, 6)
         c0 = rng.uniform(0.5, 2.0, g.m)
-        lag = LaggedFactor()
-        lag.handle_for(g, c0)
-        lag.record(SolveStats(iterations=1))
         d = st_demand(g.n, 0, g.n - 1, 1.0)
-        for _ in range(3):
+        delta = 1e-3
+        lag = LaggedFactor()
+        electrical_flow(g, d, delta, resistances=1.0 / c0, lag=lag)
+        for step in range(3):
             c = c0 * rng.uniform(0.8, 1.25, g.m)
-            ours = lag.handle_for(g.reweighted(np.full(g.m, 2.0)), c)
-            ref = SolverHandle(g, c0).rebind(g.laplacian_data(c))
-            a = electrical_flow(g, d, 1e-3, resistances=1.0 / c, handle=ours)
-            b = electrical_flow(g, d, 1e-3, resistances=1.0 / c, handle=ref)
-            lag.record(a.stats)
-            assert np.array_equal(a.flow, b.flow) and np.array_equal(a.potentials, b.potentials)
-            assert a.stats.iterations == b.stats.iterations
+            ours = electrical_flow(g.reweighted(np.full(g.m, 2.0 + step)), d, delta,
+                                   resistances=1.0 / c, lag=lag)
+            exact = electrical_flow(g, d, delta, resistances=1.0 / c)
+            opt = optimum_energy(g, d, resistances=1.0 / c)
+            assert (1 - 1e-12) * opt <= ours.energy <= (1 + delta) * opt
+            assert abs(ours.energy - exact.energy) <= delta * opt
+            assert np.abs(residual_of_vector(ours.flow, g) - d).max() <= 1e-9
         assert lag.rebinds == 3 and lag.factorizations == 1
-
-    def test_values_rebind_checks_its_length(self, rng):
-        g = random_connected_graph(rng, 70, 40)
-        handle = SolverHandle(g, np.ones(g.m))
-        size = g.laplacian_data(np.ones(g.m)).size
-        for values in (np.ones(size + 1), np.ones(size, dtype=np.float32), list(np.ones(size))):
-            with pytest.raises(GraphError, match="one per stored entry"):
-                handle.rebind(values)
-
-    def test_matvec_matches_the_matrix_product(self, rng):
-        g = random_connected_graph(rng, 90, 120)
-        c = rng.uniform(0.5, 2.0, g.m)
-        x = rng.normal(size=g.n)
-        handle = SolverHandle(g, c)
-        for handle, cond in ((handle, c), (handle.rebind(g.laplacian_data(1.1 * c)), 1.1 * c)):
-            out = np.empty(g.n)
-            assert handle.matvec(x, out) is out
-            assert np.array_equal(out, g.laplacian_csr(cond) @ x)
+        assert lag.pcg_iterations >= 3 and lag.electrical_flows == 4
 
 
 class TestLaggedFactor:
@@ -218,34 +211,37 @@ class TestLaggedFactor:
         g = grid_graph(12, 12, 6)  # reverse Cuthill-McKee band 66: the LU factor is carried
         c = np.ones(g.m)
         lag = LaggedFactor()
-        first = lag.handle_for(g, c)
-        assert first._exact_direct and lag.factorizations == 1
+        lag.solver(g, c)
+        assert not lag.rebound and lag.factorizations == 1 and lag.handle is not None
         lag.record(SolveStats(iterations=1))
-        again = lag.handle_for(g.reweighted(np.full(g.m, 2.0)), 1.1 * c)
-        assert not again._exact_direct and lag.rebinds == 1
+        lag.solver(g.reweighted(np.full(g.m, 2.0)), 1.1 * c)
+        assert lag.rebound and lag.rebinds == 1
         slow = LaggedFactor.REFRESH_ITERATIONS + 1
         lag.record(SolveStats(iterations=slow))
-        assert lag.handle_for(g, c)._exact_direct  # slow PCG refreshes the factor
+        lag.solver(g, c)
+        assert not lag.rebound  # slow PCG refreshes the factor
         assert lag.counters() == {"electrical_flows": 3, "factorizations": 2, "rebinds": 1,
                                   "pcg_iterations": slow}
 
     def test_rebuilt_pattern_factors_afresh(self):
         g = grid_graph(12, 12, 6)
         lag = LaggedFactor()
-        lag.handle_for(g, np.ones(g.m))
+        lag.solver(g, np.ones(g.m))
         lag.record(SolveStats(iterations=1))
         # same edges, but not made by ``reweighted``: a rebuilt pattern
         rebuilt = WeightedGraph(g.n, g.edges)
-        assert lag.handle_for(rebuilt, np.ones(g.m))._exact_direct
-        assert lag.factorizations == 2 and lag.rebinds == 0
+        lag.solver(rebuilt, np.ones(g.m))
+        assert not lag.rebound and lag.factorizations == 2 and lag.rebinds == 0
         lag.record(SolveStats(iterations=1))
-        assert not lag.handle_for(rebuilt.reweighted(np.full(g.m, 3.0)), np.ones(g.m))._exact_direct
+        lag.solver(rebuilt.reweighted(np.full(g.m, 3.0)), np.ones(g.m))
+        assert lag.rebound
 
     def test_small_graphs_factor_every_time(self):
         g = grid_graph(8, 8)  # 64 vertices, band 8
         lag = LaggedFactor()
         for _ in range(3):
-            assert lag.handle_for(g, np.ones(g.m))._exact_direct
+            lag.solver(g, np.ones(g.m))
+            assert not lag.rebound
             lag.record(SolveStats(iterations=1))
         assert lag.factorizations == 3 and lag.rebinds == 0 and lag.pcg_iterations == 0
 
@@ -258,21 +254,20 @@ class TestLaggedFactor:
         lag = LaggedFactor()
         for step in range(4):
             c = c0 * rng.uniform(0.8, 1.25, g.m)
-            h = lag.handle_for(g.reweighted(np.full(g.m, 1.0 + step)), c)
-            assert h._exact_direct and h._factor.banded
-            x = h.solve(d)
-            assert np.array_equal(x, SolverHandle(g, c).solve(d))
+            x, iterations = lag.solver(g.reweighted(np.full(g.m, 1.0 + step)), c)(d, 1e-3)
+            assert iterations == 1 and np.array_equal(x, SolverHandle(g, c).solve(d))
             lag.record(SolveStats(iterations=1))
         assert lag.counters() == {"electrical_flows": 4, "factorizations": 4, "rebinds": 0,
                                   "pcg_iterations": 0}
-        assert lag.handle is None
+        assert lag.handle is None and lag.cap is None
 
     def test_drop_forgets_the_factor(self):
         g = grid_graph(12, 12, 6)
         lag = LaggedFactor()
-        lag.handle_for(g, np.ones(g.m))
+        lag.solver(g, np.ones(g.m))
         lag.drop()
-        assert lag.handle_for(g, np.ones(g.m))._exact_direct
+        lag.solver(g, np.ones(g.m))
+        assert not lag.rebound and lag.factorizations == 2
 
 
 def _pendant_pair(g, tiny):
@@ -343,20 +338,11 @@ class TestFactorKinds:
         SolverHandle(g, g.capacity)
         copy = g.reweighted(np.full(g.m, 2.0))
         SolverHandle(copy, np.ones(g.m))
-        LaggedFactor().handle_for(copy, g.capacity)
+        LaggedFactor().solver(copy, g.capacity)
         assert len(calls) == 1
         assert copy._structure["band_layout"] is g._structure["band_layout"]
         SolverHandle(WeightedGraph(g.n, g.edges), np.ones(g.m))  # a rebuilt structure
         assert len(calls) == 2
-
-    def test_fresh_handle_builds_its_csr_data_on_first_use(self, rng):
-        g = grid_graph(10, 10)
-        c = rng.uniform(0.5, 2.0, g.m)
-        handle = SolverHandle(g, c)
-        assert handle._data is None
-        x = rng.normal(size=g.n)
-        assert np.array_equal(handle.matvec(x), g.laplacian_csr(c) @ x)
-        assert handle._data is not None
 
 
 class TestElectricalFlow:
