@@ -7,6 +7,13 @@ invariant (edge partition exactness, group size and boundary size);
 literal BFS separation property.  Designated terminals (s and t) are
 force-added to the boundary of every group they touch so that s-t demands
 stay boundary-supported.
+
+Each edge's group id, ``Partition.group_of_edge``, is an r-division's
+primary form.  ``grid_r_division`` computes it from the grid blocks, and
+``partition_from_groups``, ``load_partition`` and ``validate_partition`` from
+edge lists (``edge_group_ids``).  All of them then build the groups,
+boundaries, boundary mask and size clauses from that one array
+(``_partition_from_ids``).
 """
 
 from __future__ import annotations
@@ -33,11 +40,17 @@ ALPHA = 0.9
 
 @dataclass
 class Partition:
-    """An r-division: edge groups with per-group boundary vertex sets."""
+    """An r-division: edge groups with per-group boundary vertex sets.
 
-    groups: list  # list of np.ndarray edge ids
+    ``group_of_edge`` is the primary form: each edge's group id.  ``groups``
+    (each group's edge ids, ascending), ``boundaries`` and ``is_boundary`` are
+    derived from it, once, by the constructor that made the partition.
+    """
+
+    groups: list  # list of np.ndarray edge ids (sorted)
     boundaries: list  # list of np.ndarray vertex ids (sorted)
     is_boundary: np.ndarray  # per vertex: on some group's boundary (connected graph)
+    group_of_edge: np.ndarray  # per edge: its index in ``groups``
     r: int
     n: int
     m: int
@@ -64,32 +77,63 @@ class Partition:
         return np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))
 
 
-def _boundary_sets(g: WeightedGraph, groups, terminals):
-    """Per-group boundaries by the definition (a vertex is boundary of a group
-    iff it touches the group and also touches another group, or is a
-    designated terminal), and the per-vertex mask of the second clause."""
-    check_terminals(g.n, terminals)
-    try:
-        gid = edge_group_ids(groups, g.m)
-    except GraphError as exc:
-        raise ValidationError(str(exc)) from None
-    k = len(groups)
-    # distinct (group, vertex) incidences, sorted by group then vertex
-    keys = np.unique(np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads]))
+def _slices(flat, cuts):
+    """``flat[cuts[i]:cuts[i + 1]]`` for each i."""
+    cuts = cuts.tolist()
+    return [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _partition_from_ids(g: WeightedGraph, group_of_edge, k, r, terminals,
+                        claimed=None) -> Partition:
+    """The Partition of ``g`` whose group i holds the edges with group id i.
+
+    ``group_of_edge`` holds an id in ``0..k-1`` for each edge and the
+    terminals are vertex ids of ``g``; the caller has checked both.  The
+    boundaries follow the definition: a vertex is on a group's boundary iff
+    it touches the group and also touches another group, or is a terminal.
+    ``claimed`` maps group indices to boundary sets the caller was given (a
+    file's ``b`` lines, a Partition's own sets); each is checked against the
+    definition before the size clauses.
+    """
+    gid, r = group_of_edge, int(r)
+    order = np.argsort(gid, kind="stable")  # each group's edges stay ascending
+    cuts = np.searchsorted(gid[order], np.arange(k + 1))
+    # distinct (group, vertex) incidences, sorted by group then vertex: one
+    # sort and a mask, the same array as np.unique without its hash path
+    keys = np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads])
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     owner, verts = np.divmod(keys, g.n)
     is_bdry = np.bincount(verts, minlength=g.n) > 1
     is_bdry[np.asarray(terminals, dtype=np.int64)] = True
     on_bdry = is_bdry[verts]
     owner, verts = owner[on_bdry], verts[on_bdry]
-    cuts = np.searchsorted(owner, np.arange(k + 1))
-    boundaries = [verts[cuts[i]:cuts[i + 1]] for i in range(k)]
-    return boundaries, is_bdry
+    bcuts = np.searchsorted(owner, np.arange(k + 1))
+    boundaries = _slices(verts, bcuts)
+    if claimed:
+        sets = [claimed.get(i, b) for i, b in enumerate(boundaries)]
+        bad = _first_mismatch(sets, boundaries, g.n)
+        if bad is not None:
+            raise ValidationError(f"boundary set of group {bad} does not match its definition")
+    _check_sizes(g.n, r, np.diff(cuts), np.diff(bcuts))
+    return Partition(groups=_slices(order, cuts), boundaries=boundaries, is_boundary=is_bdry,
+                     group_of_edge=gid, r=r, n=g.n, m=g.m, terminals=tuple(terminals))
+
+
+def _checked_group_ids(g: WeightedGraph, groups, terminals):
+    """Each edge's group id from a list of edge-id arrays (``edge_group_ids``),
+    after the terminal check; its edge errors are raised as ValidationError."""
+    check_terminals(g.n, terminals)
+    try:
+        return edge_group_ids(groups, g.m)
+    except GraphError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def partition_from_groups(g: WeightedGraph, groups, r, terminals=()) -> Partition:
     """Build and validate a Partition from explicit edge groups; each group
     is kept sorted and without repeats."""
-    # one sort over (group, edge) pairs sorts every group at once
+    # one sort over (group, edge) pairs drops every group's repeats at once
     ids, owner = group_ids(groups)
     order = np.lexsort((ids, owner))
     ids, owner = ids[order], owner[order]
@@ -100,29 +144,22 @@ def partition_from_groups(g: WeightedGraph, groups, r, terminals=()) -> Partitio
     empty = np.flatnonzero(cuts[1:] == cuts[:-1])
     if empty.size:
         raise ValidationError(f"group {int(empty[0])} is empty")
-    groups = [ids[cuts[i]:cuts[i + 1]] for i in range(len(groups))]
-    boundaries, is_boundary = _boundary_sets(g, groups, terminals)
-    part = Partition(groups=groups, boundaries=boundaries, is_boundary=is_boundary,
-                     r=int(r), n=g.n, m=g.m, terminals=tuple(terminals))
-    # the sets were just derived from the definition; only the size clauses remain
-    _check_sizes(part, g)
-    return part
+    gid = _checked_group_ids(g, _slices(ids, cuts), terminals)
+    return _partition_from_ids(g, gid, len(groups), r, terminals)
 
 
-def _check_sizes(part: Partition, g: WeightedGraph):
-    """The group-size, group-count and boundary-size clauses."""
-    sizes = np.fromiter((len(grp) for grp in part.groups), dtype=np.int64, count=part.k)
-    over = np.flatnonzero(sizes > part.r)
+def _check_sizes(n, r, sizes, bsizes):
+    """The group-size, group-count and boundary-size clauses, from each
+    group's edge count ``sizes`` and boundary size ``bsizes``."""
+    over = np.flatnonzero(sizes > r)
     if over.size:
         i = int(over[0])
-        raise ValidationError(f"group {i} has {sizes[i]} edges > r = {part.r}")
-    k_bound = max(C_DIV * g.n / part.r, 1.0)
-    if part.k > k_bound:
-        raise ValidationError(f"k = {part.k} exceeds c_div * n / r = {k_bound:.2f}")
+        raise ValidationError(f"group {i} has {sizes[i]} edges > r = {r}")
+    k_bound = max(C_DIV * n / r, 1.0)
+    if sizes.size > k_bound:
+        raise ValidationError(f"k = {sizes.size} exceeds c_div * n / r = {k_bound:.2f}")
 
-    bdry_bound = C_BDRY * math.sqrt(part.r)
-    bsizes = np.fromiter((len(b) for b in part.boundaries), dtype=np.int64,
-                         count=len(part.boundaries))
+    bdry_bound = C_BDRY * math.sqrt(r)
     over = np.flatnonzero(bsizes > bdry_bound)
     if over.size:
         i = int(over[0])
@@ -151,14 +188,32 @@ def validate_partition(part: Partition, g: WeightedGraph):
     """Enforce every r-division invariant; raises ValidationError naming the clause."""
     if g.n != part.n or g.m != part.m:
         raise ValidationError("partition does not match graph dimensions")
-    ref_b, ref_mask = _boundary_sets(g, part.groups, part.terminals)
-    _check_sizes(part, g)
-    bad_b = _first_mismatch(part.boundaries, ref_b, g.n)
-    if bad_b is not None:
-        raise ValidationError(f"boundary set of group {bad_b} does not match its definition")
-    if not np.array_equal(part.is_boundary, ref_mask):
+    gid = _checked_group_ids(g, part.groups, part.terminals)
+    # the size clauses read the sets as given, before they meet the definition
+    bsizes = np.fromiter(map(len, part.boundaries), dtype=np.int64, count=len(part.boundaries))
+    _check_sizes(g.n, part.r, np.bincount(gid, minlength=part.k), bsizes)
+    ref = _partition_from_ids(g, gid, part.k, part.r, part.terminals,
+                              claimed=dict(enumerate(part.boundaries)))
+    if len(part.boundaries) != part.k:
+        raise ValidationError(f"boundary set of group {min(len(part.boundaries), part.k)}"
+                              " does not match its definition")
+    if not np.array_equal(part.is_boundary, ref.is_boundary):
         raise ValidationError("boundary mask does not match its definition")
+    if not np.array_equal(part.group_of_edge, gid):
+        raise ValidationError("group ids do not match the groups")
     return part
+
+
+def _worst_block_edges(rows, cols, layers, p_r, p_c):
+    """Most edges owned by one block of the ``p_r`` x ``p_c`` balanced tiling.
+
+    A block's edge count grows with its side lengths and with each face it
+    owns.  On an axis split into several parts, some largest block
+    (``ceil(dim / parts)`` long) is not the last one and so owns its far
+    face; the worst block is such a block on both axes.
+    """
+    return _block_edge_count(-(-rows // p_r), -(-cols // p_c), layers,
+                             owns_east=p_c > 1, owns_south=p_r > 1)
 
 
 def _axis_parts(dim, parts):
@@ -180,21 +235,22 @@ def grid_r_division(rows, cols, layers, r, terminals=(),
     Blocks are balanced vertex tiles; each block owns its internal edges plus
     the cut edges on its east and south faces, so every edge lands in exactly
     one group.  The number of blocks per axis is the smallest that keeps every
-    group at or below r edges.
+    group at or below r edges.  A ``graph`` whose vertex or edge count is not
+    the grid's raises ``GraphError``.
     """
     if r < 4:
         raise GraphError("r must be at least 4")
     spec = GridSpec(rows, cols, layers)
-    g = grid_graph(rows, cols, layers) if graph is None else graph
+    if graph is None:
+        g = grid_graph(rows, cols, layers)
+    elif (graph.n, graph.m) != (spec.n, spec.m):
+        raise GraphError(f"graph has n = {graph.n}, m = {graph.m}, but the {rows}x{cols}"
+                         f"x{layers} grid has n = {spec.n}, m = {spec.m}")
+    else:
+        g = graph
 
     def feasible(p_r, p_c):
-        ra, ca = _axis_parts(rows, p_r), _axis_parts(cols, p_c)
-        worst = 0
-        for i, a in enumerate(ra):
-            for j, b in enumerate(ca):
-                worst = max(worst, _block_edge_count(
-                    a, b, layers, owns_east=j + 1 < p_c, owns_south=i + 1 < p_r))
-        return worst <= r
+        return _worst_block_edges(rows, cols, layers, p_r, p_c) <= r
 
     # blocks of side ~ sqrt(r / 2) in 2D, ~ sqrt(r / (3*layers - 1)) with layers
     side = max(1, math.isqrt(r // 2 if layers == 1 else r // (3 * layers - 1)))
@@ -213,20 +269,20 @@ def grid_r_division(rows, cols, layers, r, terminals=(),
         if best is None:
             raise GraphError(f"no block decomposition fits r = {r}")
         _, p_r, p_c = best
+    check_terminals(g.n, terminals)
 
     row_edges = np.cumsum([0] + _axis_parts(rows, p_r))
     col_edges = np.cumsum([0] + _axis_parts(cols, p_c))
     row_block = np.searchsorted(row_edges, np.arange(rows), side="right") - 1
     col_block = np.searchsorted(col_edges, np.arange(cols), side="right") - 1
 
-    # owner of an edge = block of its canonical tail coordinate
+    # owner of an edge = block of its canonical tail coordinate; blocks that
+    # own no edge are dropped and the rest numbered in block order
     _, trow, tcol = spec.coord_arrays(g.tails)
-    owner = row_block[trow] * p_c + col_block[tcol]
-    order = np.argsort(owner, kind="stable")
-    cuts = np.searchsorted(owner[order], np.arange(p_r * p_c + 1))
-    groups = [order[cuts[b]:cuts[b + 1]] for b in range(p_r * p_c) if cuts[b + 1] > cuts[b]]
-
-    return partition_from_groups(g, groups, r, terminals=terminals)
+    block = row_block[trow] * p_c + col_block[tcol]
+    owns = np.bincount(block, minlength=p_r * p_c) > 0
+    rank = np.cumsum(owns) - 1
+    return _partition_from_ids(g, rank[block], int(owns.sum()), r, terminals)
 
 
 # -- separator trees -----------------------------------------------------------
@@ -429,11 +485,5 @@ def load_partition(path, g: WeightedGraph, terminals=()) -> Partition:
     if sorted(groups) != list(range(k)):
         raise ParseError(f"expected groups 0..{k - 1}, got {sorted(groups)}")
     glist = [groups[i] for i in range(k)]
-    boundaries, is_boundary = _boundary_sets(g, glist, terminals)
-    part = Partition(groups=glist, boundaries=boundaries, is_boundary=is_boundary,
-                     r=r, n=g.n, m=g.m, terminals=tuple(terminals))
-    for i in range(k):
-        if i in bdry and not np.array_equal(np.sort(bdry[i]), boundaries[i]):
-            raise ValidationError(f"boundary set of group {i} does not match its definition")
-    validate_partition(part, g)
-    return part
+    gid = _checked_group_ids(g, glist, terminals)
+    return _partition_from_ids(g, gid, k, r, terminals, claimed=bdry)

@@ -467,12 +467,13 @@ class _Run:
     state its phases share, and the search's best flow.
 
     The constructor runs every check the two entries share before any work:
-    ``config`` (the default one when None) at ``eps``, ``g`` connected, and
-    ``s`` and ``t`` distinct vertices on the partition's boundaries.
-    ``w_oracle`` holds the oracle weights the last phase ended with (None
-    before the first), from which the next phase starts.  ``cut_bound`` is
-    the least s-t cut swept so far (``sweep_phase``), an upper bound on the
-    max flow.
+    ``config`` (the default one when None) at ``eps``, ``g`` connected,
+    ``s`` and ``t`` distinct vertices on the partition's boundaries, and the
+    partition's ``n`` and ``m`` those of ``g``.  The grouped-flow weights of
+    every outer iteration come from ``edge_weights``.  ``w_oracle`` holds
+    the oracle weights the last phase ended with (None before the first),
+    from which the next phase starts.  ``cut_bound`` is the least s-t cut
+    swept so far (``sweep_phase``), an upper bound on the max flow.
     """
 
     def __init__(self, g: WeightedGraph, part: Partition, plan: SparsifierPlan | None,
@@ -487,12 +488,27 @@ class _Run:
         for v, name in ((s, "s"), (t, "t")):
             if not (0 <= v < part.is_boundary.size and part.is_boundary[v]):
                 raise GraphError(f"{name} = {v} is not a boundary vertex of the partition")
+        if (part.n, part.m) != (g.n, g.m):
+            raise GraphError(f"the partition is of a graph with n = {part.n}, m = {part.m};"
+                             f" this graph has n = {g.n}, m = {g.m}")
         self.g, self.part, self.plan = g, part, plan or SparsifierPlan()
         self.s, self.t, self.eps, self.config = s, t, eps, config
         self.stats = MaxFlowRunStats(route=self.plan.method)
-        self.lag, self.group_of_edge = LaggedFactor(), edge_group_ids(part.groups, g.m)
+        self.lag, self.group_of_edge = LaggedFactor(), part.group_of_edge
+        # the terms of oracle_edge_weights that stay fixed for the run
+        gid = self.group_of_edge
+        self.weight_floor = eps / (4.0 * np.bincount(gid)[gid])
+        self.weight_scale = (1.0 - eps / 2.0) / g.capacity**2
         self.w_oracle, self.best_value, self.best_flow = None, 0.0, None
         self.cut_bound = math.inf
+
+    def edge_weights(self, w_oracle):
+        """``oracle_edge_weights(w_oracle, g.capacity, group_of_edge, eps)``,
+        bitwise, from the run's fixed terms."""
+        gid = self.group_of_edge
+        w = w_oracle / np.bincount(gid, weights=w_oracle)[gid] + self.weight_floor
+        w *= self.weight_scale
+        return w
 
     def probe(self, flow_amount):
         """One search phase at ``flow_amount``; keeps the best flow, returns its success."""
@@ -524,7 +540,7 @@ class _Run:
         if flow is None:
             raise SolverConvergenceError("no probe produced a flow")
         g, gid = self.g, self.group_of_edge
-        w = oracle_edge_weights(np.ones(g.m), g.capacity, gid, self.eps)
+        w = self.edge_weights(np.ones(g.m))
         return ApproxMaxFlowResult(
             value=value, flow=flow, eps=self.eps,
             max_edge_congestion=float(edge_congestions(flow, g.capacity).max(initial=0.0)),
@@ -583,7 +599,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
         mc = None
         try:
             with _stage(stats, "oracle_update"):
-                w = oracle_edge_weights(w_oracle, g.capacity, run.group_of_edge, eps)
+                w = run.edge_weights(w_oracle)
             if run.plan.method == "direct":
                 with _stage(stats, "grouped_flow"):
                     inst = _direct_instance(g, part, run.group_of_edge, w, stats)

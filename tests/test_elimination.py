@@ -1,6 +1,7 @@
 """Differential tests of the per-group elimination against independent references."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from sepflow import (GraphError, RunConfig, SparseLaplacian, SparsifierPlan, Val
                      grid_r_division, one_step_vertex_sparsify, optimum_energy,
                      partition_from_groups, random_capacity_grid, residual_of_vector,
                      route_fixed_flow)
-from sepflow import schur
+from sepflow import partition, schur
 from sepflow.grids import GridSpec
-from sepflow.partition import _boundary_sets
 from sepflow.pipeline import STAGES
 from sepflow.schur import GroupElimination, GroupTopology
 
@@ -310,7 +310,11 @@ class TestSetupPath:
         owner[:k] = np.arange(k)
         groups = [np.flatnonzero(owner == i) for i in range(k)]
         terminals = tuple(rng.choice(n, size=min(n_term, n), replace=False).tolist())
-        got_b, got_mask = _boundary_sets(g, groups, terminals)
+        # the sets alone, whatever the size clauses say of these random groups
+        with mock.patch.object(partition, "_check_sizes"):
+            part = partition._partition_from_ids(g, owner, k, g.m, terminals)
+        got_b, got_mask = part.boundaries, part.is_boundary
+        assert [grp.tolist() for grp in part.groups] == [grp.tolist() for grp in groups]
         ref_b, ref_mask = loop_boundary_sets(g, groups, terminals)
         assert [b.tolist() for b in got_b] == ref_b
         assert got_mask.tolist() == ref_mask

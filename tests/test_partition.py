@@ -1,15 +1,21 @@
 import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepflow import (GraphError, GridSpec, ParseError, SeparatorNode, SeparatorTree,
-                     ValidationError, grid_graph, grid_r_division, load_partition,
-                     partition_from_groups, save_partition, separator_tree_for_grid_block,
-                     validate_partition, validate_septree)
+                     ValidationError, approx_max_flow, edge_group_ids, grid_graph,
+                     grid_r_division, load_partition, partition_from_groups,
+                     random_capacity_grid, route_fixed_flow, save_partition,
+                     separator_tree_for_grid_block, validate_partition, validate_septree)
 from sepflow import partition
+from sepflow.graphs import check_terminals, group_ids
 
 
 class TestGridRDivision:
@@ -62,6 +68,26 @@ class TestGridRDivision:
         part = grid_r_division(rows, cols, 1, r, terminals=(0, g.n - 1), graph=g)
         validate_partition(part, g)
 
+    @pytest.mark.parametrize("dims", [(4, 16), (9, 8), (8, 8, 2), (7, 7)])
+    def test_graph_of_another_grid_rejected(self, dims):
+        # 4x16 has the 8x8 graph's n, 9x8 has more edges, 7x7 is smaller than the graph
+        g = grid_graph(8, 8)
+        spec = GridSpec(*dims)
+        with pytest.raises(GraphError, match=re.escape(
+                f"graph has n = 64, m = 112, but the {'x'.join(map(str, dims))}"
+                f"{'' if len(dims) == 3 else 'x1'} grid has n = {spec.n}, m = {spec.m}")):
+            grid_r_division(*dims[:2], spec.layers, 16, graph=g)
+
+    def test_partition_of_another_graph_rejected_before_any_work(self):
+        g8 = random_capacity_grid(8, 8, seed=1)
+        part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g8)
+        g9 = random_capacity_grid(9, 9, seed=1)
+        message = "the partition is of a graph with n = 64, m = 112; this graph has n = 81"
+        with pytest.raises(GraphError, match=message):
+            approx_max_flow(g9, part, None, 0, 63, 0.1)
+        with pytest.raises(GraphError, match=message):
+            route_fixed_flow(g9, part, None, 0, 63, 1.0, 0.1)
+
 
 class TestPartitionValidation:
     def test_duplicate_edge_named(self):
@@ -100,6 +126,15 @@ class TestPartitionValidation:
         g = grid_graph(4, 4)
         with pytest.raises(ValidationError, match="> r"):
             partition_from_groups(g, [np.arange(g.m)], r=4)
+
+    def test_group_ids_checked(self):
+        g = grid_graph(4, 4)
+        part = grid_r_division(4, 4, 1, 8, graph=g)
+        assert np.array_equal(part.group_of_edge, edge_group_ids(part.groups, g.m))
+        swapped = part.group_of_edge.copy()
+        swapped[[0, -1]] = swapped[[-1, 0]]
+        with pytest.raises(ValidationError, match="group ids do not match the groups"):
+            validate_partition(replace(part, group_of_edge=swapped), g)
 
     def test_boundary_bound_clause(self, monkeypatch):
         g = grid_graph(9, 9)
@@ -213,3 +248,194 @@ class TestSeparatorTree:
             verts = part.group_vertices(g, i)
             tree = separator_tree_for_grid_block(GridSpec(16, 16), verts, g=g)
             validate_septree(tree, g=g, expected_root=verts)
+
+
+# -- the list-based construction, kept as a reference for the id-array path --
+
+
+def reference_block_worst(rows, cols, layers, p_r, p_c):
+    """Most edges owned by one block, block by block."""
+    ra, ca = partition._axis_parts(rows, p_r), partition._axis_parts(cols, p_c)
+    worst = 0
+    for i, a in enumerate(ra):
+        for j, b in enumerate(ca):
+            worst = max(worst, partition._block_edge_count(
+                a, b, layers, owns_east=j + 1 < p_c, owns_south=i + 1 < p_r))
+    return worst
+
+
+def reference_grid_groups(rows, cols, layers, r, g):
+    """The blocks' edge lists, block by block, in block order, empty blocks dropped."""
+    spec = GridSpec(rows, cols, layers)
+
+    def feasible(p_r, p_c):
+        return reference_block_worst(rows, cols, layers, p_r, p_c) <= r
+
+    side = max(1, math.isqrt(r // 2 if layers == 1 else r // (3 * layers - 1)))
+    p_r, p_c = math.ceil(rows / side), math.ceil(cols / side)
+    if not feasible(p_r, p_c) or p_r * p_c > max(partition.C_DIV * spec.n / r, 1.0):
+        best = None
+        for pr in range(1, rows + 1):
+            for pc in range(1, cols + 1):
+                if feasible(pr, pc):
+                    key = (pr * pc, abs(pr - pc))
+                    if best is None or key < best[0]:
+                        best = (key, pr, pc)
+                    break
+        if best is None:
+            raise GraphError(f"no block decomposition fits r = {r}")
+        _, p_r, p_c = best
+    row_block = np.repeat(np.arange(p_r), partition._axis_parts(rows, p_r))
+    col_block = np.repeat(np.arange(p_c), partition._axis_parts(cols, p_c))
+    _, trow, tcol = spec.coord_arrays(g.tails)
+    owner = row_block[trow] * p_c + col_block[tcol]
+    groups = [np.flatnonzero(owner == b) for b in range(p_r * p_c)]
+    return [grp for grp in groups if grp.size]
+
+
+def reference_partition(g, groups, r, terminals):
+    """(groups, boundaries, mask) of explicit groups: every group sorted and
+    deduplicated one by one, the (group, vertex) incidences by ``np.unique``,
+    and the size clauses group by group."""
+    groups = [np.unique(np.asarray(grp, dtype=np.int64)) for grp in groups]
+    for i, grp in enumerate(groups):
+        if not grp.size:
+            raise ValidationError(f"group {i} is empty")
+    check_terminals(g.n, terminals)
+    try:
+        gid = edge_group_ids(groups, g.m)
+    except GraphError as exc:
+        raise ValidationError(str(exc)) from None
+    keys = np.unique(np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads]))
+    owner, verts = np.divmod(keys, g.n)
+    mask = np.bincount(verts, minlength=g.n) > 1
+    mask[list(terminals)] = True
+    boundaries = [verts[(owner == i) & mask[verts]] for i in range(len(groups))]
+    for i, grp in enumerate(groups):
+        if len(grp) > r:
+            raise ValidationError(f"group {i} has {len(grp)} edges > r = {r}")
+    k_bound = max(partition.C_DIV * g.n / r, 1.0)
+    if len(groups) > k_bound:
+        raise ValidationError(f"k = {len(groups)} exceeds c_div * n / r = {k_bound:.2f}")
+    bdry_bound = partition.C_BDRY * math.sqrt(r)
+    for i, b in enumerate(boundaries):
+        if len(b) > bdry_bound:
+            raise ValidationError(
+                f"|V_bdry(S_{i})| = {len(b)} exceeds c_bdry * sqrt(r) = {bdry_bound:.2f}")
+    return groups, boundaries, mask
+
+
+def assert_same_partition(part, ref, g):
+    groups, boundaries, mask = ref
+    assert len(part.groups) == len(groups)
+    for ours, theirs in zip(part.groups, groups):
+        assert ours.dtype == np.int64 and np.array_equal(ours, theirs)
+    assert len(part.boundaries) == len(boundaries)
+    for ours, theirs in zip(part.boundaries, boundaries):
+        assert np.array_equal(ours, theirs)
+    assert part.is_boundary.dtype == bool and np.array_equal(part.is_boundary, mask)
+    assert np.array_equal(part.group_of_edge, edge_group_ids(part.groups, g.m))
+
+
+def reference_or_error(build):
+    try:
+        return build(), None
+    except (GraphError, ValidationError) as exc:
+        return None, exc
+
+
+class TestIdArrayPath:
+    def test_closed_form_worst_block_matches_every_block(self):
+        """Every (rows, cols, layers, p_r, p_c) with all five at most 12; the
+        per-block maximum of each is evaluated over all blocks at once."""
+        dims, parts = np.arange(2, 13), np.arange(1, 13)
+        # per (dim, parts, block index): its size, whether it owns its far
+        # face, and whether the block exists (index < parts)
+        size = np.zeros((dims.size, parts.size, 12), dtype=np.int64)
+        owns = np.zeros_like(size, dtype=bool)
+        exists = np.zeros_like(owns)
+        for a, dim in enumerate(dims):
+            for b, p in enumerate(parts):
+                split = [len(x) for x in np.array_split(np.arange(dim), p)]
+                size[a, b, :p] = split
+                owns[a, b, :p - 1] = True
+                exists[a, b, :p] = True
+        col_size, col_owns, col_exists = size[None, None], owns[None, None], exists[None, None]
+        for layers in range(1, 13):
+            for a, rows in enumerate(dims):
+                # axes: (p_r, row block, cols, p_c, col block)
+                row_size = size[a][:, :, None, None, None]
+                row_owns = owns[a][:, :, None, None, None]
+                row_exists = exists[a][:, :, None, None, None]
+                count = (layers * (row_size * (col_size - 1) + col_size * (row_size - 1))
+                         + (layers - 1) * row_size * col_size
+                         + layers * row_size * col_owns + layers * col_size * row_owns)
+                count = np.where(row_exists & col_exists, count, 0)
+                worst = count.max(axis=(1, 4))  # (p_r, cols, p_c)
+                for i, p_r in enumerate(parts):
+                    for c, cols in enumerate(dims):
+                        for j, p_c in enumerate(parts):
+                            got = partition._worst_block_edges(rows, cols, layers, p_r, p_c)
+                            assert got == worst[i, c, j], (rows, cols, layers, p_r, p_c)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rows=st.integers(2, 20), cols=st.integers(2, 20), layers=st.integers(1, 3),
+           r=st.integers(4, 200), picks=st.lists(st.integers(0, 2**16), max_size=3))
+    # the fallback block search: with its smallest k, and (3 layers, r = 4) with no fit
+    @example(rows=2, cols=20, layers=1, r=30, picks=[0, 39])
+    @example(rows=5, cols=3, layers=3, r=40, picks=[7])
+    @example(rows=4, cols=4, layers=3, r=4, picks=[])
+    def test_constructors_match_the_list_reference(self, rows, cols, layers, r, picks):
+        g = grid_graph(rows, cols, layers)
+        terminals = tuple(dict.fromkeys(v % g.n for v in picks))
+        ref_groups, exc = reference_or_error(
+            lambda: reference_grid_groups(rows, cols, layers, r, g))
+        ref = None
+        if exc is None:
+            ref, exc = reference_or_error(
+                lambda: reference_partition(g, ref_groups, r, terminals))
+        if exc is not None:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                grid_r_division(rows, cols, layers, r, terminals=terminals, graph=g)
+            if ref_groups is not None:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    partition_from_groups(g, ref_groups, r, terminals=terminals)
+            return
+        part = grid_r_division(rows, cols, layers, r, terminals=terminals, graph=g)
+        assert_same_partition(part, ref, g)
+        assert_same_partition(partition_from_groups(g, ref_groups, r, terminals), ref, g)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.part"
+            save_partition(part, path)
+            assert_same_partition(load_partition(path, g, terminals=terminals), ref, g)
+        validate_partition(part, g)
+
+    def test_fallback_search_is_reached(self):
+        # the first guess (side 2 blocks) exceeds the group-count bound here
+        rows, cols, layers, r = 2, 20, 1, 30
+        side = max(1, math.isqrt(r // 2))
+        assert math.ceil(rows / side) * math.ceil(cols / side) > partition.C_DIV * 40 / r
+        part = grid_r_division(rows, cols, layers, r)
+        assert part.k == 2
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31), k=st.integers(1, 6), repeats=st.integers(0, 4))
+    def test_explicit_groups_with_repeats_match_the_reference(self, seed, k, repeats):
+        rng = np.random.default_rng(seed)
+        g = grid_graph(4, 5)
+        owner = rng.integers(0, k, g.m)
+        owner[:k] = np.arange(k)
+        groups = [rng.permutation(np.flatnonzero(owner == i)) for i in range(k)]
+        for _ in range(repeats):  # repeats inside one group are dropped
+            i = int(rng.integers(k))
+            groups[i] = np.append(groups[i], rng.choice(groups[i]))
+        r = int(rng.integers(4, 40))
+        ref, exc = reference_or_error(lambda: reference_partition(g, groups, r, (0, g.n - 1)))
+        if exc is not None:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                partition_from_groups(g, groups, r, terminals=(0, g.n - 1))
+            return
+        part = partition_from_groups(g, groups, r, terminals=(0, g.n - 1))
+        assert_same_partition(part, ref, g)
+        flat, _ = group_ids(part.groups)
+        assert np.array_equal(np.sort(flat), np.arange(g.m))

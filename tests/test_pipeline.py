@@ -48,6 +48,16 @@ class TestOracleWeights:
         with pytest.raises(GraphError, match="one group id per edge"):
             oracle_edge_weights(wo, cap, gid[:-1], 0.2)
 
+    @pytest.mark.parametrize("dims, r", [((24, 24, 1), 12), ((8, 8, 3), 64)])
+    def test_run_weights_bitwise_equal(self, rng, dims, r):
+        # the run's hoisted terms give oracle_edge_weights' exact bits
+        g = random_capacity_grid(*dims, seed=2)
+        part = grid_r_division(*dims, r, terminals=(0, g.n - 1), graph=g)
+        run = pipeline._Run(g, part, None, 0, g.n - 1, 0.1, None, "weights")
+        for wo in (np.ones(g.m), rng.uniform(0.5, 50.0, g.m), np.exp(rng.normal(0, 8, g.m))):
+            assert np.array_equal(run.edge_weights(wo),
+                                  oracle_edge_weights(wo, g.capacity, part.groups, 0.1))
+
     def test_weight_ratio_bound(self, rng):
         # U(w) <= 8 (m/eps) U(u)^2 <= O(m^3 eps^-3) when U(u) <= m/eps
         eps = 0.1
