@@ -33,12 +33,12 @@ class RunConfig:
     """What a caller sets for one end-to-end run.
 
     ``eps`` must equal the ``eps`` passed to ``approx_max_flow`` or
-    ``route_fixed_flow``, which reject a mismatch.  ``r`` is only validated:
-    the partition's own ``r`` sets the outer width.  ``seed`` seeds the
-    one-step route's edge sampling, which fires only above the sampling
-    scale (README "Notes on scale"), and ``max_outer_iterations`` and
-    ``max_probes`` (integers >= 1) cap each phase's outer loop and the
-    flow-amount search.
+    ``route_fixed_flow``, which reject a mismatch.  ``r`` (an integer >= 4)
+    is only validated: the partition's own ``r`` sets the outer width.
+    ``seed`` seeds the one-step route's edge sampling, which fires only
+    above the sampling scale (README "Notes on scale"), and
+    ``max_outer_iterations`` and ``max_probes`` (integers >= 1) cap each
+    phase's outer loop and the flow-amount search.
     The algorithm's other constants live in ``pipeline``.
     """
 
@@ -51,9 +51,8 @@ class RunConfig:
     def __post_init__(self):
         if not (0 < self.eps < 0.5):
             raise GraphError("config requires 0 < eps < 1/2")
-        if self.r < 4:
-            raise GraphError("config requires r >= 4")
-        for name in ("max_outer_iterations", "max_probes"):
+        for name, least in (("r", 4), ("max_outer_iterations", 1), ("max_probes", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise GraphError(f"config requires {name} to be an integer >= 1, not {value!r}")
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise GraphError(f"config requires {name} to be an integer >= {least},"
+                                 f" not {value!r}")

@@ -16,7 +16,8 @@ from .graphs import WeightedGraph
 def load_dimacs(path):
     """Parse a DIMACS file; returns (graph, s, t).
 
-    A vertex id outside ``1..n`` on an ``n`` or ``a`` line raises
+    A vertex id outside ``1..n`` on an ``n`` or ``a`` line, or a capacity
+    that is not positive and finite (``nan``, ``inf`` among them), raises
     ``ParseError`` naming that line, wherever the ``p`` line stands.
     """
     n = m = None
@@ -49,8 +50,8 @@ def load_dimacs(path):
                         raise ParseError(f"line {lineno}: expected 'a <tail> <head> <capacity>'")
                     u, v = int(parts[1]) - 1, int(parts[2]) - 1
                     c = float(parts[3])
-                    if c <= 0:
-                        raise ParseError(f"line {lineno}: capacity must be positive")
+                    if not 0 < c < np.inf:  # also false for nan
+                        raise ParseError(f"line {lineno}: capacity must be positive and finite")
                     edges.append((u, v))
                     caps.append(c)
                     ids.extend([(lineno, u), (lineno, v)])

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphError, ParseError, ValidationError
-from .graphs import WeightedGraph, check_terminals, edge_group_ids, group_ids
+from .graphs import WeightedGraph, check_terminals, edge_group_ids, group_ids, sorted_distinct
 from .grids import GridSpec, grid_graph
 
 C_DIV = 4.0  # group-count bound k <= C_DIV n / r
@@ -74,7 +74,7 @@ class Partition:
 
     def group_vertices(self, g: WeightedGraph, i):
         grp = self.groups[i]
-        return np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))
+        return sorted_distinct(np.concatenate([g.tails[grp], g.heads[grp]]))
 
 
 def _slices(flat, cuts):
@@ -98,11 +98,8 @@ def _partition_from_ids(g: WeightedGraph, group_of_edge, k, r, terminals,
     gid, r = group_of_edge, int(r)
     order = np.argsort(gid, kind="stable")  # each group's edges stay ascending
     cuts = np.searchsorted(gid[order], np.arange(k + 1))
-    # distinct (group, vertex) incidences, sorted by group then vertex: one
-    # sort and a mask, the same array as np.unique without its hash path
-    keys = np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads])
-    keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    # distinct (group, vertex) incidences, sorted by group then vertex
+    keys = sorted_distinct(np.concatenate([gid * g.n + g.tails, gid * g.n + g.heads]))
     owner, verts = np.divmod(keys, g.n)
     is_bdry = np.bincount(verts, minlength=g.n) > 1
     is_bdry[np.asarray(terminals, dtype=np.int64)] = True

@@ -497,7 +497,7 @@ class _Run:
         self.lag, self.group_of_edge = LaggedFactor(), part.group_of_edge
         # the terms of oracle_edge_weights that stay fixed for the run
         gid = self.group_of_edge
-        self.weight_floor = eps / (4.0 * np.bincount(gid)[gid])
+        self.weight_floor = (eps / (4.0 * np.bincount(gid)))[gid]
         self.weight_scale = (1.0 - eps / 2.0) / g.capacity**2
         self.w_oracle, self.best_value, self.best_flow = None, 0.0, None
         self.cut_bound = math.inf
@@ -852,19 +852,16 @@ def sweep_cut(g: WeightedGraph, phi, s, t):
     ``GraphError`` when s and t have equal potentials and t ranks first,
     since then no threshold cut separates them.
     """
-    order = np.argsort(-phi, kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
+    rank[(-phi).argsort(kind="stable")] = np.arange(g.n)
     if rank[s] > rank[t]:
-        order = np.argsort(phi, kind="stable")
-        rank[order] = np.arange(g.n)
+        rank[phi.argsort(kind="stable")] = np.arange(g.n)
         if rank[s] > rank[t]:
             raise GraphError("s and t have equal potentials; no threshold cut separates them")
     rt, rh = rank[g.tails], rank[g.heads]
     spans = (np.bincount(np.minimum(rt, rh), weights=g.capacity, minlength=g.n)
              - np.bincount(np.maximum(rt, rh), weights=g.capacity, minlength=g.n))
-    prefix_cuts = np.cumsum(spans)
-    pos = rank[s] + int(np.argmin(prefix_cuts[rank[s]:rank[t]]))
+    pos = rank[s] + int(spans.cumsum()[rank[s]:rank[t]].argmin())
     side = rank <= pos
     cut = float(g.capacity[side[g.tails] != side[g.heads]].sum())
-    return np.flatnonzero(side), cut
+    return side.nonzero()[0], cut

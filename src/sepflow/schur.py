@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GraphError, SolverConvergenceError, ValidationError
-from .graphs import SparseLaplacian, WeightedGraph, group_ids
+from .graphs import SparseLaplacian, WeightedGraph, group_ids, sorted_distinct
 from .partition import SeparatorTree, SeparatorNode
 from .solver import GAP_FLOOR, SolverHandle
 
@@ -512,10 +512,10 @@ class GroupTopology:
             raise GraphError("groups have no edges")
         self.group_of_edge = np.full(g.m, -1, dtype=np.int64)  # -1: in no group
         self.group_of_edge[self.edges] = self.edge_group
-        keys = self.keys = np.unique(np.concatenate([self.edge_group * n + g.tails[self.edges],
-                                                     self.edge_group * n + g.heads[self.edges]]))
+        keys = self.keys = sorted_distinct(np.concatenate(
+            [self.edge_group * n + g.tails[self.edges], self.edge_group * n + g.heads[self.edges]]))
         b_verts, b_owner = group_ids(boundaries)
-        bkeys = np.unique(b_owner * n + b_verts)
+        bkeys = sorted_distinct(b_owner * n + b_verts)
         is_bdry = np.isin(keys, bkeys)
         if np.count_nonzero(is_bdry) != bkeys.size:
             raise GraphError("a boundary vertex does not touch its group")

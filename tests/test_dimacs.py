@@ -55,3 +55,10 @@ class TestDimacs:
         path.write_text("p max 2 1\na 1 2 0\n")
         with pytest.raises(ParseError, match="line 2.*positive"):
             load_dimacs(path)
+
+    @pytest.mark.parametrize("capacity", ["nan", "inf", "-inf", "NaN", "Infinity", "-1.5"])
+    def test_capacity_that_is_not_finite_names_its_line(self, tmp_path, capacity):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(f"p max 3 2\na 1 2 1.0\na 2 3 {capacity}\n")
+        with pytest.raises(ParseError, match="line 3: capacity must be positive and finite"):
+            load_dimacs(path)

@@ -145,6 +145,47 @@ class TestDenseSchur:
         assert np.allclose(sampled.weight, cached.quotient_graph.weight, rtol=1e-12)
 
 
+class TestDistinctKeys:
+    """The (group, vertex) keys of a topology and the vertices of a group,
+    deduplicated by one sort and a mask, against ``np.unique``."""
+
+    @SETTINGS
+    @given(n=st.integers(2, 30), extra=st.integers(0, 30), k=st.integers(1, 6),
+           seed=st.integers(0, 2**31))
+    def test_topology_keys_match_np_unique(self, n, extra, k, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        k = min(k, g.m)
+        groups, boundaries = random_groups(rng, g, k)
+        topo = GroupTopology(g, groups, boundaries)
+        ref = np.unique(np.concatenate([topo.edge_group * g.n + g.tails[topo.edges],
+                                        topo.edge_group * g.n + g.heads[topo.edges]]))
+        assert topo.keys.dtype == ref.dtype and np.array_equal(topo.keys, ref)
+        bkeys = np.unique(np.concatenate([np.full(len(b), i) * g.n + b
+                                          for i, b in enumerate(boundaries)]))
+        slot_keys = topo.slot_group * g.n + topo.slot_vertex
+        assert np.array_equal(np.sort(slot_keys[topo.on_boundary]), bkeys)
+        # a boundary vertex listed twice is one boundary vertex; one that
+        # does not touch its group is an error
+        doubled = [np.concatenate([b, b]) for b in boundaries]
+        assert np.array_equal(GroupTopology(g, groups, doubled).on_boundary, topo.on_boundary)
+        touched = np.zeros(g.n, dtype=bool)
+        touched[g.tails[groups[0]]] = touched[g.heads[groups[0]]] = True
+        if not touched.all():
+            stray = [np.append(boundaries[0], np.flatnonzero(~touched)[0])] + boundaries[1:]
+            with pytest.raises(GraphError, match="does not touch its group"):
+                GroupTopology(g, groups, stray)
+
+    @pytest.mark.parametrize("shape, r", [((6, 6, 1), 12), ((7, 5, 2), 20), ((12, 12, 1), 16)])
+    def test_group_vertices_match_np_unique(self, shape, r):
+        g = grid_graph(*shape)
+        part = grid_r_division(*shape, r, terminals=(0, g.n - 1), graph=g)
+        for i, grp in enumerate(part.groups):
+            ref = np.unique(np.concatenate([g.tails[grp], g.heads[grp]]))
+            ours = part.group_vertices(g, i)
+            assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+
+
 class TestConversion:
     @SETTINGS
     @given(n=st.integers(3, 16), extra=st.integers(0, 16), k=st.integers(1, 3),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sepflow import (GraphError, SparseLaplacian, WeightedGraph, edge_congestions,
                      edge_group_ids, electrical_flow, group_congestions, residual_of_vector,
                      st_demand, zero_sum_demand)
-from sepflow.graphs import csr_matvec
+from sepflow.graphs import csr_matvec, sorted_distinct
 
 from conftest import dense_laplacian, incidences, multigraphs, random_connected_graph
 
@@ -336,3 +336,12 @@ def test_csr_matvec_matches_scipy_bitwise(rng):
     with pytest.raises(GraphError, match="cannot take"):
         g.laplacian_data(np.ones(g.m - 1))
     assert np.array_equal(g.laplacian_data(np.ones(g.m)), g.laplacian_csr(np.ones(g.m)).data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(keys=st.lists(st.integers(-2**40, 2**40) | st.integers(0, 12), max_size=60))
+def test_sorted_distinct_matches_np_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    ours = sorted_distinct(keys.copy())
+    ref = np.unique(keys)
+    assert ours.dtype == ref.dtype and np.array_equal(ours, ref)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -299,6 +301,15 @@ class TestRunConfig:
     def test_rejects_a_cap_that_is_not_a_positive_integer(self, field, value):
         with pytest.raises(GraphError, match=f"{field} to be an integer >= 1"):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10.5, 16.0, None, "16", 3, 0,
+                                       np.int64(2)])
+    def test_rejects_an_r_that_is_not_an_integer_of_at_least_4(self, value):
+        with pytest.raises(GraphError, match=re.escape(f"r to be an integer >= 4, not {value!r}")):
+            RunConfig(r=value)
+
+    def test_takes_integer_r(self):
+        assert RunConfig(r=4).r == 4 and RunConfig(r=np.int64(96)).r == 96
 
     def test_takes_integer_caps(self):
         config = RunConfig(max_outer_iterations=np.int64(1), max_probes=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from sepflow import (GraphError, LaggedFactor, SolverConvergenceError, SolverHandle,
                      WeightedGraph, electrical_flow, grid_graph, grid_r_division, optimum_energy,
@@ -7,7 +9,7 @@ from sepflow import (GraphError, LaggedFactor, SolverConvergenceError, SolverHan
 from sepflow import solver
 from sepflow.solver import GAP_FLOOR, SolveStats
 
-from conftest import dense_electrical, random_connected_graph
+from conftest import dense_electrical, multigraphs, random_connected_graph
 
 
 class TestSolveSdd:
@@ -343,6 +345,131 @@ class TestFactorKinds:
         assert copy._structure["band_layout"] is g._structure["band_layout"]
         SolverHandle(WeightedGraph(g.n, g.edges), np.ones(g.m))  # a rebuilt structure
         assert len(calls) == 2
+
+
+def reference_layout(g):
+    """The ``_Layout`` of ``g`` built component by component: the
+    straightforward construction ``solver._layout`` must match array for
+    array (its isolated-vertex error too)."""
+    n = g.n
+    degree = np.bincount(g.tails, minlength=n) + np.bincount(g.heads, minlength=n)
+    if not degree.all():
+        raise GraphError(f"vertex {int(np.argmin(degree))} is isolated; every vertex needs an edge")
+    nc, labels = g.components()
+    comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
+    root = np.zeros(n, dtype=bool)
+    root[[idx[0] for idx in comp_index]] = True
+    perm = reverse_cuthill_mckee(g.adjacency(), symmetric_mode=True)
+    order = perm[~root[perm]]
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    pt, ph = pos[g.tails], pos[g.heads]
+    lo, width = np.minimum(pt, ph), np.abs(pt - ph)
+    both = lo >= 0
+    band = int(width[both].max(initial=0))
+    slot = edge = sign = None
+    if band <= solver.BAND_CUTOFF:
+        ld, eid = band + 1, np.arange(g.m)
+        kt, kh = pt >= 0, ph >= 0
+        slot = np.concatenate([pt[kt] * ld, ph[kh] * ld, lo[both] * ld + width[both]])
+        edge = np.concatenate([eid[kt], eid[kh], eid[both]])
+        sign = np.concatenate([np.ones(kt.sum() + kh.sum()), -np.ones(both.sum())])
+    return solver._Layout([solver._as_slice(idx) for idx in comp_index],
+                          solver._as_slice(np.flatnonzero(~root)), order, band, slot, edge, sign)
+
+
+def reference_solve(handle, b):
+    """``handle``'s solve of ``b`` as a matrix of right-hand sides, one per
+    column, with the range check and both projections by ``mean``: the
+    straightforward solve ``SolverHandle.solve`` must match bit for bit."""
+    b = np.asarray(b, dtype=float)
+    bmat = b[:, None] if b.ndim == 1 else b
+    comp_index = handle._comp_index
+    tol = 1e-6 * np.maximum(np.abs(bmat).max(axis=0), 1e-300) * handle.n + 1e-300
+    for idx in comp_index:
+        if (np.abs(bmat[idx].sum(axis=0)) > tol).any():
+            raise GraphError("right-hand side is not orthogonal to the Laplacian null space")
+
+    def project(v):
+        out = np.array(v, dtype=float)
+        for idx in comp_index:
+            out[idx] -= out[idx].mean(axis=0)
+        return out
+
+    x = project(handle._factor.apply(project(bmat)))
+    return x[:, 0] if b.ndim == 1 else x
+
+
+def _same_layout(ours, ref):
+    assert len(ours.comp_index) == len(ref.comp_index)
+    for a, b in zip(ours.comp_index + [ours.keep], ref.comp_index + [ref.keep]):
+        assert type(a) is type(b)
+        assert a == b if isinstance(a, slice) else (a.dtype == b.dtype and np.array_equal(a, b))
+    assert ours.band == ref.band
+    for name in ("order", "slot", "edge", "sign"):
+        a, b = getattr(ours, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _check_against_reference(g, rng):
+    """``g``'s layout and solves equal the references bit for bit."""
+    ref = reference_layout(g)
+    _same_layout(solver._layout(g), ref)
+    c = rng.uniform(0.5, 2.0, g.m)
+    handle = SolverHandle(g, c)
+    _, labels = g.components()
+    d = rng.normal(size=(g.n, 3))
+    for col in range(2):
+        d[:, col] -= (np.bincount(labels, weights=d[:, col]) / np.bincount(labels))[labels]
+    d[:, 2] = 0.0
+    for col in range(3):
+        x = handle.solve(d[:, col])
+        assert x.shape == (g.n,)
+        assert np.array_equal(x, reference_solve(handle, d[:, col]))
+    assert np.array_equal(handle.solve(d), reference_solve(handle, d))
+    outside = d[:, 1] + 1.0
+    for rhs in (outside, np.column_stack([d[:, 0], outside])):
+        with pytest.raises(GraphError, match="null space"):
+            reference_solve(handle, rhs)
+        with pytest.raises(GraphError, match="null space"):
+            handle.solve(rhs)
+
+
+class TestAgainstReference:
+    """``_layout`` and ``SolverHandle.solve`` against the straightforward
+    constructions they replace (``reference_layout``, ``reference_solve``):
+    equal arrays, bitwise equal solves and the same errors."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=multigraphs(max_n=40))
+    def test_multigraphs(self, g):
+        rng = np.random.default_rng(g.n * 1000 + g.m)
+        try:
+            reference_layout(g)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as ours:
+                solver._layout(g)
+            assert str(ours.value) == str(exc)
+            if g.n == 1:
+                return
+            # join every isolated vertex to the next one and compare again
+            degree = np.bincount(g.tails, minlength=g.n) + np.bincount(g.heads, minlength=g.n)
+            lone = np.flatnonzero(degree == 0)
+            g = WeightedGraph(g.n, np.vstack([g.edges, np.column_stack([lone, (lone + 1) % g.n])]))
+        _check_against_reference(g, rng)
+
+    @pytest.mark.parametrize("shape", [(24, 24, 1), (16, 16, 3), (12, 12, 6)],
+                             ids=["24x24", "16x16x3", "12x12x6-lu"])
+    def test_grids(self, rng, shape):
+        g = random_capacity_grid(*shape, seed=0)
+        _check_against_reference(g, rng)
+        assert solver._layout(g).banded == (shape != (12, 12, 6))
+
+    def test_several_components(self, rng):
+        for parts in (2, 3, 5):
+            _check_against_reference(_random_components(rng, 120, parts), rng)
 
 
 class TestElectricalFlow:
