@@ -12,6 +12,12 @@ from .errors import GraphError
 MASK63 = (1 << 63) - 1
 
 
+def require_integer(who, name, value, least):
+    """Raise ``GraphError`` unless ``value`` is an integer >= ``least``."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise GraphError(f"{who} requires {name} to be an integer >= {least}, not {value!r}")
+
+
 def substream(seed: int, *tags) -> int:
     """Deterministic 63-bit child seed for a named substream.
 
@@ -52,7 +58,4 @@ class RunConfig:
         if not (0 < self.eps < 0.5):
             raise GraphError("config requires 0 < eps < 1/2")
         for name, least in (("r", 4), ("max_outer_iterations", 1), ("max_probes", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise GraphError(f"config requires {name} to be an integer >= {least},"
-                                 f" not {value!r}")
+            require_integer("config", name, getattr(self, name), least)

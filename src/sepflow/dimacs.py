@@ -16,11 +16,14 @@ from .graphs import WeightedGraph
 def load_dimacs(path):
     """Parse a DIMACS file; returns (graph, s, t).
 
-    A vertex id outside ``1..n`` on an ``n`` or ``a`` line, or a capacity
-    that is not positive and finite (``nan``, ``inf`` among them), raises
-    ``ParseError`` naming that line, wherever the ``p`` line stands.
+    A vertex id outside ``1..n`` on an ``n`` or ``a`` line, an ``a`` line
+    whose ends are one vertex, or a capacity that is not positive and finite
+    (``nan``, ``inf`` among them), raises ``ParseError`` naming that line,
+    wherever the ``p`` line stands; so do a ``p`` line with no vertex or a
+    negative arc count, a second ``p`` line, and an arc count that the
+    ``a`` lines do not match (naming the ``p`` line).
     """
-    n = m = None
+    n = m = header = None
     edges = []
     caps = []
     ids = []  # (line number, 0-based vertex id) of every n and a record
@@ -35,7 +38,11 @@ def load_dimacs(path):
                 if kind == "p":
                     if len(parts) != 4 or parts[1] != "max":
                         raise ParseError(f"line {lineno}: expected 'p max <n> <m>'")
-                    n, m = int(parts[2]), int(parts[3])
+                    if header is not None:
+                        raise ParseError(f"line {lineno}: second 'p' line (first on line {header})")
+                    n, m, header = int(parts[2]), int(parts[3]), lineno
+                    if n < 1 or m < 0:
+                        raise ParseError(f"line {lineno}: need n >= 1 vertices and m >= 0 arcs")
                 elif kind == "n":
                     if len(parts) != 3 or parts[2] not in ("s", "t"):
                         raise ParseError(f"line {lineno}: expected 'n <id> s|t'")
@@ -49,6 +56,8 @@ def load_dimacs(path):
                     if len(parts) != 4:
                         raise ParseError(f"line {lineno}: expected 'a <tail> <head> <capacity>'")
                     u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                    if u == v:
+                        raise ParseError(f"line {lineno}: self-loop at vertex {u + 1}")
                     c = float(parts[3])
                     if not 0 < c < np.inf:  # also false for nan
                         raise ParseError(f"line {lineno}: capacity must be positive and finite")
@@ -65,7 +74,7 @@ def load_dimacs(path):
         if not 0 <= v < n:
             raise ParseError(f"line {lineno}: vertex id {v + 1} is outside 1..{n}")
     if len(edges) != m:
-        raise ParseError(f"header declares {m} arcs, file has {len(edges)}")
+        raise ParseError(f"line {header}: header declares {m} arcs, file has {len(edges)}")
     g = WeightedGraph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
                       capacity=np.asarray(caps))
     return g, s, t

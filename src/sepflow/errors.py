@@ -21,15 +21,13 @@ class SolverConvergenceError(SepflowError):
     """Iterative solve hit its iteration cap before reaching tolerance.
 
     Carries the best iterate and the residual it achieved so callers can
-    inspect partial progress.  ``stalled`` marks a loop that gave up before
-    its cap because its progress could not reach tolerance within it.
+    inspect partial progress.
     """
 
-    def __init__(self, message, best_iterate=None, achieved_residual=None, stalled=False):
+    def __init__(self, message, best_iterate=None, achieved_residual=None):
         super().__init__(message)
         self.best_iterate = best_iterate
         self.achieved_residual = achieved_residual
-        self.stalled = stalled
 
 
 class ParseError(SepflowError):

@@ -10,7 +10,6 @@ congestions stay below the width ``rho`` are averaged into the output.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +17,6 @@ import numpy as np
 from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import WeightedGraph, edge_group_ids, group_congestions, zero_sum_demand
 from .solver import LaggedFactor, electrical_flow
-
-
-# accepted iterates over which a capped non-strict loop measures the trend of
-# its running average's max group congestion and of energy / mu (the stall exit)
-STALL_WINDOW = 4
 
 
 def mwu_parameters(k: int, eps: float):
@@ -150,21 +144,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     (the iterate's own max congestion, floored at 1), the loop returns as
     soon as the running average meets the output contract, from the first
     iteration on (flagged in diagnostics), and ``max_iterations`` caps the
-    budget (exhausting the cap without meeting the contract raises).
-
-    Under a cap, a non-strict loop also gives up early when it stalls
-    (``_stalls``): after each accepted iterate whose average still misses
-    the contract, it extends the trend of the last ``STALL_WINDOW`` accepted
-    iterates over the iterations left, the fall of the average's max group
-    congestion linearly and the rise of energy / mu geometrically.  If that
-    fall cannot cover the distance still to go and energy / mu stays below
-    1, so that the energy test cannot end the loop either, the loop raises at
-    once the ``SolverConvergenceError`` the cap would raise (same best
-    iterate and residual), flagged ``stalled``.  The average's fall slows as
-    it settles, so a stalled loop would have hit its cap too.  In a
-    max-flow run on a 16x16 grid with r=16 (capacity seed 4) the exit ends
-    two such loops early, and the run's electrical flows fall from 2372 to
-    1840 with the same probes and value.
+    budget (exhausting the cap without meeting the contract raises
+    ``SolverConvergenceError`` with the average and its max group
+    congestion).  A loop thus ends on its contract, on its energy test or at
+    its budget, and nowhere else; a cap only truncates the uncapped loop.
 
     ``lag`` supplies each iteration's electrical-flow solve and keeps its
     counters (``electrical_flow``); a run passes one through all its calls
@@ -182,9 +165,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
 
     budget = n_iter if strict or max_iterations is None else min(n_iter, int(max_iterations))
     target = 1.0 + 10.0 * eps
-    # (average's max group congestion, energy / mu) at the last accepted
-    # iterates, kept while a cap is in force
-    recent = deque(maxlen=STALL_WINDOW + 1) if not strict and budget < n_iter else None
     w_grp = np.ones(k)
     flow_sum = np.zeros(g.m)
     n_accepted = 0
@@ -226,12 +206,6 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
             if diag.max_group_congestion <= target:
                 diag.early_exit = True
                 break
-            if recent is not None:
-                recent.append((diag.max_group_congestion, ef.energy / mu))
-                if len(recent) > STALL_WINDOW and _stalls(recent, budget - t, target):
-                    raise _not_converged(flow_sum / n_accepted, diag.max_group_congestion,
-                                         f"stalled at iteration {t} of its cap {budget}",
-                                         target, stalled=True)
 
     if n_accepted == 0:
         raise ValidationError("no iteration stayed under the width; cannot average")
@@ -240,27 +214,10 @@ def grouped_flow(problem: GroupedFlowProblem, *, strict=False, runtime_checks=Tr
     if strict:  # otherwise measured at the average's last change
         diag.max_group_congestion = float(group_congestions(avg, w, gid).max())
     if budget < n_iter and diag.max_group_congestion > target:
-        raise _not_converged(avg, diag.max_group_congestion,
-                             f"hit the iteration cap {budget}", target)
+        raise SolverConvergenceError(
+            f"grouped flow hit the iteration cap {budget} with max group congestion "
+            f"{diag.max_group_congestion:.4f} > {target:.4f}",
+            best_iterate=avg, achieved_residual=diag.max_group_congestion)
     return GroupedFlowResult(status="ok", flow=avg, fail=None, diagnostics=diag,
                              potentials=ef.potentials)
 
-
-def _stalls(recent, left, target):
-    """Whether the trend over ``recent`` (the average's max group congestion
-    and energy / mu at the last ``STALL_WINDOW + 1`` accepted iterates),
-    extended over the ``left`` iterations the cap still allows, leaves the
-    loop to its cap: the congestion, falling linearly, cannot reach
-    ``target``, and energy / mu, growing geometrically, cannot pass 1, where
-    the energy test would end the loop with a fail certificate.  A distance
-    within roundoff of the average (1e-12 relative) is not one to cover."""
-    (cong_then, ratio_then), (cong, ratio) = recent[0], recent[-1]
-    windows = left / STALL_WINDOW
-    return ((cong_then - cong) * windows + 1e-12 * cong < cong - target
-            and math.log(ratio) + windows * math.log(ratio / ratio_then) <= 0.0)
-
-
-def _not_converged(avg, max_congestion, how, target, stalled=False):
-    return SolverConvergenceError(
-        f"grouped flow {how} with max group congestion {max_congestion:.4f} > {target:.4f}",
-        best_iterate=avg, achieved_residual=max_congestion, stalled=stalled)

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from .config import require_integer
 from .errors import GraphError, ParseError, ValidationError
 from .graphs import WeightedGraph, check_terminals, edge_group_ids, group_ids, sorted_distinct
 from .grids import GridSpec, grid_graph
@@ -233,10 +234,10 @@ def grid_r_division(rows, cols, layers, r, terminals=(),
     the cut edges on its east and south faces, so every edge lands in exactly
     one group.  The number of blocks per axis is the smallest that keeps every
     group at or below r edges.  A ``graph`` whose vertex or edge count is not
-    the grid's raises ``GraphError``.
+    the grid's raises ``GraphError``, and so does an ``r`` that is not an
+    integer >= 4 (``RunConfig.r``'s rule).
     """
-    if r < 4:
-        raise GraphError("r must be at least 4")
+    require_integer("grid_r_division", "r", r, 4)
     spec = GridSpec(rows, cols, layers)
     if graph is None:
         g = grid_graph(rows, cols, layers)

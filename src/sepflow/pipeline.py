@@ -117,9 +117,8 @@ class MaxFlowRunStats:
     ``sparsify``, ``quotient_assemble`` and ``convert``).  ``sparsifier_builds``
     counts, over all outer iterations, the groups whose sparsifier was built.
     ``inner_failures`` counts inner solves that raised ``SolverConvergenceError``
-    and ended a probe, and ``inner_stalls`` those of them that grouped flow's
-    stall exit ended before its cap (``stalled`` on the error);
-    ``cut_verdicts`` counts fixed-flow phases decided by a swept cut.
+    (grouped flow at its iteration cap) and ended a probe; ``cut_verdicts``
+    counts fixed-flow phases decided by a swept cut.
     ``electrical_flows``, ``factorizations``, ``rebinds`` and
     ``pcg_iterations`` are the run's ``LaggedFactor`` counters: grouped flow's
     electrical flows (on G or on the quotient), the fresh factors that
@@ -141,7 +140,6 @@ class MaxFlowRunStats:
     sparsifier_builds: int = 0
     topology_builds: int = 0
     inner_failures: int = 0
-    inner_stalls: int = 0
     cut_verdicts: int = 0
     electrical_flows: int = 0
     factorizations: int = 0
@@ -157,8 +155,8 @@ class MaxFlowRunStats:
     def counters(self):
         return {name: getattr(self, name) for name in (
             "route", "iterations_outer", "iterations_inner_total", "probes", "width_failures",
-            "sparsifier_builds", "topology_builds", "inner_failures", "inner_stalls",
-            "cut_verdicts") + SOLVER_COUNTERS}
+            "sparsifier_builds", "topology_builds", "inner_failures", "cut_verdicts")
+            + SOLVER_COUNTERS}
 
 
 class _stage:
@@ -287,7 +285,7 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps, *
         return SparsifiedInstance(graph=g, partition=part, weights=weights,
                                   quotient_graph=quotient, quotient_groups=groups,
                                   quotient_vertices=vertices, elimination=elim,
-                                  group_of_edge=topo.group_of_edge,
+                                  group_of_edge=part.group_of_edge,
                                   quotient_group_of_edge=quotient_group_of_edge, stats=stats)
 
 
@@ -579,8 +577,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
 
     The run's ``LaggedFactor`` counters are copied into ``stats``.  An inner
     ``SolverConvergenceError`` ends the phase as an unproductive probe
-    (counted in ``inner_failures``, and in ``inner_stalls`` when grouped
-    flow's stall exit raised it; its electrical flows still count); a
+    (counted in ``inner_failures``; its electrical flows still count); a
     ``ValidationError`` is a broken invariant and propagates.
     """
     g, part, eps = run.g, run.part, run.eps
@@ -621,8 +618,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
                             INNER_ITERATION_CEILING)
             try:
                 res = _solve_grouped(inst, problem, eps / 10.0, inner_cap, run.lag)
-            except SolverConvergenceError as exc:
-                stats.inner_stalls += exc.stalled
+            except SolverConvergenceError:
                 stats.inner_failures += 1
                 break  # the inner solver could not certify this F; unproductive probe
             with _stage(stats, "oracle_update"):

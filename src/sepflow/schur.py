@@ -510,8 +510,6 @@ class GroupTopology:
         self.edges, self.edge_group = group_ids(groups)
         if self.edges.size == 0:
             raise GraphError("groups have no edges")
-        self.group_of_edge = np.full(g.m, -1, dtype=np.int64)  # -1: in no group
-        self.group_of_edge[self.edges] = self.edge_group
         keys = self.keys = sorted_distinct(np.concatenate(
             [self.edge_group * n + g.tails[self.edges], self.edge_group * n + g.heads[self.edges]]))
         b_verts, b_owner = group_ids(boundaries)
@@ -758,7 +756,7 @@ class GroupElimination:
         split = np.flatnonzero(~topo.connected)
         if split.size:
             raise GraphError(f"group {int(split[0])}: destination group subgraph is disconnected")
-        flow = np.zeros(topo.group_of_edge.size)
+        flow = np.zeros(topo.tails.size)
         flow[topo.edges] = self.route(demand, delta)
         return flow
 

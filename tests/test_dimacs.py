@@ -37,7 +37,13 @@ class TestDimacs:
                                             ("p max 2 1\nn 9 s\n", 2),
                                             ("p max 2 1\nn 0 s\n", 2),
                                             ("p max 2 1\na 1 9 3.0\n", 2),
-                                            ("c p comes last\na 1 3 1.0\np max 2 1\n", 2)])
+                                            ("c p comes last\na 1 3 1.0\np max 2 1\n", 2),
+                                            # records that WeightedGraph would reject unnamed
+                                            ("p max 2 1\na 1 1 2.0\n", 2),
+                                            ("p max 0 0\n", 1),
+                                            ("p max 2 -1\n", 1),
+                                            ("p max 2 1\np max 2 1\na 1 2 1.0\n", 2),
+                                            ("p max 2 1\na 1 2 1.0\np max 3 1\n", 3)])
     def test_bad_number_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "bad.dimacs"
         path.write_text(text)
@@ -47,7 +53,7 @@ class TestDimacs:
     def test_arc_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.dimacs"
         path.write_text("p max 2 2\na 1 2 1.0\n")
-        with pytest.raises(ParseError, match="declares 2 arcs"):
+        with pytest.raises(ParseError, match="line 1: header declares 2 arcs"):
             load_dimacs(path)
 
     def test_nonpositive_capacity(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sepflow import (GraphError, GroupedFlowProblem, LaggedFactor, RunConfig,
                      SolverConvergenceError, ValidationError, WeightedGraph, approx_max_flow,
                      check_mwu_step, electrical_flow, grid_graph, grid_r_division,
-                     group_congestions, grouped_flow, groupedflow, mwu_parameters,
+                     group_congestions, grouped_flow, mwu_parameters,
                      random_capacity_grid, residual_of_vector, st_demand)
 
 
@@ -230,51 +230,75 @@ def test_every_early_return_meets_the_contract(n, k, data):
     assert np.abs(residual_of_vector(res.flow, g) - d).max() <= 1e-9
 
 
-@settings(max_examples=250, deadline=None)
+def _demand_at_first_congestion(g, groups, congestion):
+    """The 0 -> n-1 demand whose first electrical flow (resistances w) has
+    max group congestion ``congestion``."""
+    unit = st_demand(g.n, 0, g.n - 1, 1.0)
+    first = electrical_flow(g, unit, 1e-6, resistances=g.weight).flow
+    return unit * (congestion / group_congestions(first, g.weight, groups).max())
+
+
+def test_a_capped_loop_ends_on_its_contract_not_on_its_trend():
+    # a capped loop whose average's fall slows for a while and then meets
+    # the contract at iteration 7 of its cap 10; a guess from the trend of
+    # the first accepted iterates would have given up at iteration 5
+    n, k = 12, 6
+    parents = [0, 1, 1, 3, 3, 4, 0, 0, 0, 9, 6]
+    edges = [(p, v) for v, p in zip(range(1, n), parents)]
+    edges += [(3, 4), (3, 4), (9, 11), (1, 5), (0, 1), (2, 10), (9, 11), (3, 4), (0, 3)]
+    weight = [2, 1, 5, .125, .25, 1, 1, 1, 6.375, 3, 2, 1, 1, 1, 4, 2, 8, 7, 3, 3.625]
+    label = np.array([0, 0, 0, 0, 0, 0, 0, 0, 4, 4, 5, 0, 0, 5, 2, 0, 0, 0, 0, 0])
+    label[:k] = np.arange(k)
+    g = WeightedGraph(n, edges, weight=weight)
+    groups = [np.flatnonzero(label == i) for i in range(k)]
+    d = _demand_at_first_congestion(g, groups, 1.2)
+    res = grouped_flow(GroupedFlowProblem(g, groups, d, 0.02), max_iterations=10)
+    assert res.status == "ok" and res.diagnostics.early_exit
+    assert res.diagnostics.iterations == 7
+    assert group_congestions(res.flow, g.weight, groups).max() <= 1 + 10 * 0.02
+    assert np.abs(residual_of_vector(res.flow, g) - d).max() <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=4, max_value=12), st.integers(min_value=2, max_value=8), st.data())
-def test_every_stall_exit_would_hit_the_cap(n, k, data):
+def test_a_cap_only_truncates(n, k, data):
     # the demand puts the first iterate's max group congestion at 1 to 2
-    # times the contract's 1 + 10 eps, where a capped loop at small eps may
-    # stall (a few percent of examples); every call the stall exit ends
-    # must also end at its cap without the exit
+    # times the contract's 1 + 10 eps, where a capped loop at small eps
+    # often needs more than a few iterations; a cap c ends the loop nowhere
+    # the loop under cap 4c would not pass, so a call that returns under c
+    # returns the same under 4c, and one that raises under c raises under 4c
+    # too or runs past iteration c
     g, groups = _random_multigraph(n, k, data)
     eps = data.draw(st.sampled_from([0.02, 0.05]))
-    unit = st_demand(n, 0, n - 1, 1.0)
-    first = electrical_flow(g, unit, 1e-6, resistances=g.weight).flow
-    d = unit * (data.draw(st.floats(1.0, 2.0)) * (1 + 10 * eps)
-                / group_congestions(first, g.weight, groups).max())
-    cap = data.draw(st.integers(10, 200))
+    d = _demand_at_first_congestion(g, groups, data.draw(st.floats(1.0, 2.0)) * (1 + 10 * eps))
+    cap = data.draw(st.integers(5, 50))
+    problem = GroupedFlowProblem(g, groups, d, eps)
     try:
-        grouped_flow(GroupedFlowProblem(g, groups, d, eps), max_iterations=cap)
-        return
+        short = grouped_flow(problem, max_iterations=cap)
     except SolverConvergenceError as exc:
-        if not exc.stalled:
+        event("raised under the short cap")
+        assert exc.achieved_residual > 1 + 10 * eps
+        assert np.abs(residual_of_vector(exc.best_iterate, g) - d).max() <= 1e-9
+        try:
+            long = grouped_flow(problem, max_iterations=4 * cap)
+        except SolverConvergenceError:
             return
-        stalled = exc
-    event("stall exit")
-    assert stalled.achieved_residual > 1 + 10 * eps
-    assert np.abs(residual_of_vector(stalled.best_iterate, g) - d).max() <= 1e-9
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groupedflow, "STALL_WINDOW", 10**9)  # never a full window: no stall exit
-        with pytest.raises(SolverConvergenceError, match=f"iteration cap {cap} ") as capped:
-            grouped_flow(GroupedFlowProblem(g, groups, d, eps), max_iterations=cap)
-    assert not capped.value.stalled
+        assert long.diagnostics.iterations > cap
+        return
+    long = grouped_flow(problem, max_iterations=4 * cap)
+    assert long.status == short.status
+    assert long.diagnostics.iterations == short.diagnostics.iterations
+    if not short.failed:
+        assert long.flow.tobytes() == short.flow.tobytes()
 
 
-def test_stall_exit_keeps_a_max_flow_run(monkeypatch):
+def test_a_max_flow_run_keeps_its_capped_inner_failures():
     # 16x16, r=16, capacity seed 4 (as the CLI runs it): two probes' inner
-    # loops stall; ending them early changes no search decision
+    # loops run to their caps and end those probes unproductive
     g = random_capacity_grid(16, 16, seed=4)
     part = grid_r_division(16, 16, 1, 16, terminals=(0, g.n - 1), graph=g)
-    config = RunConfig(eps=0.1, r=16, seed=4)
-    res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, config)
-    monkeypatch.setattr(groupedflow, "STALL_WINDOW", 10**9)
-    full = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, config)
-    c, cf = res.stats.counters(), full.stats.counters()
-    assert (cf["probes"], cf["iterations_outer"], cf["inner_failures"],
-            cf["inner_stalls"], cf["electrical_flows"]) == (7, 75, 2, 0, 2372)
-    assert full.value == pytest.approx(8.338110584519452, rel=1e-12, abs=0)
-    for name in ("probes", "iterations_outer", "inner_failures"):
-        assert c[name] == cf[name], name
-    assert c["inner_stalls"] == 2 and c["electrical_flows"] < 1900
-    assert res.value == pytest.approx(full.value, rel=1e-12, abs=0)
+    res = approx_max_flow(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=16, seed=4))
+    c = res.stats.counters()
+    assert (c["probes"], c["iterations_outer"], c["inner_failures"],
+            c["electrical_flows"]) == (7, 75, 2, 2372)
+    assert res.value == pytest.approx(8.338110584519452, rel=1e-12, abs=0)

@@ -78,6 +78,14 @@ class TestGridRDivision:
                 f"{'' if len(dims) == 3 else 'x1'} grid has n = {spec.n}, m = {spec.m}")):
             grid_r_division(*dims[:2], spec.layers, 16, graph=g)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 10.5, 16.0, "16", None, True, 3,
+                                   np.int64(2)])
+    def test_r_that_is_not_an_integer_of_at_least_4_rejected(self, r):
+        # RunConfig.r's rule and message
+        with pytest.raises(GraphError, match=re.escape(
+                f"grid_r_division requires r to be an integer >= 4, not {r!r}")):
+            grid_r_division(8, 8, 1, r)
+
     def test_partition_of_another_graph_rejected_before_any_work(self):
         g8 = random_capacity_grid(8, 8, seed=1)
         part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g8)
