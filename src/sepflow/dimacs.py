@@ -20,14 +20,15 @@ def load_dimacs(path):
     whose ends are one vertex, or a capacity that is not positive and finite
     (``nan``, ``inf`` among them), raises ``ParseError`` naming that line,
     wherever the ``p`` line stands; so do a ``p`` line with no vertex or a
-    negative arc count, a second ``p`` line, and an arc count that the
-    ``a`` lines do not match (naming the ``p`` line).
+    negative arc count, a second ``p`` line, an ``n`` line that repeats a
+    terminal or makes s and t one vertex (naming the earlier line too), and
+    an arc count that the ``a`` lines do not match (naming the ``p`` line).
     """
     n = m = header = None
     edges = []
     caps = []
     ids = []  # (line number, 0-based vertex id) of every n and a record
-    s = t = None
+    terminals = {}  # "s" or "t" -> (line number, 0-based vertex id)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
@@ -46,11 +47,12 @@ def load_dimacs(path):
                 elif kind == "n":
                     if len(parts) != 3 or parts[2] not in ("s", "t"):
                         raise ParseError(f"line {lineno}: expected 'n <id> s|t'")
-                    v = int(parts[1]) - 1
-                    if parts[2] == "s":
-                        s = v
-                    else:
-                        t = v
+                    v, role = int(parts[1]) - 1, parts[2]
+                    for other, (first, u) in terminals.items():
+                        if other == role or u == v:
+                            raise ParseError(f"line {lineno}: 'n {v + 1} {role}' conflicts with"
+                                             f" 'n {u + 1} {other}' on line {first}")
+                    terminals[role] = (lineno, v)
                     ids.append((lineno, v))
                 elif kind == "a":
                     if len(parts) != 4:
@@ -77,6 +79,7 @@ def load_dimacs(path):
         raise ParseError(f"line {header}: header declares {m} arcs, file has {len(edges)}")
     g = WeightedGraph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2),
                       capacity=np.asarray(caps))
+    s, t = (terminals.get(role, (None, None))[1] for role in ("s", "t"))
     return g, s, t
 
 

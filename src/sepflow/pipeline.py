@@ -89,15 +89,25 @@ def oracle_edge_weights(w_oracle, capacity, groups, eps) -> np.ndarray:
     once, or the group id of every edge (``edge_group_ids``).
     """
     values = np.asarray(w_oracle, dtype=float)
-    capacity = np.asarray(capacity, dtype=float)
     if eps >= 0.5 or eps <= 0:
         raise GraphError("oracle weights require 0 < eps < 1/2")
     gid = edge_group_ids(groups, values.size)
-    totals = np.bincount(gid, weights=values)
-    sizes = np.bincount(gid)
-    w = values / totals[gid] + eps / (4.0 * sizes[gid])
-    w *= (1.0 - eps / 2.0) / capacity**2
-    return w
+    return _weight_kernel(gid, np.asarray(capacity, dtype=float), eps)(values)
+
+
+def _weight_kernel(gid, capacity, eps):
+    """``w_oracle -> oracle_edge_weights(w_oracle, capacity, gid, eps)``, with
+    the terms that do not depend on ``w_oracle`` made once:
+    ``eps / (4 |S_i|)`` gathered per edge and ``(1 - eps/2) / u^2``."""
+    floor = (eps / (4.0 * np.bincount(gid)))[gid]
+    scale = (1.0 - eps / 2.0) / capacity**2
+
+    def weights(w_oracle):
+        w = w_oracle / np.bincount(gid, weights=w_oracle)[gid] + floor
+        w *= scale
+        return w
+
+    return weights
 
 
 # -- run statistics ----------------------------------------------------------------
@@ -202,7 +212,10 @@ class SparsifierPlan:
 class SparsifiedInstance:
     """Original graph + partition with per-group sparsifiers assembled into a
     quotient; on the direct route the quotient is G itself at ``weights``,
-    with the partition's groups and no ``elimination``."""
+    with the partition's groups and ids and no ``elimination``.  A quotient's
+    structure, groups and group ids are made together (from one cached
+    ``GroupTopology.quotient`` pattern, or G and the partition), so two
+    quotients of one structure share all three."""
 
     graph: WeightedGraph
     partition: Partition
@@ -211,7 +224,6 @@ class SparsifiedInstance:
     quotient_groups: list
     quotient_vertices: np.ndarray  # quotient-local -> global id
     elimination: GroupElimination | None  # the groups factored at ``weights``; None if direct
-    group_of_edge: np.ndarray  # each graph edge's group in ``partition``
     quotient_group_of_edge: np.ndarray  # each quotient edge's index in ``quotient_groups``
     stats: MaxFlowRunStats | None = None  # the run that built it, if any
 
@@ -249,16 +261,15 @@ def _identity(n):
     return np.lib.stride_tricks.as_strided(np.arange(n), writeable=False)
 
 
-def _direct_instance(g: WeightedGraph, part: Partition, group_of_edge, weights,
+def _direct_instance(g: WeightedGraph, part: Partition, weights,
                      stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """A phase's grouped-flow problem on G itself: G at ``weights`` with the
-    partition's groups (``group_of_edge`` from ``edge_group_ids``), identity
-    vertex map, nothing eliminated."""
+    partition's own groups and group ids, identity vertex map, nothing
+    eliminated."""
     return SparsifiedInstance(graph=g, partition=part, weights=weights,
                               quotient_graph=g.reweighted(weights), quotient_groups=part.groups,
                               quotient_vertices=_identity(g.n), elimination=None,
-                              group_of_edge=group_of_edge, quotient_group_of_edge=group_of_edge,
-                              stats=stats)
+                              quotient_group_of_edge=part.group_of_edge, stats=stats)
 
 
 def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps, *, seed: int = 0,
@@ -285,7 +296,6 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps, *
         return SparsifiedInstance(graph=g, partition=part, weights=weights,
                                   quotient_graph=quotient, quotient_groups=groups,
                                   quotient_vertices=vertices, elimination=elim,
-                                  group_of_edge=part.group_of_edge,
                                   quotient_group_of_edge=quotient_group_of_edge, stats=stats)
 
 
@@ -357,14 +367,12 @@ def _grouped_problem(instance: SparsifiedInstance, d, eps, previous=None):
     """The grouped-flow problem of ``instance`` for the global demand ``d``.
 
     ``previous`` is the problem of the same phase's last outer iteration
-    (same demand and ``eps``).  Where the quotient kept its structure and
-    groups, it moves to this instance's quotient as it is: its demand and
-    groups passed their checks when it was made and have not changed.
+    (same demand and ``eps``).  Where the quotient kept its structure, and so
+    its groups (``SparsifiedInstance``), it moves to this instance's quotient
+    as it is: its demand and groups passed their checks when it was made.
     """
     graph = instance.quotient_graph
-    if (previous is not None and previous.graph._structure is graph._structure
-            and previous.groups is instance.quotient_groups
-            and previous.group_of_edge is instance.quotient_group_of_edge):
+    if previous is not None and previous.graph._structure is graph._structure:
         return previous.with_graph(graph)
     return GroupedFlowProblem(graph, instance.quotient_groups, instance.quotient_demand(d), eps,
                               group_of_edge=instance.quotient_group_of_edge)
@@ -384,7 +392,7 @@ def _solve_grouped(instance: SparsifiedInstance, problem: GroupedFlowProblem, ep
                                 eps / 10.0, src_vertex_map=instance.quotient_vertices,
                                 elimination=instance.elimination)
         res.diagnostics.max_group_congestion = float(group_congestions(
-            res.flow, instance.weights, instance.group_of_edge).max(initial=0.0))
+            res.flow, instance.weights, instance.partition.group_of_edge).max(initial=0.0))
     return res
 
 
@@ -492,21 +500,10 @@ class _Run:
         self.g, self.part, self.plan = g, part, plan or SparsifierPlan()
         self.s, self.t, self.eps, self.config = s, t, eps, config
         self.stats = MaxFlowRunStats(route=self.plan.method)
-        self.lag, self.group_of_edge = LaggedFactor(), part.group_of_edge
-        # the terms of oracle_edge_weights that stay fixed for the run
-        gid = self.group_of_edge
-        self.weight_floor = (eps / (4.0 * np.bincount(gid)))[gid]
-        self.weight_scale = (1.0 - eps / 2.0) / g.capacity**2
+        self.lag = LaggedFactor()
+        self.edge_weights = _weight_kernel(part.group_of_edge, g.capacity, eps)
         self.w_oracle, self.best_value, self.best_flow = None, 0.0, None
         self.cut_bound = math.inf
-
-    def edge_weights(self, w_oracle):
-        """``oracle_edge_weights(w_oracle, g.capacity, group_of_edge, eps)``,
-        bitwise, from the run's fixed terms."""
-        gid = self.group_of_edge
-        w = w_oracle / np.bincount(gid, weights=w_oracle)[gid] + self.weight_floor
-        w *= self.weight_scale
-        return w
 
     def probe(self, flow_amount):
         """One search phase at ``flow_amount``; keeps the best flow, returns its success."""
@@ -537,7 +534,7 @@ class _Run:
         raises ``SolverConvergenceError``."""
         if flow is None:
             raise SolverConvergenceError("no probe produced a flow")
-        g, gid = self.g, self.group_of_edge
+        g, gid = self.g, self.part.group_of_edge
         w = self.edge_weights(np.ones(g.m))
         return ApproxMaxFlowResult(
             value=value, flow=flow, eps=self.eps,
@@ -599,7 +596,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
                 w = run.edge_weights(w_oracle)
             if run.plan.method == "direct":
                 with _stage(stats, "grouped_flow"):
-                    inst = _direct_instance(g, part, run.group_of_edge, w, stats)
+                    inst = _direct_instance(g, part, w, stats)
             else:
                 inst = build_sparsified_instance(
                     g, part, w, eps / 10.0, stats=stats,

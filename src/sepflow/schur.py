@@ -670,14 +670,6 @@ class GroupElimination:
             self.schur.append(s)
             self.extension.append(x)
 
-    def schur_complement(self, i):
-        """Dense Schur complement of group i onto its sorted boundary."""
-        for cls, s in zip(self.topology.classes, self.schur):
-            j = np.searchsorted(cls.members, i)
-            if j < cls.members.size and cls.members[j] == i:
-                return s[j]
-        raise GraphError(f"group {i} has no boundary")
-
     def sparsify(self, eps, c_s=SPARSIFY_EDGE_FACTOR, *, seed_of):
         """One-step vertex sparsifiers of every group at error ``eps``.
 

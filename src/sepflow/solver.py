@@ -1,11 +1,11 @@
 """Laplacian linear solves and demand-exact approximate electrical flows.
 
-A ``SolverHandle`` factors the Laplacian of one graph at given conductances
-exactly, with each component's root row and column removed, and solves
-with one application of that factor.  The kept vertices are numbered in
-reverse Cuthill-McKee order, computed once per graph structure; separable
-graphs have small separators, so that order gives a narrow band (24 on a
-24x24 grid, 47 on 16x16x3).  Up to a band of ``BAND_CUTOFF`` the factor is
+A ``SolverHandle`` is the exact factor of the Laplacian of one graph at
+given conductances, with each component's root row and column removed, and
+solves with one application of itself (``apply``).  The kept vertices are
+numbered in reverse Cuthill-McKee order, computed once per graph structure;
+separable graphs have small separators, so that order gives a narrow band
+(24 on a 24x24 grid, 47 on 16x16x3).  Up to a band of ``BAND_CUTOFF`` the factor is
 a LAPACK banded Cholesky (``dpbtrf``) of a matrix scattered straight into
 band storage; a wider band gets a sparse LU.
 
@@ -166,61 +166,20 @@ def _layout(g: WeightedGraph) -> _Layout:
     return layout
 
 
-class _Factor:
-    """Exact factor of a Laplacian with each component's root row and column
-    removed, on the graph's ``_Layout``: banded Cholesky in reverse
-    Cuthill-McKee order up to a band of ``BAND_CUTOFF``, sparse LU above.
-    Applies as zeros at the roots.
-
-    The banded factor is one ``bincount`` of the conductances into band
-    storage and one ``dpbtrf``; no matrix is built.  The LU factors the
-    grounded CSR matrix (kept vertices that form one contiguous range are
-    grounded by slicing), which is symmetric positive definite, so it takes
-    a symmetric fill-reducing ordering (minimum degree on ``A^T + A``) and
-    pivots on the diagonal, which keeps L and U to one sparsity pattern."""
-
-    def __init__(self, g: WeightedGraph, conductance, layout: _Layout):
-        self.banded = layout.banded
-        if self.banded:
-            self.order = layout.order
-            ab = np.bincount(layout.slot, weights=conductance[layout.edge] * layout.sign,
-                             minlength=(layout.band + 1) * layout.order.size)
-            self._band, info = dpbtrf(ab.reshape((layout.band + 1, -1), order="F"), lower=1,
-                                      overwrite_ab=1)
-            if info:
-                raise GraphError("matrix is singular after grounding")
-        else:
-            self.keep = keep = layout.keep
-            try:
-                self._lu = spla.splu(g.laplacian_csr(conductance)[keep][:, keep].tocsc(),
-                                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                     options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise GraphError("matrix is singular after grounding") from exc
-
-    def apply(self, y, out=None):
-        """The factor's solve of ``y``, written into ``out`` when given; an
-        ``out`` must hold zeros at the roots, which are never written."""
-        if out is None:
-            out = np.zeros(y.shape)
-        if self.banded:
-            # the gathered copy is solved in place: one allocation per application
-            x, _ = dpbtrs(self._band, y[self.order], lower=1, overwrite_b=1)
-            out[self.order] = x
-        else:
-            out[self.keep] = self._lu.solve(y[self.keep])
-        return out
-
-
 class SolverHandle:
-    """Exact solver for the Laplacian of one graph at fixed per-edge
-    conductances.
+    """Exact factor of the Laplacian of one graph at fixed per-edge
+    conductances, with each component's root row and column removed.
 
     ``SolverHandle(g, conductance)`` grounds each of ``g.components()`` at
-    its first vertex and factors the Laplacian on ``g``'s cached layout
-    (``_Factor``): banded Cholesky where the reverse Cuthill-McKee band is
-    at most ``BAND_CUTOFF``, sparse LU above.  ``solve`` applies that
-    factor once.
+    its first vertex and factors on ``g``'s cached ``_Layout``: where the
+    reverse Cuthill-McKee band is at most ``BAND_CUTOFF`` (``banded``), one
+    ``bincount`` of the conductances into band storage and one ``dpbtrf``,
+    with no matrix built; above it, a sparse LU of the grounded CSR matrix
+    (kept vertices that form one contiguous range are grounded by slicing),
+    which is symmetric positive definite, so it takes a symmetric
+    fill-reducing ordering (minimum degree on ``A^T + A``) and pivots on the
+    diagonal, which keeps L and U to one sparsity pattern.  ``apply`` is
+    the factor's solve; ``solve`` applies it once between projections.
 
     Immutable after construction; each solve allocates private workspace, so
     concurrent solves against one handle are safe, and repeated solves of
@@ -232,7 +191,36 @@ class SolverHandle:
         layout = _layout(g)
         self.n = g.n
         self._comp_index = layout.comp_index
-        self._factor = _Factor(g, c, layout)
+        self.banded = layout.banded
+        if self.banded:
+            self._order = layout.order
+            ab = np.bincount(layout.slot, weights=c[layout.edge] * layout.sign,
+                             minlength=(layout.band + 1) * layout.order.size)
+            self._band, info = dpbtrf(ab.reshape((layout.band + 1, -1), order="F"), lower=1,
+                                      overwrite_ab=1)
+            if info:
+                raise GraphError("matrix is singular after grounding")
+        else:
+            self._keep = keep = layout.keep
+            try:
+                self._lu = spla.splu(g.laplacian_csr(c)[keep][:, keep].tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                     options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise GraphError("matrix is singular after grounding") from exc
+
+    def apply(self, y, out=None):
+        """The factor's solve of ``y``, written into ``out`` when given and
+        returned; an ``out`` must hold zeros at the roots, never written."""
+        if out is None:
+            out = np.zeros(y.shape)
+        if self.banded:
+            # the gathered copy is solved in place: one allocation per application
+            x, _ = dpbtrs(self._band, y[self._order], lower=1, overwrite_b=1)
+            out[self._order] = x
+        else:
+            out[self._keep] = self._lu.solve(y[self._keep])
+        return out
 
     def _project(self, v, *, check_range=False, out=None):
         """``v`` (one vector, or one per column) minus its mean on every
@@ -259,7 +247,7 @@ class SolverHandle:
     def solve(self, b):
         """The solution of ``A x = b`` with zero mean on every component,
         for one right-hand side or a matrix of them (one per column)."""
-        x = self._factor.apply(self._project(np.asarray(b, dtype=float), check_range=True))
+        x = self.apply(self._project(np.asarray(b, dtype=float), check_range=True))
         return self._project(x, out=x)
 
 
@@ -268,15 +256,15 @@ SOLVER_COUNTERS = ("electrical_flows", "factorizations", "rebinds", "pcg_iterati
 
 class LaggedFactor:
     """The solves of a sequence of electrical flows on nearby Laplacians,
-    with one sparse LU factor carried across them where the band is wide.
+    with one sparse LU ``SolverHandle`` carried across them on a wide band.
 
     ``solver(g, conductance)`` gives the solve of the next flow on ``g``;
     ``electrical_flow`` asks for it, ``record``s the flow's stats and
     ``drop``s the factor when the flow fails.  Where ``g``'s band is at most
     ``BAND_CUTOFF`` the solve is a fresh banded factor every time, exact and
     cheaper than one PCG solve on a carried factor.  Above it, the solve is
-    PCG at the new conductances (``_pcg``), preconditioned by the carried LU
-    factor (lagged preconditioning), and the factor is refreshed when the
+    PCG at the new conductances (``_pcg``), preconditioned by the carried
+    handle's ``apply`` (lagged preconditioning), and it is refreshed when the
     last flow's PCG took more than ``REFRESH_ITERATIONS`` iterations or when
     ``g`` no longer shares the structure the factor was built on (graphs
     made by ``reweighted`` share it; a rebuilt quotient pattern does not).
@@ -313,7 +301,7 @@ class LaggedFactor:
         self.factorizations += 1
         self.handle = None  # free the old factor first: less heap to grow
         handle = SolverHandle(g, conductance)
-        if not handle._factor.banded:
+        if not handle.banded:
             # int(20 sqrt(4 n^2 d_max / d_min) + 1000) for the weighted degrees d
             diag = np.bincount(g.tails, weights=conductance, minlength=g.n)
             diag += np.bincount(g.heads, weights=conductance, minlength=g.n)
@@ -349,7 +337,7 @@ class LaggedFactor:
         handle, n = self.handle, g.n
         indptr, indices, _ = g.laplacian_pattern()
         b = handle._project(b, check_range=True)
-        precondition = handle._factor.apply
+        precondition = handle.apply
         # z is the preconditioned residual, rewritten in place every step
         ap, work, z = np.empty(n), np.empty(n), np.zeros(n)
         x = np.zeros(n)

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from sepflow import ParseError, load_dimacs, random_capacity_grid, save_dimacs
+
+TWO_SOURCES = "p max 3 2\nn 1 s\nn 2 s\na 1 2 1.0\na 2 3 1.0\n"
+SOURCE_IS_SINK = "p max 3 2\nn 1 s\nn 1 t\na 1 2 1.0\na 2 3 1.0\n"
 
 
 class TestDimacs:
@@ -43,11 +48,22 @@ class TestDimacs:
                                             ("p max 0 0\n", 1),
                                             ("p max 2 -1\n", 1),
                                             ("p max 2 1\np max 2 1\na 1 2 1.0\n", 2),
-                                            ("p max 2 1\na 1 2 1.0\np max 3 1\n", 3)])
+                                            ("p max 2 1\na 1 2 1.0\np max 3 1\n", 3),
+                                            # a terminal given twice, or one vertex as both
+                                            (TWO_SOURCES, 3), (SOURCE_IS_SINK, 3)])
     def test_bad_number_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "bad.dimacs"
         path.write_text(text)
         with pytest.raises(ParseError, match=f"line {line}: "):
+            load_dimacs(path)
+
+    @pytest.mark.parametrize("text, message", [
+        (TWO_SOURCES, "line 3: 'n 2 s' conflicts with 'n 1 s' on line 2"),
+        (SOURCE_IS_SINK, "line 3: 'n 1 t' conflicts with 'n 1 s' on line 2")])
+    def test_repeated_terminal_names_both_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_dimacs(path)
 
     def test_arc_count_mismatch(self, tmp_path):

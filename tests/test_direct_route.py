@@ -17,7 +17,7 @@ from sepflow import (GroupedFlowFail, GroupedFlowProblem, RunConfig,
                      cut_certificate, exact_max_flow_oracle, grid_r_division, grouped_flow,
                      oracle_edge_weights,
                      partition_from_groups, random_capacity_grid, route_fixed_flow, st_demand)
-from sepflow import edge_group_ids, pipeline
+from sepflow import pipeline
 
 EPS = 0.1
 VALUE_RTOL = 1e-5  # the one-step weight floor moves 24x24 r=12 by 1.8e-6
@@ -122,7 +122,7 @@ def test_direct_energy_certificate():
     s, t = 0, g.n - 1
     exact = exact_max_flow_oracle(g, s, t).value
     w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
-    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w)
+    inst = pipeline._direct_instance(g, part, w)
     assert inst.quotient_graph.m == g.m and inst.elimination is None
     res = approx_grouped_flow(inst, st_demand(g.n, s, t, 4 * exact), EPS / 10)
     assert res.failed and isinstance(res.fail, GroupedFlowFail)
@@ -141,7 +141,7 @@ def test_direct_flow_meets_the_group_contract():
     # a feasible demand: the averaged flow on G is returned as it is, demand-exact
     g, part, _ = _instance(10, 10, 1, 16, 4)
     w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, EPS)
-    inst = pipeline._direct_instance(g, part, edge_group_ids(part.groups, g.m), w)
+    inst = pipeline._direct_instance(g, part, w)
     d = st_demand(g.n, 0, g.n - 1, 0.3 * exact_max_flow_oracle(g, 0, g.n - 1).value)
     res = approx_grouped_flow(inst, d, EPS / 10)
     # grouped flow on G at these weights, at half the error, gives the same bits

@@ -16,6 +16,7 @@ from sepflow import (DisconnectedGraphError, GraphError, GroupedFlowFail, Groupe
                      random_capacity_grid, residual_of_vector, route_fixed_flow, st_demand,
                      sweep_cut)
 from sepflow import pipeline
+from sepflow.schur import GroupTopology
 
 from conftest import dense_electrical, incidences, random_connected_graph
 
@@ -218,7 +219,7 @@ class TestApproxGroupedFlow:
         assert c2 <= (1 + eps) * max(c1, 1.0) + 1e-9
         # the result measures the converted flow, not the quotient's
         assert two_level.diagnostics.max_group_congestion == group_congestions(
-            two_level.flow, inst.weights, inst.group_of_edge).max()
+            two_level.flow, inst.weights, inst.partition.group_of_edge).max()
 
     def test_residual_exact(self):
         g, part, w, inst = small_instance()
@@ -276,6 +277,40 @@ class TestApproxGroupedFlow:
         lag.fresh = []
         approx_grouped_flow(rebuilt, d, eps, lag=lag)
         assert lag.fresh[0] and lag.structure is rebuilt.quotient_graph._structure
+
+    def test_carried_problem_is_the_instance_problem(self, monkeypatch):
+        # a quotient's structure, groups and group ids are made together, so
+        # the structure test alone decides whether a problem is carried on
+        real, quotient = pipeline._grouped_problem, GroupTopology.quotient
+
+        def run(rebuild):
+            reused = []
+
+            def checked(instance, d, eps, previous=None):
+                problem = real(instance, d, eps, previous)
+                assert problem.graph._structure is instance.quotient_graph._structure
+                assert problem.groups is instance.quotient_groups
+                assert problem.group_of_edge is instance.quotient_group_of_edge
+                reused.append(previous is not None and problem.demand is previous.demand)
+                return problem
+
+            def fresh(topo, weights):  # every quotient call builds its pattern afresh
+                topo._quotient = None
+                return quotient(topo, weights)
+
+            monkeypatch.setattr(pipeline, "_grouped_problem", checked)
+            monkeypatch.setattr(GroupTopology, "quotient", fresh if rebuild else quotient)
+            g = random_capacity_grid(10, 10, seed=2)
+            part = grid_r_division(10, 10, 1, 16, terminals=(0, g.n - 1), graph=g)
+            res = approx_max_flow(g, part, SparsifierPlan("one-step"), 0, g.n - 1, 0.1,
+                                  RunConfig(eps=0.1, r=16, seed=2))
+            return reused, res
+
+        (cached, res), (rebuilt, again) = run(False), run(True)
+        assert (len(cached), sum(cached)) == (45, 39)
+        assert (len(rebuilt), sum(rebuilt)) == (45, 0)
+        # a carried problem solves as the one made afresh would
+        assert res.value == again.value and np.array_equal(res.flow, again.flow)
 
     def test_single_group_whole_graph(self):
         g0 = grid_graph(3, 3)

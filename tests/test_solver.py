@@ -303,7 +303,7 @@ class TestFactorKinds:
         g = make(rng)
         c = rng.uniform(0.5, 2.0, g.m)
         handle = SolverHandle(g, c)
-        assert handle._factor.banded == banded
+        assert handle.banded == banded
         _, labels = g.components()
 
         def center(v):  # remove each component's mean
@@ -324,10 +324,25 @@ class TestFactorKinds:
             SolverHandle(g, c)
         assert g._structure["band_layout"].banded == banded
         c[-2] = 1.0  # the same graph at a conductance a's diagonal keeps
-        assert SolverHandle(g, c)._factor.banded == banded
+        assert SolverHandle(g, c).banded == banded
         lone = WeightedGraph(base.n + 1, base.edges)
         with pytest.raises(GraphError, match=f"vertex {base.n} is isolated"):
             SolverHandle(lone, np.ones(lone.m))
+
+    @pytest.mark.parametrize("name", ["24x24", "12x12x6"])
+    def test_apply_writes_into_out_and_never_the_roots(self, rng, name):
+        # LaggedFactor._pcg rewrites one preconditioned-residual buffer per solve
+        make, banded = self.CASES[name]
+        g = make(rng)
+        handle = SolverHandle(g, rng.uniform(0.5, 2.0, g.m))
+        assert handle.banded == banded
+        _, labels = g.components()
+        roots = np.unique(labels, return_index=True)[1]
+        out = np.zeros(g.n)
+        for y in (rng.normal(size=g.n), rng.normal(size=g.n)):
+            assert handle.apply(y, out=out) is out
+            assert not out[roots].any()
+            assert np.array_equal(out, handle.apply(y))  # the bits of a fresh application
 
     def test_layout_is_computed_once_per_structure(self, monkeypatch):
         calls = []
@@ -396,7 +411,7 @@ def reference_solve(handle, b):
             out[idx] -= out[idx].mean(axis=0)
         return out
 
-    x = project(handle._factor.apply(project(bmat)))
+    x = project(handle.apply(project(bmat)))
     return x[:, 0] if b.ndim == 1 else x
 
 
