@@ -41,10 +41,10 @@ class RunConfig:
     ``eps`` must equal the ``eps`` passed to ``approx_max_flow`` or
     ``route_fixed_flow``, which reject a mismatch.  ``r`` (an integer >= 4)
     is only validated: the partition's own ``r`` sets the outer width.
-    ``seed`` seeds the one-step route's edge sampling, which fires only
-    above the sampling scale (README "Notes on scale"), and
-    ``max_outer_iterations`` and ``max_probes`` (integers >= 1) cap each
-    phase's outer loop and the flow-amount search.
+    No library code draws from ``seed``: it is carried into
+    ``ApproxMaxFlowResult.seed``, and the CLI's ``--seed`` also seeds
+    ``--random-capacities``.  ``max_outer_iterations`` and ``max_probes``
+    (integers >= 1) cap each phase's outer loop and the flow-amount search.
     The algorithm's other constants live in ``pipeline``.
     """
 

@@ -130,7 +130,8 @@ def _checked_group_ids(g: WeightedGraph, groups, terminals):
 
 def partition_from_groups(g: WeightedGraph, groups, r, terminals=()) -> Partition:
     """Build and validate a Partition from explicit edge groups; each group
-    is kept sorted and without repeats."""
+    is kept sorted and without repeats.  ``r`` follows ``grid_r_division``'s rule."""
+    require_integer("partition_from_groups", "r", r, 4)
     # one sort over (group, edge) pairs drops every group's repeats at once
     ids, owner = group_ids(groups)
     order = np.lexsort((ids, owner))
@@ -184,6 +185,7 @@ def _first_mismatch(sets, ref, n):
 
 def validate_partition(part: Partition, g: WeightedGraph):
     """Enforce every r-division invariant; raises ValidationError naming the clause."""
+    require_integer("validate_partition", "r", part.r, 4)
     if g.n != part.n or g.m != part.m:
         raise ValidationError("partition does not match graph dimensions")
     gid = _checked_group_ids(g, part.groups, part.terminals)
@@ -455,9 +457,11 @@ def save_partition(part: Partition, path):
 
 
 def load_partition(path, g: WeightedGraph, terminals=()) -> Partition:
-    """Parse and validate a partition file (validation is mandatory)."""
+    """Parse and validate a partition file (validation is mandatory).  An ``r``
+    below 4 or a repeated record raises ``ParseError`` naming its line."""
     groups = {}
     bdry = {}
+    first = {}  # "k", or "g <group>" or "b <group>" -> the line number of that record
     k = r = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -468,14 +472,20 @@ def load_partition(path, g: WeightedGraph, terminals=()) -> Partition:
                 if parts[0] == "k":
                     if len(parts) != 4 or parts[2] != "r":
                         raise ParseError(f"line {lineno}: expected 'k <num_groups> r <r>'")
-                    k, r = int(parts[1]), int(parts[3])
+                    k, r, key = int(parts[1]), int(parts[3]), "k"
+                    if r < 4:
+                        raise ParseError(f"line {lineno}: need r >= 4, not {r}")
                 elif parts[0] in ("g", "b"):
                     if len(parts) < 2:
                         raise ParseError(f"line {lineno}: expected '{parts[0]} <group> <ids...>'")
+                    key = f"{parts[0]} {int(parts[1])}"
                     dest = groups if parts[0] == "g" else bdry
                     dest[int(parts[1])] = np.array([int(x) for x in parts[2:]], dtype=np.int64)
                 else:
                     raise ParseError(f"line {lineno}: unknown record '{parts[0]}'")
+                if key in first:
+                    raise ParseError(f"line {lineno}: second '{key}' line (first on line {first[key]})")
+                first[key] = lineno
             except ValueError:
                 raise ParseError(f"line {lineno}: bad number in '{raw.strip()}'") from None
     if k is None:

@@ -8,14 +8,14 @@ G itself, at the oracle's edge weights and with the partition's groups, and
 takes its averaged flow as it is: no group is eliminated, no quotient is
 built and nothing is converted.  ``"one-step"`` runs the paper's two-level
 scheme: grouped flow on a quotient of per-group vertex sparsifiers,
-converted back group by group.  Until ``sparsify`` samples (README "Notes on
-scale"), every quotient group is its group's exact Schur complement;
-grouped flow scales a group's resistances by one constant, which scales its
-Schur complement by the same constant, and conversion is the harmonic
-extension, so the two routes are the same algorithm in exact arithmetic
-(Kron reduction), and the quotient has more edges than G.  Either route
-hands on a ``SparsifiedInstance``; a direct one has G as its quotient, with
-identity vertex map and interior extension.
+converted back group by group.  The batched build never samples (README
+"Notes on scale"), so every quotient group is its group's exact Schur
+complement; grouped flow scales a group's resistances by one constant,
+which scales its Schur complement by the same constant, and conversion is
+the harmonic extension, so the two routes are the same algorithm in exact
+arithmetic (Kron reduction), and the quotient has more edges than G.
+Either route hands on a ``SparsifiedInstance``; a direct one has G as its
+quotient, with identity vertex map and interior extension.
 
 A fixed-flow phase (``route_fixed_flow``) sweeps the quotient's electrical
 potentials once per outer iteration, lifted into every group interior; a
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, substream
+from .config import RunConfig
 from .errors import GraphError, SolverConvergenceError
 from .graphs import (WeightedGraph, edge_congestions, edge_group_ids, group_congestions,
                      group_ids, st_demand, zero_sum_demand)
@@ -194,10 +194,10 @@ class SparsifierPlan:
     ``"direct"`` (the default) runs grouped flow on G itself with the
     partition's groups.  ``"one-step"`` runs it on a quotient of per-group
     vertex sparsifiers, built by one batched elimination of every group, and
-    converts the flow back.  Below the scale where ``sparsify`` samples, the
-    quotient is an exact reformulation of G with more edges (see the module
-    docstring), so the one-step route is the paper's scheme itself and the
-    exact differential reference of the direct route.
+    converts the flow back.  Nothing is sampled: the quotient is an exact
+    reformulation of G with more edges (see the module docstring), so the
+    one-step route is the paper's scheme itself and the exact differential
+    reference of the direct route.
     """
 
     method: str = "direct"
@@ -272,22 +272,24 @@ def _direct_instance(g: WeightedGraph, part: Partition, weights,
                               quotient_group_of_edge=part.group_of_edge, stats=stats)
 
 
-def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps, *, seed: int = 0,
+def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps, *,
                               stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """The one-step route's instance: every group sparsified at error ``eps``
-    by one batched elimination at grouped-flow ``weights``, and the quotient
-    assembled.  Groups must be connected with two or more boundary vertices
-    (checked before any factor).  ``seed`` seeds only the edge sampling of a
-    group over its budget; the two steps add to ``stats``' ``sparsify`` and
+    (``0 < eps < 1/2``) by one batched elimination at grouped-flow
+    ``weights``, never sampled, and the quotient assembled.  Groups must be
+    connected with two or more boundary vertices (checked before any
+    factor).  The two steps add to ``stats``' ``sparsify`` and
     ``quotient_assemble`` timings."""
     with _stage(stats, "sparsify"):
+        if not (0 < eps < 0.5):
+            raise GraphError("build_sparsified_instance requires 0 < eps < 1/2")
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (g.m,) or np.any(weights <= 0):
             raise GraphError("need one positive weight per edge")
         topo = _group_topology(part, g, stats)
         topo.require_sparsifiable()
         elim = GroupElimination(topo, 1.0 / weights)
-        cond = elim.sparsify(eps, seed_of=lambda i: substream(seed, "sparsify", i))
+        cond = elim.sparsify(eps)
         if stats is not None:
             stats.sparsifier_builds += part.k
 
@@ -360,7 +362,8 @@ def approx_grouped_flow(instance: SparsifiedInstance, d, eps, *, max_iterations=
     contract."""
     with _stage(instance.stats, "grouped_flow"):
         problem = _grouped_problem(instance, d, eps / 2.0)
-    return _solve_grouped(instance, problem, eps, max_iterations, lag)
+        res = grouped_flow(problem, max_iterations=max_iterations, lag=lag)
+    return _converted(instance, res, eps)
 
 
 def _grouped_problem(instance: SparsifiedInstance, d, eps, previous=None):
@@ -378,15 +381,12 @@ def _grouped_problem(instance: SparsifiedInstance, d, eps, previous=None):
                               group_of_edge=instance.quotient_group_of_edge)
 
 
-def _solve_grouped(instance: SparsifiedInstance, problem: GroupedFlowProblem, eps,
-                   max_iterations, lag) -> GroupedFlowResult:
-    """``approx_grouped_flow`` on ``instance`` for its grouped-flow ``problem``."""
-    stats = instance.stats
-    with _stage(stats, "grouped_flow"):
-        res = grouped_flow(problem, max_iterations=max_iterations, lag=lag)
+def _converted(instance: SparsifiedInstance, res: GroupedFlowResult, eps) -> GroupedFlowResult:
+    """Grouped flow's ``res`` on ``instance``, an ok one-step flow converted
+    back to G at ``eps / 10`` (``approx_grouped_flow``)."""
     if res.failed or instance.elimination is None:
         return res
-    with _stage(stats, "convert"):
+    with _stage(instance.stats, "convert"):
         res.flow = convert_flow(instance.quotient_graph, instance.quotient_groups,
                                 instance.graph, instance.partition.groups, res.flow,
                                 eps / 10.0, src_vertex_map=instance.quotient_vertices,
@@ -559,12 +559,10 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
 
     The run's plan picks the route: a direct phase runs grouped flow on G at
     the oracle's weights, a one-step phase on the quotient of sparsifiers
-    built at those weights, their sampling seeded by
-    ``substream(config.seed, "phase", probe, iteration)``.  The phase's
-    demand and groups are checked when its first grouped-flow problem is
-    made; later outer iterations move that problem to their new weights
-    (``_grouped_problem``), and check again only after a one-step quotient
-    changed its edge pattern.
+    built at those weights.  The phase's demand and groups are checked when
+    its first grouped-flow problem is made; later outer iterations move that
+    problem to their new weights (``_grouped_problem``), and check again
+    only after a one-step quotient changed its edge pattern.
 
     Every outer iteration, however it ends, appends one row to
     ``stats.trace_rows``.  At the end, the potentials of the last electrical
@@ -577,13 +575,14 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
     (counted in ``inner_failures``; its electrical flows still count); a
     ``ValidationError`` is a broken invariant and propagates.
     """
-    g, part, eps = run.g, run.part, run.eps
+    g, part, eps, direct = run.g, run.part, run.eps, run.plan.method == "direct"
     with _stage(stats, "oracle_update"):
         rho_outer = math.ceil(C_W * math.sqrt(part.r) / math.sqrt(eps))
         n_outer = max(int(math.ceil(20.0 * rho_outer * math.log(max(g.m, 2)) * eps**-2)), 1)
         limit = min(n_outer, run.config.max_outer_iterations)
         target = success_target(flow_amount, eps)
         w_oracle = np.ones(g.m) if run.w_oracle is None else run.w_oracle
+        w = run.edge_weights(w_oracle)
         d = st_demand(g.n, run.s, run.t, flow_amount)
         flow_sum = np.zeros(g.m)
     accepted = stagnant = 0
@@ -592,32 +591,28 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
         stats.iterations_outer += 1
         mc = None
         try:
-            with _stage(stats, "oracle_update"):
-                w = run.edge_weights(w_oracle)
-            if run.plan.method == "direct":
-                with _stage(stats, "grouped_flow"):
-                    inst = _direct_instance(g, part, w, stats)
-            else:
-                inst = build_sparsified_instance(
-                    g, part, w, eps / 10.0, stats=stats,
-                    seed=substream(run.config.seed, "phase", stats.probes, it))
-            if sweep:
-                with _stage(stats, "grouped_flow"):
-                    side, cut = _swept_cut(inst, d, run.s, run.t)
-                if cut < target:
-                    stats.cut_verdicts += 1
-                    fail = (inst, SweptCutFail(side, cut, d), d)
-                    break
+            if not direct:
+                inst = build_sparsified_instance(g, part, w, eps / 10.0, stats=stats)
+            # one block from instance to result: less time falls between stages
             with _stage(stats, "grouped_flow"):
+                if direct:
+                    inst = _direct_instance(g, part, w, stats)
+                if sweep:
+                    side, cut = _swept_cut(inst, d, run.s, run.t)
+                    if cut < target:
+                        stats.cut_verdicts += 1
+                        fail = (inst, SweptCutFail(side, cut, d), d)
+                        break
                 problem = _grouped_problem(inst, d, eps / 20.0, problem)
-            qsize = inst.quotient_graph.m + inst.quotient_graph.n
-            inner_cap = min(max(MAX_INNER_ITERATIONS, INNER_BUDGET_UNITS // max(qsize, 1)),
-                            INNER_ITERATION_CEILING)
-            try:
-                res = _solve_grouped(inst, problem, eps / 10.0, inner_cap, run.lag)
-            except SolverConvergenceError:
-                stats.inner_failures += 1
-                break  # the inner solver could not certify this F; unproductive probe
+                qsize = inst.quotient_graph.m + inst.quotient_graph.n
+                inner_cap = min(max(MAX_INNER_ITERATIONS, INNER_BUDGET_UNITS // max(qsize, 1)),
+                                INNER_ITERATION_CEILING)
+                try:
+                    res = grouped_flow(problem, max_iterations=inner_cap, lag=run.lag)
+                except SolverConvergenceError:
+                    stats.inner_failures += 1
+                    break  # the inner solver could not certify this F; unproductive probe
+            res = _converted(inst, res, eps / 10.0)
             with _stage(stats, "oracle_update"):
                 if res.failed:
                     fail = (inst, res.fail, d)
@@ -649,6 +644,7 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
                 if stagnant >= OUTER_STAGNATION_LIMIT:
                     break
                 w_oracle = w_oracle * (1.0 + (eps / max(mc, UPDATE_WIDTH_FLOOR)) * cong)
+                w = run.edge_weights(w_oracle)  # the next iteration's
         finally:  # one trace row per outer iteration, however it ends
             stats.trace_rows.append((stats.probes, it, flow_amount,
                                      None if best_flow is None else best_value, mc))

@@ -214,8 +214,9 @@ def approx_schur(lap: SparseLaplacian, v_bdry, eps: float) -> SparseLaplacian:
 # -- spectral edge sparsification ---------------------------------------------
 
 
-def _effective_resistances(lap: SparseLaplacian, tails, heads, eps, rng):
-    """Per-edge effective resistances, exact (dense) for small n, sketched above."""
+def _effective_resistances(lap: SparseLaplacian, tails, heads, rng):
+    """Per-edge effective resistances, exact (dense) for small n, sketched
+    above on one ``SolverHandle`` per component."""
     n = lap.n
     if n <= EXACT_RESISTANCE_CUTOFF:
         pinv = np.linalg.pinv(lap.dense())
@@ -223,7 +224,6 @@ def _effective_resistances(lap: SparseLaplacian, tails, heads, eps, rng):
         return d[tails] + d[heads] - 2.0 * pinv[tails, heads]
     k = max(8, int(math.ceil(SKETCH_OVERSAMPLE * math.log(n))))
     w = lap.weights()
-    handle = SolverHandle(WeightedGraph(n, np.column_stack([tails, heads])), w)
     sqw = np.sqrt(w)
     m = tails.size
     proj = rng.choice([-1.0, 1.0], size=(m, k)) / math.sqrt(k)
@@ -231,7 +231,12 @@ def _effective_resistances(lap: SparseLaplacian, tails, heads, eps, rng):
     y = np.zeros((n, k))
     np.add.at(y, tails, sqw[:, None] * proj)
     np.subtract.at(y, heads, sqw[:, None] * proj)
-    z = handle.solve(y)
+    z = np.zeros((n, k))
+    labels = lap.component_labels()[1]
+    for c in np.unique(labels[tails]):  # an isolated vertex has no edge to measure
+        verts, sel = np.flatnonzero(labels == c), np.flatnonzero(labels[tails] == c)
+        local = np.searchsorted(verts, np.column_stack([tails[sel], heads[sel]]))
+        z[verts] = SolverHandle(WeightedGraph(verts.size, local), w[sel]).solve(y[verts])
     diff = z[tails] - z[heads]
     return np.einsum("ij,ij->i", diff, diff)
 
@@ -241,30 +246,24 @@ def sparsify(lap: SparseLaplacian, eps: float, seed: int, c_s: float = SPARSIFY_
 
     Graphs already under the edge budget ``c_s n ln(n) eps^-2`` are returned
     unchanged.  Sampling is deterministic given the seed; if a draw
-    disconnects the graph the seed stream advances deterministically.
-
-    The pipeline sparsifies each group's Schur complement, a clique on its
-    ``b`` boundary vertices, at eps/30, so sampling fires only above about
-    1.6e8 boundary vertices at eps = 0.1 (6.7e6 at eps = 0.45) with the
-    default ``c_s``; below that every quotient group is its group's exact
-    Schur complement, cleaned and floored.
+    disconnects the graph the seed stream advances deterministically.  The
+    pipeline's batched build (``GroupElimination.sparsify``) never samples.
     """
     if not (0 < eps < 1):
         raise GraphError("sparsify requires 0 < eps < 1")
     tails, heads, w = lap.edge_list()
     n, m = lap.n, tails.size
-    budget = c_s * n * math.log(max(n, 2)) / eps**2
-    if m <= budget:
+    if m <= _edge_budget(c_s, n, eps):
         return lap
     # sample count uses the concentration constant even when the budget knob
     # is tightened below it; q >> m draws keep almost every edge, so skip
-    q = int(math.ceil(max(c_s, 9.0) * n * math.log(max(n, 2)) / eps**2))
+    q = int(math.ceil(_edge_budget(max(c_s, 9.0), n, eps)))
     if q >= 20 * m:
         return lap
     for attempt in range(8):
         ss = np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 0x5EA1, attempt))
         rng = np.random.default_rng(ss)
-        r_eff = _effective_resistances(lap, tails, heads, eps, rng)
+        r_eff = _effective_resistances(lap, tails, heads, rng)
         scores = np.maximum(w * r_eff, 0.0)
         total = scores.sum()
         if total <= 0:
@@ -277,6 +276,11 @@ def sparsify(lap: SparseLaplacian, eps: float, seed: int, c_s: float = SPARSIFY_
         if cand.is_connected() or not lap.is_connected():
             return cand
     raise ValidationError("sparsify produced a disconnected graph in 8 seeded attempts")
+
+
+def _edge_budget(c_s, n, eps):
+    """Edge budget ``c_s n ln(n) eps^-2`` of a sparsifier on n vertices (ln 2 below two)."""
+    return c_s * n * math.log(max(n, 2)) / eps**2
 
 
 # -- vertex sparsifiers ----------------------------------------------------------
@@ -301,8 +305,7 @@ class VertexSparsifier:
         return self.boundary.size
 
     def edge_budget(self):
-        nb = max(self.n_boundary, 2)
-        return SPARSIFY_EDGE_FACTOR * nb * math.log(nb) / self.eps**2
+        return _edge_budget(SPARSIFY_EDGE_FACTOR, self.n_boundary, self.eps)
 
     def weight_ratio(self):
         return _weight_ratio(self.laplacian.weights())
@@ -670,18 +673,18 @@ class GroupElimination:
             self.schur.append(s)
             self.extension.append(x)
 
-    def sparsify(self, eps, c_s=SPARSIFY_EDGE_FACTOR, *, seed_of):
+    def sparsify(self, eps):
         """One-step vertex sparsifiers of every group at error ``eps``.
 
-        The same steps as ``one_step_vertex_sparsify``: the clamp check and
-        cleanup of the Schur complement at ``eps/3``, ``sparsify`` when the
-        edge count exceeds its budget (seeded by ``seed_of(group id)``), and
-        the ``lam_min / n_b^2`` weight floor.  Returns per shape class a
-        (G, P) array of conductances over the boundary pairs in
-        ``np.triu_indices`` order (0 where there is no edge), for ``quotient``.
-        As ``VertexSparsifier.validate`` does, it raises ``ValidationError``
-        when a sparsifier's weight ratio exceeds ``10 n^5 U``, for a group of
-        n vertices whose merged edge weights span a ratio U.
+        The steps of ``one_step_vertex_sparsify`` but the sampling: the clamp
+        check and cleanup of the Schur complement at ``eps/3``, then the
+        ``lam_min / n_b^2`` weight floor.  Returns per shape class a (G, P)
+        array of conductances over the boundary pairs in ``np.triu_indices``
+        order (0 where there is no edge), for ``quotient``.  As
+        ``VertexSparsifier.validate`` does, it raises ``ValidationError`` when
+        a sparsifier has more edges than ``sparsify``'s budget at ``eps/3``
+        (about 5e6 boundary vertices at eps = 0.05), or a weight ratio above
+        ``10 n^5 U`` for a group of n vertices whose merged edge weights span U.
         """
         weights = []
         for cls, s, w_min, w_max in zip(self.topology.classes, self.schur, self.w_min,
@@ -691,13 +694,14 @@ class GroupElimination:
             iu = np.triu_indices(cls.nb, k=1)
             cond = -clean[:, iu[0], iu[1]]
             has = cond > 0
-            lam_min = w_min / cls.n**2
-            cond = np.where(has, cond + (lam_min / cls.nb**2)[:, None], 0.0)
-            budget = c_s * cls.nb * math.log(max(cls.nb, 2)) / (eps / 3.0) ** 2
-            for j in np.flatnonzero(has.sum(axis=1) > budget):
-                thin = sparsify(SparseLaplacian(sp.csr_matrix(clean[j])), eps / 3.0,
-                                seed_of(int(cls.members[j])), c_s=c_s)
-                cond[j] = pair_weights(weight_floor(thin, lam_min[j]))
+            cond = np.where(has, cond + (w_min / cls.n**2 / cls.nb**2)[:, None], 0.0)
+            edges = has.sum(axis=1)
+            budget = _edge_budget(SPARSIFY_EDGE_FACTOR, cls.nb, eps / 3.0)
+            over = np.flatnonzero(edges > budget)
+            if over.size:
+                j = over[0]
+                raise ValidationError(f"group {int(cls.members[j])}: sparsifier has {edges[j]}"
+                                      f" edges, budget {budget:.0f}")
             least = np.where(cond > 0, cond, np.inf).min(axis=1, initial=np.inf)
             ratio = cond.max(axis=1, initial=0.0) / least
             bound = 10.0 * cls.n**5 * (w_max / w_min)
@@ -807,15 +811,6 @@ class GroupElimination:
                 verts = topo.slot_vertex[cls.slots]
                 phi[verts[:, cls.nb:]] = (x @ phi[verts[:, :cls.nb]][..., None])[..., 0]
         return phi
-
-
-def pair_weights(lap: SparseLaplacian):
-    """Conductances of ``lap`` over its vertex pairs in ``np.triu_indices`` order."""
-    n = lap.n
-    t, h, c = lap.edge_list()
-    out = np.zeros(n * (n - 1) // 2)
-    out[t * (2 * n - t - 1) // 2 + h - t - 1] = c
-    return out
 
 
 def _group_max(values, owner, k):

@@ -1,7 +1,7 @@
 """Laplacian linear solves and demand-exact approximate electrical flows.
 
-A ``SolverHandle`` is the exact factor of the Laplacian of one graph at
-given conductances, with each component's root row and column removed, and
+A ``SolverHandle`` is the exact factor of the Laplacian of one connected
+graph at given conductances, with vertex 0's row and column removed, and
 solves with one application of itself (``apply``).  The kept vertices are
 numbered in reverse Cuthill-McKee order, computed once per graph structure;
 separable graphs have small separators, so that order gives a narrow band
@@ -37,9 +37,9 @@ projections run and its gap is certified.  The structure these rest on
 compiled scipy and numpy calls.
 
 A solve is its LAPACK call and a fixed number of vector operations.  One
-right-hand side stays a vector: each component's sum serves both the range
-check (whose bound is not computed for a sum of exactly zero, as an s-t
-demand has) and the first projection, the banded factor is one gather, one
+right-hand side stays a vector: its sum serves both the range check (whose
+bound is not computed for a sum of exactly zero, as an s-t demand has) and
+the first projection, the banded factor is one gather, one
 ``dpbtrs`` and one scatter, and the second projection runs in place on the
 factor's output; a matrix of right-hand sides takes the same steps
 column-wise.  A graph factored only once, as a fixed-flow request's swept
@@ -76,29 +76,19 @@ class SolveStats:
     refinements: int = 0
 
 
-def _as_slice(idx):
-    """``idx`` (sorted, distinct) as a slice when it is one contiguous range."""
-    if idx.size and idx[-1] - idx[0] == idx.size - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 @dataclass(frozen=True)
 class _Layout:
-    """How the grounded Laplacian of one graph structure is stored.
+    """How the Laplacian of one connected graph structure, grounded at
+    vertex 0, is stored.
 
-    ``comp_index`` lists each component's vertices (a slice when
-    contiguous); ``keep`` the vertices other than the component roots (the
-    smallest id of each component), sorted; ``order`` the same vertices in
-    reverse Cuthill-McKee order, whose band is ``band``.  Up to a band of
-    ``BAND_CUTOFF``, ``slot``, ``edge`` and ``sign`` scatter the
-    conductances into LAPACK lower band storage, column-major
-    ``(band + 1, keep.size)``: entry ``i`` adds ``sign[i] * c[edge[i]]`` at
-    flat position ``slot[i]``.  Above it they are None.
+    ``order`` lists the vertices other than 0 in reverse Cuthill-McKee
+    order, whose band is ``band``.  Up to a band of ``BAND_CUTOFF``,
+    ``slot``, ``edge`` and ``sign`` scatter the conductances into LAPACK
+    lower band storage, column-major ``(band + 1, order.size)``: entry ``i``
+    adds ``sign[i] * c[edge[i]]`` at flat position ``slot[i]``.  Above it
+    they are None.
     """
 
-    comp_index: list
-    keep: np.ndarray | slice
     order: np.ndarray
     band: int
     slot: np.ndarray | None
@@ -114,10 +104,11 @@ def _layout(g: WeightedGraph) -> _Layout:
     """The ``_Layout`` of ``g``'s structure, computed on first use and cached
     in ``g._structure``, which ``reweighted`` copies share.
 
-    Built from the cached ``adjacency()`` and ``components()`` in a fixed
-    number of vector operations; only a graph of several components lists
-    them one by one.  Every edge's head is above its tail, so no head is a
-    root, and an edge has both ends kept exactly when its tail is kept."""
+    Built from the cached ``adjacency()`` in a fixed number of vector
+    operations.  A graph with an isolated vertex raises ``GraphError``, a
+    disconnected one ``DisconnectedGraphError``.  Every edge's head is above
+    its tail, so no head is vertex 0, and an edge has both ends kept exactly
+    when its tail is kept."""
     layout = g._structure.get("band_layout")
     if layout is not None:
         return layout
@@ -126,24 +117,12 @@ def _layout(g: WeightedGraph) -> _Layout:
     if not (adj.indptr[1:] > adj.indptr[:-1]).all():
         isolated = int(np.argmin(np.diff(adj.indptr)))
         raise GraphError(f"vertex {isolated} is isolated; every vertex needs an edge")
-    nc, labels = g.components()
+    g.require_connected("SolverHandle")
     perm = reverse_cuthill_mckee(adj, symmetric_mode=True)
-    if nc == 1:
-        comp_index, keep, roots = [slice(0, n)], slice(1, n), 0
-        order = perm[perm != 0]
-    else:
-        # each component's vertices in ascending order, components by label
-        members = np.argsort(labels, kind="stable")
-        starts = np.cumsum(np.bincount(labels))[:-1]
-        comp_index = [_as_slice(idx) for idx in np.split(members, starts)]
-        roots = members[np.append(0, starts)]
-        is_root = np.zeros(n, dtype=bool)
-        is_root[roots] = True
-        keep = _as_slice(np.flatnonzero(~is_root))
-        order = perm[~is_root[perm]]
+    order = perm[perm != 0]
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(order.size)
-    pos[roots] = -1
+    pos[0] = -1
     pt, ph = pos[g.tails], pos[g.heads]
     both = (pt >= 0).nonzero()[0]  # the edges with both ends kept
     pt_both, ph_both = pt[both], ph[both]
@@ -161,25 +140,25 @@ def _layout(g: WeightedGraph) -> _Layout:
         sign = np.empty(slot.size)
         sign[:diagonal] = 1.0
         sign[diagonal:] = -1.0
-    layout = _Layout(comp_index, keep, order, band, slot, edge, sign)
+    layout = _Layout(order, band, slot, edge, sign)
     g._structure["band_layout"] = layout
     return layout
 
 
 class SolverHandle:
-    """Exact factor of the Laplacian of one graph at fixed per-edge
-    conductances, with each component's root row and column removed.
+    """Exact factor of the Laplacian of one connected graph at fixed
+    per-edge conductances, with vertex 0's row and column removed.
 
-    ``SolverHandle(g, conductance)`` grounds each of ``g.components()`` at
-    its first vertex and factors on ``g``'s cached ``_Layout``: where the
-    reverse Cuthill-McKee band is at most ``BAND_CUTOFF`` (``banded``), one
-    ``bincount`` of the conductances into band storage and one ``dpbtrf``,
-    with no matrix built; above it, a sparse LU of the grounded CSR matrix
-    (kept vertices that form one contiguous range are grounded by slicing),
-    which is symmetric positive definite, so it takes a symmetric
-    fill-reducing ordering (minimum degree on ``A^T + A``) and pivots on the
-    diagonal, which keeps L and U to one sparsity pattern.  ``apply`` is
-    the factor's solve; ``solve`` applies it once between projections.
+    ``SolverHandle(g, conductance)`` grounds ``g`` at vertex 0 (a
+    disconnected ``g`` raises ``DisconnectedGraphError``) and factors on
+    ``g``'s cached ``_Layout``: where the reverse Cuthill-McKee band is at
+    most ``BAND_CUTOFF`` (``banded``), one ``bincount`` of the conductances
+    into band storage and one ``dpbtrf``, with no matrix built; above it, a
+    sparse LU of the grounded CSR matrix, which is symmetric positive
+    definite, so it takes a symmetric fill-reducing ordering (minimum degree
+    on ``A^T + A``) and pivots on the diagonal, which keeps L and U to one
+    sparsity pattern.  ``apply`` is the factor's solve; ``solve`` applies it
+    once between projections.
 
     Immutable after construction; each solve allocates private workspace, so
     concurrent solves against one handle are safe, and repeated solves of
@@ -190,7 +169,6 @@ class SolverHandle:
         c = _as_float_vector(conductance, g.m, "conductance")
         layout = _layout(g)
         self.n = g.n
-        self._comp_index = layout.comp_index
         self.banded = layout.banded
         if self.banded:
             self._order = layout.order
@@ -201,9 +179,8 @@ class SolverHandle:
             if info:
                 raise GraphError("matrix is singular after grounding")
         else:
-            self._keep = keep = layout.keep
             try:
-                self._lu = spla.splu(g.laplacian_csr(c)[keep][:, keep].tocsc(),
+                self._lu = spla.splu(g.laplacian_csr(c)[1:, 1:].tocsc(),
                                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                      options={"SymmetricMode": True})
             except RuntimeError as exc:
@@ -211,7 +188,7 @@ class SolverHandle:
 
     def apply(self, y, out=None):
         """The factor's solve of ``y``, written into ``out`` when given and
-        returned; an ``out`` must hold zeros at the roots, never written."""
+        returned; an ``out`` must hold zero at vertex 0, never written."""
         if out is None:
             out = np.zeros(y.shape)
         if self.banded:
@@ -219,34 +196,30 @@ class SolverHandle:
             x, _ = dpbtrs(self._band, y[self._order], lower=1, overwrite_b=1)
             out[self._order] = x
         else:
-            out[self._keep] = self._lu.solve(y[self._keep])
+            out[1:] = self._lu.solve(y[1:])
         return out
 
     def _project(self, v, *, check_range=False, out=None):
-        """``v`` (one vector, or one per column) minus its mean on every
-        component, the Laplacian's null space, written into ``out``: a new
-        array when None, or ``v`` itself to project in place.
+        """``v`` (one vector, or one per column) minus its mean, the
+        Laplacian's null space, written into ``out``: a new array when None,
+        or ``v`` itself to project in place.
 
-        With ``check_range``, a component sum of ``v`` above ``1e-6 n`` times
-        ``v``'s largest entry raises ``GraphError``, since ``v`` is then not
-        in the Laplacian's range; a sum of exactly zero passes without that
-        bound.  A component's mean is its sum over its size, the bits
-        ``mean`` gives."""
+        With ``check_range``, a sum of ``v`` above ``1e-6 n`` times ``v``'s
+        largest entry raises ``GraphError``, since ``v`` is then not in the
+        Laplacian's range; a sum of exactly zero passes without that bound.
+        The mean is the sum over ``n``, the bits ``mean`` gives."""
         out = np.array(v, dtype=float) if out is None else out
-        for idx in self._comp_index:
-            part = out[idx]
-            total = part.sum(axis=0)
-            if check_range and total.any():
-                tol = 1e-6 * np.maximum(np.abs(v).max(axis=0), 1e-300) * self.n + 1e-300
-                if (np.abs(total) > tol).any():
-                    raise GraphError("right-hand side is not orthogonal to the Laplacian null"
-                                     " space")
-            out[idx] -= total / len(part)
+        total = out.sum(axis=0)
+        if check_range and total.any():
+            tol = 1e-6 * np.maximum(np.abs(v).max(axis=0), 1e-300) * self.n + 1e-300
+            if (np.abs(total) > tol).any():
+                raise GraphError("right-hand side is not orthogonal to the Laplacian null space")
+        out -= total / self.n
         return out
 
     def solve(self, b):
-        """The solution of ``A x = b`` with zero mean on every component,
-        for one right-hand side or a matrix of them (one per column)."""
+        """The solution of ``A x = b`` with zero mean, for one right-hand
+        side or a matrix of them (one per column)."""
         x = self.apply(self._project(np.asarray(b, dtype=float), check_range=True))
         return self._project(x, out=x)
 

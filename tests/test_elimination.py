@@ -103,7 +103,7 @@ class TestDenseSchur:
         g0 = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g0)
         w = rng.uniform(0.5, 2.0, g0.m)
-        inst = build_sparsified_instance(g0, part, w, 0.05, seed=1)
+        inst = build_sparsified_instance(g0, part, w, 0.05)
         qv = inst.quotient_vertices
         for i, grp in enumerate(part.groups):
             verts, lap = group_laplacian(g0, grp, 1.0 / w)
@@ -122,37 +122,32 @@ class TestDenseSchur:
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         elim = GroupElimination(part.topology(g), np.ones(g.m))
-        elim.sparsify(0.1, seed_of=lambda i: i)  # the unplanted groups pass
+        elim.sparsify(0.1)  # the unplanted groups pass
         s = elim.schur[-1][0]
         s[0, 1] -= 1e12
         s[1, 0] -= 1e12
         s[0, 0] += 1e12
         s[1, 1] += 1e12
         with pytest.raises(ValidationError, match=r"sparsifier weight ratio .* exceeds 10 n\^5 U"):
-            elim.sparsify(0.1, seed_of=lambda i: i)
+            elim.sparsify(0.1)
 
-    def test_over_budget_groups_go_through_sparsify(self, rng, monkeypatch):
-        # a tiny c_s puts every Schur complement over the edge budget of sparsify
+    def test_a_group_over_the_edge_budget_raises(self, rng, monkeypatch):
+        # the batched build never samples: a sparsifier with more edges than
+        # ``sparsify`` keeps unsampled is an error, here under a budget
+        # factor cut so low that every group's clique is over it
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
-        cached = build_sparsified_instance(g, part, w, 0.3, seed=1)
         topo = part.topology(g)
-        sampled_groups, real = [], schur.sparsify
-
-        def spy(lap, eps, seed, c_s):
-            sampled_groups.append(seed)
-            return real(lap, eps, seed, c_s=c_s)
-
-        monkeypatch.setattr(schur, "sparsify", spy)
-        cond = GroupElimination(topo, 1.0 / w).sparsify(0.3, 1e-3, seed_of=lambda i: i)
-        assert sorted(sampled_groups) == list(range(part.k))
-        sampled, *_ = topo.quotient(cond)
-        assert sampled is not cached.quotient_graph
-        # same edge set as the unsampled build, so the cached pattern is reused
-        assert sampled._structure is cached.quotient_graph._structure
-        assert np.array_equal(sampled.edges, cached.quotient_graph.edges)
-        assert np.allclose(sampled.weight, cached.quotient_graph.weight, rtol=1e-12)
+        elim = GroupElimination(topo, 1.0 / w)
+        elim.sparsify(0.3)  # within the budget at the default factor
+        monkeypatch.setattr(schur, "SPARSIFY_EDGE_FACTOR", 1e-3)
+        first = int(topo.classes[0].members[0])
+        message = rf"group {first}: sparsifier has \d+ edges, budget \d+"
+        with pytest.raises(ValidationError, match=message):
+            elim.sparsify(0.3)
+        with pytest.raises(ValidationError, match=message):
+            build_sparsified_instance(g, part, w, 0.3)
 
 
 class TestDistinctKeys:
@@ -244,7 +239,7 @@ class TestCertificateExtension:
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
-        inst = build_sparsified_instance(g, part, w, 0.01, seed=3)
+        inst = build_sparsified_instance(g, part, w, 0.01)
         phi = np.zeros(g.n)
         phi[inst.quotient_vertices] = rng.normal(size=inst.quotient_vertices.size)
         ours = inst.elimination.extend(phi)

@@ -98,6 +98,19 @@ class TestGridRDivision:
 
 
 class TestPartitionValidation:
+    @pytest.mark.parametrize("r", [16.9, float("nan"), "16", None, 3, np.float64(16.0)])
+    def test_explicit_groups_follow_the_rule_for_r(self, r):
+        # grid_r_division's rule: 16.9 once became r = 16, "16" was taken,
+        # nan and None raised bare ValueError and TypeError
+        g = grid_graph(3, 3)
+        with pytest.raises(GraphError, match=re.escape(
+                f"partition_from_groups requires r to be an integer >= 4, not {r!r}")):
+            partition_from_groups(g, [np.arange(g.m)], r=r)
+        part = partition_from_groups(g, [np.arange(g.m)], r=12)
+        with pytest.raises(GraphError, match=re.escape(
+                f"validate_partition requires r to be an integer >= 4, not {r!r}")):
+            validate_partition(replace(part, r=r), g)
+
     def test_duplicate_edge_named(self):
         g = grid_graph(3, 3)
         groups = [np.arange(g.m), np.array([2])]
@@ -183,6 +196,23 @@ class TestPartitionFiles:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ValidationError, match="boundary set of group 0"):
             load_partition(path, g)
+
+    @pytest.mark.parametrize("text, message", [
+        ("k 1 r 12\nk 1 r 16\ng 0 0 1 2 3 4 5 6 7 8 9 10 11\n",
+         "line 2: second 'k' line (first on line 1)"),
+        ("k 1 r 12\ng 0 0 1 2 3 4 5 6 7 8 9 10 11\ng 0 0 1 2\n",
+         "line 3: second 'g 0' line (first on line 2)"),
+        ("k 1 r 12\ng 0 0 1 2 3 4 5 6 7 8 9 10 11\nb 0\nc note\nb 0\n",
+         "line 5: second 'b 0' line (first on line 3)"),
+        ("c header\nk 1 r 3\ng 0 0 1 2 3 4 5 6 7 8 9 10 11\n", "line 2: need r >= 4, not 3"),
+    ], ids=["header", "group", "boundary", "small-r"])
+    def test_repeated_record_or_small_r_names_its_line(self, tmp_path, text, message):
+        # the last repeated record once won silently, and r below 4 reached
+        # the size clauses
+        path = tmp_path / "bad.part"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_partition(path, grid_graph(3, 3))
 
     @pytest.mark.parametrize("line", ["g", "b", "k a r 32", "g 0 x"])
     def test_malformed_line_names_its_number(self, tmp_path, line):

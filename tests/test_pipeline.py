@@ -180,13 +180,25 @@ class TestConvertFlow:
             assert np.abs(residual_of_vector(f_back, g) - d).max() <= 1e-8
 
 
-def small_instance(eps=0.01, seed=3):
+def small_instance(eps=0.01):
     g0 = grid_graph(4, 4)
     part = grid_r_division(4, 4, 1, 8, terminals=(0, 15), graph=g0)
     w = oracle_edge_weights(np.ones(g0.m), g0.capacity, part.groups, 0.1)
     g = WeightedGraph(g0.n, g0.edges, capacity=g0.capacity, weight=w)
-    inst = build_sparsified_instance(g, part, w, eps, seed=seed)
+    inst = build_sparsified_instance(g, part, w, eps)
     return g, part, w, inst
+
+
+class TestBuildSparsifiedInstance:
+    @pytest.mark.parametrize("eps", [0.7, 2.9, float("nan"), 0.0, -1.0])
+    def test_build_rejects_eps_outside_its_range(self, eps):
+        # once taken silently (0.7, 2.9, nan), a bare ZeroDivisionError (0)
+        # or a clamp error (-1): the range of one_step_vertex_sparsify
+        g = grid_graph(4, 4)
+        part = grid_r_division(4, 4, 1, 8, terminals=(0, 15), graph=g)
+        with pytest.raises(GraphError, match=re.escape(
+                "build_sparsified_instance requires 0 < eps < 1/2")):
+            build_sparsified_instance(g, part, np.ones(g.m), eps)
 
 
 class TestSparsifierPlan:
@@ -260,19 +272,19 @@ class TestApproxGroupedFlow:
         d = st_demand(g.n, 0, g.n - 1, 0.5 * exact_max_flow_oracle(g, 0, g.n - 1).value)
         lag = Spy()
         lag.fresh = []
-        first = build_sparsified_instance(g, part, w, eps / 10, seed=1)
+        first = build_sparsified_instance(g, part, w, eps / 10)
         assert first.quotient_graph.n > 64
         approx_grouped_flow(first, d, eps, lag=lag)
         # a quotient of 298 vertices and band 89: the LU factor is carried
         assert first.quotient_graph._structure["band_layout"].band > 64
         assert lag.fresh[0] and not any(lag.fresh[1:])
-        same = build_sparsified_instance(g, part, 1.05 * w, eps / 10, seed=1)
+        same = build_sparsified_instance(g, part, 1.05 * w, eps / 10)
         assert same.quotient_graph._structure is first.quotient_graph._structure
         lag.fresh = []
         approx_grouped_flow(same, d, eps, lag=lag)
         assert not any(lag.fresh)
         part._topology = None  # a rebuilt topology builds its quotient pattern afresh
-        rebuilt = build_sparsified_instance(g, part, 1.05 * w, eps / 10, seed=1)
+        rebuilt = build_sparsified_instance(g, part, 1.05 * w, eps / 10)
         assert rebuilt.quotient_graph._structure is not first.quotient_graph._structure
         lag.fresh = []
         approx_grouped_flow(rebuilt, d, eps, lag=lag)
@@ -318,7 +330,7 @@ class TestApproxGroupedFlow:
         assert part.k == 1
         w = oracle_edge_weights(np.ones(g0.m), g0.capacity, part.groups, 0.1)
         g = WeightedGraph(g0.n, g0.edges, weight=w)
-        inst = build_sparsified_instance(g, part, w, 0.01, seed=1)
+        inst = build_sparsified_instance(g, part, w, 0.01)
         from sepflow import electrical_flow
 
         ef = electrical_flow(g, st_demand(9, 0, 8, 1.0), 1e-8, resistances=w)
@@ -652,7 +664,7 @@ class TestSweptCutVerdict:
         part = grid_r_division(10, 10, 1, 16, terminals=(s, t), graph=g)
         exact = exact_max_flow_oracle(g, s, t).value
         w = oracle_edge_weights(np.ones(g.m), g.capacity, part.groups, eps)
-        inst = build_sparsified_instance(g, part, w, eps / 10, seed=1)
+        inst = build_sparsified_instance(g, part, w, eps / 10)
         res = approx_grouped_flow(inst, st_demand(g.n, s, t, 4 * exact), eps / 10)
         assert res.failed and isinstance(res.fail, GroupedFlowFail)
         cert = cut_certificate(inst, res.fail, eps)

@@ -157,6 +157,24 @@ class TestSparsify:
         lo, hi = gen_eig_range(s.dense(), lap.dense())
         assert 0.5 <= lo and hi <= 1.5
 
+    def test_sketched_resistances_per_component(self, rng):
+        # two disjoint copies of the graph above and an isolated vertex, as
+        # a Schur complement onto a component's one boundary vertex leaves:
+        # a SolverHandle factors one connected graph, so the sketch solves
+        # each component on its own, and each copy stays in the sandwich
+        n = 80
+        t, h = np.triu_indices(n, k=1)
+        keep = rng.random(t.size) < 0.6
+        w = rng.uniform(0.5, 2.0, keep.sum())
+        t, h = t[keep], h[keep]
+        lap = SparseLaplacian.from_edges(2 * n + 1, np.concatenate([t, t + n]),
+                                         np.concatenate([h, h + n]), np.concatenate([w, w]))
+        s = sparsify(lap, 0.5, seed=3, c_s=0.5)
+        assert s is not lap
+        for copy in (slice(0, n), slice(n, 2 * n)):
+            lo, hi = gen_eig_range(s.dense()[copy, copy], lap.dense()[copy, copy])
+            assert 0.5 <= lo and hi <= 1.5
+
 
 class TestSpectralBounds:
     def test_single_unit_edge(self):

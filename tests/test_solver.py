@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from sepflow import (GraphError, LaggedFactor, SolverConvergenceError, SolverHandle,
-                     WeightedGraph, electrical_flow, grid_graph, grid_r_division, optimum_energy,
-                     random_capacity_grid, residual_of_vector, st_demand)
+from sepflow import (DisconnectedGraphError, GraphError, LaggedFactor, SolverConvergenceError,
+                     SolverHandle, WeightedGraph, electrical_flow, grid_graph, grid_r_division,
+                     optimum_energy, random_capacity_grid, residual_of_vector, st_demand)
 from sepflow import solver
 from sepflow.solver import GAP_FLOOR, SolveStats
 
@@ -132,58 +132,8 @@ class TestSolveSdd:
         assert np.array_equal(x1, x2)
 
 
-def _random_components(rng, n, parts):
-    """Random graph on ``n`` vertices with ``parts`` connected components of
-    at least two vertices each."""
-    cuts = 2 * np.sort(rng.choice(np.arange(1, n // 2), parts - 1, replace=False))
-    edges = []
-    for lo, hi in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [n]])):
-        sub = random_connected_graph(rng, int(hi - lo), int(rng.integers(0, hi - lo + 1)))
-        edges += [(int(u + lo), int(v + lo)) for u, v in sub.edges]
-    return WeightedGraph(n, edges)
-
-
-def _disjoint_union(graphs):
-    """The graphs side by side, the vertices of each after those of the last."""
-    offsets = np.cumsum([0] + [h.n for h in graphs])
-    edges = np.vstack([h.edges + o for h, o in zip(graphs, offsets)])
-    return WeightedGraph(int(offsets[-1]), edges)
-
-
 class TestReboundValues:
     """PCG on the factor a ``LaggedFactor`` carries to new conductances."""
-
-    def test_rebind_on_several_components(self, rng):
-        # each component is grounded at its first vertex: the fresh factor
-        # and PCG on the carried one meet the A-norm contract against the
-        # dense pseudoinverse, and the fresh handle also solves one
-        # right-hand side per column
-        delta = 1e-8
-        for trial in range(12):
-            parts = [random_connected_graph(rng, int(rng.integers(160, 201)), 400)]
-            parts += [random_connected_graph(rng, int(rng.integers(2, 60)), 30)
-                      for _ in range(trial % 3)]
-            g = _disjoint_union(parts)
-            n = g.n
-            c0 = rng.uniform(0.5, 2.0, g.m)
-            c = c0 * rng.uniform(0.8, 1.25, g.m)
-            fresh = SolverHandle(g, c0)
-            _, labels = g.components()
-            d = rng.normal(size=(n, 2))
-            d -= (np.bincount(labels, weights=d[:, 0]) / np.bincount(labels))[labels][:, None]
-            d[:, 1] = d[:, 0]
-            cols = fresh.solve(d)
-            assert np.array_equal(cols[:, 0], cols[:, 1])
-            assert np.allclose(cols[:, 0], fresh.solve(d[:, 0]), rtol=1e-12, atol=1e-12)
-            lag = LaggedFactor()
-            for cond in (c0, c):
-                a = g.laplacian_csr(cond).toarray()
-                ref = np.linalg.pinv(a) @ d[:, 0]
-                x, _ = lag.solver(g, cond)(d[:, 0], delta)
-                err = x - ref
-                err -= (np.bincount(labels, weights=err) / np.bincount(labels))[labels]
-                assert np.sqrt(err @ a @ err) <= delta * np.sqrt(ref @ a @ ref) * 1.05
-            assert lag.rebinds == 1
 
     def test_lagged_factor_flows_match_exact_flows(self, rng):
         # electrical flows by PCG on a carried factor, on reweighted copies
@@ -294,7 +244,6 @@ class TestFactorKinds:
         "12x12x6": (lambda rng: grid_graph(12, 12, 6), False),
         "multigraph": (lambda rng: WeightedGraph(40, np.vstack(
             [random_connected_graph(rng, 40, 30).edges] * 2)), True),
-        "3-components": (lambda rng: _random_components(rng, 90, 3), True),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -304,16 +253,12 @@ class TestFactorKinds:
         c = rng.uniform(0.5, 2.0, g.m)
         handle = SolverHandle(g, c)
         assert handle.banded == banded
-        _, labels = g.components()
-
-        def center(v):  # remove each component's mean
-            return v - (np.bincount(labels, weights=v) / np.bincount(labels))[labels]
-
-        d = np.column_stack([center(rng.normal(size=g.n)) for _ in range(2)])
+        d = rng.normal(size=(g.n, 2))
+        d -= d.mean(axis=0)
         ref = np.linalg.pinv(g.laplacian_csr(c).toarray()) @ d
         # one right-hand side, and one per column
         for x, r in ((handle.solve(d[:, 0]), ref[:, 0]), (handle.solve(d)[:, 1], ref[:, 1])):
-            assert np.linalg.norm(center(x - r)) <= 1e-9 * np.linalg.norm(r)
+            assert np.linalg.norm(x - r - (x - r).mean()) <= 1e-9 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("base, banded", [(grid_graph(4, 4), True),
                                               (grid_graph(12, 12, 6), False)],
@@ -329,6 +274,12 @@ class TestFactorKinds:
         with pytest.raises(GraphError, match=f"vertex {base.n} is isolated"):
             SolverHandle(lone, np.ones(lone.m))
 
+    def test_a_disconnected_graph_raises(self):
+        # a handle grounds one vertex, so it factors one connected graph
+        g = WeightedGraph(5, [(0, 1), (1, 2), (3, 4)])
+        with pytest.raises(DisconnectedGraphError, match="SolverHandle requires a connected"):
+            SolverHandle(g, np.ones(g.m))
+
     @pytest.mark.parametrize("name", ["24x24", "12x12x6"])
     def test_apply_writes_into_out_and_never_the_roots(self, rng, name):
         # LaggedFactor._pcg rewrites one preconditioned-residual buffer per solve
@@ -336,12 +287,10 @@ class TestFactorKinds:
         g = make(rng)
         handle = SolverHandle(g, rng.uniform(0.5, 2.0, g.m))
         assert handle.banded == banded
-        _, labels = g.components()
-        roots = np.unique(labels, return_index=True)[1]
         out = np.zeros(g.n)
         for y in (rng.normal(size=g.n), rng.normal(size=g.n)):
             assert handle.apply(y, out=out) is out
-            assert not out[roots].any()
+            assert out[0] == 0.0  # the root, vertex 0
             assert np.array_equal(out, handle.apply(y))  # the bits of a fresh application
 
     def test_layout_is_computed_once_per_structure(self, monkeypatch):
@@ -363,17 +312,17 @@ class TestFactorKinds:
 
 
 def reference_layout(g):
-    """The ``_Layout`` of ``g`` built component by component: the
-    straightforward construction ``solver._layout`` must match array for
-    array (its isolated-vertex error too)."""
+    """The ``_Layout`` of ``g`` grounded at vertex 0: the straightforward
+    construction ``solver._layout`` must match array for array (its
+    isolated-vertex and connectivity errors too)."""
     n = g.n
     degree = np.bincount(g.tails, minlength=n) + np.bincount(g.heads, minlength=n)
     if not degree.all():
         raise GraphError(f"vertex {int(np.argmin(degree))} is isolated; every vertex needs an edge")
-    nc, labels = g.components()
-    comp_index = [np.flatnonzero(labels == c) for c in range(nc)]
+    if connected_components(g.adjacency(), directed=False)[0] > 1:
+        raise DisconnectedGraphError("SolverHandle requires a connected graph")
     root = np.zeros(n, dtype=bool)
-    root[[idx[0] for idx in comp_index]] = True
+    root[0] = True
     perm = reverse_cuthill_mckee(g.adjacency(), symmetric_mode=True)
     order = perm[~root[perm]]
     pos = np.full(n, -1, dtype=np.int64)
@@ -389,8 +338,7 @@ def reference_layout(g):
         slot = np.concatenate([pt[kt] * ld, ph[kh] * ld, lo[both] * ld + width[both]])
         edge = np.concatenate([eid[kt], eid[kh], eid[both]])
         sign = np.concatenate([np.ones(kt.sum() + kh.sum()), -np.ones(both.sum())])
-    return solver._Layout([solver._as_slice(idx) for idx in comp_index],
-                          solver._as_slice(np.flatnonzero(~root)), order, band, slot, edge, sign)
+    return solver._Layout(order, band, slot, edge, sign)
 
 
 def reference_solve(handle, b):
@@ -399,16 +347,13 @@ def reference_solve(handle, b):
     straightforward solve ``SolverHandle.solve`` must match bit for bit."""
     b = np.asarray(b, dtype=float)
     bmat = b[:, None] if b.ndim == 1 else b
-    comp_index = handle._comp_index
     tol = 1e-6 * np.maximum(np.abs(bmat).max(axis=0), 1e-300) * handle.n + 1e-300
-    for idx in comp_index:
-        if (np.abs(bmat[idx].sum(axis=0)) > tol).any():
-            raise GraphError("right-hand side is not orthogonal to the Laplacian null space")
+    if (np.abs(bmat.sum(axis=0)) > tol).any():
+        raise GraphError("right-hand side is not orthogonal to the Laplacian null space")
 
     def project(v):
         out = np.array(v, dtype=float)
-        for idx in comp_index:
-            out[idx] -= out[idx].mean(axis=0)
+        out -= out.mean(axis=0)
         return out
 
     x = project(handle.apply(project(bmat)))
@@ -416,10 +361,6 @@ def reference_solve(handle, b):
 
 
 def _same_layout(ours, ref):
-    assert len(ours.comp_index) == len(ref.comp_index)
-    for a, b in zip(ours.comp_index + [ours.keep], ref.comp_index + [ref.keep]):
-        assert type(a) is type(b)
-        assert a == b if isinstance(a, slice) else (a.dtype == b.dtype and np.array_equal(a, b))
     assert ours.band == ref.band
     for name in ("order", "slot", "edge", "sign"):
         a, b = getattr(ours, name), getattr(ref, name)
@@ -434,10 +375,8 @@ def _check_against_reference(g, rng):
     _same_layout(solver._layout(g), ref)
     c = rng.uniform(0.5, 2.0, g.m)
     handle = SolverHandle(g, c)
-    _, labels = g.components()
     d = rng.normal(size=(g.n, 3))
-    for col in range(2):
-        d[:, col] -= (np.bincount(labels, weights=d[:, col]) / np.bincount(labels))[labels]
+    d -= d.mean(axis=0)
     d[:, 2] = 0.0
     for col in range(3):
         x = handle.solve(d[:, col])
@@ -466,13 +405,13 @@ class TestAgainstReference:
         except GraphError as exc:
             with pytest.raises(GraphError) as ours:
                 solver._layout(g)
-            assert str(ours.value) == str(exc)
+            assert type(ours.value) is type(exc) and str(ours.value) == str(exc)
             if g.n == 1:
                 return
-            # join every isolated vertex to the next one and compare again
-            degree = np.bincount(g.tails, minlength=g.n) + np.bincount(g.heads, minlength=g.n)
-            lone = np.flatnonzero(degree == 0)
-            g = WeightedGraph(g.n, np.vstack([g.edges, np.column_stack([lone, (lone + 1) % g.n])]))
+            # chain the components, isolated vertices among them, and compare again
+            _, labels = connected_components(g.adjacency(), directed=False)
+            firsts = np.unique(labels, return_index=True)[1]
+            g = WeightedGraph(g.n, np.vstack([g.edges, np.column_stack([firsts[:-1], firsts[1:]])]))
         _check_against_reference(g, rng)
 
     @pytest.mark.parametrize("shape", [(24, 24, 1), (16, 16, 3), (12, 12, 6)],
@@ -481,10 +420,6 @@ class TestAgainstReference:
         g = random_capacity_grid(*shape, seed=0)
         _check_against_reference(g, rng)
         assert solver._layout(g).banded == (shape != (12, 12, 6))
-
-    def test_several_components(self, rng):
-        for parts in (2, 3, 5):
-            _check_against_reference(_random_components(rng, 120, parts), rng)
 
 
 class TestElectricalFlow:
