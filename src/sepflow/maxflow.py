@@ -101,7 +101,6 @@ def exact_max_flow_oracle(g: WeightedGraph, s: int, t: int) -> MaxFlowResult:
                         return total
                     a = path.pop()
                     v = frm[a]
-        return total
 
     value = 0.0
     while bfs():

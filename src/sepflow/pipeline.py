@@ -441,17 +441,6 @@ def _lifted_potentials(inst: SparsifiedInstance, resistances, d_q):
     return inst.lift(SolverHandle(inst.quotient_graph, 1.0 / resistances).solve(d_q))
 
 
-def _swept_cut(inst: SparsifiedInstance, d, s, t):
-    """Sweep of the quotient's electrical potentials at its grouped-flow
-    weights.
-
-    Grouped flow's first iterate routes ``d`` under these resistances times
-    one constant, so this is the ordering its first electrical flow gives.
-    """
-    phi = _lifted_potentials(inst, inst.quotient_graph.weight, inst.quotient_demand(d))
-    return sweep_cut(inst.graph, phi, s, t)
-
-
 # Constants of the outer oracle loop and of its inner grouped-flow calls.
 C_W = 10.0  # theoretical outer width C_W sqrt(r / eps)
 PROBE_SLACK = 1.0 / 3.0  # a phase succeeds at value >= (1 - PROBE_SLACK eps) F
@@ -552,10 +541,10 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
     practical iteration counts; the theoretical width C_W sqrt(r/eps) is
     still enforced as the output check on every returned flow.
 
-    With ``sweep``, every outer iteration first sweeps the quotient's
-    electrical potentials (``_swept_cut``); a cut below the success target
-    ends the phase with a ``SweptCutFail``, since no flow of ``flow_amount``
-    exists.
+    With ``sweep``, every outer iteration first sweeps the lifted potentials
+    of one exact solve of the phase's demand on the quotient at its
+    grouped-flow weights; a cut below the success target ends the phase with
+    a ``SweptCutFail``, since no flow of ``flow_amount`` exists.
 
     The run's plan picks the route: a direct phase runs grouped flow on G at
     the oracle's weights, a one-step phase on the quotient of sparsifiers
@@ -598,7 +587,11 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
                 if direct:
                     inst = _direct_instance(g, part, w, stats)
                 if sweep:
-                    side, cut = _swept_cut(inst, d, run.s, run.t)
+                    # grouped flow's first iterate routes d under the quotient's
+                    # weights times one constant: the ordering of its first flow
+                    phi = _lifted_potentials(inst, inst.quotient_graph.weight,
+                                             inst.quotient_demand(d))
+                    side, cut = sweep_cut(g, phi, run.s, run.t)
                     if cut < target:
                         stats.cut_verdicts += 1
                         fail = (inst, SweptCutFail(side, cut, d), d)
@@ -774,10 +767,11 @@ def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail | SweptC
     routed, with an explicit swept cut.
 
     A ``SweptCutFail`` gives the cut's indicator scaled by ``1 / cut``, so
-    the gradient capacity is 1 and the demand value is ``F / cut > 1``.  A
-    ``GroupedFlowFail`` gives the failing quotient potentials, extended
-    harmonically into every group interior and scaled by
-    ``1 / max((1 + 10 eps) mu, sum u |grad phi|)``, then swept for a cut.
+    the gradient capacity is 1 and the demand value is ``F / cut > 1``; its
+    own cut comes with it.  A ``GroupedFlowFail`` gives the failing quotient
+    potentials, extended harmonically into every group interior and scaled
+    by ``1 / max((1 + 10 eps) mu, sum u |grad phi|)``, then swept for a cut
+    (none when the demand lacks a positive or a negative entry).
 
     Its wall time is added to the building run's ``certificate`` and
     ``total`` timings.
@@ -785,47 +779,29 @@ def cut_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail | SweptC
     t_start = time.perf_counter()
     g = instance.graph
     if isinstance(fail, SweptCutFail):
-        side = np.zeros(g.n, dtype=bool)
-        side[fail.cut_side] = True
-        phi_scaled = side / fail.cut_capacity
-        cert = CutCertificate(
-            potentials=phi_scaled,
-            gradient_capacity=float(g.capacity @ np.abs(phi_scaled[g.tails] - phi_scaled[g.heads])),
-            demand_value=float(fail.demand @ phi_scaled),
-            cut_side=fail.cut_side, cut_capacity=fail.cut_capacity)
+        d, side, cut = fail.demand, fail.cut_side, fail.cut_capacity
+        phi = np.zeros(g.n)
+        phi[side] = 1.0
+        scale = cut
     else:
-        cert = _energy_certificate(instance, fail, eps)
+        d, side, cut = np.zeros(g.n), None, None
+        d[instance.quotient_vertices] = fail.demand  # fail.demand lives on the quotient
+        # exact potentials of the failing electrical problem on the quotient; the
+        # failing resistances (w_grp(i) + (eps/k) mu) * weights scale each group
+        # by one constant, which leaves its harmonic extension unchanged
+        phi = _lifted_potentials(instance, fail.resistances, fail.demand)
+        scale = max((1.0 + 10.0 * eps) * fail.mu,
+                    float(g.capacity @ np.abs(phi[g.tails] - phi[g.heads])))
+    phi = phi / scale
+    if side is None and (d > 0).any() and (d < 0).any():
+        side, cut = sweep_cut(g, phi, int((d > 0).argmax()), int((d < 0).argmax()))
+    cert = CutCertificate(potentials=phi,
+                          gradient_capacity=float(g.capacity @ np.abs(phi[g.tails] - phi[g.heads])),
+                          demand_value=float(d @ phi), cut_side=side, cut_capacity=cut)
     if instance.stats is not None:
         elapsed = time.perf_counter() - t_start
         instance.stats.timings["certificate"] += elapsed
         instance.stats.timings["total"] += elapsed
-    return cert
-
-
-def _energy_certificate(instance: SparsifiedInstance, fail: GroupedFlowFail, eps):
-    g = instance.graph
-    # fail.demand lives on the quotient; lift to global ids
-    d = np.zeros(g.n)
-    d[instance.quotient_vertices] = fail.demand
-
-    # exact potentials of the failing electrical problem on the quotient; the
-    # failing resistances (w_grp(i) + (eps/k) mu) * weights scale each group
-    # by one constant, which leaves its harmonic extension unchanged
-    phi = _lifted_potentials(instance, fail.resistances, fail.demand)
-
-    grad = np.abs(phi[g.tails] - phi[g.heads])
-    a_total = float(g.capacity @ grad)
-    scale = max((1.0 + 10.0 * eps) * fail.mu, a_total)
-    phi_scaled = phi / scale
-    cert = CutCertificate(
-        potentials=phi_scaled,
-        gradient_capacity=a_total / scale,
-        demand_value=float(d @ phi_scaled),
-    )
-    src = int(np.flatnonzero(d > 0)[0]) if np.any(d > 0) else None
-    snk = int(np.flatnonzero(d < 0)[0]) if np.any(d < 0) else None
-    if src is not None and snk is not None:
-        cert.cut_side, cert.cut_capacity = sweep_cut(g, phi_scaled, src, snk)
     return cert
 
 

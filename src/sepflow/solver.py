@@ -386,8 +386,10 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None,
     The solve is refined until a computed duality gap certifies
     ``energy <= (1 + delta) * optimum``; the per-edge energy proximity bound
     also holds whenever ``delta**2 / 4.5`` stays above the float64 gap floor
-    (delta >= ~2e-6).  The residual of the returned flow is repaired on a BFS
-    spanning tree, so the demand constraint is unconditional.
+    (delta >= ~2e-6).  Only PCG on a carried factor is refined; an exact
+    solve that misses the gap raises at once.  The residual of the returned
+    flow is repaired on a BFS spanning tree, so the demand constraint is
+    unconditional.
 
     ``lag`` gives the solve and counts the flow; a flow that raises
     ``SolverConvergenceError`` drops its carried factor.  Without one the
@@ -412,7 +414,8 @@ def electrical_flow(g: WeightedGraph, d, delta, resistances=None,
     delta_a = min(0.7 * np.sqrt(gap_target), 0.25)
     total_iters = 0
     e_flow, lower, flow = np.inf, 0.0, None
-    for attempt in range(8):
+    # a fresh factor ignores delta_a: a second attempt would repeat its bits
+    for attempt in range(8 if lag.rebound else 1):
         try:
             phi, iterations = solve(d, delta_a)
         except SolverConvergenceError:

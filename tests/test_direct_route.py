@@ -76,6 +76,10 @@ PINNED = {  # value and counters of the default route at RunConfig seed 7
     (12, 12, 6, 96, 0): (18.3441790182446, dict(
         probes=3, iterations_outer=32, iterations_inner_total=32, electrical_flows=32,
         factorizations=5, rebinds=27, pcg_iterations=246)),
+    # band 96: the carried factor on a 2-D grid
+    (96, 96, 1, 96, 0): (8.118329096033417, dict(
+        probes=5, iterations_outer=36, iterations_inner_total=36, electrical_flows=36,
+        factorizations=6, rebinds=30, pcg_iterations=274)),
 }
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepflow import (GraphError, RunConfig, SparseLaplacian, SparsifierPlan, ValidationError,
-                     WeightedGraph, approx_max_flow, build_sparsified_instance, convert_flow,
+from sepflow import (GraphError, RunConfig, SolverConvergenceError, SparseLaplacian,
+                     SparsifierPlan, ValidationError, WeightedGraph, approx_max_flow,
+                     build_sparsified_instance, convert_flow,
                      cut_certificate, exact_max_flow_oracle, exact_schur, grid_graph,
                      grid_r_division, one_step_vertex_sparsify, optimum_energy,
                      partition_from_groups, random_capacity_grid, residual_of_vector,
@@ -227,6 +228,25 @@ class TestConversion:
             e_opt = optimum_energy(sub, wanted[i][verts], resistances=r[grp])
             energy = float(np.sum(r[grp] * flow[grp] ** 2))
             assert energy <= (1 + delta) * e_opt + 1e-12
+
+    def test_a_group_that_misses_its_gap_is_named(self):
+        # a perturbed Schur complement puts one group's potentials off, so its
+        # flow is no longer electrical and its duality gap names it
+        g = random_capacity_grid(6, 6, seed=1)
+        part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
+        topo = GroupTopology(g, part.groups, part.boundaries)
+        elim = GroupElimination(topo, 1.0 / g.capacity)
+        demand = np.zeros(topo.slot_group.size)
+        for i in range(topo.k):
+            nb = topo.n_boundary[i]
+            demand[topo.voff[i]:topo.voff[i] + nb] = np.linspace(-1.0, 1.0, nb)
+        elim.route(demand, 1e-3)  # exact complements: every group meets its gap
+        c = next(c for c, cls in enumerate(topo.classes) if cls.nb >= 2)
+        elim.schur[c] = elim.schur[c].copy()
+        elim.schur[c][0] *= 2.0
+        with pytest.raises(SolverConvergenceError,
+                           match=f"group {topo.classes[c].members[0]}: electrical flow gap"):
+            elim.route(demand, 1e-3)
 
     def test_disconnected_destination_group_rejected(self):
         g = WeightedGraph(4, [(0, 1), (2, 3)])

@@ -178,6 +178,24 @@ class TestPartitionFiles:
         for a, b in zip(part.boundaries, loaded.boundaries):
             assert np.array_equal(np.sort(a), np.sort(b))
 
+    def test_a_boundary_set_with_one_wrong_vertex_is_named(self, tmp_path):
+        # a set of the right size, so the sets are compared in one sort
+        g = grid_graph(8, 8)
+        part = grid_r_division(8, 8, 1, 16, terminals=(0, 63), graph=g)
+        wrong = part.boundaries[2].copy()
+        wrong[0] = np.setdiff1d(np.arange(g.n), wrong)[0]
+        message = "boundary set of group 2 does not match its definition"
+        with pytest.raises(ValidationError, match=message):
+            validate_partition(replace(part, boundaries=part.boundaries[:2] + [wrong]
+                                       + part.boundaries[3:]), g)
+        path = tmp_path / "p.part"
+        save_partition(part, path)
+        text = [f"b 2 {' '.join(map(str, wrong))}" if ln.startswith("b 2 ") else ln
+                for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValidationError, match=message):
+            load_partition(path, g, terminals=(0, 63))
+
     def test_edge_in_two_groups_error(self, tmp_path):
         g = grid_graph(3, 3)
         path = tmp_path / "bad.part"

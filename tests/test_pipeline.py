@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -420,6 +422,35 @@ class TestApproxMaxFlow:
         # every probe's first grouped flow hit the planted cap and ended it
         assert calls["grouped_flow"] == calls["phase"] >= 1
 
+    def test_flow_over_the_outer_width_ends_the_phase(self, monkeypatch):
+        # grouped flow's flow scaled to twice the outer width breaks the
+        # oracle's output contract: the phase counts a width failure and
+        # keeps no flow
+        g = random_capacity_grid(6, 6, seed=1)
+        part = grid_r_division(6, 6, 1, 16, terminals=(0, g.n - 1), graph=g)
+        exact = exact_max_flow_oracle(g, 0, g.n - 1).value
+        rho_outer = math.ceil(pipeline.C_W * math.sqrt(16) / math.sqrt(0.1))
+        inner = pipeline.grouped_flow
+
+        def wide(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            res.flow = res.flow * (2 * rho_outer / edge_congestions(res.flow, g.capacity).max())
+            return res
+
+        monkeypatch.setattr(pipeline, "grouped_flow", wide)
+        run = pipeline._Run(g, part, None, 0, g.n - 1, 0.1, RunConfig(eps=0.1, r=16), "test")
+        ok, _, flow, fail = pipeline._oracle_phase(run, run.stats, 0.5 * exact)
+        assert not ok and flow is None and fail is None
+        assert run.stats.width_failures == run.stats.iterations_outer == 1
+
+    def test_capacity_ratio_above_m_over_eps_warns(self):
+        g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 2)], capacity=[1, 1e5, 1, 1])
+        part = partition_from_groups(g, [np.arange(g.m)], r=g.m, terminals=(0, 3))
+        with pytest.warns(UserWarning, match=re.escape(
+                "capacity ratio U(u) = 1.000e+05 exceeds m/eps = 4.000e+01")):
+            res = approx_max_flow(g, part, None, 0, 3, 0.1, RunConfig(eps=0.1, r=g.m))
+        assert res.value == 1.0
+
     def test_nonboundary_terminal_rejected(self, monkeypatch):
         # both entries, on both routes, check their terminals before any work
         g = grid_graph(4, 4)
@@ -690,6 +721,17 @@ class TestSweptCutVerdict:
         assert_valid_certificate(g, 0, 9, cert, 1.0, eps)
         assert cert.cut_capacity == 1.0
 
+    def test_energy_certificate_without_a_source_and_sink_has_no_cut(self):
+        # cut_certificate is public: a fail whose demand has no positive and
+        # negative entry gets potentials but no s-t cut to sweep
+        g = WeightedGraph(10, [(i, i + 1) for i in range(9)])
+        part = partition_from_groups(g, [[e] for e in range(g.m)], r=4, terminals=(0, 9))
+        _, (inst, fail, _) = route_fixed_flow(g, part, None, 0, 9, 1.02, 0.1,
+                                              RunConfig(eps=0.1, r=4))
+        cert = cut_certificate(inst, replace(fail, demand=np.zeros_like(fail.demand)), 0.1)
+        assert cert.cut_side is None and cert.cut_capacity is None
+        assert not cert.potentials.any() and cert.demand_value == 0.0
+
     def test_near_threshold_request_gets_no_verdict(self, monkeypatch):
         """At 1.02x the max flow no swept cut falls below the target, and the
         phase runs exactly as it does with the sweep never deciding."""
@@ -703,7 +745,7 @@ class TestSweptCutVerdict:
 
         res, fail_ctx = run()
         assert fail_ctx is None and res.stats.cut_verdicts == 0
-        monkeypatch.setattr(pipeline, "_swept_cut", lambda inst, d, s, t: (None, np.inf))
+        monkeypatch.setattr(pipeline, "sweep_cut", lambda g, phi, s, t: (None, np.inf))
         base, base_ctx = run()
         assert base_ctx is None
         assert res.value == base.value and np.array_equal(res.flow, base.flow)

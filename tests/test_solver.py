@@ -491,6 +491,36 @@ class TestElectricalFlow:
         assert res.energy <= (1 + GAP_FLOOR) * res.optimum_estimate
         assert np.abs(residual_of_vector(res.flow, g) - d).max() <= 1e-9
 
+    def test_only_a_pcg_solve_is_retried(self, monkeypatch):
+        # an exact factor ignores the accuracy it is asked for, so after a gap
+        # miss a second solve would repeat its bits; PCG is asked again, tighter
+        calls = []
+        exact = SolverHandle.solve
+        monkeypatch.setattr(SolverHandle, "solve",
+                            lambda self, b: calls.append("exact") or exact(self, b))
+        g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+        with pytest.raises(SolverConvergenceError, match="gap"):
+            electrical_flow(g, st_demand(4, 0, 3, 1.0), 1e-6,
+                            resistances=np.array([1.0, 1e-12, 1.0, 1.0]))
+        assert calls == ["exact"]
+
+        calls.clear()
+        g = random_capacity_grid(12, 12, 6, seed=0)  # band 66: a carried factor
+        d = st_demand(g.n, 0, g.n - 1, 1.0)
+        lag = LaggedFactor()
+        electrical_flow(g, d, 0.1, resistances=np.ones(g.m), lag=lag)
+        pcg = lag._pcg
+
+        def coarse_first(*args):
+            calls.append("pcg")
+            x, iterations = pcg(*args)
+            return (0.5 * x if calls.count("pcg") == 1 else x), iterations
+
+        monkeypatch.setattr(lag, "_pcg", coarse_first)
+        res = electrical_flow(g, d, 0.1, resistances=np.linspace(1.0, 2.0, g.m), lag=lag)
+        assert calls == ["exact", "pcg", "pcg"]
+        assert lag.rebound and res.stats.refinements == 1
+
 
 class TestOptimumEnergy:
     def test_single_resistor(self):
