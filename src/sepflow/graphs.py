@@ -131,37 +131,31 @@ class WeightedGraph:
     # -- BFS tree (deterministic), used for exact residual repair ----------
 
     def bfs_tree(self):
-        """Deterministic BFS forest: (parent, parent_edge, order, depth).
+        """Deterministic BFS forest: (parent, parent_edge, order).
 
-        Roots are the smallest vertex id of each component, and components
-        follow one another in ``order`` by their roots; neighbors are visited
-        in ascending (vertex, edge-id) order, so a vertex's parent edge is the
-        least edge id between it and its parent.  Roots have parent and
-        parent edge -1.
+        One search runs from a virtual vertex joined to the least vertex of
+        each component, in ascending order: those vertices are the roots, and
+        ``order`` is the search's level order without the virtual vertex.  It
+        lists the roots, then every vertex a level further down, so each
+        family (a vertex's children, or the roots) stands together, the
+        families in their parents' order, across all components at once.
+        Neighbors are visited in ascending (vertex, edge-id) order, so a
+        vertex's parent edge is the least edge id between it and its parent.
+        Roots have parent and parent edge -1.
 
         Computed by scipy's ``breadth_first_order`` on the sorted CSR
-        ``adjacency()`` (from one virtual vertex adjacent to every root when
-        there are several components) and cached; the parent edges are found
-        by one sorted lookup and the depths by pointer jumping.
+        ``adjacency()`` with the virtual vertex appended, and cached; the
+        parent edges are found by one sorted lookup.
         """
         if "bfs" not in self._structure:
             n = self.n
-            nc, labels = self.components()
+            _, labels = self.components()
             adj = self.adjacency()
-            if nc == 1:
-                order, pred = breadth_first_order(adj, 0, directed=True,
-                                                  return_predecessors=True)
-            else:
-                root = np.unique(labels, return_index=True)[1]  # least vertex per label
-                aug = sp.csr_matrix((np.ones(adj.nnz + nc), np.append(adj.indices, np.sort(root)),
-                                     np.append(adj.indptr, adj.nnz + nc)), shape=(n + 1, n + 1))
-                order, pred = breadth_first_order(aug, n, directed=True,
-                                                  return_predecessors=True)
-                # one search interleaves the components level by level; a
-                # stable sort by root regroups them, each in its BFS order
-                order = order[1:][np.argsort(root[labels[order[1:]]], kind="stable")]
-                pred = pred[:n]
-            parent = np.where((pred >= 0) & (pred < n), pred, -1).astype(np.int64)
+            root = np.sort(np.unique(labels, return_index=True)[1])  # least vertex per label
+            aug = sp.csr_matrix((np.ones(adj.nnz + root.size), np.append(adj.indices, root),
+                                 np.append(adj.indptr, adj.nnz + root.size)), shape=(n + 1, n + 1))
+            order, pred = breadth_first_order(aug, n, directed=True, return_predecessors=True)
+            parent = np.where(pred[:n] < n, pred[:n], -1).astype(np.int64)
             kids = np.flatnonzero(parent >= 0)
             # the least edge id of each (tail, head) pair: a stable sort by pair
             key = self.tails * n + self.heads
@@ -169,16 +163,7 @@ class WeightedGraph:
             lo, hi = np.minimum(kids, parent[kids]), np.maximum(kids, parent[kids])
             parent_edge = np.full(n, -1, dtype=np.int64)
             parent_edge[kids] = by_key[np.searchsorted(key[by_key], lo * n + hi)]
-            # pointer jumping: depth[v] is v's distance to jump[v], an ancestor
-            depth = (parent >= 0).astype(np.int64)
-            jump = np.where(parent >= 0, parent, np.arange(n))
-            while True:
-                up = jump[jump]
-                if np.array_equal(up, jump):
-                    break
-                depth += depth[jump]
-                jump = up
-            self._structure["bfs"] = (parent, parent_edge, order.astype(np.int64), depth)
+            self._structure["bfs"] = (parent, parent_edge, order[1:].astype(np.int64))
         return self._structure["bfs"]
 
     def route_on_tree(self, q):
@@ -207,18 +192,17 @@ class WeightedGraph:
         where pushing from ``v`` toward its parent runs along the edge's
         tail -> head orientation.
 
-        The positions come from the forest's Euler tour (enter a vertex, its
+        ``bfs_tree``'s level order lists each family together, so it gives
+        every vertex's first child and next sibling as it stands.  The
+        positions come from the forest's Euler tour (enter a vertex, its
         children's tours in BFS order, leave it), ranked by pointer jumping
         in O(log n) vectorized rounds, however deep the tree: a subtree's
         interval runs from the preorder position where the tour enters its
         root to the one where it leaves it.
         """
         if "tree_intervals" not in self._structure:
-            parent, parent_edge, order, depth = self.bfs_tree()
+            parent, parent_edge, level = self.bfs_tree()
             n = self.n
-            # BFS order sorted by depth lists every family (a parent's
-            # children, or the roots) together and in order
-            level = order[np.argsort(depth[order], kind="stable")]
             up = parent[level]
             sibling = up[1:] == up[:-1]
             first_child = np.full(n, -1, dtype=np.int64)

@@ -67,40 +67,41 @@ def exact_max_flow_oracle(g: WeightedGraph, s: int, t: int) -> MaxFlowResult:
 
     def dfs_blocking():
         total = 0.0
+        # one iterative DFS over the level graph: augment along every path
+        # that reaches t, back up to the path's first saturated arc, and
+        # prune dead ends, until s itself is one
+        path = []
+        v = s
         while True:
-            # iterative DFS for one augmenting path in the level graph
-            path = []
-            v = s
-            while True:
-                if v == t:
-                    aug = min(cap[a] for a in path)
-                    for a in path:
-                        cap[a] -= aug
-                        cap[a ^ 1] += aug
-                    total += aug
-                    # backtrack to the first saturated arc
-                    keep = 0
-                    while keep < len(path) and cap[path[keep]] > tol:
-                        keep += 1
-                    path = path[:keep]
-                    v = to[path[-1]] if path else s
-                    continue
-                advanced = False
-                while it_ptr[v] < indptr[v + 1]:
-                    a = adj[it_ptr[v]]
-                    u = to[a]
-                    if cap[a] > tol and level[u] == level[v] + 1:
-                        path.append(a)
-                        v = u
-                        advanced = True
-                        break
-                    it_ptr[v] += 1
-                if not advanced:
-                    level[v] = -1  # dead end
-                    if not path:
-                        return total
-                    a = path.pop()
-                    v = frm[a]
+            if v == t:
+                aug = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= aug
+                    cap[a ^ 1] += aug
+                total += aug
+                # backtrack to the first saturated arc
+                keep = 0
+                while keep < len(path) and cap[path[keep]] > tol:
+                    keep += 1
+                path = path[:keep]
+                v = to[path[-1]] if path else s
+                continue
+            advanced = False
+            while it_ptr[v] < indptr[v + 1]:
+                a = adj[it_ptr[v]]
+                u = to[a]
+                if cap[a] > tol and level[u] == level[v] + 1:
+                    path.append(a)
+                    v = u
+                    advanced = True
+                    break
+                it_ptr[v] += 1
+            if not advanced:
+                level[v] = -1  # dead end
+                if not path:
+                    return total
+                a = path.pop()
+                v = frm[a]
 
     value = 0.0
     while bfs():

@@ -509,13 +509,8 @@ class _Run:
 
     def sweep_phase(self, inst: SparsifiedInstance, phi_q):
         """Lower ``cut_bound`` to the sweep of quotient potentials ``phi_q``
-        of ``inst``, lifted into every group interior.  Tied terminals leave
-        it as it is."""
-        phi = inst.lift(phi_q)
-        try:
-            _, cut = sweep_cut(self.g, phi, self.s, self.t)
-        except GraphError:
-            return
+        of ``inst``, lifted into every group interior."""
+        _, cut = sweep_cut(self.g, inst.lift(phi_q), self.s, self.t)
         self.cut_bound = min(self.cut_bound, cut)
 
     def result(self, value, flow) -> ApproxMaxFlowResult:
@@ -562,7 +557,8 @@ def _oracle_phase(run: _Run, stats: MaxFlowRunStats, flow_amount, sweep=False):
     The run's ``LaggedFactor`` counters are copied into ``stats``.  An inner
     ``SolverConvergenceError`` ends the phase as an unproductive probe
     (counted in ``inner_failures``; its electrical flows still count); a
-    ``ValidationError`` is a broken invariant and propagates.
+    ``ValidationError`` is a broken invariant and propagates, as does the
+    ``GraphError`` of a sweep whose terminals tie.
     """
     g, part, eps, direct = run.g, run.part, run.eps, run.plan.method == "direct"
     with _stage(stats, "oracle_update"):

@@ -680,11 +680,13 @@ class GroupElimination:
         check and cleanup of the Schur complement at ``eps/3``, then the
         ``lam_min / n_b^2`` weight floor.  Returns per shape class a (G, P)
         array of conductances over the boundary pairs in ``np.triu_indices``
-        order (0 where there is no edge), for ``quotient``.  As
-        ``VertexSparsifier.validate`` does, it raises ``ValidationError`` when
-        a sparsifier has more edges than ``sparsify``'s budget at ``eps/3``
-        (about 5e6 boundary vertices at eps = 0.05), or a weight ratio above
-        ``10 n^5 U`` for a group of n vertices whose merged edge weights span U.
+        order (0 where there is no edge), for ``quotient``.  It raises
+        ``ValidationError`` when a sparsifier has more edges than
+        ``sparsify``'s budget at ``eps/3`` (about 5e6 boundary vertices at
+        eps = 0.05), nine times the budget ``VertexSparsifier.validate``
+        checks at the sparsifier's own ``eps``, or, as that check does, a
+        weight ratio above ``10 n^5 U`` for a group of n vertices whose merged
+        edge weights span U.
         """
         weights = []
         for cls, s, w_min, w_max in zip(self.topology.classes, self.schur, self.w_min,

@@ -66,6 +66,18 @@ class TestDimacs:
         with pytest.raises(ParseError, match=re.escape(message)):
             load_dimacs(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("p max 3\n", "line 1: expected 'p max <n> <m>'"),
+        ("p max 2 1\nn 1\na 1 2 1.0\n", "line 2: expected 'n <id> s|t'"),
+        ("p max 2 1\nx 1 2\na 1 2 1.0\n", "line 2: unknown record 'x'"),
+        ("c no header\na 1 2 1.0\n", "missing 'p max' header"),
+    ], ids=["short-header", "short-terminal", "unknown-record", "no-header"])
+    def test_malformed_file_message(self, tmp_path, text, message):
+        path = tmp_path / "bad.dimacs"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_dimacs(path)
+
     def test_arc_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.dimacs"
         path.write_text("p max 2 2\na 1 2 1.0\n")

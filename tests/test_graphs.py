@@ -231,47 +231,65 @@ def test_residual_matches_incidence_matrix(n, data):
 
 
 def reference_bfs_tree(g):
-    """The BFS forest vertex at a time: a queue per component, roots in
-    ascending order, neighbors in ascending (vertex, edge id) order."""
+    """The BFS forest vertex at a time: one queue seeded with the least
+    vertex of every component in ascending order, neighbors in ascending
+    (vertex, edge id) order."""
     adj = incidences(g)
-    parent, parent_edge, depth = [-1] * g.n, [-1] * g.n, [-1] * g.n
-    order = []
-    for root in range(g.n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        queue = [root]
-        for v in queue:  # grows while it is read: first in, first out
-            order.append(v)
-            for u, e in adj[v]:
-                if depth[u] < 0:
-                    parent[u], parent_edge[u], depth[u] = v, e, depth[v] + 1
-                    queue.append(u)
-    return tuple(np.array(a, dtype=np.int64) for a in (parent, parent_edge, order, depth))
+    seen, roots = [False] * g.n, []
+    for root in range(g.n):  # the first vertex of a component not yet seen is its least
+        if not seen[root]:
+            roots.append(root)
+            seen[root] = True
+            stack = [root]
+            while stack:
+                for u, _ in adj[stack.pop()]:
+                    if not seen[u]:
+                        seen[u] = True
+                        stack.append(u)
+    parent, parent_edge = [-1] * g.n, [-1] * g.n
+    reached = [False] * g.n
+    for root in roots:
+        reached[root] = True
+    queue = list(roots)
+    for v in queue:  # grows while it is read: first in, first out
+        for u, e in adj[v]:
+            if not reached[u]:
+                reached[u] = True
+                parent[u], parent_edge[u] = v, e
+                queue.append(u)
+    return tuple(np.array(a, dtype=np.int64) for a in (parent, parent_edge, queue))
 
 
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(max_n=30))
 def test_bfs_tree_matches_the_queue_reference_exactly(g):
-    for ours, ref in zip(g.bfs_tree(), reference_bfs_tree(g)):
-        assert ours.dtype == np.int64
-        assert np.array_equal(ours, ref)
+    ours, ref = g.bfs_tree(), reference_bfs_tree(g)
+    assert len(ours) == len(ref) == 3
+    for a, b in zip(ours, ref):
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)
 
 
 def test_bfs_tree_of_components_and_isolated_vertices():
     # components {0, 3, 5} and {1, 4}, isolated 2 and 6; a parallel pair 3-5
     g = WeightedGraph(7, [(5, 3), (4, 1), (0, 5), (3, 5), (0, 3)])
-    parent, parent_edge, order, depth = g.bfs_tree()
-    assert order.tolist() == [0, 3, 5, 1, 4, 2, 6]
+    parent, parent_edge, order = g.bfs_tree()
+    assert order.tolist() == [0, 1, 2, 6, 3, 5, 4]
     assert parent.tolist() == [-1, -1, -1, 0, 1, 0, -1]
     assert parent_edge.tolist() == [-1, -1, -1, 4, 1, 2, -1]
-    assert depth.tolist() == [0, 0, 0, 1, 1, 1, 0]
 
 
 def reference_route_on_tree(g, q):
     """The BFS-tree repair level by level, deepest first: each vertex pushes
-    everything it carries to its parent (the former ``route_on_tree``)."""
-    parent, parent_edge, _, depth = g.bfs_tree()
+    everything it carries to its parent (the former ``route_on_tree``).  The
+    levels are counted up the ``parent`` pointers."""
+    parent, parent_edge = g.bfs_tree()[:2]
+    depth = np.zeros(g.n, dtype=np.int64)
+    for v in range(g.n):
+        u = v
+        while parent[u] >= 0:
+            u = parent[u]
+            depth[v] += 1
     carry = np.array(q, dtype=float)
     f = np.zeros(g.m)
     for d in range(int(depth.max()), 0, -1):

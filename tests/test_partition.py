@@ -232,6 +232,18 @@ class TestPartitionFiles:
         with pytest.raises(ParseError, match=re.escape(message)):
             load_partition(path, grid_graph(3, 3))
 
+    @pytest.mark.parametrize("text, message", [
+        ("k 1\n", "line 1: expected 'k <num_groups> r <r>'"),
+        ("k 1 r 12\nz 0 1\n", "line 2: unknown record 'z'"),
+        ("c no header\ng 0 0 1 2 3 4 5 6 7 8 9 10 11\n", "missing 'k ... r ...' header"),
+        ("k 2 r 12\ng 0 0 1 2 3 4 5 6 7 8 9 10 11\n", "expected groups 0..1, got [0]"),
+    ], ids=["short-header", "unknown-record", "no-header", "missing-group"])
+    def test_malformed_file_message(self, tmp_path, text, message):
+        path = tmp_path / "bad.part"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_partition(path, grid_graph(3, 3))
+
     @pytest.mark.parametrize("line", ["g", "b", "k a r 32", "g 0 x"])
     def test_malformed_line_names_its_number(self, tmp_path, line):
         path = tmp_path / "bad.part"
@@ -296,6 +308,47 @@ class TestSeparatorTree:
         root.right = SeparatorNode(vertices=np.array([19]), separator=empty)
         with pytest.raises(ValidationError, match="unbalanced"):
             validate_septree(SeparatorTree(root=root))
+
+    @staticmethod
+    def grid_tree():
+        # 8x8: root separator column 3 (8 vertices, c0 = 1), leaves of 12-16 vertices
+        return separator_tree_for_grid_block(GridSpec(8, 8), np.arange(64), g=grid_graph(8, 8))
+
+    def test_root_set_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="root vertex set"):
+            validate_septree(self.grid_tree(), expected_root=np.arange(63))
+
+    def test_depth_above_bound_rejected(self):
+        # a chain of 17 splits of {0, 1}; log_(20/19)(2) + 2 allows 16
+        pair, empty = np.array([0, 1]), np.array([], dtype=np.int64)
+        root = SeparatorNode(vertices=pair, separator=empty)
+        for _ in range(17):
+            root = SeparatorNode(vertices=pair, separator=pair, left=root,
+                                 right=SeparatorNode(vertices=pair, separator=empty))
+        tree = SeparatorTree(root=root, c0=10.0)
+        assert tree.depth() == 17
+        with pytest.raises(ValidationError, match="tree depth 17 exceeds .* bound 16"):
+            validate_septree(tree)
+
+    def test_leaf_above_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="leaf has 16 vertices > leaf cutoff 12"):
+            validate_septree(replace(self.grid_tree(), leaf_cutoff=12))
+
+    def test_children_that_miss_a_vertex_rejected(self):
+        tree = self.grid_tree()
+        tree.root.left.vertices = tree.root.left.vertices[1:]  # vertex 0 is in no child
+        with pytest.raises(ValidationError, match="do not cover"):
+            validate_septree(tree)
+
+    def test_children_sharing_a_non_separator_vertex_rejected(self):
+        tree = self.grid_tree()
+        tree.root.separator = tree.root.separator[1:]  # vertex 3 stays in both children
+        with pytest.raises(ValidationError, match="overlap outside the separator"):
+            validate_septree(tree)
+
+    def test_separator_above_c0_sqrt_n_rejected(self):
+        with pytest.raises(ValidationError, match=r"separator of size 8 exceeds c0 \* sqrt\(64\)"):
+            validate_septree(replace(self.grid_tree(), c0=0.5))
 
     def test_partition_trees(self):
         g = grid_graph(16, 16)

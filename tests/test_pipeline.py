@@ -589,6 +589,17 @@ class TestCutCertificate:
         side, _ = sweep_cut(g, phi, 2, 9)  # s ranks first on a tie: a cut exists
         assert 2 in side and 9 not in side
 
+    def test_sweep_phase_raises_on_tied_terminals(self):
+        # a phase sweeps the potentials of a certified s-t flow, whose
+        # terminals differ; tied ones are a broken invariant, not a cut to skip
+        g = grid_graph(4, 4)
+        part = grid_r_division(4, 4, 1, 8, terminals=(0, 15), graph=g)
+        run = pipeline._Run(g, part, None, 15, 0, 0.1, None, "sweep")
+        inst = pipeline._direct_instance(g, part, np.ones(g.m))
+        with pytest.raises(GraphError, match="equal potentials"):
+            run.sweep_phase(inst, np.zeros(g.n))
+        assert run.cut_bound == math.inf
+
 
 def reference_sweep_cut(g, phi, s, t):
     """The vertex-at-a-time sweep that ``sweep_cut`` vectorizes."""
