@@ -1,8 +1,9 @@
 """Schur complements and spectral vertex sparsifiers.
 
 Eliminating a group's interior yields its Schur complement on the boundary;
-the sparsifiers approximate it within (1 +- eps) in the quadratic form while
-keeping the edge count near-linear in the boundary size.
+the sparsifiers keep it whole, within (1 +- eps) of it in the quadratic form,
+and check its edge count against the budget C_s b ln(b) / eps^2 on b
+boundary vertices.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.linalg
 
 from sepflow import (GridSpec, SparseLaplacian, approx_schur, exact_schur, grid_graph,
                      one_step_vertex_sparsify, recursive_vertex_sparsify,
-                     separator_tree_for_grid_block, sparsify)
+                     separator_tree_for_grid_block)
 
 
 def eig_range(a, b):
@@ -36,20 +37,15 @@ print("approx Schur weight (exact 0.5):", -approx.dense()[0, 1])
 g = grid_graph(8, 8)
 lap = SparseLaplacian(g.laplacian_csr(np.ones(g.m)))
 perimeter = np.array([v for v in range(64) if v // 8 in (0, 7) or v % 8 in (0, 7)])
-vs = one_step_vertex_sparsify(lap, perimeter, eps=0.25, seed=7).validate()
+vs = one_step_vertex_sparsify(lap, perimeter, eps=0.25).validate()
 exact = exact_schur(lap, perimeter)
 lo, hi = eig_range(vs.laplacian.dense(), exact.dense())
 print(f"one-step sandwich on the perimeter: [{lo:.4f}, {hi:.4f}] within [0.75, 1.25]")
+print(f"one-step edges: {vs.laplacian.num_edges}, budget {vs.edge_budget():.0f}")
 
 # recursive sparsifier guided by a separator tree
 tree = separator_tree_for_grid_block(GridSpec(8, 8), np.arange(64), g=g)
-rec = recursive_vertex_sparsify(lap, np.arange(8), tree, eps=0.3, seed=5).validate()
+rec = recursive_vertex_sparsify(lap, np.arange(8), tree, eps=0.3).validate()
 lo, hi = eig_range(rec.laplacian.dense(), exact_schur(lap, np.arange(8)).dense())
 print(f"recursive sandwich on one side:     [{lo:.4f}, {hi:.4f}] within [0.7, 1.3]")
 
-# edge sparsification by effective-resistance sampling (dense graphs only)
-n = 64
-clique = SparseLaplacian.from_edges(n, *np.triu_indices(n, k=1), np.ones(n * (n - 1) // 2))
-thin = sparsify(clique, eps=0.5, seed=1, c_s=0.5)
-lo, hi = eig_range(thin.dense(), clique.dense())
-print(f"K64 sampled to {thin.num_edges} edges, sandwich [{lo:.3f}, {hi:.3f}]")

@@ -4,8 +4,8 @@ The pipeline: r-division -> grouped L2 flows -> outer flow-oracle loop with a
 doubling + binary search over the flow amount.  The default route runs the
 grouped flows on the graph itself.  The paper's two-level route runs them on
 a quotient of per-group one-step spectral vertex sparsifiers and converts
-each flow back; at this scale the quotient is an exact reformulation of the
-graph (no sampling fires), so the routes agree.
+each flow back; the quotient is an exact reformulation of the graph (no
+sparsifier samples edges), so the routes agree.
 
 Every phase also sweeps the potentials of its last electrical flow for an s-t
 cut.  By weak duality the least such cut bounds the max flow from above, so

@@ -85,7 +85,6 @@ from .schur import (
     exact_schur,
     one_step_vertex_sparsify,
     recursive_vertex_sparsify,
-    sparsify,
     spectral_bounds,
     weight_floor,
 )

@@ -29,6 +29,7 @@ class MaxFlowResult:
 
 def exact_max_flow_oracle(g: WeightedGraph, s: int, t: int) -> MaxFlowResult:
     """Exact max-flow value and flow, with the min cut from the final residual."""
+    check_terminals(g.n, (s, t))
     if s == t:
         raise GraphError("source equals sink")
     g.require_connected("max flow")

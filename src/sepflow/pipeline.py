@@ -8,11 +8,11 @@ G itself, at the oracle's edge weights and with the partition's groups, and
 takes its averaged flow as it is: no group is eliminated, no quotient is
 built and nothing is converted.  ``"one-step"`` runs the paper's two-level
 scheme: grouped flow on a quotient of per-group vertex sparsifiers,
-converted back group by group.  The batched build never samples (README
-"Notes on scale"), so every quotient group is its group's exact Schur
-complement; grouped flow scales a group's resistances by one constant,
-which scales its Schur complement by the same constant, and conversion is
-the harmonic extension, so the two routes are the same algorithm in exact
+converted back group by group.  A vertex sparsifier is its group's Schur
+complement kept whole (README "Notes on scale"), so every quotient group is
+exact up to rounding; grouped flow scales a group's resistances by one
+constant, which scales its Schur complement by the same constant, and
+conversion is the harmonic extension, so the two routes are the same algorithm in exact
 arithmetic (Kron reduction), and the quotient has more edges than G.
 Either route hands on a ``SparsifiedInstance``; a direct one has G as its
 quotient, with identity vertex map and interior extension.
@@ -194,10 +194,10 @@ class SparsifierPlan:
     ``"direct"`` (the default) runs grouped flow on G itself with the
     partition's groups.  ``"one-step"`` runs it on a quotient of per-group
     vertex sparsifiers, built by one batched elimination of every group, and
-    converts the flow back.  Nothing is sampled: the quotient is an exact
-    reformulation of G with more edges (see the module docstring), so the
-    one-step route is the paper's scheme itself and the exact differential
-    reference of the direct route.
+    converts the flow back.  The quotient is an exact reformulation of G
+    with more edges (see the module docstring), so the one-step route is the
+    paper's scheme itself and the exact differential reference of the direct
+    route.
     """
 
     method: str = "direct"
@@ -276,10 +276,9 @@ def build_sparsified_instance(g: WeightedGraph, part: Partition, weights, eps, *
                               stats: MaxFlowRunStats | None = None) -> SparsifiedInstance:
     """The one-step route's instance: every group sparsified at error ``eps``
     (``0 < eps < 1/2``) by one batched elimination at grouped-flow
-    ``weights``, never sampled, and the quotient assembled.  Groups must be
-    connected with two or more boundary vertices (checked before any
-    factor).  The two steps add to ``stats``' ``sparsify`` and
-    ``quotient_assemble`` timings."""
+    ``weights``, and the quotient assembled.  Groups must be connected with
+    two or more boundary vertices (checked before any factor).  The two
+    steps add to ``stats``' ``sparsify`` and ``quotient_assemble`` timings."""
     with _stage(stats, "sparsify"):
         if not (0 < eps < 0.5):
             raise GraphError("build_sparsified_instance requires 0 < eps < 1/2")

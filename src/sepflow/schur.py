@@ -1,6 +1,12 @@
-"""Exact and approximate Schur complements, spectral sparsification, the
-one-step / recursive spectral vertex sparsifiers, and the batched per-group
-elimination.
+"""Exact and approximate Schur complements, the one-step / recursive spectral
+vertex sparsifiers, and the batched per-group elimination.
+
+A vertex sparsifier is its cleaned, clamp-checked Schur complement plus a
+``lam_min / n^2`` weight floor, checked against one edge budget
+``C_s b ln(b) eps^-2`` on b boundary vertices.  The paper's Sparsify step
+(effective-resistance sampling) is left out: a Schur complement has at most
+``b (b - 1) / 2`` edges, under the budget until b is far beyond what a dense
+elimination can hold (README "Notes on scale").
 
 Conventions: boundary vertex sets are always sorted; returned Laplacians are
 indexed by position in the sorted boundary.  Disconnected inputs are handled
@@ -31,11 +37,9 @@ import scipy.sparse as sp
 from .errors import GraphError, SolverConvergenceError, ValidationError
 from .graphs import SparseLaplacian, WeightedGraph, group_ids, sorted_distinct
 from .partition import SeparatorTree, SeparatorNode
-from .solver import GAP_FLOOR, SolverHandle
+from .solver import GAP_FLOOR
 
 SPARSIFY_EDGE_FACTOR = 48.0  # C_s
-EXACT_RESISTANCE_CUTOFF = 64
-SKETCH_OVERSAMPLE = 4
 
 
 # -- spectral bounds ---------------------------------------------------------
@@ -211,76 +215,10 @@ def approx_schur(lap: SparseLaplacian, v_bdry, eps: float) -> SparseLaplacian:
     return SparseLaplacian(sp.csr_matrix(_clean_stack(out[None])[0]))
 
 
-# -- spectral edge sparsification ---------------------------------------------
-
-
-def _effective_resistances(lap: SparseLaplacian, tails, heads, rng):
-    """Per-edge effective resistances, exact (dense) for small n, sketched
-    above on one ``SolverHandle`` per component."""
-    n = lap.n
-    if n <= EXACT_RESISTANCE_CUTOFF:
-        pinv = np.linalg.pinv(lap.dense())
-        d = np.diag(pinv)
-        return d[tails] + d[heads] - 2.0 * pinv[tails, heads]
-    k = max(8, int(math.ceil(SKETCH_OVERSAMPLE * math.log(n))))
-    w = lap.weights()
-    sqw = np.sqrt(w)
-    m = tails.size
-    proj = rng.choice([-1.0, 1.0], size=(m, k)) / math.sqrt(k)
-    # rows of Q W^{1/2} B stacked as columns: y_j = B^T (W^{1/2} q_j)
-    y = np.zeros((n, k))
-    np.add.at(y, tails, sqw[:, None] * proj)
-    np.subtract.at(y, heads, sqw[:, None] * proj)
-    z = np.zeros((n, k))
-    labels = lap.component_labels()[1]
-    for c in np.unique(labels[tails]):  # an isolated vertex has no edge to measure
-        verts, sel = np.flatnonzero(labels == c), np.flatnonzero(labels[tails] == c)
-        local = np.searchsorted(verts, np.column_stack([tails[sel], heads[sel]]))
-        z[verts] = SolverHandle(WeightedGraph(verts.size, local), w[sel]).solve(y[verts])
-    diff = z[tails] - z[heads]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def sparsify(lap: SparseLaplacian, eps: float, seed: int, c_s: float = SPARSIFY_EDGE_FACTOR) -> SparseLaplacian:
-    """Spectral sparsifier by effective-resistance sampling with replacement.
-
-    Graphs already under the edge budget ``c_s n ln(n) eps^-2`` are returned
-    unchanged.  Sampling is deterministic given the seed; if a draw
-    disconnects the graph the seed stream advances deterministically.  The
-    pipeline's batched build (``GroupElimination.sparsify``) never samples.
-    """
-    if not (0 < eps < 1):
-        raise GraphError("sparsify requires 0 < eps < 1")
-    tails, heads, w = lap.edge_list()
-    n, m = lap.n, tails.size
-    if m <= _edge_budget(c_s, n, eps):
-        return lap
-    # sample count uses the concentration constant even when the budget knob
-    # is tightened below it; q >> m draws keep almost every edge, so skip
-    q = int(math.ceil(_edge_budget(max(c_s, 9.0), n, eps)))
-    if q >= 20 * m:
-        return lap
-    for attempt in range(8):
-        ss = np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 0x5EA1, attempt))
-        rng = np.random.default_rng(ss)
-        r_eff = _effective_resistances(lap, tails, heads, rng)
-        scores = np.maximum(w * r_eff, 0.0)
-        total = scores.sum()
-        if total <= 0:
-            raise GraphError("all sampling scores vanished")
-        p = scores / total
-        counts = np.bincount(rng.choice(m, size=q, p=p), minlength=m)
-        keep = counts > 0
-        new_w = counts[keep] * w[keep] / (q * p[keep])
-        cand = SparseLaplacian.from_edges(n, tails[keep], heads[keep], new_w)
-        if cand.is_connected() or not lap.is_connected():
-            return cand
-    raise ValidationError("sparsify produced a disconnected graph in 8 seeded attempts")
-
-
-def _edge_budget(c_s, n, eps):
-    """Edge budget ``c_s n ln(n) eps^-2`` of a sparsifier on n vertices (ln 2 below two)."""
-    return c_s * n * math.log(max(n, 2)) / eps**2
+def _edge_budget(n, eps):
+    """Edge budget ``C_s n ln(n) eps^-2`` of a sparsifier on n vertices at
+    error eps (ln 2 below two), with ``C_s = SPARSIFY_EDGE_FACTOR``."""
+    return SPARSIFY_EDGE_FACTOR * n * math.log(max(n, 2)) / eps**2
 
 
 # -- vertex sparsifiers ----------------------------------------------------------
@@ -305,7 +243,7 @@ class VertexSparsifier:
         return self.boundary.size
 
     def edge_budget(self):
-        return _edge_budget(SPARSIFY_EDGE_FACTOR, self.n_boundary, self.eps)
+        return _edge_budget(self.n_boundary, self.eps)
 
     def weight_ratio(self):
         return _weight_ratio(self.laplacian.weights())
@@ -325,10 +263,12 @@ class VertexSparsifier:
 
 def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float,
                              seed: int = 0) -> VertexSparsifier:
-    """ApproxSchur(eps/3), Sparsify(eps/3), then a lam_min/n^2 weight floor.
+    """ApproxSchur(eps/3), then a lam_min/n^2 weight floor; no Sparsify step
+    (see the module docstring).
 
     The Schur complement comes from the dense elimination that
     ``GroupElimination`` batches over groups, so it is exact up to rounding.
+    Nothing is drawn at random; ``seed`` has no effect.
     """
     if not (0 < eps < 0.5):
         raise GraphError("one_step_vertex_sparsify requires 0 < eps < 1/2")
@@ -337,9 +277,7 @@ def one_step_vertex_sparsify(lap: SparseLaplacian, v_bdry, eps: float,
     bdry = _sorted_boundary(lap, v_bdry)
     bounds = spectral_bounds(lap)
     u_in = _weight_ratio(lap.weights())
-    schur = approx_schur(lap, bdry, eps / 3.0)
-    sparse = sparsify(schur, eps / 3.0, seed)
-    floored = weight_floor(sparse, bounds.lam_min)
+    floored = weight_floor(approx_schur(lap, bdry, eps / 3.0), bounds.lam_min)
     return VertexSparsifier(
         laplacian=floored,
         boundary=bdry,
@@ -365,20 +303,16 @@ def _local_lap(verts, tails, heads, w):
     return SparseLaplacian.from_edges(verts.size, idx, jdx, w)
 
 
-def _node_seed(seed, path):
-    ss = np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), 0x7EC2, *path))
-    return int(ss.generate_state(1)[0])
-
-
 def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree, eps: float,
                               seed: int = 0) -> VertexSparsifier:
     """Recursive sparsification along a separator tree.
 
     Each level spends ``eps_step = eps / (2 * depth)``: children are
     sparsified, summed (separator-internal edges enter both children at half
-    weight, so the sum reproduces the node), reduced to the node's boundary by
-    ApproxSchur(eps_step/3) and thinned by Sparsify(eps_step/3).  A final
-    weight floor keeps the weight ratio polynomially bounded.
+    weight, so the sum reproduces the node) and reduced to the node's boundary
+    by ApproxSchur(eps_step/3), kept whole as in ``one_step_vertex_sparsify``.
+    A final weight floor keeps the weight ratio polynomially bounded.  Nothing
+    is drawn at random; ``seed`` has no effect.
     """
     if not (0 < eps < 0.5):
         raise GraphError("recursive_vertex_sparsify requires 0 < eps < 1/2")
@@ -396,7 +330,7 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
     if missing.size:
         raise ValidationError(f"separator tree does not cover graph vertices {missing[:5]}")
 
-    out_bdry, ot, oh, ow = _sparsify_node(tree.root, tails, heads, w, bdry, eps_step, seed, path=())
+    out_bdry, ot, oh, ow = _sparsify_node(tree.root, tails, heads, w, bdry, eps_step)
     lap_out = _local_lap(out_bdry, ot, oh, ow)
     floored = weight_floor(lap_out, bounds.lam_min)
     return VertexSparsifier(
@@ -408,7 +342,7 @@ def recursive_vertex_sparsify(lap: SparseLaplacian, v_bdry, tree: SeparatorTree,
     )
 
 
-def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, path):
+def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step):
     """Returns (boundary ids, tails, heads, weights) of the node's sparsifier."""
     verts = np.unique(np.asarray(node.vertices, dtype=np.int64))
     bdry = np.intersect1d(bdry, verts)
@@ -416,12 +350,12 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, p
         raise GraphError("node has no boundary vertices")
 
     if node.is_leaf or verts.size <= 2 * bdry.size:
-        return _reduce_node(verts, tails, heads, w, bdry, eps_step, _node_seed(seed, path + (0xF,)))
+        return _reduce_node(verts, tails, heads, w, bdry, eps_step)
 
     sep = np.unique(np.asarray(node.separator, dtype=np.int64))
     child_parts = []
     covered = np.zeros(tails.size, dtype=bool)
-    for ci, child in enumerate((node.left, node.right)):
+    for child in (node.left, node.right):
         cverts = np.unique(np.asarray(child.vertices, dtype=np.int64))
         core = np.setdiff1d(cverts, sep)
         in_core_t = np.isin(tails, core)
@@ -435,8 +369,7 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, p
         eh = np.concatenate([heads[own], heads[shared]])
         ew = np.concatenate([w[own], 0.5 * w[shared]])
         child_bdry = np.union1d(np.intersect1d(cverts, bdry), sep)
-        child_parts.append(
-            _sparsify_node(child, et, eh, ew, child_bdry, eps_step, seed, path + (ci,)))
+        child_parts.append(_sparsify_node(child, et, eh, ew, child_bdry, eps_step))
     if not covered.all():
         raise ValidationError(
             "separator does not cover the node: an edge joins the two child components")
@@ -445,15 +378,14 @@ def _sparsify_node(node: SeparatorNode, tails, heads, w, bdry, eps_step, seed, p
     ch = np.concatenate([p[2] for p in child_parts])
     cw = np.concatenate([p[3] for p in child_parts])
     union = np.union1d(child_parts[0][0], child_parts[1][0])
-    return _reduce_node(union, ct, ch, cw, bdry, eps_step, _node_seed(seed, path + (0xA,)))
+    return _reduce_node(union, ct, ch, cw, bdry, eps_step)
 
 
-def _reduce_node(verts, tails, heads, w, bdry, eps_step, seed):
-    """ApproxSchur(eps_step/3) onto ``bdry``, then Sparsify(eps_step/3), of the
-    edges on ``verts``; the same step for a leaf and for an inner node."""
+def _reduce_node(verts, tails, heads, w, bdry, eps_step):
+    """ApproxSchur(eps_step/3) onto ``bdry`` of the edges on ``verts``; the
+    same step for a leaf and for an inner node."""
     lap = _local_lap(verts, tails, heads, w)
-    schur = approx_schur(lap, np.searchsorted(verts, bdry), eps_step / 3.0)
-    t, h, ww = sparsify(schur, eps_step / 3.0, seed).edge_list()
+    t, h, ww = approx_schur(lap, np.searchsorted(verts, bdry), eps_step / 3.0).edge_list()
     return bdry, bdry[t], bdry[h], ww
 
 
@@ -676,17 +608,16 @@ class GroupElimination:
     def sparsify(self, eps):
         """One-step vertex sparsifiers of every group at error ``eps``.
 
-        The steps of ``one_step_vertex_sparsify`` but the sampling: the clamp
-        check and cleanup of the Schur complement at ``eps/3``, then the
+        The steps of ``one_step_vertex_sparsify``: the clamp check and
+        cleanup of the Schur complement at ``eps/3``, then the
         ``lam_min / n_b^2`` weight floor.  Returns per shape class a (G, P)
         array of conductances over the boundary pairs in ``np.triu_indices``
-        order (0 where there is no edge), for ``quotient``.  It raises
-        ``ValidationError`` when a sparsifier has more edges than
-        ``sparsify``'s budget at ``eps/3`` (about 5e6 boundary vertices at
-        eps = 0.05), nine times the budget ``VertexSparsifier.validate``
-        checks at the sparsifier's own ``eps``, or, as that check does, a
-        weight ratio above ``10 n^5 U`` for a group of n vertices whose merged
-        edge weights span U.
+        order (0 where there is no edge), for ``quotient``.  As
+        ``VertexSparsifier.validate`` does, it raises ``ValidationError`` when
+        a sparsifier has more edges than the budget at ``eps`` (a clique
+        passes up to about 5e5 boundary vertices at eps = 0.05), or a weight
+        ratio above ``10 n^5 U`` for a group of n vertices whose merged edge
+        weights span U.
         """
         weights = []
         for cls, s, w_min, w_max in zip(self.topology.classes, self.schur, self.w_min,
@@ -698,7 +629,7 @@ class GroupElimination:
             has = cond > 0
             cond = np.where(has, cond + (w_min / cls.n**2 / cls.nb**2)[:, None], 0.0)
             edges = has.sum(axis=1)
-            budget = _edge_budget(SPARSIFY_EDGE_FACTOR, cls.nb, eps / 3.0)
+            budget = _edge_budget(cls.nb, eps)
             over = np.flatnonzero(edges > budget)
             if over.size:
                 j = over[0]

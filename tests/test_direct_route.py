@@ -2,11 +2,11 @@
 against the two-level one-step route (grouped flow on the quotient of
 per-group sparsifiers, converted back).
 
-Below the scale where ``sparsify`` samples, each quotient group is its
-group's exact Schur complement plus the one-step route's ``lam_min / n_b^2``
-weight floor, so the two routes run the same iterations and their values
-differ only by that floor's effect (at most 1.8e-6 relative on these
-instances; with the floor removed they agree to about 3e-13).
+Each quotient group is its group's exact Schur complement plus the one-step
+route's ``lam_min / n_b^2`` weight floor, so the two routes run the same
+iterations and their values differ only by that floor's effect (at most
+1.8e-6 relative on these instances; with the floor removed they agree to
+about 3e-13).
 """
 
 import numpy as np

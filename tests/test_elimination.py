@@ -133,9 +133,9 @@ class TestDenseSchur:
             elim.sparsify(0.1)
 
     def test_a_group_over_the_edge_budget_raises(self, rng, monkeypatch):
-        # the batched build never samples: a sparsifier with more edges than
-        # ``sparsify`` keeps unsampled is an error, here under a budget
-        # factor cut so low that every group's clique is over it
+        # nothing is sampled: a sparsifier over the edge budget is an error,
+        # here under a budget factor cut so low that every group's clique is
+        # over it
         g = grid_graph(6, 6)
         part = grid_r_division(6, 6, 1, 12, terminals=(0, 35), graph=g)
         w = rng.uniform(0.5, 2.0, g.m)
@@ -149,6 +149,35 @@ class TestDenseSchur:
             elim.sparsify(0.3)
         with pytest.raises(ValidationError, match=message):
             build_sparsified_instance(g, part, w, 0.3)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_one_edge_budget_rule(self, rng, monkeypatch, eps):
+        # the batched build raises exactly when a group's one-step sparsifier
+        # is over ``VertexSparsifier.edge_budget`` at the same eps.  ``tight``
+        # is the budget factor at which the first group goes over; a factor
+        # between tight / 9 and tight is over the budget at eps but not at
+        # eps / 3, so it tells the two rules apart
+        g = grid_graph(8, 8)
+        part = grid_r_division(8, 8, 1, 12, terminals=(0, 63), graph=g)
+        c = 1.0 / rng.uniform(0.5, 2.0, g.m)
+        sparsifiers = []
+        for grp, bdry in zip(part.groups, part.boundaries):
+            verts, lap = group_laplacian(g, grp, c)
+            sparsifiers.append(one_step_vertex_sparsify(lap, np.searchsorted(verts, bdry), eps))
+        tight = max(schur.SPARSIFY_EDGE_FACTOR * vs.laplacian.num_edges / vs.edge_budget()
+                    for vs in sparsifiers)
+        elim = GroupElimination(part.topology(g), c)
+        for factor in (0.99 * tight, 0.5 * tight, 0.2 * tight, 1.01 * tight):
+            monkeypatch.setattr(schur, "SPARSIFY_EDGE_FACTOR", factor)
+            over = [vs for vs in sparsifiers if vs.laplacian.num_edges > vs.edge_budget()]
+            assert bool(over) == (factor < tight)
+            if over:
+                with pytest.raises(ValidationError, match="sparsifier has"):
+                    elim.sparsify(eps)
+                with pytest.raises(ValidationError, match="sparsifier has"):
+                    over[0].validate()
+            else:
+                elim.sparsify(eps)
 
 
 class TestDistinctKeys:

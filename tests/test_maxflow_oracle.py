@@ -104,6 +104,13 @@ class TestExactOracle:
         b = exact_max_flow_oracle(random_capacity_grid(8, 8, seed=5), 0, 63)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("s, t", [(0, -1), (0, 16), (-1, 15), (16, 0)])
+    def test_terminal_outside_the_graph_raises(self, s, t):
+        # a sink of -1 never equals a vertex the search reaches, so without
+        # the check the augmenting search would not end
+        with pytest.raises(GraphError, match="is not a vertex id in 0..15"):
+            exact_max_flow_oracle(grid_graph(4, 4), s, t)
+
 
 class TestWidestPath:
     def test_unit_grid(self):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from sepflow import (GraphError, GridSpec, SparseLaplacian, ValidationError, approx_schur,
                      exact_schur, grid_graph, one_step_vertex_sparsify,
-                     recursive_vertex_sparsify, separator_tree_for_grid_block, sparsify,
+                     recursive_vertex_sparsify, separator_tree_for_grid_block,
                      spectral_bounds, weight_floor)
 
 from conftest import gen_eig_range, partial_elimination_schur, random_connected_graph
@@ -119,63 +119,6 @@ class TestApproxSchur:
             approx_schur(SparseLaplacian(sp.csr_matrix(a)), [0, 1], 0.2)
 
 
-class TestSparsify:
-    def test_under_budget_returns_input(self):
-        lap = SparseLaplacian.from_edges(16, *np.triu_indices(16, k=1), np.ones(120))
-        assert sparsify(lap, 0.5, seed=0) is lap
-
-    def test_single_edge_unchanged(self):
-        lap = SparseLaplacian.from_edges(2, [0], [1], [1.0])
-        assert sparsify(lap, 0.5, seed=1) is lap
-
-    def test_sampling_sandwich_success_rate(self):
-        n = 64
-        lap = SparseLaplacian.from_edges(n, *np.triu_indices(n, k=1), np.ones(n * (n - 1) // 2))
-        dense = lap.dense()
-        ok = 0
-        for seed in range(100):
-            s = sparsify(lap, 0.5, seed, c_s=0.5)
-            assert s is not lap
-            lo, hi = gen_eig_range(s.dense(), dense)
-            ok += bool(0.5 <= lo and hi <= 1.5)
-        assert ok >= 90
-
-    def test_deterministic(self):
-        n = 64
-        lap = SparseLaplacian.from_edges(n, *np.triu_indices(n, k=1), np.ones(n * (n - 1) // 2))
-        a = sparsify(lap, 0.5, seed=42, c_s=0.5)
-        b = sparsify(lap, 0.5, seed=42, c_s=0.5)
-        assert np.array_equal(a.dense(), b.dense())
-
-    def test_sketched_resistances_path(self, rng):
-        # n > 64 exercises the random-projection estimate
-        n = 80
-        t, h = np.triu_indices(n, k=1)
-        keep = rng.random(t.size) < 0.6
-        lap = SparseLaplacian.from_edges(n, t[keep], h[keep], rng.uniform(0.5, 2.0, keep.sum()))
-        s = sparsify(lap, 0.5, seed=3, c_s=0.5)
-        lo, hi = gen_eig_range(s.dense(), lap.dense())
-        assert 0.5 <= lo and hi <= 1.5
-
-    def test_sketched_resistances_per_component(self, rng):
-        # two disjoint copies of the graph above and an isolated vertex, as
-        # a Schur complement onto a component's one boundary vertex leaves:
-        # a SolverHandle factors one connected graph, so the sketch solves
-        # each component on its own, and each copy stays in the sandwich
-        n = 80
-        t, h = np.triu_indices(n, k=1)
-        keep = rng.random(t.size) < 0.6
-        w = rng.uniform(0.5, 2.0, keep.sum())
-        t, h = t[keep], h[keep]
-        lap = SparseLaplacian.from_edges(2 * n + 1, np.concatenate([t, t + n]),
-                                         np.concatenate([h, h + n]), np.concatenate([w, w]))
-        s = sparsify(lap, 0.5, seed=3, c_s=0.5)
-        assert s is not lap
-        for copy in (slice(0, n), slice(n, 2 * n)):
-            lo, hi = gen_eig_range(s.dense()[copy, copy], lap.dense()[copy, copy])
-            assert 0.5 <= lo and hi <= 1.5
-
-
 class TestSpectralBounds:
     def test_single_unit_edge(self):
         lap = SparseLaplacian.from_edges(2, [0], [1], [1.0])
@@ -251,11 +194,22 @@ class TestOneStep:
         assert 0.8 <= lo and hi <= 1.2
 
     def test_deterministic(self):
+        # nothing is drawn at random, so the seed has no effect
         lap, _ = block_lap(5, 5)
         perim = np.array([v for v in range(25) if v // 5 in (0, 4) or v % 5 in (0, 4)])
-        a = one_step_vertex_sparsify(lap, perim, 0.2, seed=9)
-        b = one_step_vertex_sparsify(lap, perim, 0.2, seed=9)
+        a = one_step_vertex_sparsify(lap, perim, 0.2, seed=0)
+        b = one_step_vertex_sparsify(lap, perim, 0.2, seed=12345)
         assert np.array_equal(a.laplacian.dense(), b.laplacian.dense())
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.49])
+    def test_is_the_floored_schur_complement(self, rng, eps):
+        # the Schur complement is kept whole: no edge is sampled away
+        g = grid_graph(6, 7)
+        lap = lap_of(g, rng.uniform(0.5, 2.0, g.m))
+        side = np.arange(7)
+        vs = one_step_vertex_sparsify(lap, side, eps)
+        expect = weight_floor(approx_schur(lap, side, eps / 3.0), spectral_bounds(lap).lam_min)
+        assert np.array_equal(vs.laplacian.dense(), expect.dense())
 
 
 class TestRecursive:
@@ -286,10 +240,11 @@ class TestRecursive:
         assert 0.7 <= lo and hi <= 1.3
 
     def test_deterministic(self):
+        # nothing is drawn at random, so the seed has no effect
         lap, g = block_lap(8, 8)
         tree = separator_tree_for_grid_block(GridSpec(8, 8), np.arange(64), g=g)
-        a = recursive_vertex_sparsify(lap, np.arange(8), tree, 0.3, seed=3)
-        b = recursive_vertex_sparsify(lap, np.arange(8), tree, 0.3, seed=3)
+        a = recursive_vertex_sparsify(lap, np.arange(8), tree, 0.3, seed=0)
+        b = recursive_vertex_sparsify(lap, np.arange(8), tree, 0.3, seed=12345)
         assert np.array_equal(a.laplacian.dense(), b.laplacian.dense())
 
 
